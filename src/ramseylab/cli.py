@@ -15,12 +15,12 @@ from fractions import Fraction
 from typing import Optional
 
 from . import graph6
-from .coloring import (INCONCLUSIVE, NOT_RAMSEY, decide_ramsey, export_cnf,
-                       ramsey_query, verify_coloring)
+from .coloring import (DEFAULT_NODE_BUDGET, DEFAULT_TIME_BUDGET, INCONCLUSIVE,
+                       decide_ramsey, export_cnf, ramsey_query, verify_coloring)
 from .constructions import (ConstructionError, bipartite_decomposition,
                             clique_split_coloring, lift_coloring,
                             odd_cycle_free_multicoloring, turan_blue_composite,
-                            _part_offsets)
+                            _avoiding_coloring, _part_offsets)
 from .densities import d2, m2, m2_asym, mu0, mu1, rho, rho_k_with_partition
 from .experiments import (ManifestError, PACKAGE_VERSION, parse_pattern,
                           parse_targets, replay, run_experiment)
@@ -186,7 +186,8 @@ def _cmd_construct(args) -> int:
             "odd_cycle_free": [not coloring.color_subgraph(c).has_odd_cycle()
                                for c in range(coloring.r)]})
     elif name == "lift":
-        base = _find_two_coloring_avoiding_patterns(args.k, args.avoid)
+        base = _avoiding_coloring(clique_graph(args.k), parse_targets(args.avoid),
+                                  f"K_{args.k}")
         blown = _graph_arg(args.family)
         coloring = lift_coloring(base, blown)
         payload = _coloring_payload(coloring, {
@@ -198,12 +199,8 @@ def _cmd_construct(args) -> int:
         for idx, (at, size) in enumerate(_part_offsets(args.n, args.k)):
             part_graph = (sample_gnp(size, args.p, args.seed, trial=idx)
                           if args.p > 0 else empty_graph(size))
-            verdict = decide_ramsey(ramsey_query(
-                part_graph, [clique(args.t), clique(args.ell)]))
-            if verdict.status != NOT_RAMSEY:
-                raise ConstructionError(
-                    f"no inner coloring found for part {idx} ({verdict.status})")
-            inner.append(verdict.witness)
+            inner.append(_avoiding_coloring(
+                part_graph, [clique(args.t), clique(args.ell)], f"part {idx}"))
         coloring = turan_blue_composite(args.n, args.k, inner, args.t,
                                         args.ell, args.s)
         payload = _coloring_payload(coloring, {
@@ -222,15 +219,6 @@ def _cmd_construct(args) -> int:
         raise ManifestError(f"unknown construction {name!r}")
     _emit(payload, args)
     return OK
-
-
-def _find_two_coloring_avoiding_patterns(k: int, avoid: str):
-    targets = parse_targets(avoid)
-    verdict = decide_ramsey(ramsey_query(clique_graph(k), targets))
-    if verdict.status != NOT_RAMSEY:
-        raise ConstructionError(
-            f"K_{k} admits no coloring avoiding {avoid} ({verdict.status})")
-    return verdict.witness
 
 
 def _cmd_scan(args) -> int:
@@ -293,9 +281,9 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", help="write the result here instead of stdout")
         p.add_argument("--format", choices=("csv", "json"), default="json")
         if budgets:
-            p.add_argument("--budget-nodes", type=int, default=10 ** 8,
+            p.add_argument("--budget-nodes", type=int, default=DEFAULT_NODE_BUDGET,
                            help="search node budget")
-            p.add_argument("--budget-secs", type=float, default=60.0,
+            p.add_argument("--budget-secs", type=float, default=DEFAULT_TIME_BUDGET,
                            help="search time budget")
 
     p = sub.add_parser("density", help="exact density calculus on graph6 inputs")

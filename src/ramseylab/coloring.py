@@ -18,13 +18,12 @@ set is listed for its color does not count, whatever its edges.
 
 from __future__ import annotations
 
-import itertools
 import time
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
-from .graphs import (Graph, Pattern, _iter_cliques, _iter_cycles_through,
-                     _iter_embeddings, _iter_paths_through, enumerate_copies)
+from .graphs import (Graph, Pattern, _copy_edges, _iter_through, clique,
+                     clique_graph, contains_pattern, enumerate_copies)
 
 DEFAULT_NODE_BUDGET = 10 ** 8
 DEFAULT_TIME_BUDGET = 60.0
@@ -55,14 +54,7 @@ def ramsey_query(host: Graph, targets: Sequence, forbidden: Optional[Sequence] =
                  time_budget: float = DEFAULT_TIME_BUDGET) -> RamseyQuery:
     """Normalize loose inputs: each color's targets may be a single
     Pattern or an iterable; forbidden entries are vertex iterables."""
-    norm_targets = []
-    for entry in targets:
-        pats = (entry,) if isinstance(entry, Pattern) else tuple(entry)
-        if not pats:
-            raise ValueError("every color needs at least one target pattern")
-        norm_targets.append(pats)
-    if len(norm_targets) < 2:
-        raise ValueError("need at least two colors")
+    norm_targets = _normalize_targets(targets)
     if forbidden is None:
         norm_forbidden = tuple(frozenset() for _ in norm_targets)
     else:
@@ -72,8 +64,19 @@ def ramsey_query(host: Graph, targets: Sequence, forbidden: Optional[Sequence] =
                                for entry in forbidden)
     if host.n < 1:
         raise ValueError("host graph must be nonempty")
-    return RamseyQuery(host, tuple(norm_targets), norm_forbidden,
-                       node_budget, time_budget)
+    return RamseyQuery(host, norm_targets, norm_forbidden, node_budget, time_budget)
+
+
+def _normalize_targets(targets: Sequence) -> tuple[tuple[Pattern, ...], ...]:
+    norm_targets = []
+    for entry in targets:
+        pats = (entry,) if isinstance(entry, Pattern) else tuple(entry)
+        if not pats:
+            raise ValueError("every color needs at least one target pattern")
+        norm_targets.append(pats)
+    if len(norm_targets) < 2:
+        raise ValueError("need at least two colors")
+    return tuple(norm_targets)
 
 
 @dataclass
@@ -157,49 +160,17 @@ def _blocking_copy(adjc, n: int, u: int, v: int, pat: Pattern, forb: frozenset
     coloring (u,v), or None.  The color graph adjc already holds the
     new edge.  The returned edge list is the conflict reason used for
     backjumping."""
-    kind = pat.kind
-    if kind == "clique":
-        t = pat.size
-        if t < 2:
-            return None
-        if t == 2:
-            if not forb or frozenset((u, v)) not in forb:
-                return [(u, v)]
-            return None
+    # K3 and C3 are the same triangle: the least common neighbor closes
+    # it, the copy the general iterators would find first
+    if pat.size == 3 and pat.kind in ("clique", "cycle") and not forb:
         common = adjc[u] & adjc[v]
-        if t == 3 and not forb:
-            if common:
-                w = (common & -common).bit_length() - 1
-                return [(u, v), (u, w), (v, w)]
-            return None
-        for rest in _iter_cliques(adjc, common, t - 2):
-            vs = (u, v) + rest
-            if not forb or frozenset(vs) not in forb:
-                return list(itertools.combinations(vs, 2))
+        if common:
+            w = (common & -common).bit_length() - 1
+            return [(u, v), (u, w), (v, w)]
         return None
-    if kind == "cycle":
-        for w in _iter_cycles_through(adjc, u, v, pat.size):
-            if not forb or frozenset(w) not in forb:
-                return list(zip(w, w[1:] + (w[0],)))
-        return None
-    if kind == "path":
-        if pat.size < 2:
-            return None
-        for w in _iter_paths_through(adjc, u, v, pat.size):
-            if not forb or frozenset(w) not in forb:
-                return list(zip(w, w[1:]))
-        return None
-    pg = pat.graph
-    seen = set()
-    for a, b in pg.edges():
-        for x, y in ((u, v), (v, u)):
-            for w in _iter_embeddings(n, adjc, pg, {a: x, b: y}):
-                key = frozenset(w)
-                if key in seen:
-                    continue
-                seen.add(key)
-                if not forb or key not in forb:
-                    return [(w[p], w[q]) for p, q in pg.edges()]
+    for w in _iter_through(n, adjc, u, v, pat):
+        if not forb or frozenset(w) not in forb:
+            return _copy_edges(pat, w)
     return None
 
 
@@ -207,33 +178,50 @@ def _blocking_copy(adjc, n: int, u: int, v: int, pat: Pattern, forb: frozenset
 # The decision procedure
 
 
+# (n, targets) -> (True/False, nodes the proof took, None) for a completed
+# search on K_n, or (None, node budget, time budget) for one that ran out.
 _ramsey_number_cache: dict = {}
 
 
-def _complete_host_ramsey(n: int, targets, node_budget: int, time_budget: float) -> Optional[bool]:
-    """Is K_n Ramsey for the targets?  None when the budget ran out."""
-    from .graphs import clique_graph
+def _complete_host_ramsey(n: int, targets, node_budget: int = DEFAULT_NODE_BUDGET,
+                          time_budget: float = DEFAULT_TIME_BUDGET) -> Optional[bool]:
+    """Is K_n Ramsey for the targets?  None when the budget ran out.
 
+    The memo answers as a fresh search would: a stored proof only when
+    the caller's node budget covers the nodes it took, a stored
+    budget-out only when the caller's budgets are no larger than those
+    that ran out.  A completed search is never replaced.
+    """
     key = (n, targets)
-    if key in _ramsey_number_cache:
-        return _ramsey_number_cache[key]
+    entry = _ramsey_number_cache.get(key)
+    if entry is not None:
+        result, nodes, secs = entry
+        if result is not None:
+            if node_budget >= nodes:
+                return result
+        elif node_budget <= nodes and time_budget <= secs:
+            return None
     q = RamseyQuery(clique_graph(n), targets,
                     tuple(frozenset() for _ in targets), node_budget, time_budget)
     verdict = decide_ramsey(q, symmetry_breaking=True)
     result = None if verdict.status == INCONCLUSIVE else verdict.is_ramsey
-    if result is not None:
-        _ramsey_number_cache[key] = result
+    if entry is None or entry[0] is None:
+        _ramsey_number_cache[key] = ((None, node_budget, time_budget) if result is None
+                                     else (result, verdict.stats.nodes, None))
     return result
 
 
 def targets_ramsey_number(targets, cap: int = 12,
                           node_budget: int = DEFAULT_NODE_BUDGET,
                           time_budget: float = DEFAULT_TIME_BUDGET) -> Optional[int]:
-    """Least n <= cap with K_n Ramsey for the targets, else None.
+    """Least n <= cap with K_n Ramsey for the per-color targets; None
+    when no size in range is, or when a budget runs out first.
 
+    Each color's targets may be a single Pattern or an iterable.
     Complete-host Ramseyness is monotone in n, so the first hit is the
-    Ramsey number.
+    Ramsey number.  Searches on K_n are memoized per process.
     """
+    targets = _normalize_targets(targets)
     for n in range(2, cap + 1):
         got = _complete_host_ramsey(n, targets, node_budget, time_budget)
         if got is None:
@@ -241,13 +229,6 @@ def targets_ramsey_number(targets, cap: int = 12,
         if got:
             return n
     return None
-
-
-def _has_clique(g: Graph, t: int) -> bool:
-    full = (1 << g.n) - 1
-    for _ in _iter_cliques(g.adj, full, t):
-        return True
-    return False
 
 
 def decide_ramsey(query: RamseyQuery, *, symmetry_breaking: bool = False,
@@ -275,7 +256,7 @@ def decide_ramsey(query: RamseyQuery, *, symmetry_breaking: bool = False,
         number = targets_ramsey_number(query.targets, cap=min(host.n, 12),
                                        node_budget=query.node_budget,
                                        time_budget=query.time_budget)
-        if number is not None and _has_clique(host, number):
+        if number is not None and contains_pattern(host, clique(number)):
             stats.elapsed = time.monotonic() - start
             stats.note = f"complete subgraph on {number} vertices is Ramsey"
             return RamseyVerdict(RAMSEY, None, stats)

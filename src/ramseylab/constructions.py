@@ -105,14 +105,16 @@ def turan_blue_composite(n: int, k: int, inner: Sequence[EdgeColoring],
     return composite
 
 
-def _find_two_coloring_avoiding(k: int, red_clique: int, blue_clique: int) -> EdgeColoring:
-    """A 2-coloring of K_k with no red K_{red_clique}, no blue
-    K_{blue_clique}, found by the exact engine."""
-    q = ramsey_query(clique_graph(k), [clique(red_clique), clique(blue_clique)])
+def _avoiding_coloring(host: Graph, targets, name: str) -> EdgeColoring:
+    """A coloring of host with no monochromatic target, found by the
+    exact engine; name describes the host in the error raised when the
+    engine finds none (Ramsey) or runs out of budget."""
+    q = ramsey_query(host, targets)
     verdict = decide_ramsey(q)
     if verdict.status != NOT_RAMSEY:
+        avoid = ",".join("+".join(p.describe() for p in side) for side in q.targets)
         raise ConstructionError(
-            f"K_{k} admits no coloring avoiding K{red_clique}/K{blue_clique}")
+            f"{name} admits no coloring avoiding {avoid} ({verdict.status})")
     return verdict.witness
 
 
@@ -148,7 +150,8 @@ def clique_split_coloring(n: int, k: int, s: int, t: int,
     if contains_pattern(random_part.induced(b_side), clique(ell)):
         raise ConstructionError(f"random part on B contains a clique of size {ell}")
     if phi is None:
-        phi = _find_two_coloring_avoiding(k, a + 1, s - k)
+        phi = _avoiding_coloring(clique_graph(k), [clique(a + 1), clique(s - k)],
+                                 f"K_{k}")
     if phi.host.n != k or phi.r != 2:
         raise ConstructionError("phi must 2-color the complete graph on the parts")
     if contains_pattern(phi.color_subgraph(RED), clique(a + 1)):

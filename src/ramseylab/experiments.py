@@ -25,6 +25,7 @@ import secrets
 from typing import Optional, Union
 
 from . import facts as facts_mod
+from .coloring import DEFAULT_NODE_BUDGET, DEFAULT_TIME_BUDGET
 from .graphs import build_family
 from .perturb import log_spaced_grid, threshold_scan
 
@@ -97,8 +98,8 @@ def _run_scan(args: dict, seed: int):
     grid = _resolve_grid(args)
     result = threshold_scan(
         bases, targets, grid, int(args["trials"]), seed,
-        node_budget=int(args.get("node_budget", 10 ** 8)),
-        time_budget=float(args.get("time_budget", 60.0)),
+        node_budget=int(args.get("node_budget", DEFAULT_NODE_BUDGET)),
+        time_budget=float(args.get("time_budget", DEFAULT_TIME_BUDGET)),
         clique_shortcut=bool(args.get("clique_shortcut", True)))
     return result, grid
 

@@ -14,8 +14,9 @@ import time
 from dataclasses import dataclass, field
 from typing import Optional
 
-from .coloring import (INCONCLUSIVE, NOT_RAMSEY, RAMSEY, decide_ramsey,
-                       ramsey_query)
+from .coloring import (DEFAULT_NODE_BUDGET, DEFAULT_TIME_BUDGET, INCONCLUSIVE,
+                       NOT_RAMSEY, RAMSEY, decide_ramsey, ramsey_query,
+                       targets_ramsey_number)
 from .densities import rho_bound_hm
 from .graphs import (Graph, Pattern, clique_graph, clique, cycle, hm_graph,
                      hmr_graph, path, part_vertices)
@@ -40,22 +41,19 @@ class FactReport:
                 "runtime": round(self.runtime, 6)}
 
 
-def _decide(host: Graph, targets, node_budget=10 ** 8, time_budget=60.0):
+def _decide(host: Graph, targets, node_budget=DEFAULT_NODE_BUDGET,
+            time_budget=DEFAULT_TIME_BUDGET):
     return decide_ramsey(ramsey_query(host, targets, node_budget=node_budget,
                                       time_budget=time_budget))
 
 
-def small_ramsey_number(targets, n_hi: int = 12, node_budget: int = 10 ** 8,
-                        time_budget: float = 60.0) -> Optional[int]:
+def small_ramsey_number(targets, n_hi: int = 12,
+                        node_budget: int = DEFAULT_NODE_BUDGET,
+                        time_budget: float = DEFAULT_TIME_BUDGET) -> Optional[int]:
     """Least n <= n_hi making K_n Ramsey for the per-color targets;
-    None when no size in range is (or budgets run out)."""
-    for n in range(2, n_hi + 1):
-        verdict = _decide(clique_graph(n), targets, node_budget, time_budget)
-        if verdict.status == INCONCLUSIVE:
-            return None
-        if verdict.status == RAMSEY:
-            return n
-    return None
+    None when no size in range is (or budgets run out).  The search is
+    coloring.targets_ramsey_number, with its memo."""
+    return targets_ramsey_number(targets, n_hi, node_budget, time_budget)
 
 
 def verify_list_cycle_lemma() -> FactReport:
@@ -87,8 +85,8 @@ def _odd_cycles_up_to(n: int) -> list[Pattern]:
     return [cycle(length) for length in range(3, n + 1, 2)]
 
 
-def verify_odd_cycle_unavoidable(r: int, node_budget: int = 10 ** 8,
-                                 time_budget: float = 60.0) -> FactReport:
+def verify_odd_cycle_unavoidable(r: int, node_budget: int = DEFAULT_NODE_BUDGET,
+                                 time_budget: float = DEFAULT_TIME_BUDGET) -> FactReport:
     """Every r-coloring of the complete graph on 2^r + 1 vertices has a
     monochromatic odd cycle, and 2^r vertices do not suffice."""
     t0 = time.monotonic()

@@ -281,25 +281,25 @@ def cycle_length(pat: Pattern) -> Optional[int]:
 # ---------------------------------------------------------------------
 # Containment search
 
-def _iter_cliques(adj: tuple[int, ...], cand: int, need: int) -> Iterator[tuple[int, ...]]:
-    """Yield vertex tuples of need-cliques inside the candidate bitset.
+def _iter_cliques(adj: tuple[int, ...], cand: int, need: int,
+                  prefix: tuple[int, ...] = ()) -> Iterator[tuple[int, ...]]:
+    """Yield prefix + c for every need-clique c inside the candidate bitset.
 
-    Pivoting: some clique of the wanted size meets cand minus N(pivot)
-    whenever any exists, so only those vertices are branched on.
+    Each clique is listed once, as an increasing tuple, in lexicographic
+    order: branching on v leaves only v's higher neighbors as candidates.
     """
+    if need == 1:
+        for v in _bits(cand):
+            yield prefix + (v,)
+        return
     if need == 0:
-        yield ()
+        yield prefix
         return
-    if cand.bit_count() < need:
-        return
-    pivot = max(_bits(cand), key=lambda u: (adj[u] & cand).bit_count())
-    branch = cand & ~adj[pivot]
-    for v in _bits(branch):
-        for rest in _iter_cliques(adj, cand & adj[v], need - 1):
-            yield (v,) + rest
-        cand &= ~(1 << v)
-        if cand.bit_count() < need:
-            return
+    while cand.bit_count() >= need:
+        b = cand & -cand
+        cand ^= b
+        v = b.bit_length() - 1
+        yield from _iter_cliques(adj, cand & adj[v], need - 1, prefix + (v,))
 
 
 def _iter_cycles_through(adj, u: int, v: int, length: int) -> Iterator[tuple[int, ...]]:
@@ -421,69 +421,86 @@ def _iter_embeddings(n: int, adj, pg: Graph, pinned: Optional[dict[int, int]] = 
     yield from place(0)
 
 
+def _iter_copies(g: Graph, pat: Pattern) -> Iterator[tuple[int, ...]]:
+    """Witness vertex tuples of pat's copies in g, from the kind's iterator."""
+    if pat.vertex_count > g.n:
+        return iter(())
+    if pat.kind == "clique":
+        return _iter_cliques(g.adj, (1 << g.n) - 1, pat.size)
+    if pat.kind == "cycle":
+        return _iter_cycles(g, pat.size)
+    if pat.kind == "path":
+        return _iter_paths(g, pat.size)
+    return _iter_embeddings(g.n, g.adj, pat.graph)
+
+
 def find_pattern(g: Graph, pat: Pattern) -> Optional[tuple[int, ...]]:
     """A witness vertex tuple for one copy of pat in g, or None."""
-    if pat.vertex_count > g.n:
-        return None
-    if pat.kind == "clique":
-        full = (1 << g.n) - 1
-        for w in _iter_cliques(g.adj, full, pat.size):
-            return tuple(sorted(w))
-        return None
-    if pat.kind == "cycle":
-        for w in _iter_cycles(g, pat.size):
-            return w
-        return None
-    if pat.kind == "path":
-        for w in _iter_paths(g, pat.size):
-            return w
-        return None
-    for w in _iter_embeddings(g.n, g.adj, pat.graph):
-        return w
-    return None
+    return next(_iter_copies(g, pat), None)
 
 
 def contains_pattern(g: Graph, pat: Pattern) -> bool:
     return find_pattern(g, pat) is not None
 
 
+def _iter_through(n: int, adj, u: int, v: int, pat: Pattern) -> Iterator[tuple[int, ...]]:
+    """Every copy of pat through edge (u,v) of the raw adjacency, as
+    witness vertex tuples; the pattern kind's own iterator is returned.
+
+    Cliques start (u, v) and continue increasing; cycles start u and
+    end v; paths run through u then v.  Arbitrary patterns list each
+    vertex set once.
+    """
+    kind = pat.kind
+    if kind == "clique":
+        if pat.size < 2:
+            return iter(())
+        return _iter_cliques(adj, adj[u] & adj[v], pat.size - 2, (u, v))
+    if kind == "cycle":
+        return _iter_cycles_through(adj, u, v, pat.size)
+    if kind == "path":
+        if pat.size < 2:
+            return iter(())
+        return _iter_paths_through(adj, u, v, pat.size)
+    return _iter_embeddings_through(n, adj, pat.graph, u, v)
+
+
+def _copy_edges(pat: Pattern, w: tuple[int, ...]) -> list[tuple[int, int]]:
+    """The edges of the copy of pat whose witness tuple is w."""
+    if pat.kind == "clique":
+        return list(itertools.combinations(w, 2))
+    if pat.kind == "cycle":
+        return list(zip(w, w[1:] + (w[0],)))
+    if pat.kind == "path":
+        return list(zip(w, w[1:]))
+    return [(w[a], w[b]) for a, b in pat.graph.edges()]
+
+
 def iter_pattern_witnesses_through_edge(g: Graph, pat: Pattern, e: tuple[int, int]
                                         ) -> Iterator[tuple[int, ...]]:
     """All copies of pat in g that use edge e, as witness vertex tuples.
 
-    Copies may repeat for arbitrary patterns with automorphisms; callers
-    that need distinct copies deduplicate by edge set.
+    Each clique, cycle and path copy is listed once; an arbitrary
+    pattern's copies are listed once per vertex set, so copies with the
+    same vertices but different edges appear only once.
     """
     u, v = e
     if not g.has_edge(u, v):
         raise ValueError(f"({u},{v}) is not an edge of the graph")
-    if pat.kind == "clique":
-        if pat.size < 2:
-            return
-        if pat.size == 2:
-            yield (u, v)
-            return
-        for rest in _iter_cliques(g.adj, g.adj[u] & g.adj[v], pat.size - 2):
-            yield (u, v) + rest
-        return
-    if pat.kind == "cycle":
-        yield from _iter_cycles_through(g.adj, u, v, pat.size)
-        return
-    if pat.kind == "path":
-        if pat.size < 2:
-            return
-        yield from _iter_paths_through(g.adj, u, v, pat.size)
-        return
-    pg = pat.graph
+    yield from _iter_through(g.n, g.adj, u, v, pat)
+
+
+def _iter_embeddings_through(n: int, adj, pg: Graph, u: int, v: int
+                             ) -> Iterator[tuple[int, ...]]:
+    """Embeddings of pg sending some pattern edge onto (u,v), one per vertex set."""
     seen = set()
     for a, b in pg.edges():
         for x, y in ((u, v), (v, u)):
-            for w in _iter_embeddings(g.n, g.adj, pg, {a: x, b: y}):
+            for w in _iter_embeddings(n, adj, pg, {a: x, b: y}):
                 key = frozenset(w)
-                if key in seen:
-                    continue
-                seen.add(key)
-                yield w
+                if key not in seen:
+                    seen.add(key)
+                    yield w
 
 
 def _iter_paths_through(adj, u: int, v: int, k: int) -> Iterator[tuple[int, ...]]:
@@ -517,34 +534,16 @@ def find_pattern_through_edge(g: Graph, pat: Pattern, e: tuple[int, int],
 def enumerate_copies(g: Graph, pat: Pattern) -> list[tuple[tuple[int, ...], tuple[tuple[int, int], ...]]]:
     """All distinct copies of pat in g as (witness vertices, canonical edge list).
 
-    Copies are distinct edge subsets; the list order is deterministic.
+    Copies are distinct edge subsets; the list order is deterministic
+    (lexicographic on the vertex tuple for cliques).
     """
     out = []
     seen = set()
-
-    def emit(w: tuple[int, ...], edges: Iterable[tuple[int, int]]):
-        es = tuple(sorted((min(a, b), max(a, b)) for a, b in edges))
+    for w in _iter_copies(g, pat):
+        es = tuple(sorted((min(a, b), max(a, b)) for a, b in _copy_edges(pat, w)))
         if es not in seen:
             seen.add(es)
             out.append((w, es))
-
-    if pat.kind == "clique":
-        if pat.vertex_count > g.n:
-            return []
-        for vs in itertools.combinations(range(g.n), pat.size):
-            if all(g.has_edge(a, b) for a, b in itertools.combinations(vs, 2)):
-                emit(vs, itertools.combinations(vs, 2))
-    elif pat.kind == "cycle":
-        for w in _iter_cycles(g, pat.size):
-            emit(w, zip(w, w[1:] + (w[0],)))
-    elif pat.kind == "path":
-        for w in _iter_paths(g, pat.size):
-            emit(w, zip(w, w[1:]))
-    else:
-        pg = pat.graph
-        pedges = pg.edges()
-        for w in _iter_embeddings(g.n, g.adj, pg):
-            emit(w, ((w[a], w[b]) for a, b in pedges))
     return out
 
 

@@ -20,7 +20,8 @@ import math
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
-from .coloring import (INCONCLUSIVE, RamseyQuery, decide_ramsey, ramsey_query)
+from .coloring import (DEFAULT_NODE_BUDGET, DEFAULT_TIME_BUDGET, INCONCLUSIVE,
+                       RamseyQuery, decide_ramsey, ramsey_query)
 from .graphs import Graph
 
 _MASK64 = (1 << 64) - 1
@@ -94,8 +95,8 @@ class MonteCarloRow:
 
 
 def monte_carlo_ramsey(base: Graph, targets: Sequence, p: float, trials: int,
-                       seed: int, node_budget: int = 10 ** 8,
-                       time_budget: float = 60.0,
+                       seed: int, node_budget: int = DEFAULT_NODE_BUDGET,
+                       time_budget: float = DEFAULT_TIME_BUDGET,
                        clique_shortcut: bool = True,
                        _cache: Optional[dict] = None) -> MonteCarloRow:
     """Success rate of the Ramsey property over perturbed samples.
@@ -168,8 +169,9 @@ def _crossing(points: list[tuple[float, Optional[float]]]) -> Optional[float]:
 
 
 def threshold_scan(bases: Sequence[Graph], targets: Sequence, p_grid: Sequence[float],
-                   trials: int, seed: int, node_budget: int = 10 ** 8,
-                   time_budget: float = 60.0, clique_shortcut: bool = True) -> ScanResult:
+                   trials: int, seed: int, node_budget: int = DEFAULT_NODE_BUDGET,
+                   time_budget: float = DEFAULT_TIME_BUDGET,
+                   clique_shortcut: bool = True) -> ScanResult:
     """Success curves over a probability grid for one or more host sizes.
 
     Produces one row per (n, p), sorted; per-size crossing estimates;

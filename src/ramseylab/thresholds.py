@@ -81,7 +81,7 @@ def _least_quotient_clique(k: int, m: int) -> int:
 
     for a in range(1, k + 1):
         targets = ((clique(a + 1),), (clique(m),))
-        got = _complete_host_ramsey(k, targets, 10 ** 8, 60.0)
+        got = _complete_host_ramsey(k, targets)
         if got is None:
             raise RuntimeError("small-Ramsey evaluation exceeded its budget")
         if not got:

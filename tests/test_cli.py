@@ -208,6 +208,14 @@ class TestConstructCommand:
         assert code == ERROR
         assert "error" in err
 
+    def test_failed_inner_coloring_names_part_and_verdict(self, capsys):
+        # each part is a complete K6, which forces a monochromatic triangle
+        code, out, err = run(
+            capsys, ["construct", "--name", "turan-blue", "--n", "12",
+                     "--k", "2", "--t", "3", "--ell", "3", "--p", "1.0"])
+        assert code == ERROR
+        assert "part 0 admits no coloring avoiding K3,K3 (ramsey)" in err
+
 
 class TestScanAndReplay:
     def scan(self, capsys, tmp_path, seed="7"):

@@ -1,10 +1,13 @@
 import itertools
+import random
+import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import dpll
-from oracles import ramsey_brute, random_graph
+from oracles import _coloring_avoids, ramsey_brute, random_graph
+from ramseylab import coloring
 from ramseylab.coloring import (EdgeColoring, INCONCLUSIVE, NOT_RAMSEY, RAMSEY,
                                 decide_globally_ramsey, decide_ramsey,
                                 export_cnf, ramsey_query,
@@ -101,6 +104,31 @@ class TestAgainstBruteForce:
             verdict = decide_ramsey(
                 ramsey_query(host, [clique(3), clique(3)], forbidden))
             assert verdict.status == (RAMSEY if expected else NOT_RAMSEY)
+
+    def test_forbidden_clique_sets_sweep(self):
+        # seeded hosts of at most 12 edges; each color forbids a random
+        # half of the host's cliques of its target size
+        verdicts = []
+        for seed in range(336):
+            rng = random.Random(seed)
+            n = rng.randint(4, 6)
+            pairs = list(itertools.combinations(range(n), 2))
+            host = Graph.from_edges(n, rng.sample(pairs, rng.randint(4, min(12, len(pairs)))))
+            sizes = (rng.choice((2, 3, 3, 4)), rng.choice((3, 3, 4)))
+            targets = [[clique(t)] for t in sizes]
+            forbidden = [
+                {frozenset(vs) for vs in itertools.combinations(range(n), t)
+                 if all(host.has_edge(a, b) for a, b in itertools.combinations(vs, 2))
+                 and rng.random() < 0.5}
+                for t in sizes]
+            expected, _ = ramsey_brute(host, targets, forbidden)
+            verdict = decide_ramsey(ramsey_query(host, targets, forbidden))
+            assert verdict.status == (RAMSEY if expected else NOT_RAMSEY), seed
+            if verdict.witness is not None:
+                assert _coloring_avoids(host, host.edges(), verdict.witness.colors,
+                                        targets, forbidden)
+            verdicts.append(verdict.status)
+        assert verdicts.count(RAMSEY) >= 10 and verdicts.count(NOT_RAMSEY) >= 200
 
     def test_empty_forbidden_equals_plain(self):
         host = turan_graph(7, 3)
@@ -241,6 +269,26 @@ class TestSmallRamseyNumbers:
     def test_edge_case(self):
         for a in range(2, 6):
             assert targets_ramsey_number(((clique(a),), (clique(2),))) == a
+
+    def test_memo_does_not_leak_across_budgets(self, monkeypatch):
+        from ramseylab.perturb import threshold_scan
+        monkeypatch.setattr(coloring, "_ramsey_number_cache", {})
+
+        def scan(**budget):
+            return threshold_scan([turan_graph(8, 2)], [clique(3), clique(3)],
+                                  [0.1, 0.3, 0.6], 5, 7, **budget).to_csv()
+
+        starved = scan(node_budget=1)
+        scan()
+        assert scan(node_budget=1) == starved
+
+    def test_budget_out_is_remembered(self, monkeypatch):
+        monkeypatch.setattr(coloring, "_ramsey_number_cache", {})
+        targets = ((cycle(4),), (clique(4),))
+        assert targets_ramsey_number(targets, node_budget=20_000) is None
+        start = time.perf_counter()
+        assert targets_ramsey_number(targets, node_budget=20_000) is None
+        assert time.perf_counter() - start < 0.01
 
 
 def cnf_status(doc):

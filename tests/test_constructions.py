@@ -6,6 +6,7 @@ from oracles import random_graph
 from ramseylab.coloring import (EdgeColoring, NOT_RAMSEY, decide_ramsey,
                                 ramsey_query, verify_coloring)
 from ramseylab.constructions import (BLUE, RED, ConstructionError,
+                                     _avoiding_coloring,
                                      bipartite_decomposition,
                                      clique_split_coloring, lift_coloring,
                                      odd_cycle_free_multicoloring,
@@ -79,6 +80,18 @@ class TestBipartiteDecomposition:
             classes = bipartite_decomposition(g, i)
             assert sum(c.edge_count for c in classes) == g.edge_count
             assert all(not c.has_odd_cycle() for c in classes)
+
+
+class TestAvoidingColoring:
+    def test_witness_avoids_the_targets(self):
+        coloring = _avoiding_coloring(clique_graph(5), [clique(3), clique(3)], "K_5")
+        q = ramsey_query(clique_graph(5), [clique(3), clique(3)])
+        assert verify_coloring(coloring, q) == []
+
+    def test_error_names_host_targets_and_verdict(self):
+        with pytest.raises(ConstructionError,
+                           match=r"K_6 admits no coloring avoiding K3,K3\+C5 \(ramsey\)"):
+            _avoiding_coloring(clique_graph(6), [[clique(3)], [clique(3), cycle(5)]], "K_6")
 
 
 class TestTuranBlueComposite:

@@ -10,6 +10,7 @@ from ramseylab.graphs import (Graph, arbitrary, blowup, build_family, clique,
                               contains_pattern, cycle, cycle_graph,
                               empty_graph, enumerate_copies, find_pattern,
                               find_pattern_through_edge, hm_graph, hmr_graph,
+                              iter_pattern_witnesses_through_edge,
                               part_vertices, path, path_graph, turan_graph,
                               with_labels)
 
@@ -194,6 +195,46 @@ class TestContainment:
             assert find_pattern_through_edge(g, clique(3), e,
                                              forbidden=everything) is None
 
+    def test_through_edge_lists_every_clique(self):
+        k4, k6 = clique_graph(4), clique_graph(6)
+        assert list(iter_pattern_witnesses_through_edge(k4, clique(3), (0, 1))) == [
+            (0, 1, 2), (0, 1, 3)]
+        got = list(iter_pattern_witnesses_through_edge(k6, clique(4), (0, 1)))
+        assert got == [(0, 1) + rest for rest in itertools.combinations(range(2, 6), 2)]
+
+    def test_through_edge_skips_forbidden_clique_only(self):
+        g = clique_graph(4)
+        assert find_pattern_through_edge(g, clique(3), (0, 1),
+                                         forbidden={frozenset({0, 1, 2})}) == (0, 1, 3)
+
+    @settings(max_examples=80, deadline=None)
+    @given(small_graphs, patterns)
+    def test_through_edge_lists_each_copy_once(self, g, pat):
+        brute = copies_brute(g, pat)
+        for e in g.edges():
+            got = list(iter_pattern_witnesses_through_edge(g, pat, e))
+            want = [copy for copy in brute if e in copy]
+            if pat.kind == "arbitrary":
+                # listed once per vertex set, isolated pattern vertices included
+                pg = pat.graph
+                vertex_sets = {frozenset(w) for w in got}
+                assert len(vertex_sets) == len(got)
+                assert {frozenset((min(w[a], w[b]), max(w[a], w[b])) for a, b in pg.edges())
+                        for w in got} <= set(want)
+                if all(pg.degree(x) for x in range(pg.n)):
+                    assert vertex_sets == {frozenset(v for edge in copy for v in edge)
+                                           for copy in want}
+                continue
+            if pat.kind == "clique":
+                edge_lists = [itertools.combinations(w, 2) for w in got]
+            elif pat.kind == "cycle":
+                edge_lists = [zip(w, w[1:] + w[:1]) for w in got]
+            else:
+                edge_lists = [zip(w, w[1:]) for w in got]
+            edge_sets = [frozenset((min(a, b), max(a, b)) for a, b in es)
+                         for es in edge_lists]
+            assert sorted(map(sorted, edge_sets)) == sorted(map(sorted, want))
+
     def test_enumerate_copies_counts(self):
         assert len(enumerate_copies(clique_graph(4), clique(3))) == 4
         assert len(enumerate_copies(clique_graph(5), cycle(5))) == 12
@@ -206,6 +247,17 @@ class TestContainment:
             return
         mine = {frozenset(edges) for _, edges in enumerate_copies(g, pat)}
         assert mine == copies_brute(g, pat)
+
+    def test_clique_copies_in_combinations_order(self):
+        # export_cnf writes one clause per copy in this order, so the
+        # DIMACS bytes depend on it
+        rng = random.Random(11)
+        for _ in range(40):
+            g = random_graph(rng, rng.randint(1, 9), rng.random())
+            for t in range(2, 6):
+                want = [vs for vs in itertools.combinations(range(g.n), t)
+                        if all(g.has_edge(a, b) for a, b in itertools.combinations(vs, 2))]
+                assert [w for w, _ in enumerate_copies(g, clique(t))] == want
 
 
 def homomorphism_exists(pat_graph: Graph, base: Graph) -> bool:
