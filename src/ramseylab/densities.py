@@ -1,18 +1,22 @@
 """Exact density calculus: 2-densities, asymmetric densities, partition
 densities and first/second moment quantities.
 
-All subgraph maxima and minima are computed by enumerating vertex
-subsets, which suffices because every quantity here is monotone in the
-edge count once the vertex set is fixed.  Rational results are exact
-Fractions; the moment quantities work in log-domain floats unless given
-a rational edge probability, in which case they are exact too.
+Every subgraph maximum and minimum here is read from the edge profile
+emax[v], the most edges induced by any v vertices (v = 0..n).  This is
+sound because for a fixed vertex count each quantity is monotone in the
+edge count: d2, e/v and e/(v - 2 + 1/m2(H2)) never decrease as edges
+are added, and n^v p^e never increases for p <= 1.  The profile
+enumerates vertex subsets, up to 20 vertices; rho_k walks subsets of
+its own, up to 14.  Rational results are exact Fractions; the moment
+quantities work in log-domain floats unless given a rational edge
+probability, in which case they are exact too.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Iterable, Optional, Union
+from typing import Optional, Union
 
 from .graphs import Graph, Pattern, _bits
 
@@ -26,20 +30,26 @@ def _as_graph(h: GraphLike) -> Graph:
     return h.to_graph() if isinstance(h, Pattern) else h
 
 
-def _edges_within(adj: tuple[int, ...], subset: int) -> int:
-    total = 0
-    for v in _bits(subset):
-        total += (adj[v] & subset).bit_count()
-    return total // 2
+def _edge_profile(g: Graph) -> list[int]:
+    """emax[v]: the most edges induced by any v vertices, for v = 0..n.
 
-
-def _subset_census(g: Graph) -> Iterable[tuple[int, int]]:
-    """(vertex count, edge count) for every nonempty vertex subset."""
+    Subsets are visited in Gray-code order: each step adds or drops one
+    vertex, moving the edge count by its neighbours in the subset.
+    """
     if g.n > _ENUM_LIMIT:
         raise ValueError(f"subset enumeration limited to {_ENUM_LIMIT} vertices")
     adj = g.adj
-    for mask in range(1, 1 << g.n):
-        yield mask.bit_count(), _edges_within(adj, mask)
+    emax = [0] * (g.n + 1)
+    mask = edges = 0
+    for i in range(1, 1 << g.n):
+        bit = i & -i
+        mask ^= bit
+        inside = (adj[bit.bit_length() - 1] & mask).bit_count()
+        edges += inside if mask & bit else -inside
+        size = mask.bit_count()
+        if edges > emax[size]:
+            emax[size] = edges
+    return emax
 
 
 def d2_of_counts(v: int, e: int) -> Fraction:
@@ -60,12 +70,30 @@ def d2(h: GraphLike) -> Fraction:
     return d2_of_counts(g.n, g.edge_count)
 
 
-def m2(h: GraphLike) -> Fraction:
-    """Maximum 2-density over all subgraphs."""
-    g = _as_graph(h)
+def _d2_by_order(g: Graph) -> list[Fraction]:
+    """d2 of g's densest v-vertex subgraph, for v = 1..n."""
     if g.n == 0:
         raise ValueError("maximum 2-density needs a nonempty graph")
-    return max(d2_of_counts(v, e) for v, e in _subset_census(g))
+    return [d2_of_counts(v, e) for v, e in enumerate(_edge_profile(g)) if v]
+
+
+def m2(h: GraphLike) -> Fraction:
+    """Maximum 2-density over all subgraphs."""
+    return max(_d2_by_order(_as_graph(h)))
+
+
+def _asym_by_order(h1: GraphLike, h2: GraphLike) -> list[Fraction]:
+    """e / (v - 2 + 1/m2(h2)) of h1's densest v-vertex subgraph, for each
+    v where that subgraph has an edge; the last entry is all of h1."""
+    g1, g2 = _as_graph(h1), _as_graph(h2)
+    if g1.edge_count == 0 or g2.edge_count == 0:
+        raise ValueError("asymmetric density needs an edge in both graphs")
+    emax = _edge_profile(g1)
+    m2_h2 = m2(g2)
+    if max(d2_of_counts(v, e) for v, e in enumerate(emax)) < m2_h2:
+        raise ValueError("asymmetric density needs m2(h1) >= m2(h2)")
+    shift = 1 / m2_h2 - 2
+    return [Fraction(e) / (v + shift) for v, e in enumerate(emax) if e >= 1]
 
 
 def m2_asym(h1: GraphLike, h2: GraphLike) -> Fraction:
@@ -74,42 +102,19 @@ def m2_asym(h1: GraphLike, h2: GraphLike) -> Fraction:
     Maximizes e' / (v' - 2 + 1/m2(h2)) over subgraphs of h1 with at
     least one edge.  Requires m2(h1) >= m2(h2) and an edge in each.
     """
-    g1, g2 = _as_graph(h1), _as_graph(h2)
-    if g1.edge_count == 0 or g2.edge_count == 0:
-        raise ValueError("asymmetric density needs an edge in both graphs")
-    if m2(g1) < m2(g2):
-        raise ValueError("asymmetric density needs m2(h1) >= m2(h2)")
-    shift = Fraction(1) / m2(g2) - 2
-    return max(Fraction(e) / (v + shift)
-               for v, e in _subset_census(g1) if e >= 1)
+    return max(_asym_by_order(h1, h2))
 
 
 def is_strictly_2_balanced(h: GraphLike) -> bool:
     """True when only the whole graph attains the maximum 2-density."""
-    g = _as_graph(h)
-    full = (1 << g.n) - 1
-    target = m2(g)
-    if d2(g) != target:
-        return False
-    for mask in range(1, full):
-        if d2_of_counts(mask.bit_count(), _edges_within(g.adj, mask)) == target:
-            return False
-    return True
+    *proper, full = _d2_by_order(_as_graph(h))
+    return all(d < full for d in proper)
 
 
 def is_strictly_balanced_wrt(h1: GraphLike, h2: GraphLike) -> bool:
     """True when only all of h1 attains the asymmetric density of (h1, h2)."""
-    g1 = _as_graph(h1)
-    target = m2_asym(g1, h2)
-    shift = Fraction(1) / m2(_as_graph(h2)) - 2
-    e_full = g1.edge_count
-    if Fraction(e_full) / (g1.n + shift) != target:
-        return False
-    for mask in range(1, (1 << g1.n) - 1):
-        e = _edges_within(g1.adj, mask)
-        if e >= 1 and Fraction(e) / (mask.bit_count() + shift) == target:
-            return False
-    return True
+    *proper, full = _asym_by_order(h1, h2)
+    return all(d < full for d in proper)
 
 
 def rho(f: GraphLike) -> Fraction:
@@ -117,14 +122,15 @@ def rho(f: GraphLike) -> Fraction:
     g = _as_graph(f)
     if g.n == 0:
         raise ValueError("density needs a nonempty graph")
-    return max(Fraction(e, v) for v, e in _subset_census(g))
+    return max(Fraction(e, v) for v, e in enumerate(_edge_profile(g)) if v)
 
 
 def _rho_of_subset(adj: tuple[int, ...], subset: int, cache: dict[int, Fraction]) -> Fraction:
     got = cache.get(subset)
     if got is not None:
         return got
-    best = Fraction(_edges_within(adj, subset), subset.bit_count())
+    edges = sum((adj[v] & subset).bit_count() for v in _bits(subset)) // 2
+    best = Fraction(edges, subset.bit_count())
     if subset.bit_count() > 1:
         for v in _bits(subset):
             sub = _rho_of_subset(adj, subset & ~(1 << v), cache)
@@ -222,27 +228,16 @@ Prob = Union[float, Fraction, int]
 
 
 def _mu_candidates(g: Graph, proper_only: bool) -> list[tuple[int, int]]:
-    """(v, e) pairs minimizing n^v p^e over subgraphs with an edge.
+    """(v, e) pairs that can minimize n^v p^e over subgraphs with an edge.
 
-    Induced subgraphs dominate on each vertex subset since p <= 1; the
-    only extra candidate for proper subgraphs is the full vertex set
-    with one edge removed.
+    Since p <= 1, the densest subgraph on each vertex count v < n
+    dominates; on all n vertices the candidate is the whole graph, or
+    for proper subgraphs the whole graph less one edge.
     """
-    pairs = set()
-    full = (1 << g.n) - 1
-    for mask in range(1, full + 1):
-        if mask == full:
-            continue
-        e = _edges_within(g.adj, mask)
-        if e >= 1:
-            pairs.add((mask.bit_count(), e))
-    e_full = g.edge_count
+    emax = _edge_profile(g)
     if proper_only:
-        if e_full >= 2:
-            pairs.add((g.n, e_full - 1))
-    else:
-        pairs.add((g.n, e_full))
-    return sorted(pairs)
+        emax[-1] -= 1
+    return [(v, e) for v, e in enumerate(emax) if e >= 1]
 
 
 def _check_prob(p: Prob):

@@ -448,8 +448,8 @@ def _iter_through(n: int, adj, u: int, v: int, pat: Pattern) -> Iterator[tuple[i
     witness vertex tuples; the pattern kind's own iterator is returned.
 
     Cliques start (u, v) and continue increasing; cycles start u and
-    end v; paths run through u then v.  Arbitrary patterns list each
-    vertex set once.
+    end v; paths run through u then v; arbitrary patterns give one
+    embedding per copy, as iter_pattern_witnesses_through_edge says.
     """
     kind = pat.kind
     if kind == "clique":
@@ -480,9 +480,9 @@ def iter_pattern_witnesses_through_edge(g: Graph, pat: Pattern, e: tuple[int, in
                                         ) -> Iterator[tuple[int, ...]]:
     """All copies of pat in g that use edge e, as witness vertex tuples.
 
-    Each clique, cycle and path copy is listed once; an arbitrary
-    pattern's copies are listed once per vertex set, so copies with the
-    same vertices but different edges appear only once.
+    Each copy, a distinct edge set as in enumerate_copies, is listed
+    once.  For a pattern with isolated vertices each placement of them
+    is listed too, because forbidden sets name whole vertex sets.
     """
     u, v = e
     if not g.has_edge(u, v):
@@ -492,12 +492,14 @@ def iter_pattern_witnesses_through_edge(g: Graph, pat: Pattern, e: tuple[int, in
 
 def _iter_embeddings_through(n: int, adj, pg: Graph, u: int, v: int
                              ) -> Iterator[tuple[int, ...]]:
-    """Embeddings of pg sending some pattern edge onto (u,v), one per vertex set."""
+    """Embeddings of pg sending some pattern edge onto (u,v), one per
+    (vertex set, edge set) pair."""
+    edges = pg.edges()
     seen = set()
-    for a, b in pg.edges():
+    for a, b in edges:
         for x, y in ((u, v), (v, u)):
             for w in _iter_embeddings(n, adj, pg, {a: x, b: y}):
-                key = frozenset(w)
+                key = (frozenset(w), frozenset(frozenset((w[i], w[j])) for i, j in edges))
                 if key not in seen:
                     seen.add(key)
                     yield w

@@ -78,6 +78,28 @@ def m2_asym_brute(g1: Graph, g2: Graph) -> Fraction:
     return best
 
 
+def strictly_2_balanced_brute(g: Graph) -> bool:
+    """Every proper nonempty vertex subset has 2-density strictly below
+    the whole graph's."""
+    whole = d2_brute(g.n, len(g.edges()))
+    for r in range(1, g.n):
+        for subset in itertools.combinations(range(g.n), r):
+            inside = set(subset)
+            e = sum(1 for u, v in g.edges() if u in inside and v in inside)
+            if d2_brute(r, e) >= whole:
+                return False
+    return True
+
+
+def strictly_balanced_wrt_brute(g1: Graph, g2: Graph) -> bool:
+    """Every proper vertex subset of g1 with an edge has e/(v - 2 + 1/m2(g2))
+    strictly below all of g1's; g1 needs an edge."""
+    shift = 1 / m2_brute(g2) - 2
+    whole = Fraction(len(g1.edges())) / (g1.n + shift)
+    return all(Fraction(e) / (v + shift) < whole
+               for v, e, _ in subgraphs_with_edges(g1) if v < g1.n)
+
+
 def rho_brute(g: Graph) -> Fraction:
     best = Fraction(0)
     for r in range(1, g.n + 1):

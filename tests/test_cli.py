@@ -4,7 +4,7 @@ import pytest
 
 from ramseylab import graph6
 from ramseylab.cli import ERROR, OK, UNDECIDED, main
-from ramseylab.graphs import clique_graph
+from ramseylab.graphs import clique_graph, turan_graph
 
 K3 = graph6.encode(clique_graph(3))
 K5 = graph6.encode(clique_graph(5))
@@ -50,6 +50,12 @@ class TestDensityCommand:
         _, payload = run_json(capsys, ["density", "--mu", K3, "100", "1/10"])
         assert payload["mu0"] == "1000/1"
         assert payload["mu1"] == "1000/1"
+
+    def test_mu_beyond_enumeration_cap_is_error(self, capsys):
+        big = graph6.encode(turan_graph(21, 3))
+        code, out, err = run(capsys, ["density", "--mu", big, "100", "1/10"])
+        assert code == ERROR
+        assert "limited" in err
 
     def test_bad_graph6_is_error(self, capsys):
         code, out, err = run(capsys, ["density", "--m2", "!!"])
