@@ -22,8 +22,8 @@ import time
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
-from .graphs import (Graph, Pattern, _copy_edges, _iter_through, clique,
-                     clique_graph, contains_pattern, enumerate_copies)
+from .graphs import (Graph, Pattern, _allowed_copies, _copy_edges, _iter_through,
+                     clique, clique_graph, contains_pattern)
 
 DEFAULT_NODE_BUDGET = 10 ** 8
 DEFAULT_TIME_BUDGET = 60.0
@@ -143,9 +143,7 @@ def verify_coloring(coloring: EdgeColoring, query: RamseyQuery) -> list[tuple[in
     for c in range(query.r):
         sub = coloring.color_subgraph(c)
         for pat in query.targets[c]:
-            for vertices, _ in enumerate_copies(sub, pat):
-                if frozenset(vertices) in query.forbidden[c]:
-                    continue
+            for vertices, _ in _allowed_copies(sub, pat, query.forbidden[c]):
                 violations.append((c, pat.describe(), tuple(vertices)))
     return violations
 
@@ -246,8 +244,6 @@ def decide_ramsey(query: RamseyQuery, *, symmetry_breaking: bool = False,
     forbidden sets present.
     """
     host = query.host
-    edges = host.edges()
-    n_edges = len(edges)
     r = query.r
     start = time.monotonic()
     stats = SearchStats()
@@ -265,6 +261,8 @@ def decide_ramsey(query: RamseyQuery, *, symmetry_breaking: bool = False,
                  and all(t == query.targets[0] for t in query.targets)
                  and all(not f for f in query.forbidden))
 
+    edges = host.edges()
+    n_edges = len(edges)
     # Branch vertex-incrementally: all edges inside {0..j} before any edge
     # touching j+1, so conflicts stay local to the newest vertices.
     # Reported colorings still use the public canonical (lexicographic)
@@ -461,7 +459,8 @@ def export_cnf(query: RamseyQuery, clause_cap: int = 10 ** 6) -> CnfDocument:
     all-positive one.  More colors: one-hot variables edge*r + c + 1
     with at-least-one and at-most-one clauses per edge, and an
     all-negative clause per copy in its color.  Copies are distinct
-    edge subsets; forbidden vertex sets contribute no clause.
+    edge subsets; one whose every placement lies on a forbidden vertex
+    set contributes no clause.
     """
     host = query.host
     edges = host.edges()
@@ -479,9 +478,7 @@ def export_cnf(query: RamseyQuery, clause_cap: int = 10 ** 6) -> CnfDocument:
         for c in range(r):
             copy_edges = []
             for pat in query.targets[c]:
-                for vertices, pat_edges in enumerate_copies(host, pat):
-                    if frozenset(vertices) in query.forbidden[c]:
-                        continue
+                for _, pat_edges in _allowed_copies(host, pat, query.forbidden[c]):
                     copy_edges.append(pat_edges)
             copies_per_color.append(copy_edges)
         for pat_edges in copies_per_color[0]:
@@ -499,9 +496,7 @@ def export_cnf(query: RamseyQuery, clause_cap: int = 10 ** 6) -> CnfDocument:
                     clauses.append((-(i * r + c1 + 1), -(i * r + c2 + 1)))
         for c in range(r):
             for pat in query.targets[c]:
-                for vertices, pat_edges in enumerate_copies(host, pat):
-                    if frozenset(vertices) in query.forbidden[c]:
-                        continue
+                for _, pat_edges in _allowed_copies(host, pat, query.forbidden[c]):
                     clauses.append(tuple(-(index[e] * r + c + 1) for e in pat_edges))
     if len(clauses) > clause_cap:
         raise ValueError(f"clause count {len(clauses)} exceeds cap {clause_cap}")

@@ -539,9 +539,22 @@ def enumerate_copies(g: Graph, pat: Pattern) -> list[tuple[tuple[int, ...], tupl
     Copies are distinct edge subsets; the list order is deterministic
     (lexicographic on the vertex tuple for cliques).
     """
+    return _allowed_copies(g, pat, frozenset())
+
+
+def _allowed_copies(g: Graph, pat: Pattern, forbidden: frozenset
+                    ) -> list[tuple[tuple[int, ...], tuple[tuple[int, int], ...]]]:
+    """The copies of enumerate_copies that count outside the forbidden
+    vertex sets: an edge set is kept when some placement of it has a
+    vertex set not in forbidden, and its first such placement is the
+    witness.  Placements differ only for patterns with isolated
+    vertices, whose vertex set is more than the edges' endpoints.
+    """
     out = []
     seen = set()
     for w in _iter_copies(g, pat):
+        if forbidden and frozenset(w) in forbidden:
+            continue
         es = tuple(sorted((min(a, b), max(a, b)) for a, b in _copy_edges(pat, w)))
         if es not in seen:
             seen.add(es)

@@ -6,7 +6,10 @@ edge index), so any trial can be regenerated in isolation and results
 are independent of evaluation order and platform.  The same variates
 serve every p (common random numbers), which couples the success
 curves across the grid and keeps the empirical curve monotone apart
-from decision noise.
+from decision noise.  A scan uses this directly: each trial's variates
+are drawn once, and edges enter the trial's host in arrival order as p
+grows along the sorted grid, so the host at each grid point is exactly
+perturb(base, p, seed, trial).
 
 Ramsey trials that exhaust their budget count as Inconclusive: they are
 reported separately and excluded from the success-rate denominator,
@@ -97,33 +100,64 @@ class MonteCarloRow:
 def monte_carlo_ramsey(base: Graph, targets: Sequence, p: float, trials: int,
                        seed: int, node_budget: int = DEFAULT_NODE_BUDGET,
                        time_budget: float = DEFAULT_TIME_BUDGET,
-                       clique_shortcut: bool = True,
-                       _cache: Optional[dict] = None) -> MonteCarloRow:
+                       clique_shortcut: bool = True) -> MonteCarloRow:
     """Success rate of the Ramsey property over perturbed samples.
 
-    Success means decide_ramsey proves the perturbed host Ramsey.
-    Hosts repeat often at the grid's ends, so verdicts are cached by
-    host adjacency when a cache dict is supplied.
+    Success means decide_ramsey proves the perturbed host Ramsey.  The
+    one-point case of a threshold scan: hosts repeat, so completed
+    verdicts are cached by host adjacency for the duration of the call.
     """
+    return _scan_base(base, targets, [p], trials, seed, node_budget,
+                      time_budget, clique_shortcut)[0]
+
+
+def _scan_base(base: Graph, targets: Sequence, grid: list[float], trials: int,
+               seed: int, node_budget: int, time_budget: float,
+               clique_shortcut: bool) -> list[MonteCarloRow]:
+    """One row per point of the ascending grid, for one base.
+
+    Trial-major: each trial's edge variates are drawn once, and the
+    trial's hosts grow along the grid by adding edges in arrival order,
+    so the host at p is exactly perturb(base, p, seed, trial).
+    Completed verdicts are cached by host adjacency; a Graph is built
+    only for a host that has to be decided.
+    """
+    for p in grid:
+        if not 0 <= p <= 1:
+            raise ValueError("edge probability must lie in [0, 1]")
     template = ramsey_query(base, targets)
-    successes = inconclusive = 0
+    pairs = list(itertools.combinations(range(base.n), 2))
+    successes = [0] * len(grid)
+    inconclusive = [0] * len(grid)
+    cache: dict = {}
     for t in range(trials):
-        host = perturb(base, p, seed, t)
-        key = host.adj
-        status = _cache.get(key) if _cache is not None else None
-        if status is None:
-            q = RamseyQuery(host, template.targets, template.forbidden,
-                            node_budget, time_budget)
-            verdict = decide_ramsey(q, clique_shortcut=clique_shortcut)
-            status = verdict.status
-            if _cache is not None and status != INCONCLUSIVE:
-                _cache[key] = status
-        if status == INCONCLUSIVE:
-            inconclusive += 1
-        elif status == "ramsey":
-            successes += 1
-    lo, hi = wilson_interval(successes, trials - inconclusive)
-    return MonteCarloRow(base.n, p, trials, successes, inconclusive, lo, hi)
+        arrivals = sorted((edge_variate(seed, t, j), u, v)
+                          for j, (u, v) in enumerate(pairs))
+        adj = list(base.adj)
+        k = 0
+        for i, p in enumerate(grid):
+            while k < len(arrivals) and arrivals[k][0] < p:
+                _, u, v = arrivals[k]
+                adj[u] |= 1 << v
+                adj[v] |= 1 << u
+                k += 1
+            key = tuple(adj)
+            status = cache.get(key)
+            if status is None:
+                q = RamseyQuery(Graph(base.n, key, base.labels), template.targets,
+                                template.forbidden, node_budget, time_budget)
+                status = decide_ramsey(q, clique_shortcut=clique_shortcut).status
+                if status != INCONCLUSIVE:
+                    cache[key] = status
+            if status == INCONCLUSIVE:
+                inconclusive[i] += 1
+            elif status == "ramsey":
+                successes[i] += 1
+    rows = []
+    for p, s, inc in zip(grid, successes, inconclusive):
+        lo, hi = wilson_interval(s, trials - inc)
+        rows.append(MonteCarloRow(base.n, p, trials, s, inc, lo, hi))
+    return rows
 
 
 def log_spaced_grid(p_lo: float, p_hi: float, per_decade: int = 13) -> list[float]:
@@ -151,7 +185,8 @@ class ScanResult:
 
 
 def _crossing(points: list[tuple[float, Optional[float]]]) -> Optional[float]:
-    """First p where the rate reaches 1/2, interpolating linearly in log p."""
+    """First p where the rate reaches 1/2, interpolating linearly in log p
+    (linearly in p on a bracket that starts at p = 0, which has no log)."""
     prev = None
     for p, rate in points:
         if rate is None:
@@ -163,6 +198,8 @@ def _crossing(points: list[tuple[float, Optional[float]]]) -> Optional[float]:
             if rate == r0:
                 return p
             frac = (0.5 - r0) / (rate - r0)
+            if p0 == 0:
+                return frac * p
             return math.exp(math.log(p0) + frac * (math.log(p) - math.log(p0)))
         prev = (p, rate)
     return None
@@ -175,24 +212,21 @@ def threshold_scan(bases: Sequence[Graph], targets: Sequence, p_grid: Sequence[f
     """Success curves over a probability grid for one or more host sizes.
 
     Produces one row per (n, p), sorted; per-size crossing estimates;
-    and, with at least two sizes, the empirical exponent
-    log(p*_1/p*_2) / log(n_1/n_2) as a descriptive quantity.  Flags
-    record curve decreases beyond Wilson-interval overlap and
+    and, with at least two sizes crossing above p = 0, the empirical
+    exponent log(p*_1/p*_2) / log(n_1/n_2) as a descriptive quantity.
+    Flags record curve decreases beyond Wilson-interval overlap and
     all-inconclusive batches.
     """
     rows: list[MonteCarloRow] = []
     flags: list[str] = []
     crossings: dict[int, Optional[float]] = {}
+    grid = sorted(p_grid)
     for base in bases:
-        cache: dict = {}
-        size_rows = []
-        for p in sorted(p_grid):
-            row = monte_carlo_ramsey(base, targets, p, trials, seed,
-                                     node_budget, time_budget,
-                                     clique_shortcut, _cache=cache)
+        size_rows = _scan_base(base, targets, grid, trials, seed, node_budget,
+                               time_budget, clique_shortcut)
+        for row in size_rows:
             if row.effective == 0:
-                flags.append(f"all trials inconclusive at n={row.n}, p={p!r}")
-            size_rows.append(row)
+                flags.append(f"all trials inconclusive at n={row.n}, p={row.p!r}")
         for a, b in zip(size_rows, size_rows[1:]):
             if b.wilson_hi < a.wilson_lo:
                 flags.append(f"success rate decreases beyond interval overlap "
@@ -201,7 +235,8 @@ def threshold_scan(bases: Sequence[Graph], targets: Sequence, p_grid: Sequence[f
         rows.extend(size_rows)
     rows.sort(key=lambda row: (row.n, row.p))
     exponent = None
-    sized = [(n, c) for n, c in sorted(crossings.items()) if c is not None]
+    # a size already Ramsey at p = 0 crosses at 0, where log p is undefined
+    sized = [(n, c) for n, c in sorted(crossings.items()) if c]
     if len(sized) >= 2 and sized[0][0] != sized[-1][0]:
         (n1, c1), (n2, c2) = sized[0], sized[-1]
         exponent = math.log(c1 / c2) / math.log(n1 / n2)

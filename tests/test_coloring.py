@@ -12,8 +12,8 @@ from ramseylab.coloring import (EdgeColoring, INCONCLUSIVE, NOT_RAMSEY, RAMSEY,
                                 decide_globally_ramsey, decide_ramsey,
                                 export_cnf, ramsey_query,
                                 targets_ramsey_number, verify_coloring)
-from ramseylab.graphs import (Graph, clique, clique_graph, cycle, cycle_graph,
-                              empty_graph, path, turan_graph)
+from ramseylab.graphs import (Graph, arbitrary, clique, clique_graph, cycle,
+                              cycle_graph, empty_graph, path, turan_graph)
 
 
 def decide(host, targets, **kw):
@@ -222,6 +222,21 @@ class TestVerifyColoring:
         with pytest.raises(ValueError):
             EdgeColoring(host, 2, (0, 1))
 
+    def test_isolated_vertex_placement_outside_forbidden_set(self):
+        # red target: one edge plus an isolated vertex; the red copy on
+        # {0,1,2} is forbidden but the one on {0,1,3} has the same edge
+        # and still counts
+        host = clique_graph(4)
+        edge_plus_point = arbitrary(Graph.from_edges(3, [(0, 1)]))
+        q = ramsey_query(host, [edge_plus_point, clique(4)], [[(0, 1, 2)], []])
+        colors = tuple(0 if e == (0, 1) else 1 for e in host.edges())
+        assert verify_coloring(EdgeColoring(host, 2, colors), q) == [
+            (0, "graph(n=3,m=1)", (0, 1, 3))]
+        # every red edge leaves a free vertex outside {0,1,2}: one unit
+        # clause per edge, plus the all-blue K4
+        assert len(export_cnf(q).clauses) == 7
+        assert decide_ramsey(q).status == RAMSEY
+
 
 class TestGloballyRamsey:
     def test_k6_fails_at_five_sixths(self):
@@ -383,3 +398,46 @@ class TestCnfExport:
         q = ramsey_query(host, [clique(3), cycle(4)])
         sat = cnf_status(export_cnf(q))
         assert sat == (decide_ramsey(q).status == NOT_RAMSEY)
+
+
+def _pattern_graph(rng, k):
+    """A pattern graph on k vertices with at least one edge; isolated
+    vertices are allowed."""
+    pairs = list(itertools.combinations(range(k), 2))
+    return Graph.from_edges(k, rng.sample(pairs, rng.randint(1, len(pairs))))
+
+
+class TestForbiddenArbitraryPatterns:
+    """Engine against CNF plus DPLL on patterns that may carry isolated
+    vertices, with random forbidden vertex sets."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.randoms(use_true_random=False), st.sampled_from([2, 2, 2, 3]))
+    def test_engine_agrees_with_cnf(self, rng, r):
+        n = rng.randint(3, 5 if r == 2 else 4)
+        host = random_graph(rng, n, rng.uniform(0.4, 1.0))
+        targets = []
+        forbidden = []
+        for _ in range(r):
+            pats = [arbitrary(_pattern_graph(rng, rng.randint(2, min(n, 4))))
+                    for _ in range(rng.randint(1, 2))]
+            targets.append(pats)
+            sizes = {p.vertex_count for p in pats}
+            forbidden.append([vs for k in sizes
+                              for vs in itertools.combinations(range(n), k)
+                              if rng.random() < 0.4])
+        q = ramsey_query(host, targets, forbidden)
+        doc = export_cnf(q)
+        model = dpll.solve(doc.nvars, doc.clauses)
+        verdict = decide_ramsey(q)
+        assert verdict.status == (RAMSEY if model is None else NOT_RAMSEY)
+        if verdict.status == NOT_RAMSEY:
+            assert verify_coloring(verdict.witness, q) == []
+        if model is not None:
+            m = len(host.edges())
+            if r == 2:
+                colors = tuple(0 if model[i + 1] else 1 for i in range(m))
+            else:
+                colors = tuple(next(c for c in range(r) if model[i * r + c + 1])
+                               for i in range(m))
+            assert verify_coloring(EdgeColoring(host, r, colors), q) == []

@@ -1,10 +1,14 @@
+import hashlib
 import math
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
-from ramseylab.graphs import (Graph, clique_graph, complete_multipartite,
-                              cycle, empty_graph, turan_graph)
-from ramseylab.perturb import (drc_select, log_spaced_grid,
+from ramseylab.coloring import (DEFAULT_NODE_BUDGET, INCONCLUSIVE, RAMSEY,
+                                decide_ramsey, ramsey_query)
+from ramseylab.graphs import (Graph, clique, clique_graph, complete_multipartite,
+                              cycle, cycle_graph, empty_graph, path, turan_graph)
+from ramseylab.perturb import (MonteCarloRow, drc_select, log_spaced_grid,
                                monte_carlo_ramsey, perturb, sample_gnp,
                                threshold_scan, wilson_interval)
 from ramseylab.perturb import _crossing
@@ -147,6 +151,10 @@ class TestCrossing:
     def test_no_crossing(self):
         assert _crossing([(0.01, 0.0), (0.1, 0.4)]) is None
 
+    def test_bracket_from_zero_is_linear_in_p(self):
+        assert _crossing([(0.0, 0.0), (0.2, 1.0)]) == pytest.approx(0.1)
+        assert _crossing([(0.0, 0.75), (0.2, 1.0)]) == 0.0
+
 
 class TestMonteCarlo:
     def test_k5_free_base_never_ramsey_at_p_zero(self):
@@ -217,6 +225,16 @@ class TestThresholdScan:
         assert any("inconclusive" in flag for flag in result.flags)
         assert result.crossings[10] is None
 
+    def test_size_ramsey_at_p_zero_gives_no_exponent(self):
+        # K_{2,2,2} is Ramsey for (P3, K3): a red matching of three edges
+        # meets at most six of its eight triangles
+        result = threshold_scan([turan_graph(6, 3), cycle_graph(5)],
+                                [path(3), clique(3)], p_grid=[0.0, 0.5, 1.0],
+                                trials=4, seed=2)
+        assert result.crossings[6] == 0.0
+        assert result.crossings[5] > 0
+        assert result.exponent is None
+
     def test_csv_round_trip(self):
         result = threshold_scan([turan_graph(10, 5)], [cycle(3), cycle(3)],
                                 p_grid=[0.005, 0.95], trials=5, seed=2)
@@ -233,6 +251,87 @@ class TestThresholdScan:
     def test_deterministic(self):
         args = ([turan_graph(8, 4)], [cycle(3), cycle(3)], [0.05, 0.5], 6, 11)
         assert threshold_scan(*args).to_csv() == threshold_scan(*args).to_csv()
+
+
+def reference_row(base, targets, p, trials, seed, node_budget, clique_shortcut):
+    """One row decided the plain way: every trial's host built by
+    perturb and decided on its own, with no cache."""
+    successes = inconclusive = 0
+    for t in range(trials):
+        q = ramsey_query(perturb(base, p, seed, t), targets, node_budget=node_budget)
+        status = decide_ramsey(q, clique_shortcut=clique_shortcut).status
+        inconclusive += status == INCONCLUSIVE
+        successes += status == RAMSEY
+    lo, hi = wilson_interval(successes, trials - inconclusive)
+    return MonteCarloRow(base.n, p, trials, successes, inconclusive, lo, hi)
+
+
+BASES = [turan_graph(6, 3), complete_multipartite([2, 3]), empty_graph(5),
+         cycle_graph(6), complete_multipartite([1, 2, 3])]
+TARGETS = [[cycle(3), cycle(3)], [clique(3), cycle(4)], [path(3), clique(3)]]
+
+
+class TestTrialMajorScan:
+    """threshold_scan and monte_carlo_ramsey against reference_row."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(bases=st.lists(st.sampled_from(BASES), min_size=1, max_size=2),
+           targets=st.sampled_from(TARGETS),
+           grid=st.lists(st.one_of(st.sampled_from([0.0, 0.1, 0.3, 1.0]),
+                                   st.floats(min_value=0.0, max_value=1.0)),
+                         min_size=1, max_size=5),
+           trials=st.integers(min_value=1, max_value=6),
+           seed=st.integers(min_value=0, max_value=2 ** 32),
+           node_budget=st.sampled_from([1, 8, 60, DEFAULT_NODE_BUDGET]),
+           clique_shortcut=st.booleans())
+    @example(bases=[turan_graph(6, 3), complete_multipartite([2, 3])],
+             targets=[cycle(3), cycle(3)], grid=[1.0, 0.3, 0.0, 0.3],
+             trials=4, seed=7, node_budget=20, clique_shortcut=False)
+    def test_rows_match_per_trial_decisions(self, bases, targets, grid, trials,
+                                            seed, node_budget, clique_shortcut):
+        per_base = [[reference_row(base, targets, p, trials, seed, node_budget,
+                                   clique_shortcut) for p in sorted(grid)]
+                    for base in bases]
+        result = threshold_scan(bases, targets, grid, trials, seed,
+                                node_budget=node_budget,
+                                clique_shortcut=clique_shortcut)
+        assert result.rows == sorted((row for rows in per_base for row in rows),
+                                     key=lambda row: (row.n, row.p))
+        # crossings are keyed by size: a later base of the same size wins
+        assert result.crossings == {
+            base.n: _crossing([(row.p, row.rate) for row in rows])
+            for base, rows in zip(bases, per_base)}
+        by_p = {row.p: row for row in per_base[0]}
+        for p in grid:
+            assert monte_carlo_ramsey(bases[0], targets, p, trials, seed,
+                                      node_budget=node_budget,
+                                      clique_shortcut=clique_shortcut) == by_p[p]
+
+    def test_inconclusive_rows_occur(self):
+        # guards the example above: a small node budget gives a mix of
+        # decided and inconclusive trials within one row
+        result = threshold_scan([turan_graph(6, 3), complete_multipartite([2, 3])],
+                                [cycle(3), cycle(3)], [1.0, 0.3, 0.0, 0.3], 4, 7,
+                                node_budget=20, clique_shortcut=False)
+        assert any(0 < row.inconclusive < row.trials for row in result.rows)
+
+    def test_acceptance_scan_bytes(self):
+        # Turan(15,5) and Turan(20,5) against (C3,C3), 27-point grid,
+        # 400 trials, seed 8020: the bytes the benchmark records as reference
+        result = threshold_scan([turan_graph(15, 5), turan_graph(20, 5)],
+                                [[cycle(3)], [cycle(3)]],
+                                log_spaced_grid(0.002, 0.2, 13), 400, 8020)
+        digest = hashlib.sha256(result.to_csv().encode()).hexdigest()
+        assert digest == ("feefb431d10c2a2efd2b96b0ee3ddb50"
+                          "cd786f2c0cbe7ee7f648a093cec84f0a")
+
+    @pytest.mark.parametrize("bad", [-0.1, 1.5, float("nan")])
+    def test_bad_grid_point_raises(self, bad):
+        base, targets = turan_graph(6, 3), [cycle(3), cycle(3)]
+        with pytest.raises(ValueError, match="probability"):
+            threshold_scan([base], targets, [0.2, bad], 3, 1)
+        with pytest.raises(ValueError, match="probability"):
+            monte_carlo_ramsey(base, targets, bad, 3, 1)
 
 
 class TestDrcSelect:
