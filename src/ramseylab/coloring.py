@@ -8,6 +8,23 @@ color is pruned exactly when it completes a monochromatic non-forbidden
 copy through the new edge, so a full assignment is always a valid
 counterexample and exhausting the tree is a proof of Ramseyness.
 
+The search backjumps on conflicts.  Each branching level owns one bit,
+and a blocking copy is reduced to the OR of its edges' level bits, read
+from a table built once per query; a level's conflict set is the OR of
+its blocked colors' masks, a dead end jumps to its highest bit and the
+merge is one OR.  Each (color, pattern) gets one copy finder, built
+before the search.  Without forbidden sets, cliques and cycles get
+flat bitset kernels (the first clique in the common neighbourhood, a
+path DFS closed by one AND against the far endpoint's neighbourhood);
+paths, arbitrary patterns and forbidden sets walk the general
+through-edge iterator.  Every kernel returns the copy that iterator
+lists first, so the conflict sets, and with them the node counts, do
+not depend on which finder ran.
+
+A target without edges (K1, P1, an edgeless graph) has a copy in every
+color class as soon as one placement of its vertices is allowed; such
+a query is Ramsey before any search.
+
 Verdicts are first class: Ramsey and NotRamsey are only reported from a
 completed search (witnesses are re-verified independently); running out
 of node or time budget yields Inconclusive, never a guess.
@@ -18,6 +35,7 @@ set is listed for its color does not count, whatever its edges.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
@@ -81,10 +99,18 @@ def _normalize_targets(targets: Sequence) -> tuple[tuple[Pattern, ...], ...]:
 
 @dataclass
 class SearchStats:
+    """What a decision did.  nodes counts color assignments tried and
+    checks target patterns tested.  backjumps counts dead ends that
+    jumped past at least one level and max_depth is the most edges
+    colored at once; both are set only at dead ends and exits, and
+    appear in no output."""
+
     nodes: int = 0
     checks: int = 0
     elapsed: float = 0.0
     note: str = ""
+    backjumps: int = 0
+    max_depth: int = 0
 
 
 @dataclass(frozen=True)
@@ -152,23 +178,135 @@ def verify_coloring(coloring: EdgeColoring, query: RamseyQuery) -> list[tuple[in
 # Completion checks on raw per-color adjacency
 
 
-def _blocking_copy(adjc, n: int, u: int, v: int, pat: Pattern, forb: frozenset
-                   ) -> Optional[list[tuple[int, int]]]:
-    """Edges of a monochromatic non-forbidden copy of pat finished by
-    coloring (u,v), or None.  The color graph adjc already holds the
-    new edge.  The returned edge list is the conflict reason used for
-    backjumping."""
-    # K3 and C3 are the same triangle: the least common neighbor closes
-    # it, the copy the general iterators would find first
-    if pat.size == 3 and pat.kind in ("clique", "cycle") and not forb:
-        common = adjc[u] & adjc[v]
-        if common:
-            w = (common & -common).bit_length() - 1
-            return [(u, v), (u, w), (v, w)]
+def _copy_finder(adjc: list, n: int, depth_bit: list, pat: Pattern, forb: frozenset):
+    """find(u, v): the OR of the depth bits of the edges of the first
+    non-forbidden copy of pat through (u,v) in the color graph adjc,
+    which already holds the new edge; 0 when there is none.
+
+    The copy is the one _iter_through lists first.  Clique and cycle
+    targets with nothing forbidden get a flat bitset kernel; everything
+    else walks that iterator.
+    """
+    if not forb:
+        if pat.kind == "clique" and pat.size >= 2:
+            return _clique_finder(adjc, depth_bit, pat.size - 2)
+        if pat.kind == "cycle":
+            # C3 is K3: the least common neighbour closes both first
+            if pat.size == 3:
+                return _clique_finder(adjc, depth_bit, 1)
+            return _cycle_finder(adjc, depth_bit, pat.size - 2)
+
+    def find(u: int, v: int) -> int:
+        for w in _iter_through(n, adjc, u, v, pat):
+            if not forb or frozenset(w) not in forb:
+                mask = 0
+                for a, b in _copy_edges(pat, w):
+                    mask |= depth_bit[a][b]
+                return mask
+        return 0
+
+    return find
+
+
+def _clique_finder(adjc: list, depth_bit: list, need: int):
+    """K_{need+2} through (u,v): the lexicographically first need-clique
+    in the common neighbourhood, branching as _iter_cliques does."""
+    if need == 0:
+        return lambda u, v: depth_bit[u][v]
+
+    if need == 1:
+        def find_k3(u: int, v: int) -> int:
+            common = adjc[u] & adjc[v]
+            if not common:
+                return 0
+            row = depth_bit[(common & -common).bit_length() - 1]
+            return depth_bit[u][v] | row[u] | row[v]
+        return find_k3
+
+    def first(cand: int, need: int):
+        # the first need-clique inside cand, highest vertex first
+        if need == 1:
+            return [(cand & -cand).bit_length() - 1] if cand else None
+        while cand.bit_count() >= need:
+            b = cand & -cand
+            cand ^= b
+            w = b.bit_length() - 1
+            rest = first(cand & adjc[w], need - 1)
+            if rest is not None:
+                rest.append(w)
+                return rest
         return None
-    for w in _iter_through(n, adjc, u, v, pat):
-        if not forb or frozenset(w) not in forb:
-            return _copy_edges(pat, w)
+
+    def find(u: int, v: int) -> int:
+        ws = first(adjc[u] & adjc[v], need)
+        if ws is None:
+            return 0
+        ws += (u, v)
+        mask = 0
+        for i, a in enumerate(ws):
+            row = depth_bit[a]
+            for b in ws[i + 1:]:
+                mask |= row[b]
+        return mask
+
+    return find
+
+
+def _cycle_finder(adjc: list, depth_bit: list, inner: int):
+    """C_{inner+2} through (u,v), inner >= 2: a DFS over the path u, w1,
+    .. in _iter_cycles_through's order, whose last inner vertex is
+    closed by one AND against v's neighbourhood."""
+
+    def extend(last: int, used: int, left: int, close: int):
+        # the inner vertices after last, the one next to v first, or None
+        ends = close & ~used
+        if not ends:
+            return None
+        cand = adjc[last] & ~used
+        while cand:
+            b = cand & -cand
+            cand ^= b
+            w = b.bit_length() - 1
+            if left == 2:
+                end = adjc[w] & ends
+                if end:
+                    return [(end & -end).bit_length() - 1, w]
+                continue
+            rest = extend(w, used | b, left - 1, close)
+            if rest is not None:
+                rest.append(w)
+                return rest
+        return None
+
+    def find(u: int, v: int) -> int:
+        ws = extend(u, (1 << u) | (1 << v), inner, adjc[v])
+        if ws is None:
+            return 0
+        mask = depth_bit[u][v] | depth_bit[v][ws[0]]
+        prev = u
+        for w in reversed(ws):
+            mask |= depth_bit[prev][w]
+            prev = w
+        return mask
+
+    return find
+
+
+def _edgeless_target(query: RamseyQuery) -> Optional[str]:
+    """Why the host is Ramsey outright, or None: some color has a target
+    without edges with an allowed placement on the host's vertices, and
+    so a copy in every coloring."""
+    n = query.host.n
+    for c, pats in enumerate(query.targets):
+        for pat in pats:
+            if pat.pattern_edge_count:
+                continue
+            k = pat.vertex_count
+            blocked = sum(1 for vs in query.forbidden[c]
+                          if len(vs) == k and all(0 <= x < n for x in vs))
+            if k <= n and blocked < math.comb(n, k):
+                return (f"color {c} target {pat.describe()} has no edges "
+                        f"and an allowed placement on {k} vertices")
     return None
 
 
@@ -233,9 +371,10 @@ def decide_ramsey(query: RamseyQuery, *, symmetry_breaking: bool = False,
                   clique_shortcut: bool = False) -> RamseyVerdict:
     """Decide whether the host is Ramsey for the query.
 
-    Ramsey means exhaustive refutation completed; NotRamsey carries a
-    witness coloring that is re-verified before returning; Inconclusive
-    means a budget was hit.  symmetry_breaking pins the first edge to
+    Ramsey means exhaustive refutation completed, or that some color
+    has a target without edges and an allowed placement; NotRamsey
+    carries a witness coloring that is re-verified before returning;
+    Inconclusive means a budget was hit.  symmetry_breaking pins the first edge to
     color 0 when the host is complete, all colors share one target list
     and nothing is forbidden (any counterexample can be color-permuted
     into that form).  clique_shortcut additionally reports Ramsey when
@@ -247,6 +386,12 @@ def decide_ramsey(query: RamseyQuery, *, symmetry_breaking: bool = False,
     r = query.r
     start = time.monotonic()
     stats = SearchStats()
+
+    edgeless = _edgeless_target(query)
+    if edgeless is not None:
+        stats.elapsed = time.monotonic() - start
+        stats.note = edgeless
+        return RamseyVerdict(RAMSEY, None, stats)
 
     if clique_shortcut and all(not f for f in query.forbidden):
         number = targets_ramsey_number(query.targets, cap=min(host.n, 12),
@@ -261,6 +406,7 @@ def decide_ramsey(query: RamseyQuery, *, symmetry_breaking: bool = False,
                  and all(t == query.targets[0] for t in query.targets)
                  and all(not f for f in query.forbidden))
 
+    n = host.n
     edges = host.edges()
     n_edges = len(edges)
     # Branch vertex-incrementally: all edges inside {0..j} before any edge
@@ -268,95 +414,106 @@ def decide_ramsey(query: RamseyQuery, *, symmetry_breaking: bool = False,
     # Reported colorings still use the public canonical (lexicographic)
     # edge order.
     order = sorted(range(n_edges), key=lambda i: (edges[i][1], edges[i][0]))
-    depth_of_edge = {edges[idx]: d for d, idx in enumerate(order)}
+    pairs = [edges[i] for i in order]
+    depth_bit = [[0] * n for _ in range(n)]
+    for d, (a, b) in enumerate(pairs):
+        depth_bit[a][b] = depth_bit[b][a] = 1 << d
+    steps = [(a, b, 1 << a, 1 << b, ~(1 << d)) for d, (a, b) in enumerate(pairs)]
 
-    adj_colors = [[0] * host.n for _ in range(r)]
+    adj_colors = [[0] * n for _ in range(r)]
+    finders = [[_copy_finder(adj_colors[c], n, depth_bit, pat, query.forbidden[c])
+                for pat in query.targets[c]] for c in range(r)]
     choice = [-1] * n_edges
-    # conflict-directed backjumping: conf[d] collects the depths whose
-    # assignments blocked some color at depth d; a dead end jumps to the
-    # deepest of them, merging the rest, which is complete (any deeper
-    # reassignment alone cannot unblock this edge)
-    conf: list[set[int]] = [set() for _ in range(n_edges)]
+    # conflict-directed backjumping: conf[d] has the bits of the depths
+    # whose assignments blocked some color at depth d; a dead end jumps
+    # to the deepest of them, merging the rest, which is complete (any
+    # deeper reassignment alone cannot unblock this edge)
+    conf = [0] * n_edges
     depth = 0
-    ticks = 0
-
-    def clear(c: int, u: int, v: int):
-        adj_colors[c][u] &= ~(1 << v)
-        adj_colors[c][v] &= ~(1 << u)
+    ticks = nodes = checks = backjumps = max_depth = 0
+    witness, note = None, ""
+    node_budget = query.node_budget
+    time_budget = query.time_budget
 
     while True:
         ticks += 1
-        if stats.nodes > query.node_budget:
-            stats.elapsed = time.monotonic() - start
-            stats.note = "node budget exhausted"
-            return RamseyVerdict(INCONCLUSIVE, None, stats)
-        if ticks % 2048 == 0 and time.monotonic() - start > query.time_budget:
-            stats.elapsed = time.monotonic() - start
-            stats.note = "time budget exhausted"
-            return RamseyVerdict(INCONCLUSIVE, None, stats)
+        if nodes > node_budget:
+            status, note = INCONCLUSIVE, "node budget exhausted"
+            break
+        if ticks % 2048 == 0 and time.monotonic() - start > time_budget:
+            status, note = INCONCLUSIVE, "time budget exhausted"
+            break
 
         if depth == n_edges:
             colors = [0] * n_edges
             for d in range(n_edges):
                 colors[order[d]] = choice[d]
-            coloring = EdgeColoring(host, r, tuple(colors))
-            bad = verify_coloring(coloring, query)
+            witness = EdgeColoring(host, r, tuple(colors))
+            bad = verify_coloring(witness, query)
             if bad:
                 raise AssertionError(f"search produced an invalid witness: {bad}")
-            stats.elapsed = time.monotonic() - start
-            return RamseyVerdict(NOT_RAMSEY, coloring, stats)
+            status = NOT_RAMSEY
+            break
 
-        u, v = edges[order[depth]]
+        u, v, bu, bv, keep = steps[depth]
         c = choice[depth]
         if c >= 0:
-            clear(c, u, v)
+            adjc = adj_colors[c]
+            adjc[u] ^= bv
+            adjc[v] ^= bu
             c += 1
         else:
             c = 0
         limit = 1 if (symmetric and depth == 0) else r
-        placed = False
+        here = conf[depth]
         while c < limit:
-            stats.nodes += 1
+            nodes += 1
             adjc = adj_colors[c]
-            adjc[u] |= 1 << v
-            adjc[v] |= 1 << u
-            reason = None
-            for pat in query.targets[c]:
-                stats.checks += 1
-                reason = _blocking_copy(adjc, host.n, u, v, pat, query.forbidden[c])
-                if reason is not None:
+            adjc[u] |= bv
+            adjc[v] |= bu
+            mask = 0
+            for find in finders[c]:
+                checks += 1
+                mask = find(u, v)
+                if mask:
                     break
-            if reason is None:
-                choice[depth] = c
-                depth += 1
-                placed = True
+            if not mask:
                 break
-            clear(c, u, v)
-            here = conf[depth]
-            for a, b in reason:
-                if (a, b) != (u, v) and (b, a) != (u, v):
-                    here.add(depth_of_edge[(a, b) if a < b else (b, a)])
+            adjc[u] ^= bv
+            adjc[v] ^= bu
+            here |= mask & keep
             c += 1
-        if placed:
+        if c < limit:
+            choice[depth] = c
+            conf[depth] = here
+            depth += 1
             continue
         # dead end: every color blocked
-        here = conf[depth]
         choice[depth] = -1
+        if depth > max_depth:
+            max_depth = depth
         if not here:
             # blocked independently of every other assignment
-            stats.elapsed = time.monotonic() - start
-            return RamseyVerdict(RAMSEY, None, stats)
-        target = max(here)
-        conf[target] |= here
-        conf[target].discard(target)
-        here.clear()
+            status = RAMSEY
+            break
+        target = here.bit_length() - 1
+        conf[target] = (conf[target] | here) & ~(1 << target)
+        conf[depth] = 0
+        if target < depth - 1:
+            backjumps += 1
         for lvl in range(depth - 1, target, -1):
-            if choice[lvl] >= 0:
-                eu, ev = edges[order[lvl]]
-                clear(choice[lvl], eu, ev)
-                choice[lvl] = -1
-            conf[lvl].clear()
+            eu, ev = pairs[lvl]
+            adjc = adj_colors[choice[lvl]]
+            adjc[eu] ^= 1 << ev
+            adjc[ev] ^= 1 << eu
+            choice[lvl] = -1
+            conf[lvl] = 0
         depth = target
+
+    stats.nodes, stats.checks, stats.note = nodes, checks, note
+    stats.backjumps, stats.max_depth = backjumps, max(max_depth, depth)
+    stats.elapsed = time.monotonic() - start
+    return RamseyVerdict(status, witness, stats)
 
 
 # ---------------------------------------------------------------------

@@ -12,8 +12,9 @@ from ramseylab.coloring import (EdgeColoring, INCONCLUSIVE, NOT_RAMSEY, RAMSEY,
                                 decide_globally_ramsey, decide_ramsey,
                                 export_cnf, ramsey_query,
                                 targets_ramsey_number, verify_coloring)
-from ramseylab.graphs import (Graph, arbitrary, clique, clique_graph, cycle,
-                              cycle_graph, empty_graph, path, turan_graph)
+from ramseylab.graphs import (Graph, _copy_edges, _iter_through, arbitrary, clique,
+                              clique_graph, cycle, cycle_graph, empty_graph, path,
+                              turan_graph)
 
 
 def decide(host, targets, **kw):
@@ -51,7 +52,12 @@ class TestKnownVerdicts:
 
     def test_c3_c5_number_is_9(self):
         assert decide(clique_graph(8), [cycle(3), cycle(5)]).status == NOT_RAMSEY
-        assert decide(clique_graph(9), [cycle(3), cycle(5)]).status == RAMSEY
+        verdict = decide(clique_graph(9), [cycle(3), cycle(5)])
+        assert verdict.status == RAMSEY
+        # the search order (see TestSearchOrder) and the dead-end counters
+        assert verdict.stats.nodes == verdict.stats.checks == 25126
+        assert 0 < verdict.stats.backjumps < verdict.stats.nodes
+        assert 0 < verdict.stats.max_depth < 36
 
     def test_edge_target(self):
         # any edge is a blue K2, so only the red side matters
@@ -187,6 +193,131 @@ class TestSearchBehavior:
         extra = rng.sample(non_edges, min(2, len(non_edges)))
         bigger = host.union(Graph.from_edges(host.n, extra))
         assert decide(bigger, targets).status == RAMSEY
+
+
+K4_MINUS_EDGE = arbitrary(Graph.from_edges(
+    4, [e for e in itertools.combinations(range(4), 2) if e != (2, 3)]))
+
+
+class TestSearchOrder:
+    """The engine's node counts follow from which blocking copy each
+    finder reports; these pin them, so a change of copy order shows.
+    K9 against (C3,C5), 25,126 nodes, is pinned in
+    TestKnownVerdicts::test_c3_c5_number_is_9."""
+
+    def test_k8_k3_k4(self):
+        verdict = decide(clique_graph(8), [clique(3), clique(4)])
+        assert verdict.status == NOT_RAMSEY
+        assert verdict.stats.nodes == verdict.stats.checks == 964
+        assert verdict.witness.colors == (
+            0, 0, 0, 1, 1, 1, 1, 1, 1, 0, 0, 1, 1, 1, 0, 1, 0, 1, 1, 0,
+            1, 0, 1, 1, 0, 0, 1, 0)
+
+    def test_k7_k4_minus_edge_k3(self):
+        verdict = decide(clique_graph(7), [K4_MINUS_EDGE, clique(3)])
+        assert verdict.status == RAMSEY
+        assert verdict.stats.nodes == verdict.stats.checks == 7445
+
+
+class TestSearchCounters:
+    def test_full_assignment_reaches_every_edge(self):
+        verdict = decide(clique_graph(5), [cycle(3), cycle(3)])
+        assert verdict.status == NOT_RAMSEY
+        assert verdict.stats.max_depth == 10
+
+    def test_budget_exit_records_depth(self):
+        verdict = decide_ramsey(ramsey_query(clique_graph(6), [cycle(3), cycle(3)],
+                                             node_budget=3))
+        assert verdict.status == INCONCLUSIVE
+        assert verdict.stats.max_depth == 3
+        assert verdict.stats.backjumps == 0
+
+    def test_no_search_no_counts(self):
+        verdict = decide_ramsey(ramsey_query(clique_graph(7), [cycle(3), cycle(3)]),
+                                clique_shortcut=True)
+        assert verdict.status == RAMSEY and verdict.stats.note
+        assert (verdict.stats.nodes, verdict.stats.backjumps,
+                verdict.stats.max_depth) == (0, 0, 0)
+
+
+def _depth_bits(n, edges, rng):
+    table = [[0] * n for _ in range(n)]
+    for d, (a, b) in enumerate(rng.sample(edges, len(edges))):
+        table[a][b] = table[b][a] = 1 << d
+    return table
+
+
+class TestCopyFinders:
+    """Each flat kernel against the first copy the general through-edge
+    iterator lists."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.randoms(use_true_random=False),
+           st.sampled_from([clique(k) for k in range(2, 7)]
+                           + [cycle(k) for k in range(3, 8)]))
+    def test_kernel_matches_first_copy(self, rng, pat):
+        n = rng.randint(2, 10)
+        u, v = sorted(rng.sample(range(n), 2))
+        host = random_graph(rng, n, rng.uniform(0.3, 1.0))
+        host = host.union(Graph.from_edges(n, [(u, v)]))
+        adj = list(host.adj)
+        depth_bit = _depth_bits(n, list(host.edges()), rng)
+        find = coloring._copy_finder(adj, n, depth_bit, pat, frozenset())
+        first = next(_iter_through(n, adj, u, v, pat), None)
+        expected = 0
+        if first is not None:
+            for a, b in _copy_edges(pat, first):
+                expected |= depth_bit[a][b]
+        assert find(u, v) == expected
+        assert (find(u, v) == 0) == (first is None)
+
+
+class TestEdgelessTargets:
+    def test_single_vertex_target_is_ramsey(self):
+        verdict = decide(clique_graph(3), [clique(1), clique(3)])
+        assert verdict.status == RAMSEY
+        assert "no edges" in verdict.stats.note
+        assert verdict.stats.nodes == 0
+        doc = export_cnf(ramsey_query(clique_graph(3), [clique(1), clique(3)]))
+        assert () in doc.clauses
+
+    def test_fully_forbidden_placements_are_ignored(self):
+        host = clique_graph(3)
+        targets = [path(1), clique(3)]
+        verdict = decide(host, targets, forbidden=[[(0,), (1,), (2,)], []])
+        assert verdict.status == NOT_RAMSEY
+        assert_witness_valid(verdict, host, targets, [[(0,), (1,), (2,)], []])
+
+    def test_pattern_larger_than_host(self):
+        targets = [arbitrary(empty_graph(4)), clique(3)]
+        assert decide(clique_graph(3), targets).status == NOT_RAMSEY
+        assert decide(clique_graph(4), targets).status == RAMSEY
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.randoms(use_true_random=False), st.sampled_from([2, 2, 3]))
+    def test_engine_agrees_with_cnf(self, rng, r):
+        n = rng.randint(1, 5 if r == 2 else 4)
+        host = random_graph(rng, n, rng.uniform(0.0, 1.0))
+        targets = []
+        forbidden = []
+        for _ in range(r):
+            pats = [rng.choice([clique(1), path(1), arbitrary(empty_graph(rng.randint(1, 3))),
+                                clique(2), clique(3), path(3), cycle(4)])
+                    for _ in range(rng.randint(1, 2))]
+            targets.append(pats)
+            sets = []
+            for k in {p.vertex_count for p in pats}:
+                everything = rng.random() < 0.5
+                sets += [vs for vs in itertools.combinations(range(n), k)
+                         if everything or rng.random() < 0.4]
+            forbidden.append(sets)
+        q = ramsey_query(host, targets, forbidden)
+        doc = export_cnf(q)
+        model = dpll.solve(doc.nvars, doc.clauses)
+        verdict = decide_ramsey(q)
+        assert verdict.status == (RAMSEY if model is None else NOT_RAMSEY)
+        if verdict.status == NOT_RAMSEY:
+            assert verify_coloring(verdict.witness, q) == []
 
 
 class TestVerifyColoring:
