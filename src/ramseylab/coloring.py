@@ -2,8 +2,9 @@
 
 decide_ramsey answers whether every r-coloring of a host graph's edges
 contains a monochromatic copy of one of that color's target patterns
-(outside optional forbidden vertex sets).  Edges are branched in
-canonical lexicographic order with a fixed color order; assigning a
+(outside optional forbidden vertex sets).  Edges are branched
+vertex-incrementally (sorted by (b, a), all edges inside {0..j} before
+any edge touching j+1) with colors in ascending order; assigning a
 color is pruned exactly when it completes a monochromatic non-forbidden
 copy through the new edge, so a full assignment is always a valid
 counterexample and exhausting the tree is a proof of Ramseyness.
@@ -20,6 +21,28 @@ paths, arbitrary patterns and forbidden sets walk the general
 through-edge iterator.  Every kernel returns the copy that iterator
 lists first, so the conflict sets, and with them the node counts, do
 not depend on which finder ran.
+
+Symmetry breaking is read off each query and always on.  The first
+full assignment found, chronologically or with backjumping, is the
+lexicographically least valid coloring X in the branching order.  Any
+symmetry of the query maps X to another valid coloring that cannot be
+smaller, which gives two families of necessary conditions on X, so
+pruning by them changes no verdict and no witness:
+
+- Twin rows.  When swapping vertices i and i+1 is a host automorphism
+  (N(i) minus i+1 equals N(i+1) minus i) and maps every color's
+  forbidden family to itself, row i <= row i+1, rows read as color
+  vectors over the columns k outside {i, i+1} in ascending k.  Entry k
+  is decided by the later of edges {i,k}, {i+1,k}, which is {i+1,k}:
+  when the earlier entries are equal, colors below that of {i,k} are
+  cut, with the depths of those entries and of {i,k} as the reason.
+- Color precedence.  When every color has the same target list and the
+  same forbidden sets, color c may appear only after color c-1 has;
+  a color cut so has every earlier depth as its reason.
+
+These reasons keep backjumping complete.  The argument rests on the
+branching order: if it ever changes, both constraints (which entry an
+edge decides, and in what order) must be derived again.
 
 A target without edges (K1, P1, an edgeless graph) has a copy in every
 color class as soon as one placement of its vertices is allowed; such
@@ -101,8 +124,9 @@ def _normalize_targets(targets: Sequence) -> tuple[tuple[Pattern, ...], ...]:
 class SearchStats:
     """What a decision did.  nodes counts color assignments tried and
     checks target patterns tested.  backjumps counts dead ends that
-    jumped past at least one level and max_depth is the most edges
-    colored at once; both are set only at dead ends and exits, and
+    jumped past at least one level, max_depth is the most edges colored
+    at once and symmetry_cuts the colors skipped by a twin-row or
+    precedence constraint; these three are set only at the exit, and
     appear in no output."""
 
     nodes: int = 0
@@ -111,6 +135,7 @@ class SearchStats:
     note: str = ""
     backjumps: int = 0
     max_depth: int = 0
+    symmetry_cuts: int = 0
 
 
 @dataclass(frozen=True)
@@ -310,6 +335,47 @@ def _edgeless_target(query: RamseyQuery) -> Optional[str]:
     return None
 
 
+def _symmetry_constraints(query: RamseyQuery, pairs: list) -> tuple[list, int]:
+    """Per branching depth, None or (rows, below), and the number of
+    row-comparison slots; see the module docstring.
+
+    rows holds (first, mask, prev, me) for each twin-row entry the
+    depth's edge decides: first is the depth of the entry's earlier
+    edge, mask the reason for cutting colors below choice[first], and
+    slot me records whether the rows are still equal through this
+    entry, given that slot prev (0, always equal, for the first entry)
+    says so for the entries before it.  below is the mask of every
+    earlier depth when colors are interchangeable, else None.
+    """
+    host = query.host
+    adj = host.adj
+    depth_of = {e: d for d, e in enumerate(pairs)}
+    rows = [[] for _ in pairs]
+    slots = 1
+    for i in range(host.n - 1):
+        j = i + 1
+        if adj[i] & ~(1 << j) != adj[j] & ~(1 << i):
+            continue
+        swap = {i: j, j: i}
+        if any(frozenset(frozenset(swap.get(x, x) for x in vs) for vs in forb) != forb
+               for forb in query.forbidden):
+            continue
+        prev = prefix = 0
+        for k in range(host.n):
+            if k == i or k == j or not adj[i] >> k & 1:
+                continue
+            first = depth_of[(min(i, k), max(i, k))]
+            second = depth_of[(min(j, k), max(j, k))]
+            rows[second].append((first, prefix | 1 << first, prev, slots))
+            prev, prefix = slots, prefix | 1 << first | 1 << second
+            slots += 1
+    precedence = (all(t == query.targets[0] for t in query.targets)
+                  and all(f == query.forbidden[0] for f in query.forbidden))
+    steps = [(tuple(rs), (1 << d) - 1 if precedence else None)
+             if rs or precedence else None for d, rs in enumerate(rows)]
+    return steps, slots
+
+
 # ---------------------------------------------------------------------
 # The decision procedure
 
@@ -339,7 +405,7 @@ def _complete_host_ramsey(n: int, targets, node_budget: int = DEFAULT_NODE_BUDGE
             return None
     q = RamseyQuery(clique_graph(n), targets,
                     tuple(frozenset() for _ in targets), node_budget, time_budget)
-    verdict = decide_ramsey(q, symmetry_breaking=True)
+    verdict = decide_ramsey(q)
     result = None if verdict.status == INCONCLUSIVE else verdict.is_ramsey
     if entry is None or entry[0] is None:
         _ramsey_number_cache[key] = ((None, node_budget, time_budget) if result is None
@@ -367,17 +433,16 @@ def targets_ramsey_number(targets, cap: int = 12,
     return None
 
 
-def decide_ramsey(query: RamseyQuery, *, symmetry_breaking: bool = False,
-                  clique_shortcut: bool = False) -> RamseyVerdict:
+def decide_ramsey(query: RamseyQuery, *, clique_shortcut: bool = False) -> RamseyVerdict:
     """Decide whether the host is Ramsey for the query.
 
     Ramsey means exhaustive refutation completed, or that some color
     has a target without edges and an allowed placement; NotRamsey
     carries a witness coloring that is re-verified before returning;
-    Inconclusive means a budget was hit.  symmetry_breaking pins the first edge to
-    color 0 when the host is complete, all colors share one target list
-    and nothing is forbidden (any counterexample can be color-permuted
-    into that form).  clique_shortcut additionally reports Ramsey when
+    Inconclusive means a budget was hit.  The search breaks the query's
+    twin-row and color symmetries (module docstring); the witness is the
+    lexicographically least valid coloring in the branching order, as
+    without them.  clique_shortcut additionally reports Ramsey when
     the host contains a complete subgraph of solver-derived Ramsey
     order, which is sound by monotonicity; it never fires with
     forbidden sets present.
@@ -402,10 +467,6 @@ def decide_ramsey(query: RamseyQuery, *, symmetry_breaking: bool = False,
             stats.note = f"complete subgraph on {number} vertices is Ramsey"
             return RamseyVerdict(RAMSEY, None, stats)
 
-    symmetric = (symmetry_breaking and host.is_complete()
-                 and all(t == query.targets[0] for t in query.targets)
-                 and all(not f for f in query.forbidden))
-
     n = host.n
     edges = host.edges()
     n_edges = len(edges)
@@ -418,7 +479,14 @@ def decide_ramsey(query: RamseyQuery, *, symmetry_breaking: bool = False,
     depth_bit = [[0] * n for _ in range(n)]
     for d, (a, b) in enumerate(pairs):
         depth_bit[a][b] = depth_bit[b][a] = 1 << d
-    steps = [(a, b, 1 << a, 1 << b, ~(1 << d)) for d, (a, b) in enumerate(pairs)]
+    symmetry, slots = _symmetry_constraints(query, pairs)
+    steps = [(a, b, 1 << a, 1 << b, ~(1 << d), symmetry[d])
+             for d, (a, b) in enumerate(pairs)]
+    # equal[s]: the twin rows of slot s agree through its entry (module
+    # docstring); used[d]: how many colors depths below d use, which
+    # precedence makes 0..used[d]-1
+    equal = [True] * slots
+    used = [0] * (n_edges + 1)
 
     adj_colors = [[0] * n for _ in range(r)]
     finders = [[_copy_finder(adj_colors[c], n, depth_bit, pat, query.forbidden[c])
@@ -430,7 +498,7 @@ def decide_ramsey(query: RamseyQuery, *, symmetry_breaking: bool = False,
     # deeper reassignment alone cannot unblock this edge)
     conf = [0] * n_edges
     depth = 0
-    ticks = nodes = checks = backjumps = max_depth = 0
+    ticks = nodes = checks = backjumps = max_depth = cuts = 0
     witness, note = None, ""
     node_budget = query.node_budget
     time_budget = query.time_budget
@@ -455,8 +523,10 @@ def decide_ramsey(query: RamseyQuery, *, symmetry_breaking: bool = False,
             status = NOT_RAMSEY
             break
 
-        u, v, bu, bv, keep = steps[depth]
+        u, v, bu, bv, keep, sym = steps[depth]
         c = choice[depth]
+        here = conf[depth]
+        limit = r
         if c >= 0:
             adjc = adj_colors[c]
             adjc[u] ^= bv
@@ -464,8 +534,21 @@ def decide_ramsey(query: RamseyQuery, *, symmetry_breaking: bool = False,
             c += 1
         else:
             c = 0
-        limit = 1 if (symmetric and depth == 0) else r
-        here = conf[depth]
+        if sym is not None:
+            rows, below = sym
+            if below is not None and used[depth] < r - 1:
+                limit = used[depth] + 1
+                if not c:
+                    here |= below
+                    cuts += r - limit
+            if not c:
+                for first, mask, prev, _ in rows:
+                    if equal[prev] and choice[first] > c:
+                        c = choice[first]
+                        reason = mask
+                if c:
+                    here |= reason
+                    cuts += c
         while c < limit:
             nodes += 1
             adjc = adj_colors[c]
@@ -486,6 +569,10 @@ def decide_ramsey(query: RamseyQuery, *, symmetry_breaking: bool = False,
         if c < limit:
             choice[depth] = c
             conf[depth] = here
+            if sym is not None:
+                for first, _, prev, me in rows:
+                    equal[me] = equal[prev] and c == choice[first]
+                used[depth + 1] = used[depth] if c < used[depth] else c + 1
             depth += 1
             continue
         # dead end: every color blocked
@@ -512,6 +599,7 @@ def decide_ramsey(query: RamseyQuery, *, symmetry_breaking: bool = False,
 
     stats.nodes, stats.checks, stats.note = nodes, checks, note
     stats.backjumps, stats.max_depth = backjumps, max(max_depth, depth)
+    stats.symmetry_cuts = cuts
     stats.elapsed = time.monotonic() - start
     return RamseyVerdict(status, witness, stats)
 

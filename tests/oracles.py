@@ -11,7 +11,7 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 
-from ramseylab.graphs import Graph, Pattern
+from ramseylab.graphs import Graph, Pattern, iter_pattern_witnesses_through_edge
 
 
 def contains_brute(g: Graph, pat: Pattern) -> bool:
@@ -171,6 +171,45 @@ def ramsey_brute(host: Graph, targets, forbidden=None):
     for colors in itertools.product(range(r), repeat=len(edges)):
         if _coloring_avoids(host, edges, colors, targets, forbidden):
             return False, colors
+    return True, None
+
+
+def first_avoiding_coloring_brute(query):
+    """The first valid coloring in decide_ramsey's branching order, by
+    plain chronological backtracking: edges sorted by (b, a), color 0
+    first, a color refused when the new edge completes a copy listed by
+    iter_pattern_witnesses_through_edge whose vertex set is not
+    forbidden; no backjumping and no symmetry breaking.
+
+    Returns (is_ramsey, witness colors in canonical edge order or None).
+    """
+    host = query.host
+    edges = host.edges()
+    order = sorted(range(len(edges)), key=lambda i: (edges[i][1], edges[i][0]))
+    classes = [[] for _ in range(query.r)]
+    colors = [None] * len(edges)
+
+    def completes(c, e):
+        g = Graph.from_edges(host.n, classes[c])
+        return any(frozenset(w) not in query.forbidden[c]
+                   for pat in query.targets[c]
+                   for w in iter_pattern_witnesses_through_edge(g, pat, e))
+
+    def extend(d):
+        if d == len(order):
+            return True
+        e = edges[order[d]]
+        for c in range(query.r):
+            classes[c].append(e)
+            if not completes(c, e):
+                colors[order[d]] = c
+                if extend(d + 1):
+                    return True
+            classes[c].pop()
+        return False
+
+    if extend(0):
+        return False, tuple(colors)
     return True, None
 
 

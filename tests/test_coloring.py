@@ -6,7 +6,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import dpll
-from oracles import _coloring_avoids, ramsey_brute, random_graph
+from oracles import (_coloring_avoids, first_avoiding_coloring_brute, ramsey_brute,
+                     random_graph)
 from ramseylab import coloring
 from ramseylab.coloring import (EdgeColoring, INCONCLUSIVE, NOT_RAMSEY, RAMSEY,
                                 decide_globally_ramsey, decide_ramsey,
@@ -55,7 +56,7 @@ class TestKnownVerdicts:
         verdict = decide(clique_graph(9), [cycle(3), cycle(5)])
         assert verdict.status == RAMSEY
         # the search order (see TestSearchOrder) and the dead-end counters
-        assert verdict.stats.nodes == verdict.stats.checks == 25126
+        assert verdict.stats.nodes == verdict.stats.checks == 301
         assert 0 < verdict.stats.backjumps < verdict.stats.nodes
         assert 0 < verdict.stats.max_depth < 36
 
@@ -165,15 +166,6 @@ class TestSearchBehavior:
         assert a.witness.colors == b.witness.colors
         assert a.stats.nodes == b.stats.nodes
 
-    def test_symmetry_breaking_agrees(self):
-        for n, targets in ((5, [cycle(3), cycle(3)]),
-                           (6, [cycle(3), cycle(3)]),
-                           (6, [clique(3), cycle(4)])):
-            plain = decide(clique_graph(n), targets)
-            pinned = decide_ramsey(ramsey_query(clique_graph(n), targets),
-                                   symmetry_breaking=True)
-            assert plain.status == pinned.status
-
     def test_stats_populated(self):
         verdict = decide(clique_graph(5), [cycle(3), cycle(3)])
         assert verdict.stats.nodes > 0
@@ -201,14 +193,14 @@ K4_MINUS_EDGE = arbitrary(Graph.from_edges(
 
 class TestSearchOrder:
     """The engine's node counts follow from which blocking copy each
-    finder reports; these pin them, so a change of copy order shows.
-    K9 against (C3,C5), 25,126 nodes, is pinned in
-    TestKnownVerdicts::test_c3_c5_number_is_9."""
+    finder reports and which colors the symmetry constraints cut; these
+    pin them, so a change of copy order shows.  K9 against (C3,C5), 301
+    nodes, is pinned in TestKnownVerdicts::test_c3_c5_number_is_9."""
 
     def test_k8_k3_k4(self):
         verdict = decide(clique_graph(8), [clique(3), clique(4)])
         assert verdict.status == NOT_RAMSEY
-        assert verdict.stats.nodes == verdict.stats.checks == 964
+        assert verdict.stats.nodes == verdict.stats.checks == 200
         assert verdict.witness.colors == (
             0, 0, 0, 1, 1, 1, 1, 1, 1, 0, 0, 1, 1, 1, 0, 1, 0, 1, 1, 0,
             1, 0, 1, 1, 0, 0, 1, 0)
@@ -216,7 +208,94 @@ class TestSearchOrder:
     def test_k7_k4_minus_edge_k3(self):
         verdict = decide(clique_graph(7), [K4_MINUS_EDGE, clique(3)])
         assert verdict.status == RAMSEY
-        assert verdict.stats.nodes == verdict.stats.checks == 7445
+        assert verdict.stats.nodes == verdict.stats.checks == 178
+
+
+FIRST_COLORING_TARGETS = [
+    ((clique(3),), (clique(3),)),
+    ((cycle(4),), (cycle(4),)),
+    ((clique(3),), (clique(4),)),
+    ((cycle(3),), (cycle(5),)),
+    ((cycle(4),), (clique(3),)),
+    ((path(4),), (path(4),)),
+    ((K4_MINUS_EDGE,), (clique(3),)),
+    ((cycle(3), cycle(5)), (cycle(3), cycle(5))),
+    ((cycle(3),), (cycle(3), cycle(5))),
+    ((path(3),), (path(3),), (path(3),)),
+    ((cycle(4),), (cycle(4),), (cycle(4),)),
+    ((clique(3),), (clique(3),), (path(3),)),
+]
+
+
+def _twins(host):
+    return [(i, i + 1) for i in range(host.n - 1)
+            if host.adj[i] & ~(1 << (i + 1)) == host.adj[i + 1] & ~(1 << i)]
+
+
+def _closed_under_swaps(sets, swaps):
+    family = {frozenset(vs) for vs in sets}
+    while True:
+        images = {frozenset({i: j, j: i}.get(x, x) for x in vs)
+                  for vs in family for i, j in swaps}
+        if images <= family:
+            return family
+        family |= images
+
+
+def _assert_first_coloring(query):
+    is_ramsey, colors = first_avoiding_coloring_brute(query)
+    verdict = decide_ramsey(query)
+    assert verdict.status == (RAMSEY if is_ramsey else NOT_RAMSEY)
+    assert (verdict.witness.colors if verdict.witness else None) == colors
+    return verdict
+
+
+class TestFirstColoring:
+    """Twin-row and precedence constraints only cut colorings that are
+    not the least valid one in the branching order, so status and
+    witness equal plain chronological backtracking's first coloring."""
+
+    @pytest.mark.parametrize("targets", FIRST_COLORING_TARGETS,
+                             ids=lambda t: "-".join("+".join(p.describe() for p in c)
+                                                    for c in t))
+    def test_complete_hosts(self, targets):
+        for n in range(2, 9):
+            _assert_first_coloring(ramsey_query(clique_graph(n), targets))
+
+    def test_forbidden_sets_that_break_a_symmetry(self):
+        # one edge, both colors K2: only blue may use it, so the colors
+        # are not interchangeable
+        verdict = _assert_first_coloring(ramsey_query(
+            clique_graph(2), [clique(2), clique(2)], [[], [(0, 1)]]))
+        assert verdict.witness.colors == (1,)
+        # a triangle whose one valid coloring has row 0 > row 1 and
+        # row 1 > row 2: no swap maps red's forbidden family to itself
+        verdict = _assert_first_coloring(ramsey_query(
+            clique_graph(3), [clique(2), path(2)], [[(0, 1), (1, 2)], [(0, 2)]]))
+        assert verdict.witness.colors == (0, 1, 0)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(min_value=3, max_value=8), st.integers(min_value=1, max_value=4),
+           st.randoms(use_true_random=False), st.integers(min_value=2, max_value=3),
+           st.booleans(), st.sampled_from(["none", "invariant", "any"]))
+    def test_hosts_with_twins(self, n, parts, rng, r, equal_targets, forbid):
+        host = turan_graph(n, min(parts, n))
+        non_edges = [e for e in itertools.combinations(range(n), 2) if not host.has_edge(*e)]
+        host = host.union(Graph.from_edges(n, rng.sample(non_edges, min(len(non_edges),
+                                                                        rng.randint(0, 2)))))
+        pool = ([clique(3), cycle(4), cycle(5), path(4), K4_MINUS_EDGE] if r == 2
+                else [clique(3), path(3), cycle(4)])
+        targets = ([[rng.choice(pool)]] * r if equal_targets
+                   else [[rng.choice(pool)] for _ in range(r)])
+        forbidden = None
+        if forbid != "none":
+            forbidden = [[rng.sample(range(n), 3) for _ in range(rng.randint(1, 4))]
+                         for _ in range(r)]
+            if forbid == "invariant":
+                forbidden = [_closed_under_swaps(f, _twins(host)) for f in forbidden]
+            if equal_targets:
+                forbidden = [forbidden[0]] * r
+        _assert_first_coloring(ramsey_query(host, targets, forbidden))
 
 
 class TestSearchCounters:
@@ -232,12 +311,19 @@ class TestSearchCounters:
         assert verdict.stats.max_depth == 3
         assert verdict.stats.backjumps == 0
 
+    def test_symmetry_cuts(self):
+        # the complement of a path has no twins, and K3 differs from K4
+        co_path = Graph.from_edges(8, [(a, b) for a, b in itertools.combinations(range(8), 2)
+                                       if b != a + 1])
+        assert decide(co_path, [clique(3), clique(4)]).stats.symmetry_cuts == 0
+        assert decide(clique_graph(9), [clique(3), clique(4)]).stats.symmetry_cuts > 0
+
     def test_no_search_no_counts(self):
         verdict = decide_ramsey(ramsey_query(clique_graph(7), [cycle(3), cycle(3)]),
                                 clique_shortcut=True)
         assert verdict.status == RAMSEY and verdict.stats.note
         assert (verdict.stats.nodes, verdict.stats.backjumps,
-                verdict.stats.max_depth) == (0, 0, 0)
+                verdict.stats.max_depth, verdict.stats.symmetry_cuts) == (0, 0, 0, 0)
 
 
 def _depth_bits(n, edges, rng):
@@ -430,11 +516,19 @@ class TestSmallRamseyNumbers:
 
     def test_budget_out_is_remembered(self, monkeypatch):
         monkeypatch.setattr(coloring, "_ramsey_number_cache", {})
+        # K10 against (C4,K4) takes 3,510 nodes
         targets = ((cycle(4),), (clique(4),))
-        assert targets_ramsey_number(targets, node_budget=20_000) is None
+        assert targets_ramsey_number(targets, node_budget=2_000) is None
         start = time.perf_counter()
-        assert targets_ramsey_number(targets, node_budget=20_000) is None
+        assert targets_ramsey_number(targets, node_budget=2_000) is None
         assert time.perf_counter() - start < 0.01
+
+    def test_c4_k4_number_is_10(self):
+        # Radziszowski, Small Ramsey Numbers (DS1)
+        assert targets_ramsey_number(((cycle(4),), (clique(4),))) == 10
+
+    def test_c5_k4_number_is_13(self):
+        assert targets_ramsey_number(((cycle(5),), (clique(4),)), cap=13) == 13
 
 
 def cnf_status(doc):
