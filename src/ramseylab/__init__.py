@@ -43,6 +43,7 @@ __all__ = [
     "is_strictly_balanced_wrt", "janson_bound", "m2", "m2_asym", "mu0", "mu1",
     "rho", "rho_bound_hm", "rho_k", "rho_k_with_partition",
     "PACKAGE_VERSION", "replay", "run_experiment",
+    # small_ramsey_number is a deprecated alias of targets_ramsey_number
     "FactReport", "default_fact_suite", "small_ramsey_number",
     "graph6_decode", "graph6_encode",
     "Graph", "Pattern", "arbitrary", "blowup", "build_family", "clique",

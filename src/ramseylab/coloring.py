@@ -127,7 +127,10 @@ class SearchStats:
     jumped past at least one level, max_depth is the most edges colored
     at once and symmetry_cuts the colors skipped by a twin-row or
     precedence constraint; these three are set only at the exit, and
-    appear in no output."""
+    appear in no output.  route says how the verdict was reached:
+    "edgeless" (a target without edges), "clique_shortcut" or "search"
+    (the search ran, whatever it concluded, budget exits included), set
+    at each exit of decide_ramsey; it appears in no output either."""
 
     nodes: int = 0
     checks: int = 0
@@ -136,6 +139,7 @@ class SearchStats:
     backjumps: int = 0
     max_depth: int = 0
     symmetry_cuts: int = 0
+    route: str = ""
 
 
 @dataclass(frozen=True)
@@ -455,7 +459,7 @@ def decide_ramsey(query: RamseyQuery, *, clique_shortcut: bool = False) -> Ramse
     edgeless = _edgeless_target(query)
     if edgeless is not None:
         stats.elapsed = time.monotonic() - start
-        stats.note = edgeless
+        stats.note, stats.route = edgeless, "edgeless"
         return RamseyVerdict(RAMSEY, None, stats)
 
     if clique_shortcut and all(not f for f in query.forbidden):
@@ -465,6 +469,7 @@ def decide_ramsey(query: RamseyQuery, *, clique_shortcut: bool = False) -> Ramse
         if number is not None and contains_pattern(host, clique(number)):
             stats.elapsed = time.monotonic() - start
             stats.note = f"complete subgraph on {number} vertices is Ramsey"
+            stats.route = "clique_shortcut"
             return RamseyVerdict(RAMSEY, None, stats)
 
     n = host.n
@@ -598,6 +603,7 @@ def decide_ramsey(query: RamseyQuery, *, clique_shortcut: bool = False) -> Ramse
         depth = target
 
     stats.nodes, stats.checks, stats.note = nodes, checks, note
+    stats.route = "search"
     stats.backjumps, stats.max_depth = backjumps, max(max_depth, depth)
     stats.symmetry_cuts = cuts
     stats.elapsed = time.monotonic() - start

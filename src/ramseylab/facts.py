@@ -11,6 +11,7 @@ verification.
 from __future__ import annotations
 
 import time
+import warnings
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -50,9 +51,12 @@ def _decide(host: Graph, targets, node_budget=DEFAULT_NODE_BUDGET,
 def small_ramsey_number(targets, n_hi: int = 12,
                         node_budget: int = DEFAULT_NODE_BUDGET,
                         time_budget: float = DEFAULT_TIME_BUDGET) -> Optional[int]:
-    """Least n <= n_hi making K_n Ramsey for the per-color targets;
-    None when no size in range is (or budgets run out).  The search is
-    coloring.targets_ramsey_number, with its memo."""
+    """Deprecated alias of coloring.targets_ramsey_number, with n_hi as
+    its cap: least n <= n_hi making K_n Ramsey for the per-color
+    targets; None when no size in range is (or budgets run out)."""
+    warnings.warn("facts.small_ramsey_number is deprecated; use "
+                  "coloring.targets_ramsey_number(targets, cap=n_hi)",
+                  DeprecationWarning, stacklevel=2)
     return targets_ramsey_number(targets, n_hi, node_budget, time_budget)
 
 
@@ -125,7 +129,7 @@ def verify_small_ramsey(first, second, expected: Optional[int] = None,
     t0 = time.monotonic()
     targets = [first if isinstance(first, (list, tuple)) else [first],
                second if isinstance(second, (list, tuple)) else [second]]
-    value = small_ramsey_number(targets, n_hi=n_hi)
+    value = targets_ramsey_number(targets, cap=n_hi)
     names = " | ".join("+".join(p.describe() for p in side) for side in targets)
     cert = {"value": value, "search_cap": n_hi}
     if value is None:
@@ -146,8 +150,8 @@ def path_ramsey_readings(k: int, ell: int, n_hi: int = 10) -> FactReport:
     Exploratory: the numbers are reported, nothing is asserted.
     """
     t0 = time.monotonic()
-    by_vertices = small_ramsey_number([[path(k - 1)], [path(ell - 1)]], n_hi=n_hi)
-    by_edges = small_ramsey_number([[path(k)], [path(ell)]], n_hi=n_hi)
+    by_vertices = targets_ramsey_number([[path(k - 1)], [path(ell - 1)]], cap=n_hi)
+    by_edges = targets_ramsey_number([[path(k)], [path(ell)]], cap=n_hi)
     return FactReport(
         "path_index_readings",
         f"smallest complete host forcing a path pair at index ({k - 1}, {ell - 1}), "

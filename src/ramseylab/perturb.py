@@ -6,10 +6,25 @@ edge index), so any trial can be regenerated in isolation and results
 are independent of evaluation order and platform.  The same variates
 serve every p (common random numbers), which couples the success
 curves across the grid and keeps the empirical curve monotone apart
-from decision noise.  A scan uses this directly: each trial's variates
-are drawn once, and edges enter the trial's host in arrival order as p
-grows along the sorted grid, so the host at each grid point is exactly
-perturb(base, p, seed, trial).
+from decision noise.
+
+A perturbed host G ∪ G(n,p) differs from its base only on the base's
+missing pairs, so perturb and the scan draw variates for those pairs
+alone, each under its index in the canonical order of the complete
+graph: the variate of a pair is the one sample_gnp gives it.  A scan
+draws each trial's variates once, and edges enter the trial's host in
+arrival order as p grows along the sorted grid, so the host at each
+grid point is exactly perturb(base, p, seed, trial).
+
+Hosts are nested in p within a trial, and being Ramsey for non-induced
+targets is monotone under adding edges.  So once a trial's host is
+Ramsey by a route that no budget can change, every later grid point of
+that trial is counted a success without building or deciding its
+host: the clique shortcut (the K_R it found stays in every superset,
+and the memoised R depends only on the targets, the budgets and n) and
+an edgeless target (which depends only on n and the forbidden sets).
+A Ramsey verdict reached by search is not carried forward, because a
+fresh search of a larger host could run out of budget.
 
 Ramsey trials that exhaust their budget count as Inconclusive: they are
 reported separately and excluded from the success-rate denominator,
@@ -24,11 +39,14 @@ from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 from .coloring import (DEFAULT_NODE_BUDGET, DEFAULT_TIME_BUDGET, INCONCLUSIVE,
-                       RamseyQuery, decide_ramsey, ramsey_query)
+                       RAMSEY, RamseyQuery, decide_ramsey, ramsey_query)
+from .densities import _check_prob
 from .graphs import Graph
 
 _MASK64 = (1 << 64) - 1
 _WILSON_Z = 1.959963984540054  # two-sided 95%
+# routes to a Ramsey verdict that hold in every superset host of a scan
+_CARRIED_ROUTES = ("clique_shortcut", "edgeless")
 
 
 def _mix64(x: int) -> int:
@@ -53,8 +71,7 @@ def sample_gnp(n: int, p: float, seed: int, trial: int = 0) -> Graph:
     """Binomial random graph on n vertices; edge j appears when its
     counter variate is below p.  Edge indices follow the canonical
     order of the complete graph."""
-    if not 0 <= p <= 1:
-        raise ValueError("edge probability must lie in [0, 1]")
+    _check_prob(p)
     edges = []
     for j, (u, v) in enumerate(itertools.combinations(range(n), 2)):
         if edge_variate(seed, trial, j) < p:
@@ -62,9 +79,25 @@ def sample_gnp(n: int, p: float, seed: int, trial: int = 0) -> Graph:
     return Graph.from_edges(n, edges)
 
 
+def _missing_pairs(base: Graph) -> list[tuple[int, int, int]]:
+    """(j, u, v) for each pair u < v absent from the base, j its index
+    in the canonical order of the complete graph (sample_gnp's)."""
+    adj = base.adj
+    return [(j, u, v) for j, (u, v) in enumerate(itertools.combinations(range(base.n), 2))
+            if not adj[u] >> v & 1]
+
+
 def perturb(base: Graph, p: float, seed: int, trial: int = 0) -> Graph:
-    """Union of the base graph with a fresh binomial random graph."""
-    return base.union(sample_gnp(base.n, p, seed, trial))
+    """Union of the base graph with a fresh binomial random graph,
+    base.union(sample_gnp(base.n, p, seed, trial)), drawing variates
+    only for the base's missing pairs."""
+    _check_prob(p)
+    adj = list(base.adj)
+    for j, u, v in _missing_pairs(base):
+        if edge_variate(seed, trial, j) < p:
+            adj[u] |= 1 << v
+            adj[v] |= 1 << u
+    return Graph(base.n, tuple(adj), base.labels)
 
 
 def wilson_interval(successes: int, total: int, z: float = _WILSON_Z) -> tuple[float, float]:
@@ -116,23 +149,24 @@ def _scan_base(base: Graph, targets: Sequence, grid: list[float], trials: int,
                clique_shortcut: bool) -> list[MonteCarloRow]:
     """One row per point of the ascending grid, for one base.
 
-    Trial-major: each trial's edge variates are drawn once, and the
-    trial's hosts grow along the grid by adding edges in arrival order,
-    so the host at p is exactly perturb(base, p, seed, trial).
-    Completed verdicts are cached by host adjacency; a Graph is built
-    only for a host that has to be decided.
+    Trial-major: each trial draws variates for the base's missing pairs
+    once, and its hosts grow along the grid by adding those pairs in
+    arrival order, so the host at p is exactly perturb(base, p, seed,
+    trial).  Completed verdicts are cached by host adjacency with the
+    route that reached them; a Graph is built only for a host that has
+    to be decided.  Once a trial's host is Ramsey by the clique
+    shortcut or an edgeless target, its later grid points count as
+    successes undecided (module docstring).
     """
     for p in grid:
-        if not 0 <= p <= 1:
-            raise ValueError("edge probability must lie in [0, 1]")
+        _check_prob(p)
     template = ramsey_query(base, targets)
-    pairs = list(itertools.combinations(range(base.n), 2))
+    missing = _missing_pairs(base)
     successes = [0] * len(grid)
     inconclusive = [0] * len(grid)
-    cache: dict = {}
+    cache: dict = {}  # adjacency -> (status, route)
     for t in range(trials):
-        arrivals = sorted((edge_variate(seed, t, j), u, v)
-                          for j, (u, v) in enumerate(pairs))
+        arrivals = sorted((edge_variate(seed, t, j), u, v) for j, u, v in missing)
         adj = list(base.adj)
         k = 0
         for i, p in enumerate(grid):
@@ -142,16 +176,22 @@ def _scan_base(base: Graph, targets: Sequence, grid: list[float], trials: int,
                 adj[v] |= 1 << u
                 k += 1
             key = tuple(adj)
-            status = cache.get(key)
-            if status is None:
+            hit = cache.get(key)
+            if hit is None:
                 q = RamseyQuery(Graph(base.n, key, base.labels), template.targets,
                                 template.forbidden, node_budget, time_budget)
-                status = decide_ramsey(q, clique_shortcut=clique_shortcut).status
-                if status != INCONCLUSIVE:
-                    cache[key] = status
+                verdict = decide_ramsey(q, clique_shortcut=clique_shortcut)
+                hit = (verdict.status, verdict.stats.route)
+                if verdict.status != INCONCLUSIVE:
+                    cache[key] = hit
+            status, route = hit
             if status == INCONCLUSIVE:
                 inconclusive[i] += 1
-            elif status == "ramsey":
+            elif status == RAMSEY:
+                if route in _CARRIED_ROUTES:
+                    for later in range(i, len(grid)):
+                        successes[later] += 1
+                    break
                 successes[i] += 1
     rows = []
     for p, s, inc in zip(grid, successes, inconclusive):

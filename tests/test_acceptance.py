@@ -16,15 +16,15 @@ from fractions import Fraction
 import dpll
 import oracles
 from ramseylab.coloring import (EdgeColoring, NOT_RAMSEY, RAMSEY, decide_ramsey,
-                                export_cnf, ramsey_query, verify_coloring)
+                                export_cnf, ramsey_query, targets_ramsey_number,
+                                verify_coloring)
 from ramseylab.constructions import (bipartite_decomposition,
                                      clique_split_coloring, lift_coloring,
                                      odd_cycle_free_multicoloring,
                                      turan_blue_composite)
 from ramseylab.densities import m2, m2_asym, mu0, mu1, rho, rho_k
 from ramseylab.experiments import replay, run_experiment
-from ramseylab.facts import (small_ramsey_number, verify_list_cycle_lemma,
-                             verify_odd_cycle_unavoidable)
+from ramseylab.facts import verify_list_cycle_lemma, verify_odd_cycle_unavoidable
 from ramseylab.graphs import (Graph, blowup, clique, clique_graph,
                               complete_multipartite, contains_pattern, cycle,
                               cycle_graph, empty_graph, hm_graph, hmr_graph,
@@ -44,7 +44,7 @@ def test_criterion_1_list_ramsey_number():
     t0 = time.monotonic()
     fact = verify_list_cycle_lemma()
     cert = fact.certificate
-    value = small_ramsey_number([[cycle(3)], [cycle(3), cycle(5)]], n_hi=6)
+    value = targets_ramsey_number([[cycle(3)], [cycle(3), cycle(5)]], cap=6)
     dt = time.monotonic() - t0
     ok = (fact.status == "verified"
           and cert["k4_status"] == NOT_RAMSEY

@@ -318,6 +318,20 @@ class TestSearchCounters:
         assert decide(co_path, [clique(3), clique(4)]).stats.symmetry_cuts == 0
         assert decide(clique_graph(9), [clique(3), clique(4)]).stats.symmetry_cuts > 0
 
+    def test_route_of_each_exit(self):
+        c3c3 = [cycle(3), cycle(3)]
+        edgeless = decide(clique_graph(3), [clique(1), clique(3)])
+        assert (edgeless.status, edgeless.stats.route) == (RAMSEY, "edgeless")
+        shortcut = decide_ramsey(ramsey_query(clique_graph(7), c3c3), clique_shortcut=True)
+        assert (shortcut.status, shortcut.stats.route) == (RAMSEY, "clique_shortcut")
+        # the shortcut finds no K6 in Turan(10,5), so the search decides
+        searched = decide_ramsey(ramsey_query(turan_graph(10, 5), c3c3), clique_shortcut=True)
+        assert (searched.status, searched.stats.route) == (NOT_RAMSEY, "search")
+        refuted = decide(clique_graph(6), c3c3)
+        assert (refuted.status, refuted.stats.route) == (RAMSEY, "search")
+        budget_out = decide_ramsey(ramsey_query(clique_graph(6), c3c3, node_budget=3))
+        assert (budget_out.status, budget_out.stats.route) == (INCONCLUSIVE, "search")
+
     def test_no_search_no_counts(self):
         verdict = decide_ramsey(ramsey_query(clique_graph(7), [cycle(3), cycle(3)]),
                                 clique_shortcut=True)

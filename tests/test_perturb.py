@@ -1,4 +1,6 @@
+import collections
 import hashlib
+import importlib
 import math
 
 import pytest
@@ -6,12 +8,16 @@ from hypothesis import example, given, settings, strategies as st
 
 from ramseylab.coloring import (DEFAULT_NODE_BUDGET, INCONCLUSIVE, RAMSEY,
                                 decide_ramsey, ramsey_query)
-from ramseylab.graphs import (Graph, clique, clique_graph, complete_multipartite,
-                              cycle, cycle_graph, empty_graph, path, turan_graph)
+from ramseylab.graphs import (Graph, arbitrary, clique, clique_graph,
+                              complete_multipartite, cycle, cycle_graph, empty_graph,
+                              path, turan_graph)
 from ramseylab.perturb import (MonteCarloRow, drc_select, log_spaced_grid,
                                monte_carlo_ramsey, perturb, sample_gnp,
                                threshold_scan, wilson_interval)
 from ramseylab.perturb import _crossing
+
+# the package re-exports the function perturb under the module's name
+perturb_module = importlib.import_module("ramseylab.perturb")
 
 
 class TestSampling:
@@ -83,6 +89,19 @@ class TestPerturb:
     def test_size_mismatch(self):
         with pytest.raises(ValueError):
             turan_graph(6, 3).union(empty_graph(7))
+
+    @settings(max_examples=100, deadline=None)
+    @given(base=st.sampled_from([turan_graph(9, 3), turan_graph(7, 5), cycle_graph(6),
+                                 empty_graph(6), clique_graph(5), empty_graph(0)]),
+           p=st.floats(min_value=0.0, max_value=1.0),
+           seed=st.integers(min_value=0, max_value=2 ** 32),
+           trial=st.integers(min_value=0, max_value=50))
+    def test_union_with_gnp(self, base, p, seed, trial):
+        assert perturb(base, p, seed, trial) == base.union(sample_gnp(base.n, p, seed, trial))
+
+    def test_bad_probability(self):
+        with pytest.raises(ValueError, match="probability"):
+            perturb(turan_graph(6, 3), 1.5, seed=0)
 
 
 class TestWilson:
@@ -266,8 +285,9 @@ def reference_row(base, targets, p, trials, seed, node_budget, clique_shortcut):
     return MonteCarloRow(base.n, p, trials, successes, inconclusive, lo, hi)
 
 
+# in Turan(7,5) one arrival makes a K6, so scans carry shortcut verdicts mid-grid
 BASES = [turan_graph(6, 3), complete_multipartite([2, 3]), empty_graph(5),
-         cycle_graph(6), complete_multipartite([1, 2, 3])]
+         cycle_graph(6), complete_multipartite([1, 2, 3]), turan_graph(7, 5)]
 TARGETS = [[cycle(3), cycle(3)], [clique(3), cycle(4)], [path(3), clique(3)]]
 
 
@@ -332,6 +352,89 @@ class TestTrialMajorScan:
             threshold_scan([base], targets, [0.2, bad], 3, 1)
         with pytest.raises(ValueError, match="probability"):
             monte_carlo_ramsey(base, targets, bad, 3, 1)
+
+
+def traced_scan(monkeypatch, base, targets, grid, trials, seed, **kw):
+    """threshold_scan on one base, recording the trial of each variate
+    drawn and (trial, host, verdict) for each host decided."""
+    variates, decided = [], []
+    draw, decide = perturb_module.edge_variate, perturb_module.decide_ramsey
+
+    def counted_draw(seed_, trial, j):
+        variates.append(trial)
+        return draw(seed_, trial, j)
+
+    def recorded_decide(query, **kwargs):
+        verdict = decide(query, **kwargs)
+        # a trial draws all its variates before it decides any host
+        decided.append((variates[-1], query.host, verdict))
+        return verdict
+
+    monkeypatch.setattr(perturb_module, "edge_variate", counted_draw)
+    monkeypatch.setattr(perturb_module, "decide_ramsey", recorded_decide)
+    result = threshold_scan([base], targets, grid, trials, seed, **kw)
+    monkeypatch.undo()
+    return result, variates, decided
+
+
+class TestScanWork:
+    """What a scan draws and decides: variates for the base's missing
+    pairs only, and no decision once a trial is Ramsey by a route that
+    holds in every larger host."""
+
+    GRID = [0.0, 0.05, 0.1, 0.2, 0.4, 0.8]
+
+    def test_draws_only_missing_pairs(self, monkeypatch):
+        base = turan_graph(10, 5)  # five parts of two: five missing pairs
+        _, variates, _ = traced_scan(monkeypatch, base, [cycle(3), cycle(3)],
+                                     self.GRID, 30, 3)
+        assert collections.Counter(variates) == {t: 5 for t in range(30)}
+
+    def test_no_decision_after_shortcut(self, monkeypatch):
+        base, targets, trials, seed = turan_graph(10, 5), [cycle(3), cycle(3)], 30, 3
+        result, _, decided = traced_scan(monkeypatch, base, targets, self.GRID,
+                                         trials, seed)
+        hosts = [[perturb(base, p, seed, t) for p in self.GRID] for t in range(trials)]
+        # first grid index where a fresh decision is a shortcut verdict
+        first = []
+        for t in range(trials):
+            routes = [decide_ramsey(ramsey_query(h, targets), clique_shortcut=True).stats.route
+                      for h in hosts[t]]
+            first.append(routes.index("clique_shortcut") if "clique_shortcut" in routes
+                         else len(self.GRID))
+        assert any(0 < i < len(self.GRID) - 1 for i in first)
+        for t, host, verdict in decided:
+            assert hosts[t].index(host) <= first[t]
+            assert verdict.stats.route in ("search", "clique_shortcut")
+        assert [row.successes for row in result.rows] == [
+            sum(i <= j for i in first) for j in range(len(self.GRID))]
+
+    def test_no_decision_after_edgeless(self, monkeypatch):
+        targets = [arbitrary(empty_graph(2)), cycle(3)]
+        result, _, decided = traced_scan(monkeypatch, turan_graph(10, 5), targets,
+                                         [0.3, 0.6, 0.9], 20, 5)
+        assert all(row.successes == 20 for row in result.rows)
+        assert len({t for t, _, _ in decided}) == len(decided) <= 20
+        assert all(v.stats.route == "edgeless" for _, _, v in decided)
+        # at p = 0 every trial's host is the base: one decision, then
+        # cache hits that carry the route
+        _, _, decided = traced_scan(monkeypatch, turan_graph(10, 5), targets,
+                                    [0.0, 0.6], 20, 5)
+        assert len(decided) == 1
+
+    def test_search_verdict_not_carried(self, monkeypatch):
+        # a later, larger host could exhaust a budget, so it is decided again
+        _, _, decided = traced_scan(monkeypatch, turan_graph(10, 5),
+                                    [cycle(3), cycle(3)], self.GRID, 30, 3,
+                                    clique_shortcut=False)
+        ramsey_trials = set()
+        again = False
+        for t, _, verdict in decided:
+            again = again or t in ramsey_trials
+            if verdict.status == RAMSEY:
+                assert verdict.stats.route == "search"
+                ramsey_trials.add(t)
+        assert again
 
 
 class TestDrcSelect:
