@@ -129,15 +129,20 @@ def _cmd_threshold(args) -> int:
     return UNDECIDED if answer.kind == UNKNOWN else OK
 
 
+def _targets_text(args) -> str:
+    """--targets, or --red and --blue joined in its 'K3,K3+C5' form."""
+    if args.targets:
+        return args.targets
+    if not (args.red and args.blue):
+        raise ManifestError("need --red and --blue, or --targets")
+    if "," in args.red + args.blue:
+        raise ManifestError("--red and --blue take one color each; use --targets")
+    return f"{args.red},{args.blue}"
+
+
 def _build_query(args):
     host = _graph_arg(args.host)
-    if args.targets:
-        targets = parse_targets(args.targets)
-    else:
-        if not (args.red and args.blue):
-            raise ManifestError("need --red and --blue, or --targets")
-        targets = [[parse_pattern(t) for t in args.red.split("+")],
-                   [parse_pattern(t) for t in args.blue.split("+")]]
+    targets = parse_targets(_targets_text(args))
     forbidden = None
     if args.forbid:
         with open(args.forbid, encoding="utf-8") as fh:
@@ -224,8 +229,7 @@ def _cmd_construct(args) -> int:
 def _cmd_scan(args) -> int:
     manifest = {
         "op": "scan",
-        "args": {"bases": args.base, "targets": args.targets
-                 or f"{args.red},{args.blue}",
+        "args": {"bases": args.base, "targets": _targets_text(args),
                  "p_grid": _grid_arg(args.p_grid), "trials": args.trials,
                  "node_budget": args.budget_nodes,
                  "time_budget": args.budget_secs},

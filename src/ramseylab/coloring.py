@@ -48,6 +48,10 @@ A target without edges (K1, P1, an edgeless graph) has a copy in every
 color class as soon as one placement of its vertices is allowed; such
 a query is Ramsey before any search.
 
+targets_ramsey_number searches K_2, K_3, .. afresh on every call; the
+module keeps no state between calls.  A caller that needs the number
+for many hosts (a scan's clique shortcut) asks once and keeps it.
+
 Verdicts are first class: Ramsey and NotRamsey are only reported from a
 completed search (witnesses are re-verified independently); running out
 of node or time budget yields Inconclusive, never a guess.
@@ -64,7 +68,7 @@ from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 from .graphs import (Graph, Pattern, _allowed_copies, _copy_edges, _iter_through,
-                     clique, clique_graph, contains_pattern)
+                     clique_graph)
 
 DEFAULT_NODE_BUDGET = 10 ** 8
 DEFAULT_TIME_BUDGET = 60.0
@@ -128,9 +132,9 @@ class SearchStats:
     at once and symmetry_cuts the colors skipped by a twin-row or
     precedence constraint; these three are set only at the exit, and
     appear in no output.  route says how the verdict was reached:
-    "edgeless" (a target without edges), "clique_shortcut" or "search"
-    (the search ran, whatever it concluded, budget exits included), set
-    at each exit of decide_ramsey; it appears in no output either."""
+    "edgeless" (a target without edges) or "search" (the search ran,
+    whatever it concluded, budget exits included), set at each exit of
+    decide_ramsey; it appears in no output either."""
 
     nodes: int = 0
     checks: int = 0
@@ -384,39 +388,6 @@ def _symmetry_constraints(query: RamseyQuery, pairs: list) -> tuple[list, int]:
 # The decision procedure
 
 
-# (n, targets) -> (True/False, nodes the proof took, None) for a completed
-# search on K_n, or (None, node budget, time budget) for one that ran out.
-_ramsey_number_cache: dict = {}
-
-
-def _complete_host_ramsey(n: int, targets, node_budget: int = DEFAULT_NODE_BUDGET,
-                          time_budget: float = DEFAULT_TIME_BUDGET) -> Optional[bool]:
-    """Is K_n Ramsey for the targets?  None when the budget ran out.
-
-    The memo answers as a fresh search would: a stored proof only when
-    the caller's node budget covers the nodes it took, a stored
-    budget-out only when the caller's budgets are no larger than those
-    that ran out.  A completed search is never replaced.
-    """
-    key = (n, targets)
-    entry = _ramsey_number_cache.get(key)
-    if entry is not None:
-        result, nodes, secs = entry
-        if result is not None:
-            if node_budget >= nodes:
-                return result
-        elif node_budget <= nodes and time_budget <= secs:
-            return None
-    q = RamseyQuery(clique_graph(n), targets,
-                    tuple(frozenset() for _ in targets), node_budget, time_budget)
-    verdict = decide_ramsey(q)
-    result = None if verdict.status == INCONCLUSIVE else verdict.is_ramsey
-    if entry is None or entry[0] is None:
-        _ramsey_number_cache[key] = ((None, node_budget, time_budget) if result is None
-                                     else (result, verdict.stats.nodes, None))
-    return result
-
-
 def targets_ramsey_number(targets, cap: int = 12,
                           node_budget: int = DEFAULT_NODE_BUDGET,
                           time_budget: float = DEFAULT_TIME_BUDGET) -> Optional[int]:
@@ -425,19 +396,21 @@ def targets_ramsey_number(targets, cap: int = 12,
 
     Each color's targets may be a single Pattern or an iterable.
     Complete-host Ramseyness is monotone in n, so the first hit is the
-    Ramsey number.  Searches on K_n are memoized per process.
+    Ramsey number.  Every call searches K_2, K_3, .. afresh.
     """
     targets = _normalize_targets(targets)
     for n in range(2, cap + 1):
-        got = _complete_host_ramsey(n, targets, node_budget, time_budget)
-        if got is None:
+        verdict = decide_ramsey(ramsey_query(clique_graph(n), targets,
+                                             node_budget=node_budget,
+                                             time_budget=time_budget))
+        if verdict.status == INCONCLUSIVE:
             return None
-        if got:
+        if verdict.is_ramsey:
             return n
     return None
 
 
-def decide_ramsey(query: RamseyQuery, *, clique_shortcut: bool = False) -> RamseyVerdict:
+def decide_ramsey(query: RamseyQuery) -> RamseyVerdict:
     """Decide whether the host is Ramsey for the query.
 
     Ramsey means exhaustive refutation completed, or that some color
@@ -446,10 +419,7 @@ def decide_ramsey(query: RamseyQuery, *, clique_shortcut: bool = False) -> Ramse
     Inconclusive means a budget was hit.  The search breaks the query's
     twin-row and color symmetries (module docstring); the witness is the
     lexicographically least valid coloring in the branching order, as
-    without them.  clique_shortcut additionally reports Ramsey when
-    the host contains a complete subgraph of solver-derived Ramsey
-    order, which is sound by monotonicity; it never fires with
-    forbidden sets present.
+    without them.
     """
     host = query.host
     r = query.r
@@ -461,16 +431,6 @@ def decide_ramsey(query: RamseyQuery, *, clique_shortcut: bool = False) -> Ramse
         stats.elapsed = time.monotonic() - start
         stats.note, stats.route = edgeless, "edgeless"
         return RamseyVerdict(RAMSEY, None, stats)
-
-    if clique_shortcut and all(not f for f in query.forbidden):
-        number = targets_ramsey_number(query.targets, cap=min(host.n, 12),
-                                       node_budget=query.node_budget,
-                                       time_budget=query.time_budget)
-        if number is not None and contains_pattern(host, clique(number)):
-            stats.elapsed = time.monotonic() - start
-            stats.note = f"complete subgraph on {number} vertices is Ramsey"
-            stats.route = "clique_shortcut"
-            return RamseyVerdict(RAMSEY, None, stats)
 
     n = host.n
     edges = host.edges()

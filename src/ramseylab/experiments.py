@@ -19,6 +19,7 @@ byte, except that fact-report runtimes are zeroed on both sides first.
 from __future__ import annotations
 
 import copy
+import inspect
 import json
 import os
 import secrets
@@ -76,6 +77,13 @@ def _fact_report(name: str, args: dict) -> facts_mod.FactReport:
     if name not in _FACT_OPS:
         raise ManifestError(f"unknown fact {name!r}; known: {sorted(_FACT_OPS)}")
     kwargs = dict(args)
+    signature = inspect.signature(_FACT_OPS[name])
+    try:
+        signature.bind_partial(**kwargs)  # unknown keywords first
+        signature.bind(**kwargs)
+    except TypeError as exc:
+        accepted = ", ".join(signature.parameters) or "no arguments"
+        raise ManifestError(f"fact {name!r}: {exc}; it accepts {accepted}") from None
     for key in ("first", "second"):
         if key in kwargs:
             kwargs[key] = [parse_pattern(t) for t in str(kwargs[key]).split("+")]

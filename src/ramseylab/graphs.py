@@ -9,6 +9,7 @@ sampling) is lexicographic on (min, max).
 
 from __future__ import annotations
 
+import inspect
 import itertools
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional, Sequence
@@ -680,24 +681,25 @@ def build_family(descriptor) -> Graph:
         name = descriptor["family"]
         args = list(descriptor.get("args", []))
     name = name.strip().lower()
-    if name == "empty":
-        return empty_graph(int(args[0]))
-    if name == "clique":
-        return clique_graph(int(args[0]))
-    if name == "cycle":
-        return cycle_graph(int(args[0]))
-    if name == "path":
-        return path_graph(int(args[0]))
     if name == "complete_multipartite":
         return complete_multipartite([int(a) for a in args])
-    if name == "turan":
-        return turan_graph(int(args[0]), int(args[1]))
-    if name == "blowup":
-        return blowup(graph6.decode(str(args[0])), int(args[1]))
-    if name == "hm":
-        return hm_graph(int(args[0]))
-    if name == "hmr":
-        return hmr_graph(int(args[0]), int(args[1]))
-    if name == "graph6":
-        return graph6.decode(str(args[0]))
-    raise ValueError(f"unknown family {name!r}")
+    # each builder's parameters are the family's arguments, in order
+    builders = {
+        "empty": lambda n: empty_graph(int(n)),
+        "clique": lambda n: clique_graph(int(n)),
+        "cycle": lambda n: cycle_graph(int(n)),
+        "path": lambda n: path_graph(int(n)),
+        "turan": lambda n, k: turan_graph(int(n), int(k)),
+        "blowup": lambda g6, m: blowup(graph6.decode(str(g6)), int(m)),
+        "hm": lambda m: hm_graph(int(m)),
+        "hmr": lambda m, r: hmr_graph(int(m), int(r)),
+        "graph6": lambda g6: graph6.decode(str(g6)),
+    }
+    build = builders.get(name)
+    if build is None:
+        raise ValueError(f"unknown family {name!r}")
+    params = list(inspect.signature(build).parameters)
+    if len(args) != len(params):
+        raise ValueError(f"family {name!r} takes {len(params)} argument"
+                         f"{'s' * (len(params) > 1)} ({','.join(params)}), got {len(args)}")
+    return build(*args)

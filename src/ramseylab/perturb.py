@@ -17,14 +17,16 @@ arrival order as p grows along the sorted grid, so the host at each
 grid point is exactly perturb(base, p, seed, trial).
 
 Hosts are nested in p within a trial, and being Ramsey for non-induced
-targets is monotone under adding edges.  So once a trial's host is
-Ramsey by a route that no budget can change, every later grid point of
-that trial is counted a success without building or deciding its
-host: the clique shortcut (the K_R it found stays in every superset,
-and the memoised R depends only on the targets, the budgets and n) and
-an edgeless target (which depends only on n and the forbidden sets).
-A Ramsey verdict reached by search is not carried forward, because a
-fresh search of a larger host could run out of budget.
+targets is monotone under adding edges.  The scan settles two verdicts
+that no budget can change once per base, before any trial.  A target
+without edges makes every host on n vertices Ramsey, so nothing is
+drawn or decided.  With the clique shortcut, R = the least n' <= n
+(capped at 12) with K_n' Ramsey for the targets depends only on the
+targets, the budgets and n; a host holding a K_R is Ramsey, and so is
+every later host of its trial, which then count as successes without
+being built.  A Ramsey verdict reached by search is not carried
+forward, because a fresh search of a larger host could run out of
+budget.
 
 Ramsey trials that exhaust their budget count as Inconclusive: they are
 reported separately and excluded from the success-rate denominator,
@@ -39,14 +41,13 @@ from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 from .coloring import (DEFAULT_NODE_BUDGET, DEFAULT_TIME_BUDGET, INCONCLUSIVE,
-                       RAMSEY, RamseyQuery, decide_ramsey, ramsey_query)
+                       RAMSEY, RamseyQuery, _edgeless_target, decide_ramsey,
+                       ramsey_query, targets_ramsey_number)
 from .densities import _check_prob
-from .graphs import Graph
+from .graphs import Graph, clique, contains_pattern
 
 _MASK64 = (1 << 64) - 1
 _WILSON_Z = 1.959963984540054  # two-sided 95%
-# routes to a Ramsey verdict that hold in every superset host of a scan
-_CARRIED_ROUTES = ("clique_shortcut", "edgeless")
 
 
 def _mix64(x: int) -> int:
@@ -152,20 +153,28 @@ def _scan_base(base: Graph, targets: Sequence, grid: list[float], trials: int,
     Trial-major: each trial draws variates for the base's missing pairs
     once, and its hosts grow along the grid by adding those pairs in
     arrival order, so the host at p is exactly perturb(base, p, seed,
-    trial).  Completed verdicts are cached by host adjacency with the
-    route that reached them; a Graph is built only for a host that has
-    to be decided.  Once a trial's host is Ramsey by the clique
-    shortcut or an edgeless target, its later grid points count as
-    successes undecided (module docstring).
+    trial).  The edgeless-target test and the shortcut's R are worked
+    out once, before the first trial (module docstring).  Completed
+    verdicts are cached by host adjacency, with whether they carry to
+    the trial's later grid points; a Graph is built only for a host
+    that has to be decided.
     """
     for p in grid:
         _check_prob(p)
     template = ramsey_query(base, targets)
-    missing = _missing_pairs(base)
-    successes = [0] * len(grid)
+    edgeless = _edgeless_target(template) is not None
+    # with an edgeless target every trial is a success at every p
+    successes = [trials if edgeless else 0] * len(grid)
     inconclusive = [0] * len(grid)
-    cache: dict = {}  # adjacency -> (status, route)
-    for t in range(trials):
+    shortcut = None
+    if clique_shortcut and not edgeless:
+        number = targets_ramsey_number(template.targets, cap=min(base.n, 12),
+                                       node_budget=node_budget, time_budget=time_budget)
+        if number is not None:
+            shortcut = clique(number)
+    missing = _missing_pairs(base)
+    cache: dict = {}  # adjacency -> (status, carried)
+    for t in range(0 if edgeless else trials):
         arrivals = sorted((edge_variate(seed, t, j), u, v) for j, u, v in missing)
         adj = list(base.adj)
         k = 0
@@ -178,17 +187,20 @@ def _scan_base(base: Graph, targets: Sequence, grid: list[float], trials: int,
             key = tuple(adj)
             hit = cache.get(key)
             if hit is None:
-                q = RamseyQuery(Graph(base.n, key, base.labels), template.targets,
-                                template.forbidden, node_budget, time_budget)
-                verdict = decide_ramsey(q, clique_shortcut=clique_shortcut)
-                hit = (verdict.status, verdict.stats.route)
-                if verdict.status != INCONCLUSIVE:
+                host = Graph(base.n, key, base.labels)
+                if shortcut is not None and contains_pattern(host, shortcut):
+                    hit = (RAMSEY, True)
+                else:
+                    q = RamseyQuery(host, template.targets, template.forbidden,
+                                    node_budget, time_budget)
+                    hit = (decide_ramsey(q).status, False)
+                if hit[0] != INCONCLUSIVE:
                     cache[key] = hit
-            status, route = hit
+            status, carried = hit
             if status == INCONCLUSIVE:
                 inconclusive[i] += 1
             elif status == RAMSEY:
-                if route in _CARRIED_ROUTES:
+                if carried:
                     for later in range(i, len(grid)):
                         successes[later] += 1
                     break

@@ -75,16 +75,16 @@ def _seed_band(d: Fraction) -> int:
 
 def _least_quotient_clique(k: int, m: int) -> int:
     """Least a with Ramsey number R(K_{a+1}, K_m) exceeding k, found by
-    exhaustive search on complete hosts (memoized)."""
-    from .coloring import _complete_host_ramsey
-    from .graphs import clique
+    exhaustive search on K_k."""
+    from .coloring import INCONCLUSIVE, decide_ramsey, ramsey_query
+    from .graphs import clique, clique_graph
 
+    host = clique_graph(k)
     for a in range(1, k + 1):
-        targets = ((clique(a + 1),), (clique(m),))
-        got = _complete_host_ramsey(k, targets)
-        if got is None:
+        verdict = decide_ramsey(ramsey_query(host, [clique(a + 1), clique(m)]))
+        if verdict.status == INCONCLUSIVE:
             raise RuntimeError("small-Ramsey evaluation exceeded its budget")
-        if not got:
+        if not verdict.is_ramsey:
             # K_k admits a coloring avoiding both, so R > k
             return a
     return k

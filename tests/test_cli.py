@@ -159,6 +159,20 @@ class TestRamseyCheckCommand:
         code, out, err = run(capsys, ["ramsey-check", "--host", K6,
                                       "--red", "C3"])
         assert code == ERROR
+        assert "need --red and --blue, or --targets" in err
+
+    def test_comma_in_one_color_is_error(self, capsys):
+        code, out, err = run(capsys, ["ramsey-check", "--host", K6,
+                                      "--red", "C3,C5", "--blue", "C3"])
+        assert code == ERROR
+        assert "--targets" in err
+
+    def test_family_argument_count_is_error(self, capsys):
+        code, out, err = run(capsys, ["ramsey-check", "--host", "turan:12",
+                                      "--red", "K3", "--blue", "K3"])
+        assert code == ERROR
+        assert err.startswith("error:")
+        assert "'turan' takes 2 arguments" in err
 
 
 class TestConstructCommand:
@@ -241,6 +255,14 @@ class TestScanAndReplay:
         assert manifest["seed"] == 7
         assert summary["sizes"] == [8]
 
+    def test_missing_targets_is_error(self, capsys, tmp_path):
+        code, out, err = run(
+            capsys, ["scan", "--base", "turan:8,4", "--p-grid", "0.05,0.6",
+                     "--trials", "4", "--out", str(tmp_path / "scan.csv")])
+        assert code == ERROR
+        assert "need --red and --blue, or --targets" in err
+        assert not (tmp_path / "scan.csv").exists()
+
     def test_seed_drawn_when_missing(self, capsys, tmp_path):
         out = tmp_path / "s.csv"
         code, stdout, err = run(
@@ -302,6 +324,13 @@ class TestFactsCommand:
             capsys, ["facts", "--only", "small_ramsey", "--fact-args",
                      '{"first": "K3", "second": "K4", "n_hi": 8}'])
         assert code == UNDECIDED
+
+    def test_unknown_fact_argument_is_error(self, capsys):
+        code, out, err = run(capsys, ["facts", "--only", "small_ramsey",
+                                      "--fact-args", '{"bogus": 1}'])
+        assert code == ERROR
+        assert "'bogus'" in err
+        assert "first, second, expected, n_hi" in err
 
     def test_csv_format(self, capsys, tmp_path):
         target = tmp_path / "facts.csv"

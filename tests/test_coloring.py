@@ -1,6 +1,5 @@
 import itertools
 import random
-import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -322,10 +321,7 @@ class TestSearchCounters:
         c3c3 = [cycle(3), cycle(3)]
         edgeless = decide(clique_graph(3), [clique(1), clique(3)])
         assert (edgeless.status, edgeless.stats.route) == (RAMSEY, "edgeless")
-        shortcut = decide_ramsey(ramsey_query(clique_graph(7), c3c3), clique_shortcut=True)
-        assert (shortcut.status, shortcut.stats.route) == (RAMSEY, "clique_shortcut")
-        # the shortcut finds no K6 in Turan(10,5), so the search decides
-        searched = decide_ramsey(ramsey_query(turan_graph(10, 5), c3c3), clique_shortcut=True)
+        searched = decide(turan_graph(10, 5), c3c3)
         assert (searched.status, searched.stats.route) == (NOT_RAMSEY, "search")
         refuted = decide(clique_graph(6), c3c3)
         assert (refuted.status, refuted.stats.route) == (RAMSEY, "search")
@@ -333,8 +329,7 @@ class TestSearchCounters:
         assert (budget_out.status, budget_out.stats.route) == (INCONCLUSIVE, "search")
 
     def test_no_search_no_counts(self):
-        verdict = decide_ramsey(ramsey_query(clique_graph(7), [cycle(3), cycle(3)]),
-                                clique_shortcut=True)
+        verdict = decide(clique_graph(7), [path(1), cycle(3)])
         assert verdict.status == RAMSEY and verdict.stats.note
         assert (verdict.stats.nodes, verdict.stats.backjumps,
                 verdict.stats.max_depth, verdict.stats.symmetry_cuts) == (0, 0, 0, 0)
@@ -516,9 +511,9 @@ class TestSmallRamseyNumbers:
         for a in range(2, 6):
             assert targets_ramsey_number(((clique(a),), (clique(2),))) == a
 
-    def test_memo_does_not_leak_across_budgets(self, monkeypatch):
+    def test_memo_does_not_leak_across_budgets(self):
+        # a scan's rows depend on its own budgets, not on earlier scans
         from ramseylab.perturb import threshold_scan
-        monkeypatch.setattr(coloring, "_ramsey_number_cache", {})
 
         def scan(**budget):
             return threshold_scan([turan_graph(8, 2)], [clique(3), clique(3)],
@@ -527,15 +522,6 @@ class TestSmallRamseyNumbers:
         starved = scan(node_budget=1)
         scan()
         assert scan(node_budget=1) == starved
-
-    def test_budget_out_is_remembered(self, monkeypatch):
-        monkeypatch.setattr(coloring, "_ramsey_number_cache", {})
-        # K10 against (C4,K4) takes 3,510 nodes
-        targets = ((cycle(4),), (clique(4),))
-        assert targets_ramsey_number(targets, node_budget=2_000) is None
-        start = time.perf_counter()
-        assert targets_ramsey_number(targets, node_budget=2_000) is None
-        assert time.perf_counter() - start < 0.01
 
     def test_c4_k4_number_is_10(self):
         # Radziszowski, Small Ramsey Numbers (DS1)

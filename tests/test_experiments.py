@@ -87,6 +87,15 @@ class TestRunExperiment:
             run_experiment({"op": "fact", "name": "nope"},
                            base_dir=str(tmp_path))
 
+    def test_fact_arguments_checked(self, tmp_path):
+        with pytest.raises(ManifestError, match="accepts i, n"):
+            run_experiment({"op": "fact", "name": "bipartite_split",
+                            "args": {"i": 2, "bogus": 1}}, base_dir=str(tmp_path))
+        with pytest.raises(ManifestError, match="missing"):
+            run_experiment({"op": "fact", "name": "bipartite_split"},
+                           base_dir=str(tmp_path))
+        assert not list(tmp_path.iterdir())
+
     def test_manifest_from_file(self, tmp_path):
         path = tmp_path / "m.json"
         path.write_text(json.dumps({"op": "fact", "name": "list_cycle_lemma",

@@ -133,6 +133,16 @@ class TestFamilies:
         assert build_family("clique:5") == clique_graph(5)
         assert build_family({"family": "cycle", "args": [7]}) == cycle_graph(7)
 
+    @pytest.mark.parametrize("descriptor, message", [
+        ("turan:12", r"'turan' takes 2 arguments \(n,k\), got 1"),
+        ("turan:12,4,5", r"'turan' takes 2 arguments \(n,k\), got 3"),
+        ("clique:", r"'clique' takes 1 argument \(n\), got 0"),
+        ({"family": "hmr", "args": [1]}, r"'hmr' takes 2 arguments \(m,r\), got 1"),
+        ("mystery:3", "unknown family 'mystery'")])
+    def test_build_family_bad_arguments(self, descriptor, message):
+        with pytest.raises(ValueError, match=message):
+            build_family(descriptor)
+
     def test_blowup_structure(self):
         g = blowup(cycle_graph(3), 2)
         assert g.n == 6 and g.edge_count == 3 * 4

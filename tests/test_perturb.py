@@ -7,10 +7,10 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from ramseylab.coloring import (DEFAULT_NODE_BUDGET, INCONCLUSIVE, RAMSEY,
-                                decide_ramsey, ramsey_query)
+                                decide_ramsey, ramsey_query, targets_ramsey_number)
 from ramseylab.graphs import (Graph, arbitrary, clique, clique_graph,
-                              complete_multipartite, cycle, cycle_graph, empty_graph,
-                              path, turan_graph)
+                              complete_multipartite, contains_pattern, cycle,
+                              cycle_graph, empty_graph, path, turan_graph)
 from ramseylab.perturb import (MonteCarloRow, drc_select, log_spaced_grid,
                                monte_carlo_ramsey, perturb, sample_gnp,
                                threshold_scan, wilson_interval)
@@ -274,11 +274,21 @@ class TestThresholdScan:
 
 def reference_row(base, targets, p, trials, seed, node_budget, clique_shortcut):
     """One row decided the plain way: every trial's host built by
-    perturb and decided on its own, with no cache."""
+    perturb and decided on its own, with no cache.  The clique shortcut
+    counts a host Ramsey when it holds a K_R, R the targets' Ramsey
+    number under the same budgets."""
+    number = None
+    if clique_shortcut:
+        number = targets_ramsey_number(targets, cap=min(base.n, 12),
+                                       node_budget=node_budget)
     successes = inconclusive = 0
     for t in range(trials):
-        q = ramsey_query(perturb(base, p, seed, t), targets, node_budget=node_budget)
-        status = decide_ramsey(q, clique_shortcut=clique_shortcut).status
+        host = perturb(base, p, seed, t)
+        if number is not None and contains_pattern(host, clique(number)):
+            status = RAMSEY
+        else:
+            status = decide_ramsey(ramsey_query(host, targets,
+                                                node_budget=node_budget)).status
         inconclusive += status == INCONCLUSIVE
         successes += status == RAMSEY
     lo, hi = wilson_interval(successes, trials - inconclusive)
@@ -364,8 +374,8 @@ def traced_scan(monkeypatch, base, targets, grid, trials, seed, **kw):
         variates.append(trial)
         return draw(seed_, trial, j)
 
-    def recorded_decide(query, **kwargs):
-        verdict = decide(query, **kwargs)
+    def recorded_decide(query):
+        verdict = decide(query)
         # a trial draws all its variates before it decides any host
         decided.append((variates[-1], query.host, verdict))
         return verdict
@@ -379,8 +389,8 @@ def traced_scan(monkeypatch, base, targets, grid, trials, seed, **kw):
 
 class TestScanWork:
     """What a scan draws and decides: variates for the base's missing
-    pairs only, and no decision once a trial is Ramsey by a route that
-    holds in every larger host."""
+    pairs only, no decision for a host that holds the shortcut's K_R or
+    after it in its trial, and nothing at all for an edgeless target."""
 
     GRID = [0.0, 0.05, 0.1, 0.2, 0.4, 0.8]
 
@@ -395,32 +405,46 @@ class TestScanWork:
         result, _, decided = traced_scan(monkeypatch, base, targets, self.GRID,
                                          trials, seed)
         hosts = [[perturb(base, p, seed, t) for p in self.GRID] for t in range(trials)]
-        # first grid index where a fresh decision is a shortcut verdict
+        # first grid index where the trial's host holds a K6, R(C3,C3) = 6
         first = []
         for t in range(trials):
-            routes = [decide_ramsey(ramsey_query(h, targets), clique_shortcut=True).stats.route
-                      for h in hosts[t]]
-            first.append(routes.index("clique_shortcut") if "clique_shortcut" in routes
-                         else len(self.GRID))
+            holds = [contains_pattern(h, clique(6)) for h in hosts[t]]
+            first.append(holds.index(True) if True in holds else len(self.GRID))
         assert any(0 < i < len(self.GRID) - 1 for i in first)
+        assert decided
         for t, host, verdict in decided:
-            assert hosts[t].index(host) <= first[t]
-            assert verdict.stats.route in ("search", "clique_shortcut")
+            assert hosts[t].index(host) < first[t]
+            assert verdict.stats.route == "search"
         assert [row.successes for row in result.rows] == [
             sum(i <= j for i in first) for j in range(len(self.GRID))]
 
     def test_no_decision_after_edgeless(self, monkeypatch):
         targets = [arbitrary(empty_graph(2)), cycle(3)]
-        result, _, decided = traced_scan(monkeypatch, turan_graph(10, 5), targets,
-                                         [0.3, 0.6, 0.9], 20, 5)
-        assert all(row.successes == 20 for row in result.rows)
-        assert len({t for t, _, _ in decided}) == len(decided) <= 20
-        assert all(v.stats.route == "edgeless" for _, _, v in decided)
-        # at p = 0 every trial's host is the base: one decision, then
-        # cache hits that carry the route
-        _, _, decided = traced_scan(monkeypatch, turan_graph(10, 5), targets,
-                                    [0.0, 0.6], 20, 5)
-        assert len(decided) == 1
+        for grid in ([0.3, 0.6, 0.9], [0.0, 0.6]):
+            result, variates, decided = traced_scan(monkeypatch, turan_graph(10, 5),
+                                                    targets, grid, 20, 5)
+            assert all(row.successes == 20 for row in result.rows)
+            assert variates == decided == []
+
+    def test_ramsey_number_once_per_base(self, monkeypatch):
+        calls = []
+        lookup = perturb_module.targets_ramsey_number
+
+        def counted_lookup(targets, **kwargs):
+            calls.append(kwargs["cap"])
+            return lookup(targets, **kwargs)
+
+        monkeypatch.setattr(perturb_module, "targets_ramsey_number", counted_lookup)
+        bases = [turan_graph(10, 5), turan_graph(7, 5)]
+        threshold_scan(bases, [cycle(3), cycle(3)], self.GRID, 10, 3)
+        assert calls == [10, 7]
+        monte_carlo_ramsey(bases[0], [cycle(3), cycle(3)], 0.2, 10, 3)
+        assert calls == [10, 7, 10]
+        calls.clear()
+        threshold_scan(bases, [cycle(3), cycle(3)], self.GRID, 10, 3,
+                       clique_shortcut=False)
+        threshold_scan(bases, [arbitrary(empty_graph(2)), cycle(3)], self.GRID, 10, 3)
+        assert calls == []
 
     def test_search_verdict_not_carried(self, monkeypatch):
         # a later, larger host could exhaust a budget, so it is decided again
