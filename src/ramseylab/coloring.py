@@ -30,7 +30,7 @@ smaller, which gives two families of necessary conditions on X, so
 pruning by them changes no verdict and no witness:
 
 - Twin rows.  When swapping vertices i and i+1 is a host automorphism
-  (N(i) minus i+1 equals N(i+1) minus i) and maps every color's
+  (they are twins, graphs.twin_classes) and maps every color's
   forbidden family to itself, row i <= row i+1, rows read as color
   vectors over the columns k outside {i, i+1} in ascending k.  Entry k
   is decided by the later of edges {i,k}, {i+1,k}, which is {i+1,k}:
@@ -67,8 +67,8 @@ import time
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
-from .graphs import (Graph, Pattern, _allowed_copies, _copy_edges, _iter_through,
-                     clique_graph)
+from .graphs import (Graph, Pattern, _allowed_copies, _bits, _copy_edges, _iter_through,
+                     clique_graph, twin_classes)
 
 DEFAULT_NODE_BUDGET = 10 ** 8
 DEFAULT_TIME_BUDGET = 60.0
@@ -360,9 +360,10 @@ def _symmetry_constraints(query: RamseyQuery, pairs: list) -> tuple[list, int]:
     depth_of = {e: d for d, e in enumerate(pairs)}
     rows = [[] for _ in pairs]
     slots = 1
+    twins_of = {v: members for members, _ in twin_classes(host) for v in _bits(members)}
     for i in range(host.n - 1):
         j = i + 1
-        if adj[i] & ~(1 << j) != adj[j] & ~(1 << i):
+        if not twins_of[i] >> j & 1:
             continue
         swap = {i: j, j: i}
         if any(frozenset(frozenset(swap.get(x, x) for x in vs) for vs in forb) != forb

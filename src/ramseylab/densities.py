@@ -5,11 +5,14 @@ Every subgraph maximum and minimum here is read from the edge profile
 emax[v], the most edges induced by any v vertices (v = 0..n).  This is
 sound because for a fixed vertex count each quantity is monotone in the
 edge count: d2, e/v and e/(v - 2 + 1/m2(H2)) never decrease as edges
-are added, and n^v p^e never increases for p <= 1.  The profile
-enumerates vertex subsets, up to 20 vertices; rho_k walks subsets of
-its own, up to 14.  Rational results are exact Fractions; the moment
-quantities work in log-domain floats unless given a rational edge
-probability, in which case they are exact too.
+are added, and n^v p^e never increases for p <= 1.  The profile walks
+how many vertices a subset takes from each twin class (vertices with
+the same neighbours besides each other), up to 20 vertices: that is
+prod(|class| + 1) steps, 2^n for a twin-free graph and 7^3 = 343 for
+Turan(18,3).  rho_k walks subsets of its own, up to 14.  Rational
+results are exact Fractions; the moment quantities work in log-domain
+floats unless given a rational edge probability, in which case they
+are exact too.
 """
 
 from __future__ import annotations
@@ -18,7 +21,7 @@ import math
 from fractions import Fraction
 from typing import Optional, Union
 
-from .graphs import Graph, Pattern, _bits
+from .graphs import Graph, Pattern, _bits, twin_classes
 
 _ENUM_LIMIT = 20
 _PARTITION_LIMIT = 14
@@ -33,23 +36,63 @@ def _as_graph(h: GraphLike) -> Graph:
 def _edge_profile(g: Graph) -> list[int]:
     """emax[v]: the most edges induced by any v vertices, for v = 0..n.
 
-    Subsets are visited in Gray-code order: each step adds or drops one
-    vertex, moving the edge count by its neighbours in the subset.
+    Twins (graphs.twin_classes) are interchangeable, so a subset's edge
+    count depends only on how many vertices it takes from each class.
+    The vertices are relabelled with the singleton classes first.  An
+    outer reflected mixed-radix Gray code walks the counts c_i taken
+    from each larger class (its first c_i vertices); at each count
+    vector an inner binary Gray code walks the singleton subsets on top
+    of them.  Each step of either adds or drops one vertex, moving the
+    edge count by its neighbours in the subset.  That is prod(|class|+1)
+    steps in all: 2^n for a twin-free graph, where only the inner walk
+    runs, and 343 for Turan(18,3).
     """
     if g.n > _ENUM_LIMIT:
         raise ValueError(f"subset enumeration limited to {_ENUM_LIMIT} vertices")
-    adj = g.adj
+    classes = [members for members, _ in twin_classes(g)]
+    order = [v for members in classes if not members & (members - 1)
+             for v in _bits(members)]
+    singles = len(order)
+    starts, tops = [], []
+    for members in classes:
+        if members & (members - 1):
+            starts.append(len(order))
+            tops.append(members.bit_count())
+            order.extend(_bits(members))
+    label = [0] * g.n
+    for i, v in enumerate(order):
+        label[v] = i
+    adj = [sum(1 << label[u] for u in _bits(g.adj[v])) for v in order]
     emax = [0] * (g.n + 1)
-    mask = edges = 0
-    for i in range(1, 1 << g.n):
-        bit = i & -i
-        mask ^= bit
-        inside = (adj[bit.bit_length() - 1] & mask).bit_count()
-        edges += inside if mask & bit else -inside
+    count = [0] * len(starts)
+    step = [1] * len(starts)
+    base = base_edges = 0
+    while True:
+        mask, edges = base, base_edges
         size = mask.bit_count()
         if edges > emax[size]:
             emax[size] = edges
-    return emax
+        for i in range(1, 1 << singles):
+            bit = i & -i
+            mask ^= bit
+            inside = (adj[bit.bit_length() - 1] & mask).bit_count()
+            edges += inside if mask & bit else -inside
+            size = mask.bit_count()
+            if edges > emax[size]:
+                emax[size] = edges
+        # next count vector: the first class that can move on in its
+        # direction does; the ones before it turn around
+        k = 0
+        while k < len(count) and not 0 <= count[k] + step[k] <= tops[k]:
+            step[k] = -step[k]
+            k += 1
+        if k == len(count):
+            return emax
+        v = starts[k] + count[k] - (step[k] < 0)
+        count[k] += step[k]
+        base ^= 1 << v
+        inside = (adj[v] & base).bit_count()
+        base_edges += inside if step[k] > 0 else -inside
 
 
 def d2_of_counts(v: int, e: int) -> Fraction:

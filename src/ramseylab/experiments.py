@@ -23,6 +23,7 @@ import inspect
 import json
 import os
 import secrets
+import typing
 from typing import Optional, Union
 
 from . import facts as facts_mod
@@ -76,14 +77,31 @@ def parse_targets(text: str) -> list[list]:
 def _fact_report(name: str, args: dict) -> facts_mod.FactReport:
     if name not in _FACT_OPS:
         raise ManifestError(f"unknown fact {name!r}; known: {sorted(_FACT_OPS)}")
+    if not isinstance(args, dict):
+        raise ManifestError(f"fact {name!r}: arguments must be a JSON object, "
+                            f"got {type(args).__name__}")
     kwargs = dict(args)
-    signature = inspect.signature(_FACT_OPS[name])
+    op = _FACT_OPS[name]
+    signature = inspect.signature(op)
     try:
         signature.bind_partial(**kwargs)  # unknown keywords first
         signature.bind(**kwargs)
     except TypeError as exc:
         accepted = ", ".join(signature.parameters) or "no arguments"
         raise ManifestError(f"fact {name!r}: {exc}; it accepts {accepted}") from None
+    hints = typing.get_type_hints(op)
+    for key, value in kwargs.items():
+        expected = hints.get(key)
+        if expected is None:
+            continue  # pattern text (first, second) is parsed below
+        union = typing.get_origin(expected) is Union
+        allowed = typing.get_args(expected) if union else (expected,)
+        if float in allowed:
+            allowed += (int,)
+        if isinstance(value, bool) and bool not in allowed or not isinstance(value, allowed):
+            names = " or ".join("null" if t is type(None) else t.__name__ for t in allowed)
+            raise ManifestError(f"fact {name!r}: argument {key!r} must be {names}, "
+                                f"got {value!r}")
     for key in ("first", "second"):
         if key in kwargs:
             kwargs[key] = [parse_pattern(t) for t in str(kwargs[key]).split("+")]

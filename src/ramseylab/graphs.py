@@ -158,6 +158,37 @@ class Graph:
         return f"Graph(n={self.n}, m={self.edge_count})"
 
 
+def twin_classes(g: Graph) -> list[tuple[int, bool]]:
+    """The twin classes of g as (members bitset, adjacent) pairs, ordered
+    by least member.
+
+    u and v are twins when N(u) - {v} = N(v) - {u}: false twins (equal
+    open neighborhoods) when non-adjacent, true twins (equal closed
+    neighborhoods) when adjacent.  No vertex has both kinds, so twinness
+    is an equivalence; each class is an independent set or, flagged
+    adjacent, a clique.  A singleton class is flagged False.
+    """
+    adj = g.adj
+    by_open: dict[int, int] = {}
+    by_closed: dict[int, int] = {}
+    for v, row in enumerate(adj):
+        by_open[row] = by_open.get(row, 0) | 1 << v
+        closed = row | 1 << v
+        by_closed[closed] = by_closed.get(closed, 0) | 1 << v
+    classes = []
+    seen = 0
+    for v, row in enumerate(adj):
+        if seen >> v & 1:
+            continue
+        members = by_closed[row | 1 << v]
+        adjacent = members != 1 << v
+        if not adjacent:
+            members = by_open[row]
+        classes.append((members, adjacent))
+        seen |= members
+    return classes
+
+
 # ---------------------------------------------------------------------
 # Patterns
 

@@ -159,6 +159,8 @@ def _scan_base(base: Graph, targets: Sequence, grid: list[float], trials: int,
     the trial's later grid points; a Graph is built only for a host
     that has to be decided.
     """
+    if trials < 0:
+        raise ValueError(f"trial count must be nonnegative, got {trials}")
     for p in grid:
         _check_prob(p)
     template = ramsey_query(base, targets)

@@ -110,6 +110,19 @@ def rho_brute(g: Graph) -> Fraction:
     return best
 
 
+def edge_profile_brute(g: Graph) -> list[int]:
+    """The most edges induced by any v vertices, for v = 0..n, over every
+    v-subset in turn."""
+    profile = []
+    for r in range(g.n + 1):
+        best = 0
+        for subset in itertools.combinations(range(g.n), r):
+            mask = sum(1 << v for v in subset)
+            best = max(best, sum((g.adj[v] & mask).bit_count() for v in subset) // 2)
+        profile.append(best)
+    return profile
+
+
 def set_partitions(items: list[int], max_parts: int):
     """All partitions of items into at most max_parts nonempty blocks."""
     if not items:

@@ -263,6 +263,15 @@ class TestScanAndReplay:
         assert "need --red and --blue, or --targets" in err
         assert not (tmp_path / "scan.csv").exists()
 
+    def test_negative_trials_is_error(self, capsys, tmp_path):
+        code, out, err = run(
+            capsys, ["scan", "--base", "turan:6,3", "--targets", "C3,C3",
+                     "--p-grid", "0.1", "--trials", "-1",
+                     "--out", str(tmp_path / "scan.csv")])
+        assert code == ERROR
+        assert "error: trial count must be nonnegative" in err
+        assert not (tmp_path / "scan.csv").exists()
+
     def test_seed_drawn_when_missing(self, capsys, tmp_path):
         out = tmp_path / "s.csv"
         code, stdout, err = run(
@@ -331,6 +340,18 @@ class TestFactsCommand:
         assert code == ERROR
         assert "'bogus'" in err
         assert "first, second, expected, n_hi" in err
+
+    def test_fact_args_not_an_object_is_error(self, capsys):
+        code, out, err = run(capsys, ["facts", "--only", "bipartite_split",
+                                      "--fact-args", "[1]"])
+        assert code == ERROR
+        assert err.startswith("error:") and "JSON object" in err
+
+    def test_fact_argument_type_is_error(self, capsys):
+        code, out, err = run(capsys, ["facts", "--only", "bipartite_split",
+                                      "--fact-args", '{"i": "x"}'])
+        assert code == ERROR
+        assert err.startswith("error:") and "'i' must be int" in err
 
     def test_csv_format(self, capsys, tmp_path):
         target = tmp_path / "facts.csv"

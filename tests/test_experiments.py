@@ -96,6 +96,29 @@ class TestRunExperiment:
                            base_dir=str(tmp_path))
         assert not list(tmp_path.iterdir())
 
+    @pytest.mark.parametrize("name, args, message", [
+        ("bipartite_split", {"i": "x"}, "'i' must be int"),
+        ("bipartite_split", {"i": True}, "'i' must be int"),
+        ("bipartite_split", {"i": 2, "n": 2.5}, "'n' must be int or null"),
+        ("odd_cycle_unavoidable", {"r": 1, "time_budget": "x"},
+         "'time_budget' must be float or int"),
+        ("small_ramsey", {"first": "K3", "second": "K3", "n_hi": "7"}, "'n_hi' must be int"),
+        ("bipartite_split", [1], "JSON object"),
+    ])
+    def test_fact_argument_types_checked(self, tmp_path, name, args, message):
+        with pytest.raises(ManifestError, match=message):
+            run_experiment({"op": "fact", "name": name, "args": args},
+                           base_dir=str(tmp_path))
+        assert not list(tmp_path.iterdir())
+
+    def test_fact_argument_types_accepted(self, tmp_path):
+        for name, args in (("bipartite_split", {"i": 2, "n": None}),
+                           ("odd_cycle_unavoidable", {"r": 1, "time_budget": 5})):
+            result = run_experiment({"op": "fact", "name": name, "args": args,
+                                     "out": f"{name}.json"}, base_dir=str(tmp_path))
+            with open(result["out"]) as fh:
+                assert json.load(fh)["status"] == "verified"
+
     def test_manifest_from_file(self, tmp_path):
         path = tmp_path / "m.json"
         path.write_text(json.dumps({"op": "fact", "name": "list_cycle_lemma",

@@ -208,6 +208,11 @@ class TestMonteCarlo:
                                  p=0.0, trials=8, seed=3)
         assert (row.wilson_lo, row.wilson_hi) == wilson_interval(0, 8)
 
+    def test_negative_trials_rejected(self):
+        with pytest.raises(ValueError, match="trial count"):
+            monte_carlo_ramsey(turan_graph(6, 3), [cycle(3), cycle(3)],
+                               p=0.1, trials=-1, seed=3)
+
 
 class TestThresholdScan:
     def test_single_size_scan(self):
@@ -270,6 +275,19 @@ class TestThresholdScan:
     def test_deterministic(self):
         args = ([turan_graph(8, 4)], [cycle(3), cycle(3)], [0.05, 0.5], 6, 11)
         assert threshold_scan(*args).to_csv() == threshold_scan(*args).to_csv()
+
+    def test_negative_trials_rejected(self):
+        for targets in ([cycle(3), cycle(3)], [path(1), cycle(3)]):
+            with pytest.raises(ValueError, match="trial count"):
+                threshold_scan([turan_graph(6, 3)], targets, [0.1], -1, 3)
+
+    def test_zero_trials_rows(self):
+        result = threshold_scan([turan_graph(6, 3)], [cycle(3), cycle(3)],
+                                [0.1, 0.5], 0, 3)
+        assert result.to_csv().strip().split("\n")[1:] == [
+            "6,0.1,0,0,0.0,1.0,0", "6,0.5,0,0,0.0,1.0,0"]
+        assert result.crossings == {6: None}
+        assert len(result.flags) == 2
 
 
 def reference_row(base, targets, p, trials, seed, node_budget, clique_shortcut):
