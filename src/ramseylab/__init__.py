@@ -18,7 +18,7 @@ from .densities import (covariance_bound, d2, is_strictly_2_balanced,
                         mu0, mu1, rho, rho_bound_hm, rho_k,
                         rho_k_with_partition)
 from .experiments import PACKAGE_VERSION, replay, run_experiment
-from .facts import FactReport, default_fact_suite, small_ramsey_number
+from .facts import FactReport, default_fact_suite
 from .graph6 import decode as graph6_decode
 from .graph6 import encode as graph6_encode
 from .graphs import (Graph, Pattern, arbitrary, blowup, build_family, clique,
@@ -43,8 +43,7 @@ __all__ = [
     "is_strictly_balanced_wrt", "janson_bound", "m2", "m2_asym", "mu0", "mu1",
     "rho", "rho_bound_hm", "rho_k", "rho_k_with_partition",
     "PACKAGE_VERSION", "replay", "run_experiment",
-    # small_ramsey_number is a deprecated alias of targets_ramsey_number
-    "FactReport", "default_fact_suite", "small_ramsey_number",
+    "FactReport", "default_fact_suite",
     "graph6_decode", "graph6_encode",
     "Graph", "Pattern", "arbitrary", "blowup", "build_family", "clique",
     "clique_graph", "complete_multipartite", "contains_pattern", "cycle",

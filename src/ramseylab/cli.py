@@ -2,8 +2,10 @@
 
 Subcommands: density, threshold, ramsey-check, construct, scan, facts,
 replay.  Results print as JSON (or CSV for scans) and can be written
-with --out.  Exit codes: 0 success, 2 inconclusive or uncovered,
-1 error.
+with --out.  Exit codes: 0 success, 2 inconclusive (node budget
+exhausted) or uncovered, 1 error.  Searches are limited by node count
+only; bound a whole run's wall time from outside, e.g. with
+`timeout 60 ramseylab ...`.
 """
 
 from __future__ import annotations
@@ -15,8 +17,8 @@ from fractions import Fraction
 from typing import Optional
 
 from . import graph6
-from .coloring import (DEFAULT_NODE_BUDGET, DEFAULT_TIME_BUDGET, INCONCLUSIVE,
-                       decide_ramsey, export_cnf, ramsey_query, verify_coloring)
+from .coloring import (DEFAULT_NODE_BUDGET, INCONCLUSIVE, decide_ramsey,
+                       export_cnf, ramsey_query, verify_coloring)
 from .constructions import (ConstructionError, bipartite_decomposition,
                             clique_split_coloring, lift_coloring,
                             odd_cycle_free_multicoloring, turan_blue_composite,
@@ -34,6 +36,21 @@ OK, ERROR, UNDECIDED = 0, 1, 2
 def _frac(x) -> str:
     x = Fraction(x)
     return f"{x.numerator}/{x.denominator}"
+
+
+def _fraction_arg(text: str) -> Fraction:
+    """An exact rational such as '2/5' or '0.4'."""
+    try:
+        return Fraction(text)
+    except ZeroDivisionError:
+        raise ManifestError(f"{text!r} has a zero denominator") from None
+
+
+def _family_arg(args) -> Graph:
+    """--family, which some constructions require."""
+    if args.family is None:
+        raise ManifestError(f"--name {args.name} needs --family")
+    return _graph_arg(args.family)
 
 
 def _graph_arg(text: str) -> Graph:
@@ -107,7 +124,7 @@ def _cmd_density(args) -> int:
     else:
         code, n_text, p_text = args.mu
         g = graph6.decode(code)
-        n, p = int(n_text), Fraction(p_text)
+        n, p = int(n_text), _fraction_arg(p_text)
         payload = {"op": "mu", "graph": code, "n": n, "p": _frac(p),
                    "mu0": _frac(mu0(g, n, p)), "mu1": _frac(mu1(g, n, p))}
     _emit(payload, args)
@@ -121,10 +138,11 @@ def _cmd_threshold(args) -> int:
         if len(pats) != 1:
             raise ManifestError("the threshold oracle takes one pattern per color")
         patterns.append(pats[0])
-    answer = threshold_oracle(patterns, Fraction(args.density))
+    density = _fraction_arg(args.density)
+    answer = threshold_oracle(patterns, density)
     payload = answer.to_jsonable()
     payload["patterns"] = [p.describe() for p in patterns]
-    payload["density"] = _frac(Fraction(args.density))
+    payload["density"] = _frac(density)
     _emit(payload, args)
     return UNDECIDED if answer.kind == UNKNOWN else OK
 
@@ -147,9 +165,7 @@ def _build_query(args):
     if args.forbid:
         with open(args.forbid, encoding="utf-8") as fh:
             forbidden = json.load(fh)
-    return ramsey_query(host, targets, forbidden,
-                        node_budget=args.budget_nodes,
-                        time_budget=args.budget_secs)
+    return ramsey_query(host, targets, forbidden, node_budget=args.budget_nodes)
 
 
 def _cmd_ramsey_check(args) -> int:
@@ -178,7 +194,7 @@ def _coloring_payload(coloring, checks: dict) -> dict:
 def _cmd_construct(args) -> int:
     name = args.name
     if name == "bip-decomp":
-        g = _graph_arg(args.family)
+        g = _family_arg(args)
         classes = bipartite_decomposition(g, args.i)
         payload = {"classes": [graph6.encode(c) for c in classes],
                    "verified": True,
@@ -193,7 +209,7 @@ def _cmd_construct(args) -> int:
     elif name == "lift":
         base = _avoiding_coloring(clique_graph(args.k), parse_targets(args.avoid),
                                   f"K_{args.k}")
-        blown = _graph_arg(args.family)
+        blown = _family_arg(args)
         coloring = lift_coloring(base, blown)
         payload = _coloring_payload(coloring, {
             "base": base.to_jsonable(), "lifted_vertices": blown.n})
@@ -231,8 +247,7 @@ def _cmd_scan(args) -> int:
         "op": "scan",
         "args": {"bases": args.base, "targets": _targets_text(args),
                  "p_grid": _grid_arg(args.p_grid), "trials": args.trials,
-                 "node_budget": args.budget_nodes,
-                 "time_budget": args.budget_secs},
+                 "node_budget": args.budget_nodes},
         "out": args.out or "results.csv",
     }
     if args.seed is not None:
@@ -281,14 +296,12 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=PACKAGE_VERSION)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, budgets=False):
+    def common(p, budget=False):
         p.add_argument("--out", help="write the result here instead of stdout")
         p.add_argument("--format", choices=("csv", "json"), default="json")
-        if budgets:
+        if budget:
             p.add_argument("--budget-nodes", type=int, default=DEFAULT_NODE_BUDGET,
                            help="search node budget")
-            p.add_argument("--budget-secs", type=float, default=DEFAULT_TIME_BUDGET,
-                           help="search time budget")
 
     p = sub.add_parser("density", help="exact density calculus on graph6 inputs")
     group = p.add_mutually_exclusive_group(required=True)
@@ -317,7 +330,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--targets", help="all colors at once: K3,K3+C5[,...]")
     p.add_argument("--forbid", help="JSON file: per color, list of vertex lists")
     p.add_argument("--cnf", help="also write the DIMACS encoding here")
-    common(p, budgets=True)
+    common(p, budget=True)
     p.set_defaults(func=_cmd_ramsey_check)
 
     p = sub.add_parser("construct", help="verified adversarial colorings")
@@ -352,7 +365,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="'lo:hi[:per_decade]' or explicit 'a,b,c'")
     p.add_argument("--trials", type=int, required=True)
     p.add_argument("--seed", type=int, default=None)
-    common(p, budgets=True)
+    common(p, budget=True)
     p.set_defaults(func=_cmd_scan)
 
     p = sub.add_parser("facts", help="run the verified-facts suite")

@@ -49,12 +49,16 @@ color class as soon as one placement of its vertices is allowed; such
 a query is Ramsey before any search.
 
 targets_ramsey_number searches K_2, K_3, .. afresh on every call; the
-module keeps no state between calls.  A caller that needs the number
-for many hosts (a scan's clique shortcut) asks once and keeps it.
+module keeps no state between calls, so its R, the least n <= cap with
+K_n Ramsey, depends only on the targets, the node budget and the cap.
+A caller that needs the number for many hosts (a scan's clique
+shortcut) asks once and keeps it.
 
 Verdicts are first class: Ramsey and NotRamsey are only reported from a
 completed search (witnesses are re-verified independently); running out
-of node or time budget yields Inconclusive, never a guess.
+of node budget yields Inconclusive, never a guess.  The node budget is
+the only limit on a search, so a verdict never depends on machine
+speed; time is measured (SearchStats.elapsed) but never decides.
 
 Forbidden copies are identified by vertex set: any copy whose vertex
 set is listed for its color does not count, whatever its edges.
@@ -71,7 +75,6 @@ from .graphs import (Graph, Pattern, _allowed_copies, _bits, _copy_edges, _iter_
                      clique_graph, twin_classes)
 
 DEFAULT_NODE_BUDGET = 10 ** 8
-DEFAULT_TIME_BUDGET = 60.0
 
 RAMSEY = "ramsey"
 NOT_RAMSEY = "not_ramsey"
@@ -81,13 +84,12 @@ INCONCLUSIVE = "inconclusive"
 @dataclass(frozen=True)
 class RamseyQuery:
     """Host graph, per-color target patterns and per-color forbidden
-    vertex sets, with search budgets."""
+    vertex sets, with a search node budget."""
 
     host: Graph
     targets: tuple[tuple[Pattern, ...], ...]
     forbidden: tuple[frozenset, ...]
     node_budget: int = DEFAULT_NODE_BUDGET
-    time_budget: float = DEFAULT_TIME_BUDGET
 
     @property
     def r(self) -> int:
@@ -95,21 +97,33 @@ class RamseyQuery:
 
 
 def ramsey_query(host: Graph, targets: Sequence, forbidden: Optional[Sequence] = None,
-                 node_budget: int = DEFAULT_NODE_BUDGET,
-                 time_budget: float = DEFAULT_TIME_BUDGET) -> RamseyQuery:
+                 node_budget: int = DEFAULT_NODE_BUDGET) -> RamseyQuery:
     """Normalize loose inputs: each color's targets may be a single
     Pattern or an iterable; forbidden entries are vertex iterables."""
     norm_targets = _normalize_targets(targets)
     if forbidden is None:
         norm_forbidden = tuple(frozenset() for _ in norm_targets)
     else:
-        if len(forbidden) != len(norm_targets):
+        if not hasattr(forbidden, "__len__") or len(forbidden) != len(norm_targets):
             raise ValueError("forbidden list length must match color count")
-        norm_forbidden = tuple(frozenset(frozenset(vs) for vs in entry)
-                               for entry in forbidden)
+        norm_forbidden = tuple(_forbidden_sets(entry, c)
+                               for c, entry in enumerate(forbidden))
     if host.n < 1:
         raise ValueError("host graph must be nonempty")
-    return RamseyQuery(host, norm_targets, norm_forbidden, node_budget, time_budget)
+    return RamseyQuery(host, norm_targets, norm_forbidden, node_budget)
+
+
+def _forbidden_sets(entry, color: int) -> frozenset:
+    """One color's forbidden vertex sets, from an iterable of vertex
+    iterables."""
+    try:
+        sets = frozenset(frozenset(vs) for vs in entry)
+    except TypeError:  # not iterable, or an unhashable vertex
+        sets = None
+    if sets is None or not all(isinstance(v, int) for vs in sets for v in vs):
+        raise ValueError(f"forbidden entry for color {color} must be a list of "
+                         f"vertex lists, got {entry!r}")
+    return sets
 
 
 def _normalize_targets(targets: Sequence) -> tuple[tuple[Pattern, ...], ...]:
@@ -390,10 +404,9 @@ def _symmetry_constraints(query: RamseyQuery, pairs: list) -> tuple[list, int]:
 
 
 def targets_ramsey_number(targets, cap: int = 12,
-                          node_budget: int = DEFAULT_NODE_BUDGET,
-                          time_budget: float = DEFAULT_TIME_BUDGET) -> Optional[int]:
+                          node_budget: int = DEFAULT_NODE_BUDGET) -> Optional[int]:
     """Least n <= cap with K_n Ramsey for the per-color targets; None
-    when no size in range is, or when a budget runs out first.
+    when no size in range is, or when the node budget runs out first.
 
     Each color's targets may be a single Pattern or an iterable.
     Complete-host Ramseyness is monotone in n, so the first hit is the
@@ -402,8 +415,7 @@ def targets_ramsey_number(targets, cap: int = 12,
     targets = _normalize_targets(targets)
     for n in range(2, cap + 1):
         verdict = decide_ramsey(ramsey_query(clique_graph(n), targets,
-                                             node_budget=node_budget,
-                                             time_budget=time_budget))
+                                             node_budget=node_budget))
         if verdict.status == INCONCLUSIVE:
             return None
         if verdict.is_ramsey:
@@ -417,10 +429,10 @@ def decide_ramsey(query: RamseyQuery) -> RamseyVerdict:
     Ramsey means exhaustive refutation completed, or that some color
     has a target without edges and an allowed placement; NotRamsey
     carries a witness coloring that is re-verified before returning;
-    Inconclusive means a budget was hit.  The search breaks the query's
-    twin-row and color symmetries (module docstring); the witness is the
-    lexicographically least valid coloring in the branching order, as
-    without them.
+    Inconclusive means the node budget was hit.  The search breaks the
+    query's twin-row and color symmetries (module docstring); the
+    witness is the lexicographically least valid coloring in the
+    branching order, as without them.
     """
     host = query.host
     r = query.r
@@ -464,18 +476,13 @@ def decide_ramsey(query: RamseyQuery) -> RamseyVerdict:
     # deeper reassignment alone cannot unblock this edge)
     conf = [0] * n_edges
     depth = 0
-    ticks = nodes = checks = backjumps = max_depth = cuts = 0
+    nodes = checks = backjumps = max_depth = cuts = 0
     witness, note = None, ""
     node_budget = query.node_budget
-    time_budget = query.time_budget
 
     while True:
-        ticks += 1
         if nodes > node_budget:
             status, note = INCONCLUSIVE, "node budget exhausted"
-            break
-        if ticks % 2048 == 0 and time.monotonic() - start > time_budget:
-            status, note = INCONCLUSIVE, "time budget exhausted"
             break
 
         if depth == n_edges:
@@ -627,8 +634,7 @@ def decide_globally_ramsey(query: RamseyQuery, mu, mode: str = "exhaustive",
             frozenset(frozenset(pos[x] for x in entry)
                       for entry in per_color if set(entry) <= inside)
             for per_color in query.forbidden)
-        q = RamseyQuery(sub, query.targets, forbidden,
-                        query.node_budget, query.time_budget)
+        q = RamseyQuery(sub, query.targets, forbidden, query.node_budget)
         verdict = decide_ramsey(q)
         checked += 1
         if verdict.status == INCONCLUSIVE:

@@ -27,7 +27,7 @@ import typing
 from typing import Optional, Union
 
 from . import facts as facts_mod
-from .coloring import DEFAULT_NODE_BUDGET, DEFAULT_TIME_BUDGET
+from .coloring import DEFAULT_NODE_BUDGET
 from .graphs import build_family
 from .perturb import log_spaced_grid, threshold_scan
 
@@ -46,6 +46,13 @@ _FACT_OPS = {
 
 class ManifestError(ValueError):
     """The manifest does not describe a runnable experiment."""
+
+
+def _require(mapping: dict, key: str, what: str):
+    """mapping[key], or a ManifestError naming the missing key."""
+    if key not in mapping:
+        raise ManifestError(f"{what} needs {key!r}")
+    return mapping[key]
 
 
 def parse_pattern(token: str):
@@ -113,19 +120,19 @@ def _resolve_grid(args: dict) -> list[float]:
     if isinstance(grid, list):
         return [float(p) for p in grid]
     if isinstance(grid, dict):
-        return log_spaced_grid(float(grid["lo"]), float(grid["hi"]),
+        return log_spaced_grid(float(_require(grid, "lo", "p_grid")),
+                               float(_require(grid, "hi", "p_grid")),
                                int(grid.get("per_decade", 13)))
     raise ManifestError("scan needs p_grid as a list or {lo, hi, per_decade}")
 
 
 def _run_scan(args: dict, seed: int):
-    bases = [build_family(b) for b in args["bases"]]
-    targets = parse_targets(args["targets"])
+    bases = [build_family(b) for b in _require(args, "bases", "scan")]
+    targets = parse_targets(_require(args, "targets", "scan"))
     grid = _resolve_grid(args)
     result = threshold_scan(
-        bases, targets, grid, int(args["trials"]), seed,
+        bases, targets, grid, int(_require(args, "trials", "scan")), seed,
         node_budget=int(args.get("node_budget", DEFAULT_NODE_BUDGET)),
-        time_budget=float(args.get("time_budget", DEFAULT_TIME_BUDGET)),
         clique_shortcut=bool(args.get("clique_shortcut", True)))
     return result, grid
 
@@ -149,7 +156,7 @@ def _result_text(manifest: dict) -> str:
         reports = [r.to_jsonable() for r in facts_mod.default_fact_suite()]
         return json.dumps(reports, indent=2) + "\n"
     if op == "fact":
-        report = _fact_report(manifest["name"], args)
+        report = _fact_report(_require(manifest, "name", "fact"), args)
         return json.dumps(report.to_jsonable(), indent=2) + "\n"
     raise ManifestError(f"unknown op {op!r}")
 
@@ -206,7 +213,7 @@ def replay(manifest_path: str) -> dict:
     if "seed" not in manifest:
         raise ManifestError("replay needs a resolved manifest with a seed")
     base_dir = os.path.dirname(os.path.abspath(manifest_path))
-    stored_path = os.path.join(base_dir, manifest["out"])
+    stored_path = os.path.join(base_dir, _require(manifest, "out", "replay"))
     with open(stored_path, encoding="utf-8") as fh:
         stored = fh.read()
     fresh = _result_text(manifest)

@@ -3,21 +3,19 @@
 Each entry point re-derives one concrete combinatorial statement with
 the exact engine or by direct enumeration and returns a FactReport:
 status "verified" or "refuted" with a certificate, or "inconclusive"
-when a search budget ran out.  Exploratory observations (small cases
-outside any claim) are kept in a separate field and never count as
-verification.
+when a search's node budget ran out.  Exploratory observations (small
+cases outside any claim) are kept in a separate field and never count
+as verification.
 """
 
 from __future__ import annotations
 
 import time
-import warnings
 from dataclasses import dataclass, field
 from typing import Optional
 
-from .coloring import (DEFAULT_NODE_BUDGET, DEFAULT_TIME_BUDGET, INCONCLUSIVE,
-                       NOT_RAMSEY, RAMSEY, decide_ramsey, ramsey_query,
-                       targets_ramsey_number)
+from .coloring import (DEFAULT_NODE_BUDGET, INCONCLUSIVE, NOT_RAMSEY, RAMSEY,
+                       decide_ramsey, ramsey_query, targets_ramsey_number)
 from .densities import rho_bound_hm
 from .graphs import (Graph, Pattern, clique_graph, clique, cycle, hm_graph,
                      hmr_graph, path, part_vertices)
@@ -42,22 +40,8 @@ class FactReport:
                 "runtime": round(self.runtime, 6)}
 
 
-def _decide(host: Graph, targets, node_budget=DEFAULT_NODE_BUDGET,
-            time_budget=DEFAULT_TIME_BUDGET):
-    return decide_ramsey(ramsey_query(host, targets, node_budget=node_budget,
-                                      time_budget=time_budget))
-
-
-def small_ramsey_number(targets, n_hi: int = 12,
-                        node_budget: int = DEFAULT_NODE_BUDGET,
-                        time_budget: float = DEFAULT_TIME_BUDGET) -> Optional[int]:
-    """Deprecated alias of coloring.targets_ramsey_number, with n_hi as
-    its cap: least n <= n_hi making K_n Ramsey for the per-color
-    targets; None when no size in range is (or budgets run out)."""
-    warnings.warn("facts.small_ramsey_number is deprecated; use "
-                  "coloring.targets_ramsey_number(targets, cap=n_hi)",
-                  DeprecationWarning, stacklevel=2)
-    return targets_ramsey_number(targets, n_hi, node_budget, time_budget)
+def _decide(host: Graph, targets, node_budget=DEFAULT_NODE_BUDGET):
+    return decide_ramsey(ramsey_query(host, targets, node_budget=node_budget))
 
 
 def verify_list_cycle_lemma() -> FactReport:
@@ -89,8 +73,8 @@ def _odd_cycles_up_to(n: int) -> list[Pattern]:
     return [cycle(length) for length in range(3, n + 1, 2)]
 
 
-def verify_odd_cycle_unavoidable(r: int, node_budget: int = DEFAULT_NODE_BUDGET,
-                                 time_budget: float = DEFAULT_TIME_BUDGET) -> FactReport:
+def verify_odd_cycle_unavoidable(r: int,
+                                 node_budget: int = DEFAULT_NODE_BUDGET) -> FactReport:
     """Every r-coloring of the complete graph on 2^r + 1 vertices has a
     monochromatic odd cycle, and 2^r vertices do not suffice."""
     t0 = time.monotonic()
@@ -105,9 +89,9 @@ def verify_odd_cycle_unavoidable(r: int, node_budget: int = DEFAULT_NODE_BUDGET,
                           {"k3_has_odd_cycle": has, "k2_bipartite": avoid},
                           runtime=time.monotonic() - t0)
     targets = [_odd_cycles_up_to(n)] * r
-    upper = _decide(clique_graph(n), targets, node_budget, time_budget)
+    upper = _decide(clique_graph(n), targets, node_budget)
     lower_targets = [_odd_cycles_up_to(n - 1)] * r
-    lower = _decide(clique_graph(n - 1), lower_targets, node_budget, time_budget)
+    lower = _decide(clique_graph(n - 1), lower_targets, node_budget)
     cert = {"forced_status": upper.status, "forced_nodes": upper.stats.nodes,
             "tight_status": lower.status}
     status = VERIFIED if (upper.status == RAMSEY and lower.status == NOT_RAMSEY) else REFUTED
@@ -193,8 +177,7 @@ def _check_matched_structure(g: Graph, m: int, parts: int,
 
 
 def verify_matched_gadget(m: int, k: int = 3, ell: int = 5,
-                          explore_budget_nodes: int = 2 * 10 ** 6,
-                          explore_budget_secs: float = 20.0) -> FactReport:
+                          explore_budget_nodes: int = 2 * 10 ** 6) -> FactReport:
     """Structure of the five-part gadget: two cross matchings, complete
     otherwise, and a three-piece partition of density at most 1/2.
 
@@ -213,8 +196,7 @@ def verify_matched_gadget(m: int, k: int = 3, ell: int = 5,
     exploration: dict = {}
     if m <= 2:
         verdict = _decide(g, [cycle(k), cycle(ell)],
-                          node_budget=explore_budget_nodes,
-                          time_budget=explore_budget_secs)
+                          node_budget=explore_budget_nodes)
         exploration[f"ramsey_c{k}_c{ell}_at_m{m}"] = verdict.status
         if verdict.witness is not None:
             exploration["witness"] = verdict.witness.to_jsonable()

@@ -22,15 +22,16 @@ that no budget can change once per base, before any trial.  A target
 without edges makes every host on n vertices Ramsey, so nothing is
 drawn or decided.  With the clique shortcut, R = the least n' <= n
 (capped at 12) with K_n' Ramsey for the targets depends only on the
-targets, the budgets and n; a host holding a K_R is Ramsey, and so is
-every later host of its trial, which then count as successes without
-being built.  A Ramsey verdict reached by search is not carried
-forward, because a fresh search of a larger host could run out of
-budget.
+targets, the node budget and n; a host holding a K_R is Ramsey, and so
+is every later host of its trial, which then count as successes
+without being built.  A Ramsey verdict reached by search is not
+carried forward, because a fresh search of a larger host could run out
+of node budget.  The node budget is the only limit on a search, so no
+verdict depends on machine speed.
 
-Ramsey trials that exhaust their budget count as Inconclusive: they are
-reported separately and excluded from the success-rate denominator,
-never as success or failure.
+Ramsey trials that exhaust their node budget count as Inconclusive:
+they are reported separately and excluded from the success-rate
+denominator, never as success or failure.
 """
 
 from __future__ import annotations
@@ -40,9 +41,9 @@ import math
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
-from .coloring import (DEFAULT_NODE_BUDGET, DEFAULT_TIME_BUDGET, INCONCLUSIVE,
-                       RAMSEY, RamseyQuery, _edgeless_target, decide_ramsey,
-                       ramsey_query, targets_ramsey_number)
+from .coloring import (DEFAULT_NODE_BUDGET, INCONCLUSIVE, RAMSEY, RamseyQuery,
+                       _edgeless_target, decide_ramsey, ramsey_query,
+                       targets_ramsey_number)
 from .densities import _check_prob
 from .graphs import Graph, clique, contains_pattern
 
@@ -133,7 +134,6 @@ class MonteCarloRow:
 
 def monte_carlo_ramsey(base: Graph, targets: Sequence, p: float, trials: int,
                        seed: int, node_budget: int = DEFAULT_NODE_BUDGET,
-                       time_budget: float = DEFAULT_TIME_BUDGET,
                        clique_shortcut: bool = True) -> MonteCarloRow:
     """Success rate of the Ramsey property over perturbed samples.
 
@@ -142,11 +142,11 @@ def monte_carlo_ramsey(base: Graph, targets: Sequence, p: float, trials: int,
     verdicts are cached by host adjacency for the duration of the call.
     """
     return _scan_base(base, targets, [p], trials, seed, node_budget,
-                      time_budget, clique_shortcut)[0]
+                      clique_shortcut)[0]
 
 
 def _scan_base(base: Graph, targets: Sequence, grid: list[float], trials: int,
-               seed: int, node_budget: int, time_budget: float,
+               seed: int, node_budget: int,
                clique_shortcut: bool) -> list[MonteCarloRow]:
     """One row per point of the ascending grid, for one base.
 
@@ -171,7 +171,7 @@ def _scan_base(base: Graph, targets: Sequence, grid: list[float], trials: int,
     shortcut = None
     if clique_shortcut and not edgeless:
         number = targets_ramsey_number(template.targets, cap=min(base.n, 12),
-                                       node_budget=node_budget, time_budget=time_budget)
+                                       node_budget=node_budget)
         if number is not None:
             shortcut = clique(number)
     missing = _missing_pairs(base)
@@ -194,7 +194,7 @@ def _scan_base(base: Graph, targets: Sequence, grid: list[float], trials: int,
                     hit = (RAMSEY, True)
                 else:
                     q = RamseyQuery(host, template.targets, template.forbidden,
-                                    node_budget, time_budget)
+                                    node_budget)
                     hit = (decide_ramsey(q).status, False)
                 if hit[0] != INCONCLUSIVE:
                     cache[key] = hit
@@ -261,7 +261,6 @@ def _crossing(points: list[tuple[float, Optional[float]]]) -> Optional[float]:
 
 def threshold_scan(bases: Sequence[Graph], targets: Sequence, p_grid: Sequence[float],
                    trials: int, seed: int, node_budget: int = DEFAULT_NODE_BUDGET,
-                   time_budget: float = DEFAULT_TIME_BUDGET,
                    clique_shortcut: bool = True) -> ScanResult:
     """Success curves over a probability grid for one or more host sizes.
 
@@ -277,7 +276,7 @@ def threshold_scan(bases: Sequence[Graph], targets: Sequence, p_grid: Sequence[f
     grid = sorted(p_grid)
     for base in bases:
         size_rows = _scan_base(base, targets, grid, trials, seed, node_budget,
-                               time_budget, clique_shortcut)
+                               clique_shortcut)
         for row in size_rows:
             if row.effective == 0:
                 flags.append(f"all trials inconclusive at n={row.n}, p={row.p!r}")

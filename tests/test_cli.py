@@ -99,6 +99,12 @@ class TestThresholdCommand:
             capsys, ["threshold", "--patterns", "K3+C5,K3", "--density", "1/3"])
         assert code == ERROR
 
+    def test_zero_denominator_is_error(self, capsys):
+        code, out, err = run(
+            capsys, ["threshold", "--patterns", "K3,K3", "--density", "1/0"])
+        assert code == ERROR
+        assert err.startswith("error:") and "zero denominator" in err
+
 
 class TestRamseyCheckCommand:
     def test_ramsey_host(self, capsys):
@@ -154,6 +160,15 @@ class TestRamseyCheckCommand:
             capsys, ["ramsey-check", "--host", K6, "--red", "C3",
                      "--blue", "C3", "--forbid", str(forbid)])
         assert payload["status"] == "not_ramsey"
+
+    def test_malformed_forbidden_file_is_error(self, capsys, tmp_path):
+        forbid = tmp_path / "forbid.json"
+        forbid.write_text(json.dumps([[[0, 1]], 5]))
+        code, out, err = run(
+            capsys, ["ramsey-check", "--host", K6, "--red", "C3",
+                     "--blue", "C3", "--forbid", str(forbid)])
+        assert code == ERROR
+        assert err.startswith("error: forbidden entry for color 1")
 
     def test_missing_targets_is_error(self, capsys):
         code, out, err = run(capsys, ["ramsey-check", "--host", K6,
@@ -218,6 +233,12 @@ class TestConstructCommand:
                      "--k", "4", "--s", "6", "--t", "6", "--p", "0.0"])
         assert code == OK
         assert payload["checks"]["a_size"] == 8
+
+    @pytest.mark.parametrize("name", ["lift", "bip-decomp"])
+    def test_missing_family_is_error(self, capsys, name):
+        code, out, err = run(capsys, ["construct", "--name", name])
+        assert code == ERROR
+        assert err.startswith(f"error: --name {name} needs --family")
 
     def test_failed_construction_is_error(self, capsys):
         # K6 has no (C3,C3)-avoiding coloring, so no base is available
@@ -288,6 +309,25 @@ class TestScanAndReplay:
         code, payload = run_json(capsys, ["replay", summary["manifest"]])
         assert code == OK
         assert payload["identical"] is True
+
+    def test_replay_without_out_is_error(self, capsys, tmp_path):
+        path = tmp_path / "m.json"
+        path.write_text(json.dumps({"op": "facts", "seed": 1}))
+        code, out, err = run(capsys, ["replay", str(path)])
+        assert code == ERROR
+        assert err.startswith("error: replay needs 'out'")
+
+    def test_only_a_node_budget(self, capsys, tmp_path):
+        # searches are limited by nodes alone; a wall-time bound is
+        # `timeout` around the command
+        with pytest.raises(SystemExit) as exc:
+            main(["scan", "--base", "turan:8,4", "--targets", "C3,C3",
+                  "--p-grid", "0.5", "--trials", "2", "--budget-secs", "5"])
+        assert exc.value.code == 2
+        summary = self.scan(capsys, tmp_path)
+        args = json.loads(open(summary["manifest"]).read())["args"]
+        assert args["node_budget"] == 10 ** 8
+        assert "time_budget" not in args
 
     def test_replay_detects_tampering(self, capsys, tmp_path):
         summary = self.scan(capsys, tmp_path)

@@ -159,6 +159,23 @@ class TestSearchBehavior:
         assert verdict.status == INCONCLUSIVE
         assert verdict.witness is None
 
+    def test_verdicts_do_not_depend_on_the_clock(self, monkeypatch):
+        # a clock that jumps 1000 s per reading: only the node budget may
+        # end a search, so every answer is the one the real clock gives
+        from ramseylab.perturb import threshold_scan
+
+        def scan():
+            return threshold_scan([turan_graph(10, 2)], [cycle(4), clique(4)],
+                                  [0.3, 0.7, 1.0], 3, 8020).to_csv()
+
+        real = scan()
+        clock = itertools.count(0.0, 1000.0)
+        monkeypatch.setattr(coloring.time, "monotonic", lambda: next(clock))
+        verdict = decide(clique_graph(10), [cycle(4), clique(4)])
+        assert (verdict.status, verdict.stats.nodes) == (RAMSEY, 3510)
+        assert targets_ramsey_number([cycle(4), clique(4)]) == 10
+        assert scan() == real
+
     def test_deterministic(self):
         a = decide(clique_graph(5), [cycle(3), cycle(3)])
         b = decide(clique_graph(5), [cycle(3), cycle(3)])
@@ -522,6 +539,13 @@ class TestSmallRamseyNumbers:
         starved = scan(node_budget=1)
         scan()
         assert scan(node_budget=1) == starved
+
+    def test_brute_force_cross_check(self):
+        # independent route: enumerate all colorings per host size
+        targets = [[path(4)], [path(4)]]
+        expected = next((n for n in range(2, 9)
+                         if ramsey_brute(clique_graph(n), targets)[0]), None)
+        assert targets_ramsey_number(targets, cap=8) == expected
 
     def test_c4_k4_number_is_10(self):
         # Radziszowski, Small Ramsey Numbers (DS1)

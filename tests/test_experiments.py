@@ -94,14 +94,17 @@ class TestRunExperiment:
         with pytest.raises(ManifestError, match="missing"):
             run_experiment({"op": "fact", "name": "bipartite_split"},
                            base_dir=str(tmp_path))
+        with pytest.raises(ManifestError, match="argument 'time_budget'"):
+            run_experiment({"op": "fact", "name": "odd_cycle_unavoidable",
+                            "args": {"r": 2, "time_budget": 5}}, base_dir=str(tmp_path))
         assert not list(tmp_path.iterdir())
 
     @pytest.mark.parametrize("name, args, message", [
         ("bipartite_split", {"i": "x"}, "'i' must be int"),
         ("bipartite_split", {"i": True}, "'i' must be int"),
         ("bipartite_split", {"i": 2, "n": 2.5}, "'n' must be int or null"),
-        ("odd_cycle_unavoidable", {"r": 1, "time_budget": "x"},
-         "'time_budget' must be float or int"),
+        ("odd_cycle_unavoidable", {"r": 1, "node_budget": "x"},
+         "'node_budget' must be int"),
         ("small_ramsey", {"first": "K3", "second": "K3", "n_hi": "7"}, "'n_hi' must be int"),
         ("bipartite_split", [1], "JSON object"),
     ])
@@ -113,11 +116,22 @@ class TestRunExperiment:
 
     def test_fact_argument_types_accepted(self, tmp_path):
         for name, args in (("bipartite_split", {"i": 2, "n": None}),
-                           ("odd_cycle_unavoidable", {"r": 1, "time_budget": 5})):
+                           ("odd_cycle_unavoidable", {"r": 2, "node_budget": 5_000_000})):
             result = run_experiment({"op": "fact", "name": name, "args": args,
                                      "out": f"{name}.json"}, base_dir=str(tmp_path))
             with open(result["out"]) as fh:
                 assert json.load(fh)["status"] == "verified"
+
+    @pytest.mark.parametrize("key", ["bases", "trials", "targets", "lo", "hi"])
+    def test_scan_missing_key_named(self, tmp_path, key):
+        args = {"bases": ["turan:6,3"], "targets": "C3,C3", "trials": 2,
+                "p_grid": {"lo": 0.1, "hi": 0.5, "per_decade": 2}}
+        args.pop(key, None)
+        args["p_grid"].pop(key, None)
+        with pytest.raises(ManifestError, match=f"'{key}'"):
+            run_experiment({"op": "scan", "seed": 1, "args": args},
+                           base_dir=str(tmp_path))
+        assert not list(tmp_path.iterdir())
 
     def test_manifest_from_file(self, tmp_path):
         path = tmp_path / "m.json"
@@ -146,6 +160,28 @@ class TestReplay:
         assert report["identical"] is True
         assert report["op"] == "scan"
         assert "version_mismatch" not in report
+
+    def test_manifest_with_time_budget_replays(self, tmp_path):
+        # manifests written before searches became node-budgeted only
+        # carry a time_budget argument, which is no longer read
+        manifest = {"op": "scan", "seed": 11, "out": "scan.csv",
+                    "args": {"bases": ["turan:8,4"], "targets": "C3,C3",
+                             "p_grid": [0.05, 0.6], "trials": 4,
+                             "node_budget": 10 ** 8, "time_budget": 60.0}}
+        result = run_experiment(manifest, base_dir=str(tmp_path))
+        with open(result["manifest"]) as fh:
+            assert json.load(fh)["args"]["time_budget"] == 60.0
+        assert replay(result["manifest"])["identical"] is True
+        plain = tmp_path / "plain"
+        plain.mkdir()
+        with open(result["out"]) as fh, open(self.scan_manifest(plain)["out"]) as ref:
+            assert fh.read() == ref.read()
+
+    def test_replay_without_out_named(self, tmp_path):
+        path = tmp_path / "m.json"
+        path.write_text(json.dumps({"op": "facts", "seed": 1}))
+        with pytest.raises(ManifestError, match="'out'"):
+            replay(str(path))
 
     def test_tampered_result_detected(self, tmp_path):
         result = self.scan_manifest(tmp_path)

@@ -1,58 +1,27 @@
-import warnings
-
-import pytest
-
-from ramseylab.coloring import INCONCLUSIVE
+from ramseylab.coloring import INCONCLUSIVE, targets_ramsey_number
 from ramseylab.facts import (REFUTED, VERIFIED, default_fact_suite,
-                             path_ramsey_readings, small_ramsey_number,
-                             verify_bipartite_split, verify_list_cycle_lemma,
-                             verify_matched_gadget,
+                             path_ramsey_readings, verify_bipartite_split,
+                             verify_list_cycle_lemma, verify_matched_gadget,
                              verify_matched_gadget_general,
                              verify_odd_cycle_unavoidable, verify_small_ramsey)
-from ramseylab.graphs import clique, cycle, path
+from ramseylab.graphs import clique, cycle
 
 
 class TestSmallRamseyNumber:
-    """The deprecated alias warns and answers as targets_ramsey_number."""
+    """The Ramsey-number search the facts rest on."""
 
     def test_triangle_pair(self):
-        with pytest.warns(DeprecationWarning, match="targets_ramsey_number"):
-            assert small_ramsey_number([[cycle(3)], [cycle(3)]]) == 6
+        assert targets_ramsey_number([[cycle(3)], [cycle(3)]]) == 6
 
     def test_list_targets(self):
-        with pytest.warns(DeprecationWarning):
-            assert small_ramsey_number([[cycle(3)], [cycle(3), cycle(5)]]) == 5
-
-    def test_brute_force_cross_check(self):
-        # independent route: enumerate all colorings per host size
-        from oracles import ramsey_brute
-        from ramseylab.graphs import clique_graph
-        targets = [[path(4)], [path(4)]]
-        with pytest.warns(DeprecationWarning):
-            got = small_ramsey_number(targets, n_hi=8)
-        expected = None
-        for n in range(2, 9):
-            is_ramsey, _ = ramsey_brute(clique_graph(n), targets)
-            if is_ramsey:
-                expected = n
-                break
-        assert got == expected
+        assert targets_ramsey_number([[cycle(3)], [cycle(3), cycle(5)]]) == 5
 
     def test_out_of_range_returns_none(self):
-        with pytest.warns(DeprecationWarning):
-            assert small_ramsey_number([[clique(3)], [clique(3)]], n_hi=5) is None
+        assert targets_ramsey_number([[clique(3)], [clique(3)]], cap=5) is None
 
     def test_budget_exhaustion_returns_none(self):
-        with pytest.warns(DeprecationWarning):
-            got = small_ramsey_number([[clique(3)], [clique(3)]], n_hi=12,
-                                      node_budget=1)
-        assert got is None
-
-    def test_suite_does_not_call_the_alias(self):
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", DeprecationWarning)
-            verify_small_ramsey(cycle(3), cycle(3), expected=6)
-            path_ramsey_readings(3, 3, n_hi=6)
+        assert targets_ramsey_number([[clique(3)], [clique(3)]], cap=12,
+                                     node_budget=1) is None
 
 
 class TestIndividualFacts:
