@@ -3,9 +3,9 @@
 Subcommands: density, threshold, ramsey-check, construct, scan, facts,
 replay.  Results print as JSON (or CSV for scans) and can be written
 with --out.  Exit codes: 0 success, 2 inconclusive (node budget
-exhausted) or uncovered, 1 error.  Searches are limited by node count
-only; bound a whole run's wall time from outside, e.g. with
-`timeout 60 ramseylab ...`.
+exhausted) or uncovered, 1 error, usage errors included.  Searches are
+limited by node count only; bound a whole run's wall time from outside,
+e.g. with `timeout 60 ramseylab ...`.
 """
 
 from __future__ import annotations
@@ -287,8 +287,17 @@ def _cmd_replay(args) -> int:
     return OK if report["identical"] else ERROR
 
 
+class _Parser(argparse.ArgumentParser):
+    """argparse's parser, but a usage error exits with ERROR: argparse's
+    own status 2 is this CLI's "inconclusive".  Subparsers inherit it."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(ERROR, f"{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="ramseylab",
         description="Ramsey properties of randomly perturbed dense graphs: "
                     "exact small-case search, density calculus, threshold "

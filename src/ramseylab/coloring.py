@@ -15,12 +15,16 @@ from a table built once per query; a level's conflict set is the OR of
 its blocked colors' masks, a dead end jumps to its highest bit and the
 merge is one OR.  Each (color, pattern) gets one copy finder, built
 before the search.  Without forbidden sets, cliques and cycles get
-flat bitset kernels (the first clique in the common neighbourhood, a
-path DFS closed by one AND against the far endpoint's neighbourhood);
-paths, arbitrary patterns and forbidden sets walk the general
-through-edge iterator.  Every kernel returns the copy that iterator
-lists first, so the conflict sets, and with them the node counts, do
-not depend on which finder ran.
+flat bitset kernels: the first clique in the common neighbourhood
+(K3 and C3 take the least common neighbour), and a path DFS closed by
+one AND against the far endpoint's neighbourhood, unrolled into one
+loop for C4 and two for C5 and recursive from C6 on.  Paths, arbitrary
+patterns and forbidden sets walk the general through-edge iterator.
+Every kernel returns the copy that iterator lists first, so the
+conflict sets, and with them the node counts, do not depend on which
+finder ran.  Each node calls its color's first finder directly and
+the color's further targets only when that one finds no copy, so
+SearchStats.checks is the node count plus those further calls.
 
 Symmetry breaking is read off each query and always on.  The first
 full assignment found, chronologically or with backjumping, is the
@@ -302,7 +306,52 @@ def _clique_finder(adjc: list, depth_bit: list, need: int):
 def _cycle_finder(adjc: list, depth_bit: list, inner: int):
     """C_{inner+2} through (u,v), inner >= 2: a DFS over the path u, w1,
     .. in _iter_cycles_through's order, whose last inner vertex is
-    closed by one AND against v's neighbourhood."""
+    closed by one AND against v's neighbourhood.  C4 and C5 unroll the
+    DFS into one loop over w1 and two over w1 and w2."""
+    if inner == 2:
+        def find_c4(u: int, v: int) -> int:
+            free = ~((1 << u) | (1 << v))
+            ends = adjc[v] & free
+            if not ends:
+                return 0
+            cand = adjc[u] & free
+            while cand:
+                b = cand & -cand
+                cand ^= b
+                w = b.bit_length() - 1
+                end = adjc[w] & ends
+                if end:
+                    row = depth_bit[(end & -end).bit_length() - 1]
+                    return depth_bit[u][v] | depth_bit[w][u] | row[w] | row[v]
+            return 0
+        return find_c4
+    if inner == 3:
+        def find_c5(u: int, v: int) -> int:
+            free = ~((1 << u) | (1 << v))
+            close = adjc[v] & free
+            if not close:
+                return 0
+            cand1 = adjc[u] & free
+            while cand1:
+                b1 = cand1 & -cand1
+                cand1 ^= b1
+                ends = close & ~b1
+                if not ends:
+                    continue
+                w1 = b1.bit_length() - 1
+                cand2 = adjc[w1] & free
+                while cand2:
+                    b2 = cand2 & -cand2
+                    cand2 ^= b2
+                    w2 = b2.bit_length() - 1
+                    end = adjc[w2] & ends
+                    if end:
+                        row1 = depth_bit[w1]
+                        row3 = depth_bit[(end & -end).bit_length() - 1]
+                        return (depth_bit[u][v] | row1[u] | row1[w2]
+                                | row3[w2] | row3[v])
+            return 0
+        return find_c5
 
     def extend(last: int, used: int, left: int, close: int):
         # the inner vertices after last, the one next to v first, or None
@@ -469,6 +518,10 @@ def decide_ramsey(query: RamseyQuery) -> RamseyVerdict:
     adj_colors = [[0] * n for _ in range(r)]
     finders = [[_copy_finder(adj_colors[c], n, depth_bit, pat, query.forbidden[c])
                 for pat in query.targets[c]] for c in range(r)]
+    # a node always calls its color's first finder, so checks is nodes
+    # plus extra, the calls to the further finders of several targets
+    first_find = [fs[0] for fs in finders]
+    more_finds = [fs[1:] for fs in finders]
     choice = [-1] * n_edges
     # conflict-directed backjumping: conf[d] has the bits of the depths
     # whose assignments blocked some color at depth d; a dead end jumps
@@ -476,7 +529,7 @@ def decide_ramsey(query: RamseyQuery) -> RamseyVerdict:
     # deeper reassignment alone cannot unblock this edge)
     conf = [0] * n_edges
     depth = 0
-    nodes = checks = backjumps = max_depth = cuts = 0
+    nodes = extra = backjumps = max_depth = cuts = 0
     witness, note = None, ""
     node_budget = query.node_budget
 
@@ -527,14 +580,15 @@ def decide_ramsey(query: RamseyQuery) -> RamseyVerdict:
             adjc = adj_colors[c]
             adjc[u] |= bv
             adjc[v] |= bu
-            mask = 0
-            for find in finders[c]:
-                checks += 1
-                mask = find(u, v)
-                if mask:
-                    break
+            mask = first_find[c](u, v)
             if not mask:
-                break
+                for find in more_finds[c]:
+                    extra += 1
+                    mask = find(u, v)
+                    if mask:
+                        break
+                else:
+                    break
             adjc[u] ^= bv
             adjc[v] ^= bu
             here |= mask & keep
@@ -570,7 +624,7 @@ def decide_ramsey(query: RamseyQuery) -> RamseyVerdict:
             conf[lvl] = 0
         depth = target
 
-    stats.nodes, stats.checks, stats.note = nodes, checks, note
+    stats.nodes, stats.checks, stats.note = nodes, nodes + extra, note
     stats.route = "search"
     stats.backjumps, stats.max_depth = backjumps, max(max_depth, depth)
     stats.symmetry_cuts = cuts

@@ -12,8 +12,10 @@ A manifest is a JSON object:
 
 Running writes the result file and a sibling ``<out>.manifest.json``
 with the seed, the probability grid, and the package version resolved,
-so a later replay needs no defaults.  Replays are compared byte for
-byte, except that fact-report runtimes are zeroed on both sides first.
+so a later replay needs no defaults.  The resolved ``out`` is the
+result's file name, relative to that sibling manifest.  Replays are
+compared byte for byte, except that fact-report runtimes are zeroed on
+both sides first.
 """
 
 from __future__ import annotations
@@ -190,12 +192,12 @@ def run_experiment(manifest: Union[str, dict],
     out_name = resolved.get("out")
     if not out_name:
         out_name = "results.csv" if resolved["op"] == "scan" else "results.json"
-        resolved["out"] = out_name
     text = _result_text(resolved)
     out_path = os.path.join(base_dir, out_name)
     with open(out_path, "w", encoding="utf-8") as fh:
         fh.write(text)
     manifest_path = out_path + ".manifest.json"
+    resolved["out"] = os.path.basename(out_path)
     with open(manifest_path, "w", encoding="utf-8") as fh:
         json.dump(resolved, fh, indent=2)
         fh.write("\n")
@@ -213,7 +215,12 @@ def replay(manifest_path: str) -> dict:
     if "seed" not in manifest:
         raise ManifestError("replay needs a resolved manifest with a seed")
     base_dir = os.path.dirname(os.path.abspath(manifest_path))
-    stored_path = os.path.join(base_dir, _require(manifest, "out", "replay"))
+    out = _require(manifest, "out", "replay")
+    stored_path = os.path.join(base_dir, out)
+    if not os.path.exists(stored_path):
+        # older manifests hold out as given to the run, relative to its
+        # working directory; the result was still written beside them
+        stored_path = os.path.join(base_dir, os.path.basename(out))
     with open(stored_path, encoding="utf-8") as fh:
         stored = fh.read()
     fresh = _result_text(manifest)

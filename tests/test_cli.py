@@ -323,11 +323,25 @@ class TestScanAndReplay:
         with pytest.raises(SystemExit) as exc:
             main(["scan", "--base", "turan:8,4", "--targets", "C3,C3",
                   "--p-grid", "0.5", "--trials", "2", "--budget-secs", "5"])
-        assert exc.value.code == 2
+        assert exc.value.code == ERROR
         summary = self.scan(capsys, tmp_path)
         args = json.loads(open(summary["manifest"]).read())["args"]
         assert args["node_budget"] == 10 ** 8
         assert "time_budget" not in args
+
+    def test_replay_after_relative_out(self, capsys, tmp_path, monkeypatch):
+        # scan and replay run from one directory, the result in a subdirectory
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "sub").mkdir()
+        code, stdout, err = run(
+            capsys, ["scan", "--base", "turan:8,4", "--targets", "C3,C3",
+                     "--p-grid", "0.05,0.6", "--trials", "4", "--seed", "7",
+                     "--out", "sub/s.csv"])
+        assert code == OK, err
+        code, payload = run_json(capsys, ["replay", "sub/s.csv.manifest.json"])
+        assert code == OK
+        assert payload["identical"] is True
+        assert payload["out"] == str(tmp_path / "sub" / "s.csv")
 
     def test_replay_detects_tampering(self, capsys, tmp_path):
         summary = self.scan(capsys, tmp_path)
@@ -408,6 +422,17 @@ class TestParserBasics:
         with pytest.raises(SystemExit) as exc:
             main(["--version"])
         assert exc.value.code == 0
+
+    def test_usage_error_is_an_error_not_inconclusive(self, capsys):
+        # argparse's own exit status 2 would read as an inconclusive search
+        with pytest.raises(SystemExit) as exc:
+            main(["ramsey-check", "--host", "clique:6", "--red", "C3",
+                  "--blue", "C3", "--budget-secs", "3"])
+        assert exc.value.code == ERROR
+        assert "unrecognized arguments: --budget-secs 3" in capsys.readouterr().err
+        with pytest.raises(SystemExit) as exc:
+            main(["scan", "--help"])
+        assert exc.value.code == OK
 
     def test_unknown_family_is_error(self, capsys):
         code, out, err = run(capsys, ["ramsey-check", "--host", "mystery:3",

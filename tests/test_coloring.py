@@ -15,6 +15,7 @@ from ramseylab.coloring import (EdgeColoring, INCONCLUSIVE, NOT_RAMSEY, RAMSEY,
 from ramseylab.graphs import (Graph, _copy_edges, _iter_through, arbitrary, clique,
                               clique_graph, cycle, cycle_graph, empty_graph, path,
                               turan_graph)
+from ramseylab.perturb import perturb
 
 
 def decide(host, targets, **kw):
@@ -225,6 +226,37 @@ class TestSearchOrder:
         verdict = decide(clique_graph(7), [K4_MINUS_EDGE, clique(3)])
         assert verdict.status == RAMSEY
         assert verdict.stats.nodes == verdict.stats.checks == 178
+
+    @pytest.mark.parametrize("n, targets, nodes, checks", [
+        (8, [[cycle(3)], [cycle(3), cycle(5)]], 41, 59),
+        (9, [[cycle(3)], [cycle(4), cycle(5)]], 84, 123),
+        (5, [[cycle(3), cycle(5)], [cycle(3), cycle(5)]], 38, 64),
+    ])
+    def test_checks_count_further_targets(self, n, targets, nodes, checks):
+        # checks exceeds nodes by the finder calls past a color's first target
+        verdict = decide(clique_graph(n), targets)
+        assert verdict.status == RAMSEY
+        assert (verdict.stats.nodes, verdict.stats.checks) == (nodes, checks)
+
+    def test_twin_poor_random_hosts(self):
+        # perturbed hosts have few twin rows, so the first copy each
+        # kernel returns steers the search nearly everywhere
+        witnesses = {}
+        nodes = checks = 0
+        for t in range(12):
+            verdict = decide(perturb(turan_graph(9, 3), 0.5, 8020, t), [cycle(3), cycle(5)])
+            nodes += verdict.stats.nodes
+            checks += verdict.stats.checks
+            if verdict.witness is not None:
+                witnesses[t] = "".join(map(str, verdict.witness.colors))
+        assert (nodes, checks) == (121267, 121267)
+        assert witnesses == {
+            0: "0000111111100001100000000000111",
+            5: "000001111111000111000000000000111",
+            6: "0100011011000011000011100011101",
+            7: "0000111011100000011110001000000",
+            10: "0000111001010111101010100000101",
+        }
 
 
 FIRST_COLORING_TARGETS = [

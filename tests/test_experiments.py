@@ -177,6 +177,25 @@ class TestReplay:
         with open(result["out"]) as fh, open(self.scan_manifest(plain)["out"]) as ref:
             assert fh.read() == ref.read()
 
+    def test_old_manifest_with_run_relative_out_replays(self, tmp_path):
+        # manifests written before out was stored relative to them hold it
+        # as the run was given it, here relative to tmp_path
+        (tmp_path / "sub").mkdir()
+        result = run_experiment({"op": "scan", "seed": 11, "out": "sub/scan.csv",
+                                 "args": {"bases": ["turan:8,4"], "targets": "C3,C3",
+                                          "p_grid": [0.05, 0.6], "trials": 4}},
+                                base_dir=str(tmp_path))
+        with open(result["manifest"]) as fh:
+            stored = json.load(fh)
+        assert stored["out"] == "scan.csv"  # relative to the manifest
+        assert replay(result["manifest"])["identical"] is True
+        stored["out"] = "sub/scan.csv"
+        with open(result["manifest"], "w") as fh:
+            json.dump(stored, fh)
+        report = replay(result["manifest"])
+        assert report["identical"] is True
+        assert report["out"] == str(tmp_path / "sub" / "scan.csv")
+
     def test_replay_without_out_named(self, tmp_path):
         path = tmp_path / "m.json"
         path.write_text(json.dumps({"op": "facts", "seed": 1}))
