@@ -72,11 +72,10 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
-from .graphs import (Graph, Pattern, _allowed_copies, _bits, _copy_edges, _iter_through,
-                     clique_graph, twin_classes)
+from .graphs import (Graph, Pattern, _FrozenRecord, _Record, _allowed_copies, _bits,
+                     _copy_edges, _iter_through, clique_graph, twin_classes)
 
 DEFAULT_NODE_BUDGET = 10 ** 8
 
@@ -85,15 +84,14 @@ NOT_RAMSEY = "not_ramsey"
 INCONCLUSIVE = "inconclusive"
 
 
-@dataclass(frozen=True)
-class RamseyQuery:
+class RamseyQuery(_FrozenRecord):
     """Host graph, per-color target patterns and per-color forbidden
     vertex sets, with a search node budget."""
 
-    host: Graph
-    targets: tuple[tuple[Pattern, ...], ...]
-    forbidden: tuple[frozenset, ...]
-    node_budget: int = DEFAULT_NODE_BUDGET
+    def __init__(self, host: Graph, targets: tuple[tuple[Pattern, ...], ...],
+                 forbidden: tuple[frozenset, ...], node_budget: int = DEFAULT_NODE_BUDGET):
+        self.__dict__.update(host=host, targets=targets, forbidden=forbidden,
+                             node_budget=node_budget)
 
     @property
     def r(self) -> int:
@@ -142,8 +140,7 @@ def _normalize_targets(targets: Sequence) -> tuple[tuple[Pattern, ...], ...]:
     return tuple(norm_targets)
 
 
-@dataclass
-class SearchStats:
+class SearchStats(_Record):
     """What a decision did.  nodes counts color assignments tried and
     checks target patterns tested.  backjumps counts dead ends that
     jumped past at least one level, max_depth is the most edges colored
@@ -154,29 +151,28 @@ class SearchStats:
     whatever it concluded, budget exits included), set at each exit of
     decide_ramsey; it appears in no output either."""
 
-    nodes: int = 0
-    checks: int = 0
-    elapsed: float = 0.0
-    note: str = ""
-    backjumps: int = 0
-    max_depth: int = 0
-    symmetry_cuts: int = 0
-    route: str = ""
+    def __init__(self, nodes: int = 0, checks: int = 0, elapsed: float = 0.0,
+                 note: str = "", backjumps: int = 0, max_depth: int = 0,
+                 symmetry_cuts: int = 0, route: str = ""):
+        self.nodes = nodes
+        self.checks = checks
+        self.elapsed = elapsed
+        self.note = note
+        self.backjumps = backjumps
+        self.max_depth = max_depth
+        self.symmetry_cuts = symmetry_cuts
+        self.route = route
 
 
-@dataclass(frozen=True)
-class EdgeColoring:
+class EdgeColoring(_FrozenRecord):
     """Colors indexed by the host's canonical edge order."""
 
-    host: Graph
-    r: int
-    colors: tuple[int, ...]
-
-    def __post_init__(self):
-        if len(self.colors) != len(self.host.edges()):
+    def __init__(self, host: Graph, r: int, colors: tuple[int, ...]):
+        if len(colors) != len(host.edges()):
             raise ValueError("color count does not match edge count")
-        if self.r < 1 or any(not 0 <= c < self.r for c in self.colors):
+        if r < 1 or any(not 0 <= c < r for c in colors):
             raise ValueError("colors must lie in 0..r-1")
+        self.__dict__.update(host=host, r=r, colors=colors)
 
     def color_subgraph(self, c: int) -> Graph:
         edges = [e for e, col in zip(self.host.edges(), self.colors) if col == c]
@@ -194,11 +190,12 @@ class EdgeColoring:
                    tuple(int(c) for c in data["colors"]))
 
 
-@dataclass
-class RamseyVerdict:
-    status: str
-    witness: Optional[EdgeColoring] = None
-    stats: SearchStats = field(default_factory=SearchStats)
+class RamseyVerdict(_Record):
+    def __init__(self, status: str, witness: Optional[EdgeColoring] = None,
+                 stats: Optional[SearchStats] = None):
+        self.status = status
+        self.witness = witness
+        self.stats = SearchStats() if stats is None else stats
 
     @property
     def is_ramsey(self) -> bool:
@@ -636,13 +633,15 @@ def decide_ramsey(query: RamseyQuery) -> RamseyVerdict:
 # Global Ramseyness over large induced subgraphs
 
 
-@dataclass
-class GlobalVerdict:
-    status: str
-    subset: Optional[tuple[int, ...]] = None
-    witness: Optional[EdgeColoring] = None
-    subsets_checked: int = 0
-    note: str = ""
+class GlobalVerdict(_Record):
+    def __init__(self, status: str, subset: Optional[tuple[int, ...]] = None,
+                 witness: Optional[EdgeColoring] = None, subsets_checked: int = 0,
+                 note: str = ""):
+        self.status = status
+        self.subset = subset
+        self.witness = witness
+        self.subsets_checked = subsets_checked
+        self.note = note
 
 
 def decide_globally_ramsey(query: RamseyQuery, mu, mode: str = "exhaustive",
@@ -708,11 +707,11 @@ def decide_globally_ramsey(query: RamseyQuery, mu, mode: str = "exhaustive",
 # CNF export
 
 
-@dataclass
-class CnfDocument:
-    nvars: int
-    clauses: list[tuple[int, ...]]
-    comments: list[str]
+class CnfDocument(_Record):
+    def __init__(self, nvars: int, clauses: list[tuple[int, ...]], comments: list[str]):
+        self.nvars = nvars
+        self.clauses = clauses
+        self.comments = comments
 
     def dimacs(self) -> str:
         lines = [f"c {line}" for line in self.comments]

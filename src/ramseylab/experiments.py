@@ -21,10 +21,8 @@ both sides first.
 from __future__ import annotations
 
 import copy
-import inspect
 import json
 import os
-import secrets
 import typing
 from typing import Optional, Union
 
@@ -89,6 +87,8 @@ def _fact_report(name: str, args: dict) -> facts_mod.FactReport:
     if not isinstance(args, dict):
         raise ManifestError(f"fact {name!r}: arguments must be a JSON object, "
                             f"got {type(args).__name__}")
+    import inspect  # not at module level: it is slow to import
+
     kwargs = dict(args)
     op = _FACT_OPS[name]
     signature = inspect.signature(op)
@@ -163,12 +163,21 @@ def _result_text(manifest: dict) -> str:
     raise ManifestError(f"unknown op {op!r}")
 
 
-def load_manifest(path: str) -> dict:
-    with open(path, encoding="utf-8") as fh:
-        manifest = json.load(fh)
+def _check_manifest(manifest) -> dict:
+    """The manifest, once it is a JSON object with an 'op' key whose
+    'args', when given, are a JSON object too."""
     if not isinstance(manifest, dict) or "op" not in manifest:
         raise ManifestError("manifest must be a JSON object with an 'op' key")
+    args = manifest.get("args", {})
+    if not isinstance(args, dict):
+        raise ManifestError(f"manifest 'args' must be a JSON object, "
+                            f"got {type(args).__name__}")
     return manifest
+
+
+def load_manifest(path: str) -> dict:
+    with open(path, encoding="utf-8") as fh:
+        return _check_manifest(json.load(fh))
 
 
 def run_experiment(manifest: Union[str, dict],
@@ -181,10 +190,13 @@ def run_experiment(manifest: Union[str, dict],
     if isinstance(manifest, str):
         base_dir = base_dir or os.path.dirname(os.path.abspath(manifest))
         manifest = load_manifest(manifest)
+    else:
+        _check_manifest(manifest)
     base_dir = base_dir or os.getcwd()
     resolved = copy.deepcopy(manifest)
     resolved["version"] = PACKAGE_VERSION
     if "seed" not in resolved:
+        import secrets  # not at module level: it loads hashlib and libcrypto
         resolved["seed"] = secrets.randbits(63)
     if resolved["op"] == "scan":
         resolved.setdefault("args", {})

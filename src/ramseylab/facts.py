@@ -11,27 +11,28 @@ as verification.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
 from typing import Optional
 
 from .coloring import (DEFAULT_NODE_BUDGET, INCONCLUSIVE, NOT_RAMSEY, RAMSEY,
                        decide_ramsey, ramsey_query, targets_ramsey_number)
 from .densities import rho_bound_hm
-from .graphs import (Graph, Pattern, clique_graph, clique, cycle, hm_graph,
+from .graphs import (Graph, Pattern, _Record, clique_graph, clique, cycle, hm_graph,
                      hmr_graph, path, part_vertices)
 
 VERIFIED = "verified"
 REFUTED = "refuted"
 
 
-@dataclass
-class FactReport:
-    fact_id: str
-    statement: str
-    status: str
-    certificate: dict = field(default_factory=dict)
-    exploration: dict = field(default_factory=dict)
-    runtime: float = 0.0
+class FactReport(_Record):
+    def __init__(self, fact_id: str, statement: str, status: str,
+                 certificate: Optional[dict] = None, exploration: Optional[dict] = None,
+                 runtime: float = 0.0):
+        self.fact_id = fact_id
+        self.statement = statement
+        self.status = status
+        self.certificate = {} if certificate is None else certificate
+        self.exploration = {} if exploration is None else exploration
+        self.runtime = runtime
 
     def to_jsonable(self) -> dict:
         return {"fact_id": self.fact_id, "statement": self.statement,

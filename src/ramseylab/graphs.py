@@ -9,9 +9,8 @@ sampling) is lexicographic on (min, max).
 
 from __future__ import annotations
 
-import inspect
 import itertools
-from dataclasses import dataclass
+from operator import attrgetter
 from typing import Iterable, Iterator, Optional, Sequence
 
 MAX_VERTICES = 64
@@ -190,11 +189,59 @@ def twin_classes(g: Graph) -> list[tuple[int, bool]]:
 
 
 # ---------------------------------------------------------------------
+# Records
+
+
+class _Record:
+    """Base of the package's plain result records, in place of dataclasses.
+
+    A record's fields are its __init__ parameters, in order; each
+    subclass writes that __init__ out by hand.  The base adds what a
+    dataclass would: a field-wise __eq__ (NotImplemented across
+    classes), a __repr__ in the dataclass text, and __match_args__.
+    Plain records stay mutable and unhashable.  Not importing
+    dataclasses, and not exec-ing a generated method per record, keeps
+    the package's import cheap.
+    """
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        if "__init__" in cls.__dict__:  # not _FrozenRecord itself
+            code = cls.__init__.__code__
+            cls.__match_args__ = code.co_varnames[1:code.co_argcount]
+            # a tuple of the field values (every record has at least two)
+            cls._values = attrgetter(*cls.__match_args__)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values(self) == other._values(other)
+
+    def __repr__(self):
+        body = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__match_args__)
+        return f"{self.__class__.__qualname__}({body})"
+
+
+class _FrozenRecord(_Record):
+    """A _Record whose fields cannot change: its __init__ fills __dict__
+    directly, assignment and deletion raise AttributeError, and it
+    hashes by value, as the tuple of its fields does."""
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __hash__(self):
+        return hash(self._values(self))
+
+
+# ---------------------------------------------------------------------
 # Patterns
 
 
-@dataclass(frozen=True)
-class Pattern:
+class Pattern(_FrozenRecord):
     """A target shape to look for as a (not necessarily induced) subgraph.
 
     kind is one of "clique", "cycle", "path", "arbitrary".  size is the
@@ -202,21 +249,18 @@ class Pattern:
     patterns carry their graph.
     """
 
-    kind: str
-    size: int = 0
-    graph: Optional[Graph] = None
-
-    def __post_init__(self):
-        if self.kind not in ("clique", "cycle", "path", "arbitrary"):
-            raise ValueError(f"unknown pattern kind {self.kind!r}")
-        if self.kind == "clique" and self.size < 1:
+    def __init__(self, kind: str, size: int = 0, graph: Optional[Graph] = None):
+        if kind not in ("clique", "cycle", "path", "arbitrary"):
+            raise ValueError(f"unknown pattern kind {kind!r}")
+        if kind == "clique" and size < 1:
             raise ValueError("clique size must be >= 1")
-        if self.kind == "cycle" and self.size < 3:
+        if kind == "cycle" and size < 3:
             raise ValueError("cycle length must be >= 3")
-        if self.kind == "path" and self.size < 1:
+        if kind == "path" and size < 1:
             raise ValueError("path vertex count must be >= 1")
-        if self.kind == "arbitrary" and (self.graph is None or self.graph.n < 1):
+        if kind == "arbitrary" and (graph is None or graph.n < 1):
             raise ValueError("arbitrary pattern needs a nonempty graph")
+        self.__dict__.update(kind=kind, size=size, graph=graph)
 
     @property
     def vertex_count(self) -> int:
@@ -729,7 +773,8 @@ def build_family(descriptor) -> Graph:
     build = builders.get(name)
     if build is None:
         raise ValueError(f"unknown family {name!r}")
-    params = list(inspect.signature(build).parameters)
+    code = build.__code__
+    params = code.co_varnames[:code.co_argcount]
     if len(args) != len(params):
         raise ValueError(f"family {name!r} takes {len(params)} argument"
                          f"{'s' * (len(params) > 1)} ({','.join(params)}), got {len(args)}")

@@ -38,14 +38,13 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 from .coloring import (DEFAULT_NODE_BUDGET, INCONCLUSIVE, RAMSEY, RamseyQuery,
                        _edgeless_target, decide_ramsey, ramsey_query,
                        targets_ramsey_number)
 from .densities import _check_prob
-from .graphs import Graph, clique, contains_pattern
+from .graphs import Graph, _Record, clique, contains_pattern
 
 _MASK64 = (1 << 64) - 1
 _WILSON_Z = 1.959963984540054  # two-sided 95%
@@ -113,15 +112,16 @@ def wilson_interval(successes: int, total: int, z: float = _WILSON_Z) -> tuple[f
     return (max(0.0, center - half), min(1.0, center + half))
 
 
-@dataclass
-class MonteCarloRow:
-    n: int
-    p: float
-    trials: int
-    successes: int
-    inconclusive: int
-    wilson_lo: float
-    wilson_hi: float
+class MonteCarloRow(_Record):
+    def __init__(self, n: int, p: float, trials: int, successes: int, inconclusive: int,
+                 wilson_lo: float, wilson_hi: float):
+        self.n = n
+        self.p = p
+        self.trials = trials
+        self.successes = successes
+        self.inconclusive = inconclusive
+        self.wilson_lo = wilson_lo
+        self.wilson_hi = wilson_hi
 
     @property
     def effective(self) -> int:
@@ -218,17 +218,20 @@ def log_spaced_grid(p_lo: float, p_hi: float, per_decade: int = 13) -> list[floa
     """Log-spaced probabilities from p_lo to p_hi inclusive."""
     if not 0 < p_lo < p_hi <= 1:
         raise ValueError("need 0 < p_lo < p_hi <= 1")
+    if per_decade < 1:
+        raise ValueError(f"need per_decade >= 1, got {per_decade}")
     decades = math.log10(p_hi / p_lo)
     count = max(2, round(decades * per_decade) + 1)
     return [min(1.0, p_lo * 10 ** (decades * i / (count - 1))) for i in range(count)]
 
 
-@dataclass
-class ScanResult:
-    rows: list[MonteCarloRow]
-    crossings: dict[int, Optional[float]]
-    exponent: Optional[float]
-    flags: list[str] = field(default_factory=list)
+class ScanResult(_Record):
+    def __init__(self, rows: list[MonteCarloRow], crossings: dict[int, Optional[float]],
+                 exponent: Optional[float], flags: Optional[list[str]] = None):
+        self.rows = rows
+        self.crossings = crossings
+        self.exponent = exponent
+        self.flags = [] if flags is None else flags
 
     def to_csv(self) -> str:
         lines = ["n,p,trials,successes,wilson_lo,wilson_hi,inconclusive"]
@@ -300,14 +303,15 @@ def threshold_scan(bases: Sequence[Graph], targets: Sequence, p_grid: Sequence[f
 # Dependent random choice selection
 
 
-@dataclass
-class DrcReport:
-    selected: list[int]
-    removed: list[int]
-    samples: list[list[int]]
-    subsets_checked: int
-    verified: bool
-    error: str = ""
+class DrcReport(_Record):
+    def __init__(self, selected: list[int], removed: list[int], samples: list[list[int]],
+                 subsets_checked: int, verified: bool, error: str = ""):
+        self.selected = selected
+        self.removed = removed
+        self.samples = samples
+        self.subsets_checked = subsets_checked
+        self.verified = verified
+        self.error = error
 
 
 def drc_select(g: Graph, parts: Sequence[Sequence[int]], ell: int, t: int,

@@ -20,11 +20,10 @@ clique against an odd cycle.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .graphs import Pattern, clique_order, cycle_length
+from .graphs import Pattern, _FrozenRecord, clique_order, cycle_length
 
 EXACT = "exact"
 EXACT_UP_TO_O1 = "exact_up_to_o1"
@@ -33,14 +32,12 @@ ZERO = "zero"
 UNKNOWN = "unknown"
 
 
-@dataclass(frozen=True)
-class ThresholdAnswer:
-    kind: str
-    exponent: Optional[Fraction] = None
-    lo: Optional[Fraction] = None
-    hi: Optional[Fraction] = None
-    provenance: str = ""
-    note: str = ""
+class ThresholdAnswer(_FrozenRecord):
+    def __init__(self, kind: str, exponent: Optional[Fraction] = None,
+                 lo: Optional[Fraction] = None, hi: Optional[Fraction] = None,
+                 provenance: str = "", note: str = ""):
+        self.__dict__.update(kind=kind, exponent=exponent, lo=lo, hi=hi,
+                             provenance=provenance, note=note)
 
     def to_jsonable(self) -> dict:
         def frac(x):

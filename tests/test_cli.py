@@ -293,6 +293,15 @@ class TestScanAndReplay:
         assert "error: trial count must be nonnegative" in err
         assert not (tmp_path / "scan.csv").exists()
 
+    def test_zero_per_decade_is_error(self, capsys, tmp_path):
+        code, out, err = run(
+            capsys, ["scan", "--base", "turan:6,3", "--targets", "C3,C3",
+                     "--p-grid", "0.1:0.5:0", "--trials", "2",
+                     "--out", str(tmp_path / "scan.csv")])
+        assert code == ERROR
+        assert "error: need per_decade >= 1, got 0" in err
+        assert not (tmp_path / "scan.csv").exists()
+
     def test_seed_drawn_when_missing(self, capsys, tmp_path):
         out = tmp_path / "s.csv"
         code, stdout, err = run(

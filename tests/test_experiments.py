@@ -133,6 +133,29 @@ class TestRunExperiment:
                            base_dir=str(tmp_path))
         assert not list(tmp_path.iterdir())
 
+    def test_zero_per_decade_rejected(self, tmp_path):
+        args = {"bases": ["turan:6,3"], "targets": "C3,C3", "trials": 2,
+                "p_grid": {"lo": 0.1, "hi": 0.5, "per_decade": 0}}
+        with pytest.raises(ValueError, match="per_decade"):
+            run_experiment({"op": "scan", "seed": 1, "args": args},
+                           base_dir=str(tmp_path))
+        assert not list(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("manifest, message", [
+        ({"name": "list_cycle_lemma"}, "'op' key"),
+        (["op", "facts"], "'op' key"),
+        ({"op": "scan", "seed": 1, "args": ["turan:6,3"]}, "'args' must be a JSON object"),
+        ({"op": "facts", "args": "x"}, "'args' must be a JSON object"),
+    ])
+    def test_dict_manifest_checked_like_a_file(self, tmp_path, manifest, message):
+        with pytest.raises(ManifestError, match=message):
+            run_experiment(manifest, base_dir=str(tmp_path))
+        path = tmp_path / "m.json"
+        path.write_text(json.dumps(manifest))
+        with pytest.raises(ManifestError, match=message):
+            load_manifest(str(path))
+        assert [p.name for p in tmp_path.iterdir()] == ["m.json"]
+
     def test_manifest_from_file(self, tmp_path):
         path = tmp_path / "m.json"
         path.write_text(json.dumps({"op": "fact", "name": "list_cycle_lemma",

@@ -154,6 +154,14 @@ class TestGrid:
         with pytest.raises(ValueError):
             log_spaced_grid(0.1, 1.5)
 
+    @pytest.mark.parametrize("per_decade", [0, -3])
+    def test_per_decade_below_one_rejected(self, per_decade):
+        with pytest.raises(ValueError, match="per_decade"):
+            log_spaced_grid(0.1, 0.5, per_decade)
+
+    def test_one_per_decade_still_spans(self):
+        assert log_spaced_grid(0.01, 1.0, 1) == [0.01, 0.1, 1.0]
+
 
 class TestCrossing:
     def test_interpolates_in_log_p(self):
