@@ -55,6 +55,14 @@ def _require(mapping: dict, key: str, what: str):
     return mapping[key]
 
 
+def _integer(value, key: str) -> int:
+    """value, once it is an integer; a float or a bool is an error, not
+    something to truncate."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ManifestError(f"{key!r} must be an integer, got {value!r}")
+    return value
+
+
 def parse_pattern(token: str):
     """One target pattern from compact text: K5, C7, P4, or g6:<code>."""
     from . import graph6
@@ -119,22 +127,25 @@ def _fact_report(name: str, args: dict) -> facts_mod.FactReport:
 
 def _resolve_grid(args: dict) -> list[float]:
     grid = args.get("p_grid")
-    if isinstance(grid, list):
+    if isinstance(grid, list) and grid:
         return [float(p) for p in grid]
     if isinstance(grid, dict):
         return log_spaced_grid(float(_require(grid, "lo", "p_grid")),
                                float(_require(grid, "hi", "p_grid")),
-                               int(grid.get("per_decade", 13)))
-    raise ManifestError("scan needs p_grid as a list or {lo, hi, per_decade}")
+                               _integer(grid.get("per_decade", 13), "per_decade"))
+    raise ManifestError("scan needs 'p_grid' as a nonempty list or {lo, hi, per_decade}")
 
 
 def _run_scan(args: dict, seed: int):
-    bases = [build_family(b) for b in _require(args, "bases", "scan")]
+    descriptors = _require(args, "bases", "scan")
+    if not isinstance(descriptors, list) or not descriptors:
+        raise ManifestError(f"scan needs 'bases' as a nonempty list, got {descriptors!r}")
+    bases = [build_family(b) for b in descriptors]
     targets = parse_targets(_require(args, "targets", "scan"))
     grid = _resolve_grid(args)
     result = threshold_scan(
-        bases, targets, grid, int(_require(args, "trials", "scan")), seed,
-        node_budget=int(args.get("node_budget", DEFAULT_NODE_BUDGET)),
+        bases, targets, grid, _integer(_require(args, "trials", "scan"), "trials"), seed,
+        node_budget=_integer(args.get("node_budget", DEFAULT_NODE_BUDGET), "node_budget"),
         clique_shortcut=bool(args.get("clique_shortcut", True)))
     return result, grid
 
@@ -152,7 +163,7 @@ def _result_text(manifest: dict) -> str:
     op = manifest.get("op")
     args = manifest.get("args", {})
     if op == "scan":
-        result, _ = _run_scan(args, int(manifest["seed"]))
+        result, _ = _run_scan(args, manifest["seed"])
         return result.to_csv()
     if op == "facts":
         reports = [r.to_jsonable() for r in facts_mod.default_fact_suite()]
@@ -165,13 +176,16 @@ def _result_text(manifest: dict) -> str:
 
 def _check_manifest(manifest) -> dict:
     """The manifest, once it is a JSON object with an 'op' key whose
-    'args', when given, are a JSON object too."""
+    'args', when given, are a JSON object too, and whose seed, when
+    given, is an integer."""
     if not isinstance(manifest, dict) or "op" not in manifest:
         raise ManifestError("manifest must be a JSON object with an 'op' key")
     args = manifest.get("args", {})
     if not isinstance(args, dict):
         raise ManifestError(f"manifest 'args' must be a JSON object, "
                             f"got {type(args).__name__}")
+    if "seed" in manifest:
+        _integer(manifest["seed"], "seed")
     return manifest
 
 

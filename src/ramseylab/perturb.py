@@ -11,23 +11,33 @@ from decision noise.
 A perturbed host G ∪ G(n,p) differs from its base only on the base's
 missing pairs, so perturb and the scan draw variates for those pairs
 alone, each under its index in the canonical order of the complete
-graph: the variate of a pair is the one sample_gnp gives it.  A scan
-draws each trial's variates once, and edges enter the trial's host in
-arrival order as p grows along the sorted grid, so the host at each
-grid point is exactly perturb(base, p, seed, trial).
+graph: the variate of a pair is the one sample_gnp gives it.  Graphs
+are drawn through _variates, which mixes all of a trial's indices in
+one pass over a packed integer and returns each variate as a 53-bit
+integer x, the variate being x / 2**53, so comparing it with p is
+exact; edge_variate is the scalar form and the reference.  A scan
+draws each trial's variates in one call and drops the pairs that would
+arrive at or above its last grid point; the others enter the trial's
+host in arrival order as p grows along the sorted grid, so the host at
+each grid point is exactly perturb(base, p, seed, trial).
 
 Hosts are nested in p within a trial, and being Ramsey for non-induced
-targets is monotone under adding edges.  The scan settles two verdicts
-that no budget can change once per base, before any trial.  A target
-without edges makes every host on n vertices Ramsey, so nothing is
-drawn or decided.  With the clique shortcut, R = the least n' <= n
+targets is monotone under adding edges.  The scan settles, once per
+base and before any trial, the verdicts that no budget can change.  A
+target without edges makes every host on n vertices Ramsey, so nothing
+is drawn or decided.  With the clique shortcut, R = the least n' <= n
 (capped at 12) with K_n' Ramsey for the targets depends only on the
-targets, the node budget and n; a host holding a K_R is Ramsey, and so
+targets, the node budget and n.  A host holding a K_R is Ramsey, and so
 is every later host of its trial, which then count as successes
-without being built.  A Ramsey verdict reached by search is not
-carried forward, because a fresh search of a larger host could run out
-of node budget.  The node budget is the only limit on a search, so no
-verdict depends on machine speed.
+without being built; a base holding a K_R makes every host Ramsey, so
+again nothing is drawn or decided.  Otherwise a trial's hosts lack a
+K_R until one arrives with a new pair, so only the pairs that arrived
+since the previous grid point are tested, each for a K_R through it.
+A Ramsey verdict reached by search is not carried forward, because a
+fresh search of a larger host could run out of node budget.  The node
+budget is the only limit on a search, so no verdict depends on machine
+speed, and every search verdict, inconclusive ones too, is cached by
+host for the rest of the scan of its base.
 
 Ramsey trials that exhaust their node budget count as Inconclusive:
 they are reported separately and excluded from the success-rate
@@ -36,36 +46,78 @@ denominator, never as success or failure.
 
 from __future__ import annotations
 
+import bisect
 import itertools
 import math
+import struct
 from typing import Optional, Sequence
 
-from .coloring import (DEFAULT_NODE_BUDGET, INCONCLUSIVE, RAMSEY, RamseyQuery,
-                       _edgeless_target, decide_ramsey, ramsey_query,
+from .coloring import (DEFAULT_NODE_BUDGET, INCONCLUSIVE, NOT_RAMSEY, RAMSEY,
+                       RamseyQuery, _edgeless_target, decide_ramsey, ramsey_query,
                        targets_ramsey_number)
 from .densities import _check_prob
-from .graphs import Graph, _Record, clique, contains_pattern
+from .graphs import Graph, _iter_through, _Record, clique, contains_pattern
 
 _MASK64 = (1 << 64) - 1
+_UNIT = float(1 << 53)  # a variate is a 53-bit integer divided by this
 _WILSON_Z = 1.959963984540054  # two-sided 95%
+
+# splitmix64: the counter's weights for seed, trial and edge index, its
+# offset, and the two multipliers of the finalizer
+_SEED_MUL, _TRIAL_MUL, _EDGE_MUL = 0x9E3779B97F4A7C15, 0xC2B2AE3D27D4EB4F, 0x165667B19E3779F9
+_OFFSET = 0xD6E8FEB86659FD93
+_MIX_MUL1, _MIX_MUL2 = 0xBF58476D1CE4E5B9, 0x94D049BB133111EB
 
 
 def _mix64(x: int) -> int:
     x &= _MASK64
     x ^= x >> 30
-    x = (x * 0xBF58476D1CE4E5B9) & _MASK64
+    x = (x * _MIX_MUL1) & _MASK64
     x ^= x >> 27
-    x = (x * 0x94D049BB133111EB) & _MASK64
+    x = (x * _MIX_MUL2) & _MASK64
     x ^= x >> 31
     return x
 
 
 def edge_variate(seed: int, trial: int, edge_idx: int) -> float:
     """Uniform [0,1) variate for one potential edge of one trial."""
-    x = (seed * 0x9E3779B97F4A7C15 + trial * 0xC2B2AE3D27D4EB4F
-         + edge_idx * 0x165667B19E3779F9 + 0xD6E8FEB86659FD93) & _MASK64
+    x = (seed * _SEED_MUL + trial * _TRIAL_MUL + edge_idx * _EDGE_MUL + _OFFSET) & _MASK64
     x = _mix64(_mix64(x))
-    return (x >> 11) / float(1 << 53)
+    return (x >> 11) / _UNIT
+
+
+def _variates(seed: int, trial: int, indices: Sequence[int]) -> tuple[int, ...]:
+    """One trial's variates for the edge indices given (each in
+    0..2**64-1), as the 53-bit integers x with edge_variate(seed, trial,
+    j) == x / 2**53; the variate is below p exactly when x < p * 2**53.
+
+    All indices are mixed at once.  Each gets a 64-bit lane of one
+    integer, the lanes 128 bits apart, so a lane times a 64-bit
+    multiplier stays inside its own slot, and the two splitmix64 rounds
+    run as whole-integer shifts, XORs and multiplies.  An AND with the
+    lane mask reduces every product mod 2**64 and, before each multiply,
+    clears the bits a right shift brought down from the next lane into
+    a slot's upper half.  Lanes are packed and read back little-endian,
+    whatever the host's byte order.
+    """
+    k = len(indices)
+    if not k:
+        return ()
+    layout = "<" + "Q8x" * k
+    ones = int.from_bytes((b"\x01" + bytes(15)) * k, "little")
+    lanes = ones * _MASK64
+    counter = (seed * _SEED_MUL + trial * _TRIAL_MUL + _OFFSET) & _MASK64
+    x = (int.from_bytes(struct.pack(layout, *indices), "little") * _EDGE_MUL
+         + counter * ones) & lanes
+    for _ in range(2):
+        x ^= x >> 30
+        x = (x & lanes) * _MIX_MUL1 & lanes
+        x ^= x >> 27
+        x = (x & lanes) * _MIX_MUL2 & lanes
+        # the next lane's low bits land above bit 96 of the slot, where
+        # the next shift keeps them out of the lane and the next AND clears them
+        x ^= x >> 31
+    return struct.unpack(layout, (x >> 11).to_bytes(16 * k, "little"))
 
 
 def sample_gnp(n: int, p: float, seed: int, trial: int = 0) -> Graph:
@@ -73,19 +125,19 @@ def sample_gnp(n: int, p: float, seed: int, trial: int = 0) -> Graph:
     counter variate is below p.  Edge indices follow the canonical
     order of the complete graph."""
     _check_prob(p)
-    edges = []
-    for j, (u, v) in enumerate(itertools.combinations(range(n), 2)):
-        if edge_variate(seed, trial, j) < p:
-            edges.append((u, v))
-    return Graph.from_edges(n, edges)
+    pairs = list(itertools.combinations(range(n), 2))
+    cut = p * _UNIT
+    xs = _variates(seed, trial, range(len(pairs)))
+    return Graph.from_edges(n, [e for e, x in zip(pairs, xs) if x < cut])
 
 
-def _missing_pairs(base: Graph) -> list[tuple[int, int, int]]:
-    """(j, u, v) for each pair u < v absent from the base, j its index
-    in the canonical order of the complete graph (sample_gnp's)."""
+def _missing_pairs(base: Graph) -> tuple[list[int], list[tuple[int, int]]]:
+    """The pairs u < v absent from the base, and the index of each in
+    the canonical order of the complete graph (sample_gnp's)."""
     adj = base.adj
-    return [(j, u, v) for j, (u, v) in enumerate(itertools.combinations(range(base.n), 2))
-            if not adj[u] >> v & 1]
+    missing = [(j, (u, v)) for j, (u, v) in enumerate(itertools.combinations(range(base.n), 2))
+               if not adj[u] >> v & 1]
+    return [j for j, _ in missing], [e for _, e in missing]
 
 
 def perturb(base: Graph, p: float, seed: int, trial: int = 0) -> Graph:
@@ -94,8 +146,10 @@ def perturb(base: Graph, p: float, seed: int, trial: int = 0) -> Graph:
     only for the base's missing pairs."""
     _check_prob(p)
     adj = list(base.adj)
-    for j, u, v in _missing_pairs(base):
-        if edge_variate(seed, trial, j) < p:
+    indices, pairs = _missing_pairs(base)
+    cut = p * _UNIT
+    for (u, v), x in zip(pairs, _variates(seed, trial, indices)):
+        if x < cut:
             adj[u] |= 1 << v
             adj[v] |= 1 << u
     return Graph(base.n, tuple(adj), base.labels)
@@ -138,7 +192,7 @@ def monte_carlo_ramsey(base: Graph, targets: Sequence, p: float, trials: int,
     """Success rate of the Ramsey property over perturbed samples.
 
     Success means decide_ramsey proves the perturbed host Ramsey.  The
-    one-point case of a threshold scan: hosts repeat, so completed
+    one-point case of a threshold scan: hosts repeat, so search
     verdicts are cached by host adjacency for the duration of the call.
     """
     return _scan_base(base, targets, [p], trials, seed, node_budget,
@@ -151,66 +205,90 @@ def _scan_base(base: Graph, targets: Sequence, grid: list[float], trials: int,
     """One row per point of the ascending grid, for one base.
 
     Trial-major: each trial draws variates for the base's missing pairs
-    once, and its hosts grow along the grid by adding those pairs in
-    arrival order, so the host at p is exactly perturb(base, p, seed,
-    trial).  The edgeless-target test and the shortcut's R are worked
-    out once, before the first trial (module docstring).  Completed
-    verdicts are cached by host adjacency, with whether they carry to
-    the trial's later grid points; a Graph is built only for a host
-    that has to be decided.
+    in one call, and its hosts grow along the grid as those pairs
+    arrive, so the host at p is exactly perturb(base, p, seed, trial).
+    Pairs arriving at or above the last grid point are dropped before
+    the arrivals are sorted.  The edgeless-target test, the shortcut's
+    R and whether the base itself holds a K_R are worked out once,
+    before the first trial (module docstring).  A trial's earlier hosts
+    all lack a K_R, so a host holds one only through a pair that has
+    just arrived, and only those pairs are tested.  A host is looked up
+    once for the run of grid points it stands at, until the next pairs
+    arrive, so it keeps one verdict there.  Search verdicts, inconclusive
+    ones too, are cached by host adjacency; a Graph is built only for a
+    host that has to be decided.
     """
     if trials < 0:
         raise ValueError(f"trial count must be nonnegative, got {trials}")
     for p in grid:
         _check_prob(p)
     template = ramsey_query(base, targets)
+    if not grid:
+        return []
     edgeless = _edgeless_target(template) is not None
-    # with an edgeless target every trial is a success at every p
-    successes = [trials if edgeless else 0] * len(grid)
-    inconclusive = [0] * len(grid)
     shortcut = None
     if clique_shortcut and not edgeless:
         number = targets_ramsey_number(template.targets, cap=min(base.n, 12),
                                        node_budget=node_budget)
         if number is not None:
             shortcut = clique(number)
-    missing = _missing_pairs(base)
-    cache: dict = {}  # adjacency -> (status, carried)
-    for t in range(0 if edgeless else trials):
-        arrivals = sorted((edge_variate(seed, t, j), u, v) for j, u, v in missing)
+    # either makes every host of every trial Ramsey at every p
+    settled = edgeless or shortcut is not None and contains_pattern(base, shortcut)
+    # per status and grid point, the change in the status's count of
+    # trials from the previous point
+    deltas = {status: [0] * (len(grid) + 1) for status in (RAMSEY, NOT_RAMSEY, INCONCLUSIVE)}
+    successes = deltas[RAMSEY]
+    if settled:
+        successes[0] = trials
+    n = base.n
+    cache: dict = {}  # adjacency -> status of its search verdict
+
+    def tally(adj: list[int], start: int, end: int) -> None:
+        """Count a host that stands at grid points start..end-1."""
+        if start == end:
+            return
+        key = tuple(adj)
+        status = cache.get(key)
+        if status is None:
+            q = RamseyQuery(Graph(n, key, base.labels), template.targets,
+                            template.forbidden, node_budget)
+            status = cache[key] = decide_ramsey(q).status
+        deltas[status][start] += 1
+        deltas[status][end] -= 1
+
+    indices, pairs = _missing_pairs(base)
+    cuts = [p * _UNIT for p in grid]
+    top = cuts[-1]
+    for t in range(0 if settled else trials):
+        arrivals = sorted([(x, e) for x, e in zip(_variates(seed, t, indices), pairs)
+                           if x < top])
         adj = list(base.adj)
-        k = 0
-        for i, p in enumerate(grid):
-            while k < len(arrivals) and arrivals[k][0] < p:
-                _, u, v = arrivals[k]
+        start = k = 0
+        while k < len(arrivals):
+            # the next pairs arrive at grid point end; the host stands until then
+            end = bisect.bisect_right(cuts, arrivals[k][0])
+            tally(adj, start, end)
+            first = k
+            while k < len(arrivals) and arrivals[k][0] < cuts[end]:
+                _, (u, v) = arrivals[k]
                 adj[u] |= 1 << v
                 adj[v] |= 1 << u
                 k += 1
-            key = tuple(adj)
-            hit = cache.get(key)
-            if hit is None:
-                host = Graph(base.n, key, base.labels)
-                if shortcut is not None and contains_pattern(host, shortcut):
-                    hit = (RAMSEY, True)
-                else:
-                    q = RamseyQuery(host, template.targets, template.forbidden,
-                                    node_budget)
-                    hit = (decide_ramsey(q).status, False)
-                if hit[0] != INCONCLUSIVE:
-                    cache[key] = hit
-            status, carried = hit
-            if status == INCONCLUSIVE:
-                inconclusive[i] += 1
-            elif status == RAMSEY:
-                if carried:
-                    for later in range(i, len(grid)):
-                        successes[later] += 1
-                    break
-                successes[i] += 1
+            if shortcut is not None and any(
+                    next(_iter_through(n, adj, u, v, shortcut), None) is not None
+                    for _, (u, v) in arrivals[first:k]):
+                successes[end] += 1  # carried to the last point
+                break
+            start = end
+        else:
+            tally(adj, start, len(grid))
     rows = []
-    for p, s, inc in zip(grid, successes, inconclusive):
+    s = inc = 0
+    for p, ds, dinc in zip(grid, successes, deltas[INCONCLUSIVE]):
+        s += ds
+        inc += dinc
         lo, hi = wilson_interval(s, trials - inc)
-        rows.append(MonteCarloRow(base.n, p, trials, s, inc, lo, hi))
+        rows.append(MonteCarloRow(n, p, trials, s, inc, lo, hi))
     return rows
 
 

@@ -141,6 +141,33 @@ class TestRunExperiment:
                            base_dir=str(tmp_path))
         assert not list(tmp_path.iterdir())
 
+    @pytest.mark.parametrize("where, key, value", [
+        ("manifest", "seed", 1.7), ("manifest", "seed", True), ("manifest", "seed", "5"),
+        ("args", "trials", 2.0), ("args", "trials", True),
+        ("args", "node_budget", 1e6), ("args", "node_budget", False),
+        ("p_grid", "per_decade", 1.9), ("p_grid", "per_decade", True),
+    ])
+    def test_scan_numbers_not_truncated(self, tmp_path, where, key, value):
+        manifest = {"op": "scan", "seed": 1,
+                    "args": {"bases": ["turan:6,3"], "targets": "C3,C3", "trials": 2,
+                             "p_grid": {"lo": 0.1, "hi": 0.5, "per_decade": 2}}}
+        parts = {"manifest": manifest, "args": manifest["args"],
+                 "p_grid": manifest["args"]["p_grid"]}
+        parts[where][key] = value
+        with pytest.raises(ManifestError, match=f"'{key}' must be an integer"):
+            run_experiment(manifest, base_dir=str(tmp_path))
+        assert not list(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("key", ["bases", "p_grid"])
+    def test_scan_empty_list_rejected(self, tmp_path, key):
+        args = {"bases": ["turan:6,3"], "targets": "C3,C3", "trials": 2,
+                "p_grid": [0.1, 0.5]}
+        args[key] = []
+        with pytest.raises(ManifestError, match=f"'{key}'"):
+            run_experiment({"op": "scan", "seed": 1, "args": args},
+                           base_dir=str(tmp_path))
+        assert not list(tmp_path.iterdir())
+
     @pytest.mark.parametrize("manifest, message", [
         ({"name": "list_cycle_lemma"}, "'op' key"),
         (["op", "facts"], "'op' key"),

@@ -1,6 +1,7 @@
 import collections
 import hashlib
 import importlib
+import itertools
 import math
 
 import pytest
@@ -11,9 +12,9 @@ from ramseylab.coloring import (DEFAULT_NODE_BUDGET, INCONCLUSIVE, RAMSEY,
 from ramseylab.graphs import (Graph, arbitrary, clique, clique_graph,
                               complete_multipartite, contains_pattern, cycle,
                               cycle_graph, empty_graph, path, turan_graph)
-from ramseylab.perturb import (MonteCarloRow, drc_select, log_spaced_grid,
-                               monte_carlo_ramsey, perturb, sample_gnp,
-                               threshold_scan, wilson_interval)
+from ramseylab.perturb import (MonteCarloRow, drc_select, edge_variate,
+                               log_spaced_grid, monte_carlo_ramsey, perturb,
+                               sample_gnp, threshold_scan, wilson_interval)
 from ramseylab.perturb import _crossing
 
 # the package re-exports the function perturb under the module's name
@@ -102,6 +103,44 @@ class TestPerturb:
     def test_bad_probability(self):
         with pytest.raises(ValueError, match="probability"):
             perturb(turan_graph(6, 3), 1.5, seed=0)
+
+
+class TestStream:
+    """The packed kernel _variates against the scalar edge_variate, bit
+    for bit, and the graphs drawn with it against graphs built from
+    edge_variate one pair at a time."""
+
+    @pytest.mark.parametrize("seed", [0, -1, -8020, 2 ** 64, 2 ** 64 + 8020, 3 ** 50])
+    def test_kernel_matches_scalar(self, seed):
+        index_lists = ([], [0], [7], [2015, 3, 999, 0, 3, 64], [2 ** 64 - 1],
+                       list(range(math.comb(64, 2))))
+        for trial in range(4):
+            for indices in index_lists:
+                xs = perturb_module._variates(seed, trial, indices)
+                assert all(isinstance(x, int) and 0 <= x < 2 ** 53 for x in xs)
+                assert [x / 2 ** 53 for x in xs] == [edge_variate(seed, trial, j)
+                                                     for j in indices]
+
+    @settings(max_examples=100, deadline=None)
+    @given(n=st.integers(min_value=0, max_value=14),
+           p=st.floats(min_value=0.0, max_value=1.0),
+           seed=st.integers(min_value=-2 ** 70, max_value=2 ** 70),
+           trial=st.integers(min_value=0, max_value=50))
+    def test_graphs_match_scalar_stream(self, n, p, seed, trial):
+        pairs = list(itertools.combinations(range(n), 2))
+        gnp = Graph.from_edges(n, [e for j, e in enumerate(pairs)
+                                   if edge_variate(seed, trial, j) < p])
+        assert sample_gnp(n, p, seed, trial) == gnp
+        base = turan_graph(n, 3) if n >= 3 else empty_graph(n)
+        assert perturb(base, p, seed, trial) == base.union(gnp)
+
+    def test_variate_as_p_is_exact(self):
+        # an edge is absent at p equal to its variate, present just above
+        n, seed, trial = 12, 8020, 3
+        for j, e in enumerate(itertools.combinations(range(n), 2)):
+            v = edge_variate(seed, trial, j)
+            assert not sample_gnp(n, v, seed, trial).has_edge(*e)
+            assert sample_gnp(n, math.nextafter(v, 1), seed, trial).has_edge(*e)
 
 
 class TestWilson:
@@ -284,6 +323,12 @@ class TestThresholdScan:
         args = ([turan_graph(8, 4)], [cycle(3), cycle(3)], [0.05, 0.5], 6, 11)
         assert threshold_scan(*args).to_csv() == threshold_scan(*args).to_csv()
 
+    def test_empty_grid_no_rows(self):
+        for bases in ([turan_graph(6, 3)], [turan_graph(12, 6)], []):
+            result = threshold_scan(bases, [cycle(3), cycle(3)], [], 3, 1)
+            assert result.rows == []
+            assert result.exponent is None
+
     def test_negative_trials_rejected(self):
         for targets in ([cycle(3), cycle(3)], [path(1), cycle(3)]):
             with pytest.raises(ValueError, match="trial count"):
@@ -393,23 +438,24 @@ class TestTrialMajorScan:
 def traced_scan(monkeypatch, base, targets, grid, trials, seed, **kw):
     """threshold_scan on one base, recording the trial of each variate
     drawn and (trial, host, verdict) for each host decided."""
-    variates, decided = [], []
-    draw, decide = perturb_module.edge_variate, perturb_module.decide_ramsey
+    draws, decided = [], []  # draws: (trial, index count) per kernel call
+    draw, decide = perturb_module._variates, perturb_module.decide_ramsey
 
-    def counted_draw(seed_, trial, j):
-        variates.append(trial)
-        return draw(seed_, trial, j)
+    def counted_draw(seed_, trial, indices):
+        draws.append((trial, len(indices)))
+        return draw(seed_, trial, indices)
 
     def recorded_decide(query):
         verdict = decide(query)
         # a trial draws all its variates before it decides any host
-        decided.append((variates[-1], query.host, verdict))
+        decided.append((draws[-1][0], query.host, verdict))
         return verdict
 
-    monkeypatch.setattr(perturb_module, "edge_variate", counted_draw)
+    monkeypatch.setattr(perturb_module, "_variates", counted_draw)
     monkeypatch.setattr(perturb_module, "decide_ramsey", recorded_decide)
     result = threshold_scan([base], targets, grid, trials, seed, **kw)
     monkeypatch.undo()
+    variates = [trial for trial, count in draws for _ in range(count)]
     return result, variates, decided
 
 
@@ -451,6 +497,28 @@ class TestScanWork:
                                                     targets, grid, 20, 5)
             assert all(row.successes == 20 for row in result.rows)
             assert variates == decided == []
+
+    def test_no_draw_when_base_holds_k_r(self, monkeypatch):
+        # Turan(12,6) holds a K6 and R(C3,C3) = 6: every host is Ramsey
+        base, targets = turan_graph(12, 6), [cycle(3), cycle(3)]
+        result, variates, decided = traced_scan(monkeypatch, base, targets,
+                                                self.GRID, 20, 5)
+        assert all(row.successes == 20 for row in result.rows)
+        assert result.rows == [reference_row(base, targets, p, 20, 5, DEFAULT_NODE_BUDGET,
+                                             True) for p in self.GRID]
+        assert variates == decided == []
+
+    def test_each_host_decided_once(self, monkeypatch):
+        # the node budget is the only limit on a search, so an
+        # inconclusive verdict is cached like a completed one
+        base, targets, grid = turan_graph(9, 3), [cycle(3), cycle(5)], [0.1, 0.2, 0.3, 0.4, 0.5]
+        result, _, decided = traced_scan(monkeypatch, base, targets, grid, 10, 8020,
+                                         node_budget=200)
+        hosts = [host for _, host, _ in decided]
+        assert len(hosts) == len(set(hosts)) == 30
+        assert any(verdict.status == INCONCLUSIVE for _, _, verdict in decided)
+        assert result.rows == [reference_row(base, targets, p, 10, 8020, 200, True)
+                               for p in grid]
 
     def test_ramsey_number_once_per_base(self, monkeypatch):
         calls = []
