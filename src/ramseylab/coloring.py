@@ -16,10 +16,11 @@ its blocked colors' masks, a dead end jumps to its highest bit and the
 merge is one OR.  Each (color, pattern) gets one copy finder, built
 before the search.  Without forbidden sets, cliques and cycles get
 flat bitset kernels: the first clique in the common neighbourhood
-(K3 and C3 take the least common neighbour), and a path DFS closed by
-one AND against the far endpoint's neighbourhood, unrolled into one
-loop for C4 and two for C5 and recursive from C6 on.  Paths, arbitrary
-patterns and forbidden sets walk the general through-edge iterator.
+(K3 and C3 take the least common neighbour), and the simple-path DFS
+of graphs._iter_simple_paths closed by one AND against the far
+endpoint's neighbourhood, unrolled into one loop for C4 and two for C5
+and recursive from C6 on.  Paths, arbitrary patterns and forbidden
+sets walk the general through-edge iterator.
 Every kernel returns the copy that iterator lists first, so the
 conflict sets, and with them the node counts, do not depend on which
 finder ran.  Each node calls its color's first finder directly and
@@ -52,7 +53,7 @@ A target without edges (K1, P1, an edgeless graph) has a copy in every
 color class as soon as one placement of its vertices is allowed; such
 a query is Ramsey before any search.
 
-targets_ramsey_number searches K_2, K_3, .. afresh on every call; the
+targets_ramsey_number searches K_1, K_2, .. afresh on every call; the
 module keeps no state between calls, so its R, the least n <= cap with
 K_n Ramsey, depends only on the targets, the node budget and the cap.
 A caller that needs the number for many hosts (a scan's clique
@@ -231,9 +232,10 @@ def _copy_finder(adjc: list, n: int, depth_bit: list, pat: Pattern, forb: frozen
     non-forbidden copy of pat through (u,v) in the color graph adjc,
     which already holds the new edge; 0 when there is none.
 
-    The copy is the one _iter_through lists first.  Clique and cycle
-    targets with nothing forbidden get a flat bitset kernel; everything
-    else walks that iterator.
+    The copy is the one _iter_through lists first; cycle and path
+    copies come in the ascending DFS order of _iter_simple_paths.
+    Clique and cycle targets with nothing forbidden get a flat bitset
+    kernel; everything else walks that iterator.
     """
     if not forb:
         if pat.kind == "clique" and pat.size >= 2:
@@ -301,10 +303,11 @@ def _clique_finder(adjc: list, depth_bit: list, need: int):
 
 
 def _cycle_finder(adjc: list, depth_bit: list, inner: int):
-    """C_{inner+2} through (u,v), inner >= 2: a DFS over the path u, w1,
-    .. in _iter_cycles_through's order, whose last inner vertex is
-    closed by one AND against v's neighbourhood.  C4 and C5 unroll the
-    DFS into one loop over w1 and two over w1 and w2."""
+    """C_{inner+2} through (u,v), inner >= 2: the DFS _iter_cycles_through
+    runs through _iter_simple_paths, over paths u, w1, .. that avoid v,
+    whose last inner vertex is closed by one AND against v's
+    neighbourhood.  C4 and C5 unroll it into one loop over w1 and two
+    over w1 and w2."""
     if inner == 2:
         def find_c4(u: int, v: int) -> int:
             free = ~((1 << u) | (1 << v))
@@ -456,10 +459,11 @@ def targets_ramsey_number(targets, cap: int = 12,
 
     Each color's targets may be a single Pattern or an iterable.
     Complete-host Ramseyness is monotone in n, so the first hit is the
-    Ramsey number.  Every call searches K_2, K_3, .. afresh.
+    Ramsey number.  Every call searches K_1, K_2, .. afresh; K_1 is
+    Ramsey exactly when some target has no edges.
     """
     targets = _normalize_targets(targets)
-    for n in range(2, cap + 1):
+    for n in range(1, cap + 1):
         verdict = decide_ramsey(ramsey_query(clique_graph(n), targets,
                                              node_budget=node_budget))
         if verdict.status == INCONCLUSIVE:

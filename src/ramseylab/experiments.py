@@ -63,6 +63,22 @@ def _integer(value, key: str) -> int:
     return value
 
 
+def _number(value, key: str) -> float:
+    """value as a float, once it is a JSON number; a bool or a string is
+    an error, not something to convert."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ManifestError(f"{key!r} must be a number, got {value!r}")
+    return float(value)
+
+
+def _boolean(value, key: str) -> bool:
+    """value, once it is true or false; any other value is an error, not
+    something to read as truthy."""
+    if not isinstance(value, bool):
+        raise ManifestError(f"{key!r} must be true or false, got {value!r}")
+    return value
+
+
 def parse_pattern(token: str):
     """One target pattern from compact text: K5, C7, P4, or g6:<code>."""
     from . import graph6
@@ -128,10 +144,10 @@ def _fact_report(name: str, args: dict) -> facts_mod.FactReport:
 def _resolve_grid(args: dict) -> list[float]:
     grid = args.get("p_grid")
     if isinstance(grid, list) and grid:
-        return [float(p) for p in grid]
+        return [_number(p, "p_grid") for p in grid]
     if isinstance(grid, dict):
-        return log_spaced_grid(float(_require(grid, "lo", "p_grid")),
-                               float(_require(grid, "hi", "p_grid")),
+        return log_spaced_grid(_number(_require(grid, "lo", "p_grid"), "lo"),
+                               _number(_require(grid, "hi", "p_grid"), "hi"),
                                _integer(grid.get("per_decade", 13), "per_decade"))
     raise ManifestError("scan needs 'p_grid' as a nonempty list or {lo, hi, per_decade}")
 
@@ -146,7 +162,7 @@ def _run_scan(args: dict, seed: int):
     result = threshold_scan(
         bases, targets, grid, _integer(_require(args, "trials", "scan"), "trials"), seed,
         node_budget=_integer(args.get("node_budget", DEFAULT_NODE_BUDGET), "node_budget"),
-        clique_shortcut=bool(args.get("clique_shortcut", True)))
+        clique_shortcut=_boolean(args.get("clique_shortcut", True), "clique_shortcut"))
     return result, grid
 
 

@@ -378,52 +378,37 @@ def _iter_cliques(adj: tuple[int, ...], cand: int, need: int,
         yield from _iter_cliques(adj, cand & adj[v], need - 1, prefix + (v,))
 
 
+def _iter_simple_paths(adj, path_: tuple[int, ...], used: int, k: int, ends: int
+                       ) -> Iterator[tuple[int, ...]]:
+    """Every simple path that extends path_ to k > len(path_) vertices
+    outside the bitset used (which holds path_) and ends in the bitset
+    ends, in ascending DFS order.  The last step only visits ends."""
+    last = path_[-1]
+    if len(path_) == k - 1:
+        for w in _bits(adj[last] & ends & ~used):
+            yield path_ + (w,)
+        return
+    for w in _bits(adj[last] & ~used):
+        yield from _iter_simple_paths(adj, path_ + (w,), used | 1 << w, k, ends)
+
+
 def _iter_cycles_through(adj, u: int, v: int, length: int) -> Iterator[tuple[int, ...]]:
     """Cycles of the given length using edge (u,v), as vertex tuples starting u, ending v."""
-    target = 1 << v
-    path_ = [u]
-    used = 1 << u
-
-    def extend() -> Iterator[tuple[int, ...]]:
-        nonlocal used
-        last = path_[-1]
-        if len(path_) == length - 1:
-            if adj[last] & target:
-                yield tuple(path_) + (v,)
-            return
-        for w in _bits(adj[last] & ~used & ~target):
-            path_.append(w)
-            used |= 1 << w
-            yield from extend()
-            used ^= 1 << w
-            path_.pop()
-
-    yield from extend()
+    for w in _iter_simple_paths(adj, (u,), 1 << u | 1 << v, length - 1, adj[v]):
+        yield w + (v,)
 
 
 def _iter_cycles(g: Graph, length: int) -> Iterator[tuple[int, ...]]:
-    """Each cycle exactly once: minimum vertex first, lower neighbor second."""
+    """Each cycle exactly once: minimum vertex first, lower neighbor second.
+
+    A cycle with least vertex s is a path from s over higher vertices
+    that ends next to s; keeping w[1] < w[-1] drops its reverse.
+    """
     adj = g.adj
     for s in range(g.n):
-        higher = ~((1 << (s + 1)) - 1)
-        path_ = [s]
-        used = 1 << s
-
-        def extend() -> Iterator[tuple[int, ...]]:
-            nonlocal used
-            last = path_[-1]
-            if len(path_) == length:
-                if adj[last] & (1 << s) and path_[1] < path_[-1]:
-                    yield tuple(path_)
-                return
-            for w in _bits(adj[last] & higher & ~used):
-                path_.append(w)
-                used |= 1 << w
-                yield from extend()
-                used ^= 1 << w
-                path_.pop()
-
-        yield from extend()
+        for w in _iter_simple_paths(adj, (s,), (1 << (s + 1)) - 1, length, adj[s]):
+            if w[1] < w[-1]:
+                yield w
 
 
 def _iter_paths(g: Graph, k: int) -> Iterator[tuple[int, ...]]:
@@ -432,26 +417,9 @@ def _iter_paths(g: Graph, k: int) -> Iterator[tuple[int, ...]]:
         for v in range(g.n):
             yield (v,)
         return
-    adj = g.adj
     for s in range(g.n):
-        path_ = [s]
-        used = 1 << s
-
-        def extend() -> Iterator[tuple[int, ...]]:
-            nonlocal used
-            last = path_[-1]
-            if len(path_) == k:
-                if path_[0] < path_[-1]:
-                    yield tuple(path_)
-                return
-            for w in _bits(adj[last] & ~used):
-                path_.append(w)
-                used |= 1 << w
-                yield from extend()
-                used ^= 1 << w
-                path_.pop()
-
-        yield from extend()
+        # ending above s drops each path's reverse
+        yield from _iter_simple_paths(g.adj, (s,), 1 << s, k, ~((1 << (s + 1)) - 1))
 
 
 def _iter_embeddings(n: int, adj, pg: Graph, pinned: Optional[dict[int, int]] = None
@@ -584,20 +552,19 @@ def _iter_embeddings_through(n: int, adj, pg: Graph, u: int, v: int
 def _iter_paths_through(adj, u: int, v: int, k: int) -> Iterator[tuple[int, ...]]:
     """Paths on k vertices containing edge (u,v): left arm from u, right arm from v."""
 
-    def arms(start: int, avoid: int, length: int) -> Iterator[tuple[tuple[int, ...], int]]:
+    def arms(start: int, avoid: int, length: int):
         # simple paths (start, ...) of `length` vertices avoiding bitset `avoid`
         if length == 1:
-            yield (start,), 1 << start
-            return
-        for w in _bits(adj[start] & ~avoid & ~(1 << start)):
-            for tail, bits in arms(w, avoid | (1 << start), length - 1):
-                yield (start,) + tail, bits | (1 << start)
+            return ((start,),)
+        return _iter_simple_paths(adj, (start,), avoid | 1 << start, length, -1)
 
     for left_len in range(1, k):
-        right_len = k - left_len
-        for left, lbits in arms(u, 1 << v, left_len):
-            for right, rbits in arms(v, lbits, right_len):
-                yield tuple(reversed(left)) + right
+        for left in arms(u, 1 << v, left_len):
+            lbits = 0
+            for w in left:
+                lbits |= 1 << w
+            for right in arms(v, lbits, k - left_len):
+                yield left[::-1] + right
 
 
 def find_pattern_through_edge(g: Graph, pat: Pattern, e: tuple[int, int],

@@ -56,7 +56,7 @@ from .coloring import (DEFAULT_NODE_BUDGET, INCONCLUSIVE, NOT_RAMSEY, RAMSEY,
                        RamseyQuery, _edgeless_target, decide_ramsey, ramsey_query,
                        targets_ramsey_number)
 from .densities import _check_prob
-from .graphs import Graph, _iter_through, _Record, clique, contains_pattern
+from .graphs import Graph, _iter_through, _Record, clique, contains_pattern, empty_graph
 
 _MASK64 = (1 << 64) - 1
 _UNIT = float(1 << 53)  # a variate is a 53-bit integer divided by this
@@ -123,12 +123,9 @@ def _variates(seed: int, trial: int, indices: Sequence[int]) -> tuple[int, ...]:
 def sample_gnp(n: int, p: float, seed: int, trial: int = 0) -> Graph:
     """Binomial random graph on n vertices; edge j appears when its
     counter variate is below p.  Edge indices follow the canonical
-    order of the complete graph."""
-    _check_prob(p)
-    pairs = list(itertools.combinations(range(n), 2))
-    cut = p * _UNIT
-    xs = _variates(seed, trial, range(len(pairs)))
-    return Graph.from_edges(n, [e for e, x in zip(pairs, xs) if x < cut])
+    order of the complete graph: the missing pairs of the empty graph
+    are all of its pairs, so this is perturb of the empty graph."""
+    return perturb(empty_graph(n), p, seed, trial)
 
 
 def _missing_pairs(base: Graph) -> tuple[list[int], list[tuple[int, int]]]:

@@ -560,6 +560,16 @@ class TestSmallRamseyNumbers:
         for a in range(2, 6):
             assert targets_ramsey_number(((clique(a),), (clique(2),))) == a
 
+    @pytest.mark.parametrize("targets, expected", [
+        ([clique(1), clique(3)], 1), ([[cycle(3)], [path(1)]], 1),
+        ([arbitrary(empty_graph(2)), clique(3)], 2), ([clique(2), clique(2)], 2)])
+    def test_least_ramsey_clique_from_k1(self, targets, expected):
+        # the least K_n that decide_ramsey calls Ramsey, K_1 included
+        assert targets_ramsey_number(targets) == expected
+        least = next(n for n in range(1, 7)
+                     if decide_ramsey(ramsey_query(clique_graph(n), targets)).is_ramsey)
+        assert least == expected
+
     def test_memo_does_not_leak_across_budgets(self):
         # a scan's rows depend on its own budgets, not on earlier scans
         from ramseylab.perturb import threshold_scan

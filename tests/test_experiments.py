@@ -158,6 +158,43 @@ class TestRunExperiment:
             run_experiment(manifest, base_dir=str(tmp_path))
         assert not list(tmp_path.iterdir())
 
+    @pytest.mark.parametrize("value", ["false", "true", 0, 1, None])
+    def test_scan_clique_shortcut_must_be_boolean(self, tmp_path, value):
+        # "false" is truthy, so reading it with bool() ran the shortcut
+        args = {"bases": ["turan:6,3"], "targets": "C3,C3", "trials": 2,
+                "p_grid": [0.1, 0.5], "clique_shortcut": value}
+        with pytest.raises(ManifestError, match="'clique_shortcut' must be true or false"):
+            run_experiment({"op": "scan", "seed": 1, "args": args},
+                           base_dir=str(tmp_path))
+        assert not list(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("value", [True, False])
+    def test_scan_clique_shortcut_boolean_kept(self, tmp_path, value):
+        args = {"bases": ["turan:6,3"], "targets": "C3,C3", "trials": 2,
+                "p_grid": [0.1, 0.5], "clique_shortcut": value}
+        result = run_experiment({"op": "scan", "seed": 1, "args": args},
+                                base_dir=str(tmp_path))
+        assert result["resolved"]["args"]["clique_shortcut"] is value
+        assert replay(result["manifest"])["identical"]
+
+    @pytest.mark.parametrize("grid, key", [
+        ([True, 0.3], "p_grid"), ([0.1, "0.3"], "p_grid"), ([0.1, None], "p_grid"),
+        ({"lo": "0.1", "hi": 0.5}, "lo"), ({"lo": 0.1, "hi": True}, "hi"),
+    ])
+    def test_scan_grid_values_must_be_numbers(self, tmp_path, grid, key):
+        args = {"bases": ["turan:6,3"], "targets": "C3,C3", "trials": 2, "p_grid": grid}
+        with pytest.raises(ManifestError, match=f"'{key}' must be a number"):
+            run_experiment({"op": "scan", "seed": 1, "args": args},
+                           base_dir=str(tmp_path))
+        assert not list(tmp_path.iterdir())
+
+    def test_scan_integer_grid_values_accepted(self, tmp_path):
+        args = {"bases": ["turan:6,3"], "targets": "C3,C3", "trials": 2,
+                "p_grid": [0, 1]}
+        result = run_experiment({"op": "scan", "seed": 1, "args": args},
+                                base_dir=str(tmp_path))
+        assert result["resolved"]["args"]["p_grid"] == [0.0, 1.0]
+
     @pytest.mark.parametrize("key", ["bases", "p_grid"])
     def test_scan_empty_list_rejected(self, tmp_path, key):
         args = {"bases": ["turan:6,3"], "targets": "C3,C3", "trials": 2,

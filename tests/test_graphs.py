@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import random
 
@@ -5,6 +6,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from oracles import contains_brute, copies_brute, random_graph
+from ramseylab.coloring import export_cnf, ramsey_query
 from ramseylab.graphs import (Graph, arbitrary, blowup, build_family, clique,
                               clique_graph, complete_multipartite,
                               contains_pattern, cycle, cycle_graph,
@@ -264,6 +266,54 @@ class TestContainment:
                 want = [vs for vs in itertools.combinations(range(g.n), t)
                         if all(g.has_edge(a, b) for a, b in itertools.combinations(vs, 2))]
                 assert [w for w, _ in enumerate_copies(g, clique(t))] == want
+
+
+PAW = Graph.from_edges(4, [(0, 1), (1, 2), (0, 2), (2, 3)])
+
+
+class TestListingOrder:
+    """The exact lists of the other pattern kinds, as sha256 digests.
+
+    export_cnf writes clauses in enumerate_copies order, and the search's
+    conflict sets, node counts and witnesses follow the first copy the
+    through-edge iterator lists, so these orders are part of every
+    result byte.
+    """
+
+    # pattern: (copies over all hosts, digest of every listing)
+    LISTINGS = {
+        "C3": (241, "3279dcb45d78f0469993f804e252ca2c4ddead837152b0712f8ef2d7b764af7f"),
+        "C4": (794, "5a9ac8dfb2d3cdd07c3b0d2521ce92637886399694b8c5192b0af82a33c788d4"),
+        "C5": (2487, "3b9175b1dca5241cb6c218fc0521f08c9be91cbc1ea52410fe3cd53e15c8432e"),
+        "C6": (6919, "10f86fc31fa1f5adfdf81d1d56d053adfe4dcd4edb11675a6cfafbc461aaba79"),
+        "P1": (30, "2175d58b0ac9b1cf50b4254e27fd14d496ed06c7512ecd46abf13ccb3ce05b17"),
+        "P2": (255, "bd0b6c4d95a49ae7f8ffc484cf68d7a824059d44aa691f2c66402c9068de6846"),
+        "P3": (944, "67dc5d3e8b64a66ddb0746bb01b2dd0909af1b768ba3417026ea9600a1f0a1fa"),
+        "P4": (3661, "0458e3caca186af8bdd4724fed1a40d52eb5649503048ae91e4b1adc21b6b669"),
+        "P5": (13514, "b93f58196ec2d0941e2b6493779f4034d1d04139ccfb3d4a0ca5573270370adf"),
+        "graph(n=4,m=4)": (3134, "31506a65d66a4039034f27f7ab79621e9ebfdb35edbfd3bfee5ba8ce2b8ea74e"),
+    }
+    DIMACS = "f5c9f11deec6611fff9ac4257854c7c7bf44decceed7f98ed1ed483995c24d71"
+
+    @pytest.mark.parametrize("pat", [cycle(k) for k in range(3, 7)]
+                             + [path(k) for k in range(1, 6)] + [arbitrary(PAW)],
+                             ids=lambda pat: pat.describe())
+    def test_copy_lists(self, pat):
+        rng = random.Random(1414)
+        digest = hashlib.sha256()
+        count = 0
+        for _ in range(30):
+            g = random_graph(rng, rng.randint(1, 9), rng.random())
+            copies = enumerate_copies(g, pat)
+            count += len(copies)
+            digest.update(repr((copies, find_pattern(g, pat))).encode())
+            for e in g.edges():
+                digest.update(repr(list(iter_pattern_witnesses_through_edge(g, pat, e))).encode())
+        assert (count, digest.hexdigest()) == self.LISTINGS[pat.describe()]
+
+    def test_dimacs_bytes(self):
+        text = export_cnf(ramsey_query(clique_graph(7), [cycle(5), path(4)])).dimacs()
+        assert hashlib.sha256(text.encode()).hexdigest() == self.DIMACS
 
 
 def homomorphism_exists(pat_graph: Graph, base: Graph) -> bool:
