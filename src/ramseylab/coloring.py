@@ -19,9 +19,11 @@ flat bitset kernels: the first clique in the common neighbourhood
 (K3 and C3 take the least common neighbour), and the simple-path DFS
 of graphs._iter_simple_paths closed by one AND against the far
 endpoint's neighbourhood, unrolled into one loop for C4 and two for C5
-and recursive from C6 on.  Paths, arbitrary patterns and forbidden
-sets walk the general through-edge iterator.
-Every kernel returns the copy that iterator lists first, so the
+and recursive from C6 on.  Arbitrary patterns walk the embedding DFS
+of graphs._iter_embeddings, with its placement orders planned once per
+pattern edge when the finder is built.  Paths and forbidden sets walk
+the general through-edge iterator.
+Every finder returns the copy that iterator lists first, so the
 conflict sets, and with them the node counts, do not depend on which
 finder ran.  Each node calls its color's first finder directly and
 the color's further targets only when that one finds no copy, so
@@ -67,16 +69,22 @@ speed; time is measured (SearchStats.elapsed) but never decides.
 
 Forbidden copies are identified by vertex set: any copy whose vertex
 set is listed for its color does not count, whatever its edges.
+
+export_cnf takes the copies as edge masks (graphs._allowed_copies, bit
+i for canonical edge i) and writes each clause from the mask's set
+bits, so its literals come in canonical edge order.
 """
 
 from __future__ import annotations
 
 import math
 import time
+from itertools import islice
 from typing import Optional, Sequence
 
 from .graphs import (Graph, Pattern, _FrozenRecord, _Record, _allowed_copies, _bits,
-                     _copy_edges, _iter_through, clique_graph, twin_classes)
+                     _copy_pairs, _edge_bits, _embedding_plan, _iter_pinned, _iter_through,
+                     clique_graph, twin_classes)
 
 DEFAULT_NODE_BUDGET = 10 ** 8
 
@@ -235,7 +243,11 @@ def _copy_finder(adjc: list, n: int, depth_bit: list, pat: Pattern, forb: frozen
     The copy is the one _iter_through lists first; cycle and path
     copies come in the ascending DFS order of _iter_simple_paths.
     Clique and cycle targets with nothing forbidden get a flat bitset
-    kernel; everything else walks that iterator.
+    kernel.  Arbitrary patterns walk the embeddings of _iter_pinned,
+    with placement orders planned here once per pattern edge, and skip
+    the dedupe of _iter_through: a repeated copy has the vertex set of
+    its first listing, so the first allowed embedding is the first
+    allowed copy.  Paths and forbidden sets walk _iter_through.
     """
     if not forb:
         if pat.kind == "clique" and pat.size >= 2:
@@ -246,12 +258,22 @@ def _copy_finder(adjc: list, n: int, depth_bit: list, pat: Pattern, forb: frozen
                 return _clique_finder(adjc, depth_bit, 1)
             return _cycle_finder(adjc, depth_bit, pat.size - 2)
 
+    pairs = _copy_pairs(pat)
+    if pat.kind == "arbitrary":
+        plans = [_embedding_plan(pat.graph, e) for e in pairs]
+
+        def copies(u, v):
+            return _iter_pinned(n, adjc, plans, u, v)
+    else:
+        def copies(u, v):
+            return _iter_through(n, adjc, u, v, pat)
+
     def find(u: int, v: int) -> int:
-        for w in _iter_through(n, adjc, u, v, pat):
+        for w in copies(u, v):
             if not forb or frozenset(w) not in forb:
                 mask = 0
-                for a, b in _copy_edges(pat, w):
-                    mask |= depth_bit[a][b]
+                for i, j in pairs:
+                    mask |= depth_bit[w[i]][w[j]]
                 return mask
         return 0
 
@@ -504,9 +526,7 @@ def decide_ramsey(query: RamseyQuery) -> RamseyVerdict:
     # edge order.
     order = sorted(range(n_edges), key=lambda i: (edges[i][1], edges[i][0]))
     pairs = [edges[i] for i in order]
-    depth_bit = [[0] * n for _ in range(n)]
-    for d, (a, b) in enumerate(pairs):
-        depth_bit[a][b] = depth_bit[b][a] = 1 << d
+    depth_bit = _edge_bits(n, pairs)
     symmetry, slots = _symmetry_constraints(query, pairs)
     steps = [(a, b, 1 << a, 1 << b, ~(1 << d), symmetry[d])
              for d, (a, b) in enumerate(pairs)]
@@ -735,44 +755,42 @@ def export_cnf(query: RamseyQuery, clause_cap: int = 10 ** 6) -> CnfDocument:
     with at-least-one and at-most-one clauses per edge, and an
     all-negative clause per copy in its color.  Copies are distinct
     edge subsets; one whose every placement lies on a forbidden vertex
-    set contributes no clause.
+    set contributes no clause.  A copy's clause lists its edges in
+    canonical order, the set bits of its edge mask.  Building stops
+    with a ValueError as soon as the clause count passes clause_cap.
     """
     host = query.host
-    edges = host.edges()
-    index = {e: i for i, e in enumerate(edges)}
+    m = len(host.edges())
     r = query.r
-    clauses: list[tuple[int, ...]] = []
     comments = [
         "ramsey colorability instance",
-        f"host: n={host.n} edges={len(edges)} colors={r}",
+        f"host: n={host.n} edges={m} colors={r}",
         "satisfiable iff a coloring avoids all monochromatic copies",
     ]
     if r == 2:
         comments.append("variable i+1 true means canonical edge i has color 0")
-        copies_per_color = []
-        for c in range(r):
-            copy_edges = []
-            for pat in query.targets[c]:
-                for _, pat_edges in _allowed_copies(host, pat, query.forbidden[c]):
-                    copy_edges.append(pat_edges)
-            copies_per_color.append(copy_edges)
-        for pat_edges in copies_per_color[0]:
-            clauses.append(tuple(-(index[e] + 1) for e in pat_edges))
-        for pat_edges in copies_per_color[1]:
-            clauses.append(tuple(index[e] + 1 for e in pat_edges))
-        nvars = len(edges)
+        nvars = m
+        # a color-0 copy may not have all its edges true, a color-1 copy all false
+        literals = [[-(i + 1) for i in range(m)], [i + 1 for i in range(m)]]
     else:
         comments.append(f"variable e*{r}+c+1 true means canonical edge e has color c")
-        nvars = len(edges) * r
-        for i in range(len(edges)):
-            clauses.append(tuple(i * r + c + 1 for c in range(r)))
-            for c1 in range(r):
-                for c2 in range(c1 + 1, r):
-                    clauses.append((-(i * r + c1 + 1), -(i * r + c2 + 1)))
+        nvars = m * r
+        literals = [[-(i * r + c + 1) for i in range(m)] for c in range(r)]
+
+    def all_clauses():
+        if r > 2:
+            for i in range(m):
+                yield tuple(i * r + c + 1 for c in range(r))
+                for c1 in range(r):
+                    for c2 in range(c1 + 1, r):
+                        yield (-(i * r + c1 + 1), -(i * r + c2 + 1))
         for c in range(r):
+            lits = literals[c]
             for pat in query.targets[c]:
-                for _, pat_edges in _allowed_copies(host, pat, query.forbidden[c]):
-                    clauses.append(tuple(-(index[e] * r + c + 1) for e in pat_edges))
+                for _, mask in _allowed_copies(host, pat, query.forbidden[c]):
+                    yield tuple([lits[i] for i in _bits(mask)])
+
+    clauses = list(islice(all_clauses(), clause_cap + 1))
     if len(clauses) > clause_cap:
-        raise ValueError(f"clause count {len(clauses)} exceeds cap {clause_cap}")
+        raise ValueError(f"more than {clause_cap} clauses, the clause cap")
     return CnfDocument(nvars, clauses, comments)

@@ -5,6 +5,16 @@ bitset, so adjacency tests, common neighborhoods and clique search are
 single integer operations.  Graphs are immutable and hashable.  The
 canonical edge order used everywhere (coloring, CNF variables, edge
 sampling) is lexicographic on (min, max).
+
+A copy of a pattern is listed as a witness vertex tuple; its edges are
+the witness positions of _copy_pairs.  Copies are keyed by edge mask,
+an int whose bit i is set when the copy uses canonical edge i, read
+from a bit[a][b] table built once per listing (_edge_bits); cliques,
+cycles and paths with edges are listed once by construction, so only
+arbitrary and edgeless patterns are deduplicated.  Arbitrary patterns
+are embedded by one iterative DFS, _iter_embeddings, which places the
+pattern's vertices in the order _embedding_plan fixes: pinned vertices
+first, then by decreasing degree.
 """
 
 from __future__ import annotations
@@ -422,47 +432,67 @@ def _iter_paths(g: Graph, k: int) -> Iterator[tuple[int, ...]]:
         yield from _iter_simple_paths(g.adj, (s,), 1 << s, k, ~((1 << (s + 1)) - 1))
 
 
-def _iter_embeddings(n: int, adj, pg: Graph, pinned: Optional[dict[int, int]] = None
+def _embedding_plan(pg: Graph, pinned: tuple[int, ...] = ()) -> list[tuple[int, int, list[int]]]:
+    """The order in which _iter_embeddings places pg's vertices: the
+    pinned ones first, as given, then the rest by decreasing degree,
+    ties to the lower vertex.  Each step is (pattern vertex, its degree,
+    its neighbors placed at earlier steps)."""
+    rest = sorted((v for v in range(pg.n) if v not in pinned), key=lambda v: (-pg.degree(v), v))
+    plan = []
+    placed = 0
+    for pv in (*pinned, *rest):
+        plan.append((pv, pg.degree(pv), list(_bits(pg.adj[pv] & placed))))
+        placed |= 1 << pv
+    return plan
+
+
+def _iter_embeddings(n: int, adj, plan: list, head: tuple[int, ...] = ()
                      ) -> Iterator[tuple[int, ...]]:
-    """Injective maps of pg into the host adjacency sending edges to edges.
+    """Injective maps of a pattern into the host adjacency sending edges
+    to edges, as tuples indexed by pattern vertex.
 
-    pinned maps pattern vertices to fixed host vertices.  Pattern
-    vertices are assigned in decreasing-degree order with bitset
-    filtering against already-placed neighbors.
+    The DFS places the pattern vertices in the order of plan (from
+    _embedding_plan), the i-th on head[i] when i < len(head), each on
+    the free host vertices, ascending, that are adjacent to the images
+    of its earlier neighbors and have at least its degree.
     """
-    pn = pg.n
-    if pn > n:
+    k = len(plan)
+    if k > n:
         return
-    order = sorted(range(pn), key=lambda v: (-pg.degree(v), v))
-    if pinned:
-        order.sort(key=lambda v: 0 if v in pinned else 1)
-    assign = [-1] * pn
-    used = 0
+    assign = [0] * k
+    stack = [0] * k  # the candidates left at each step
+    fixed = len(head)
     full = (1 << n) - 1
-
-    def place(i: int) -> Iterator[tuple[int, ...]]:
-        nonlocal used
-        if i == pn:
+    used = i = 0
+    cand = full & (1 << head[0]) if fixed else full
+    pv, deg, _ = plan[0]
+    while True:
+        if not cand:
+            if not i:
+                return
+            i -= 1
+            pv, deg, _ = plan[i]
+            used ^= 1 << assign[pv]
+            cand = stack[i]
+            continue
+        b = cand & -cand
+        cand ^= b
+        hv = b.bit_length() - 1
+        if adj[hv].bit_count() < deg:
+            continue
+        assign[pv] = hv
+        if i == k - 1:
             yield tuple(assign)
-            return
-        pv = order[i]
+            continue
+        stack[i] = cand
+        used |= b
+        i += 1
+        pv, deg, earlier = plan[i]
         cand = full & ~used
-        if pinned and pv in pinned:
-            cand &= 1 << pinned[pv]
-        for pu in _bits(pg.adj[pv]):
-            if assign[pu] >= 0:
-                cand &= adj[assign[pu]]
-        deg = pg.degree(pv)
-        for hv in _bits(cand):
-            if adj[hv].bit_count() < deg:
-                continue
-            assign[pv] = hv
-            used |= 1 << hv
-            yield from place(i + 1)
-            used ^= 1 << hv
-            assign[pv] = -1
-
-    yield from place(0)
+        if i < fixed:
+            cand &= 1 << head[i]
+        for pu in earlier:
+            cand &= adj[assign[pu]]
 
 
 def _iter_copies(g: Graph, pat: Pattern) -> Iterator[tuple[int, ...]]:
@@ -475,7 +505,7 @@ def _iter_copies(g: Graph, pat: Pattern) -> Iterator[tuple[int, ...]]:
         return _iter_cycles(g, pat.size)
     if pat.kind == "path":
         return _iter_paths(g, pat.size)
-    return _iter_embeddings(g.n, g.adj, pat.graph)
+    return _iter_embeddings(g.n, g.adj, _embedding_plan(pat.graph))
 
 
 def find_pattern(g: Graph, pat: Pattern) -> Optional[tuple[int, ...]]:
@@ -509,15 +539,25 @@ def _iter_through(n: int, adj, u: int, v: int, pat: Pattern) -> Iterator[tuple[i
     return _iter_embeddings_through(n, adj, pat.graph, u, v)
 
 
-def _copy_edges(pat: Pattern, w: tuple[int, ...]) -> list[tuple[int, int]]:
-    """The edges of the copy of pat whose witness tuple is w."""
+def _copy_pairs(pat: Pattern) -> list[tuple[int, int]]:
+    """Witness positions of pat's edges: the copy with witness tuple w
+    has the edges (w[i], w[j])."""
+    k = pat.size
     if pat.kind == "clique":
-        return list(itertools.combinations(w, 2))
+        return list(itertools.combinations(range(k), 2))
     if pat.kind == "cycle":
-        return list(zip(w, w[1:] + (w[0],)))
+        return [(i, (i + 1) % k) for i in range(k)]
     if pat.kind == "path":
-        return list(zip(w, w[1:]))
-    return [(w[a], w[b]) for a, b in pat.graph.edges()]
+        return [(i, i + 1) for i in range(k - 1)]
+    return list(pat.graph.edges())
+
+
+def _edge_bits(n: int, edges: Sequence[tuple[int, int]]) -> list[list[int]]:
+    """bit[a][b] = bit[b][a] = 1 << i for the i-th edge (a, b), else 0."""
+    bit = [[0] * n for _ in range(n)]
+    for i, (a, b) in enumerate(edges):
+        bit[a][b] = bit[b][a] = 1 << i
+    return bit
 
 
 def iter_pattern_witnesses_through_edge(g: Graph, pat: Pattern, e: tuple[int, int]
@@ -534,19 +574,34 @@ def iter_pattern_witnesses_through_edge(g: Graph, pat: Pattern, e: tuple[int, in
     yield from _iter_through(g.n, g.adj, u, v, pat)
 
 
+def _iter_pinned(n: int, adj, plans: list, u: int, v: int) -> Iterator[tuple[int, ...]]:
+    """Every embedding sending a pattern edge onto (u,v): for each
+    pattern edge (a, b) in canonical order, with plans[i] from
+    _embedding_plan(pg, (a, b)), those with a on u, then those with a
+    on v.  A copy can come several times."""
+    for plan in plans:
+        yield from _iter_embeddings(n, adj, plan, (u, v))
+        yield from _iter_embeddings(n, adj, plan, (v, u))
+
+
 def _iter_embeddings_through(n: int, adj, pg: Graph, u: int, v: int
                              ) -> Iterator[tuple[int, ...]]:
     """Embeddings of pg sending some pattern edge onto (u,v), one per
-    (vertex set, edge set) pair."""
+    (vertex set, edge set) pair, keyed by (vertex bitmask, edge mask)
+    with bit a*n + b for the edge (a, b), a < b."""
     edges = pg.edges()
     seen = set()
-    for a, b in edges:
-        for x, y in ((u, v), (v, u)):
-            for w in _iter_embeddings(n, adj, pg, {a: x, b: y}):
-                key = (frozenset(w), frozenset(frozenset((w[i], w[j])) for i, j in edges))
-                if key not in seen:
-                    seen.add(key)
-                    yield w
+    for w in _iter_pinned(n, adj, [_embedding_plan(pg, e) for e in edges], u, v):
+        vertices = mask = 0
+        for x in w:
+            vertices |= 1 << x
+        for a, b in edges:
+            x, y = w[a], w[b]
+            mask |= 1 << (x * n + y if x < y else y * n + x)
+        key = (vertices, mask)
+        if key not in seen:
+            seen.add(key)
+            yield w
 
 
 def _iter_paths_through(adj, u: int, v: int, k: int) -> Iterator[tuple[int, ...]]:
@@ -582,27 +637,38 @@ def enumerate_copies(g: Graph, pat: Pattern) -> list[tuple[tuple[int, ...], tupl
     Copies are distinct edge subsets; the list order is deterministic
     (lexicographic on the vertex tuple for cliques).
     """
-    return _allowed_copies(g, pat, frozenset())
+    edges = g.edges()
+    return [(w, tuple(edges[i] for i in _bits(mask)))
+            for w, mask in _allowed_copies(g, pat, frozenset())]
 
 
 def _allowed_copies(g: Graph, pat: Pattern, forbidden: frozenset
-                    ) -> list[tuple[tuple[int, ...], tuple[tuple[int, int], ...]]]:
-    """The copies of enumerate_copies that count outside the forbidden
-    vertex sets: an edge set is kept when some placement of it has a
-    vertex set not in forbidden, and its first such placement is the
+                    ) -> Iterator[tuple[tuple[int, ...], int]]:
+    """(witness, edge mask) for each copy of enumerate_copies that
+    counts outside the forbidden vertex sets; bit i of the mask is
+    canonical edge i.  An edge set is kept when some placement of it has
+    a vertex set not in forbidden, and its first such placement is the
     witness.  Placements differ only for patterns with isolated
     vertices, whose vertex set is more than the edges' endpoints.
     """
-    out = []
-    seen = set()
+    pairs = _copy_pairs(pat)
+    # cliques, cycles and paths with edges list each edge set once;
+    # edgeless targets and embeddings repeat them
+    seen = set() if pat.kind == "arbitrary" or not pairs else None
+    bit = None  # built at the first copy; verify_coloring mostly finds none
     for w in _iter_copies(g, pat):
         if forbidden and frozenset(w) in forbidden:
             continue
-        es = tuple(sorted((min(a, b), max(a, b)) for a, b in _copy_edges(pat, w)))
-        if es not in seen:
-            seen.add(es)
-            out.append((w, es))
-    return out
+        if bit is None:
+            bit = _edge_bits(g.n, g.edges())
+        mask = 0
+        for i, j in pairs:
+            mask |= bit[w[i]][w[j]]
+        if seen is not None:
+            if mask in seen:
+                continue
+            seen.add(mask)
+        yield w, mask
 
 
 # ---------------------------------------------------------------------

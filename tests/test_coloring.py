@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import random
 
@@ -12,7 +13,7 @@ from ramseylab.coloring import (EdgeColoring, INCONCLUSIVE, NOT_RAMSEY, RAMSEY,
                                 decide_globally_ramsey, decide_ramsey,
                                 export_cnf, ramsey_query,
                                 targets_ramsey_number, verify_coloring)
-from ramseylab.graphs import (Graph, _copy_edges, _iter_through, arbitrary, clique,
+from ramseylab.graphs import (Graph, _copy_pairs, _iter_through, arbitrary, clique,
                               clique_graph, cycle, cycle_graph, empty_graph, path,
                               turan_graph)
 from ramseylab.perturb import perturb
@@ -392,13 +393,17 @@ def _depth_bits(n, edges, rng):
 
 
 class TestCopyFinders:
-    """Each flat kernel against the first copy the general through-edge
-    iterator lists."""
+    """Each flat kernel, and the arbitrary-pattern finder, against the
+    first copy the general through-edge iterator lists."""
 
     @settings(max_examples=300, deadline=None)
     @given(st.randoms(use_true_random=False),
            st.sampled_from([clique(k) for k in range(2, 7)]
-                           + [cycle(k) for k in range(3, 8)]))
+                           + [cycle(k) for k in range(3, 8)]
+                           + [arbitrary(Graph.from_edges(k, es)) for k, es in (
+                               (3, [(0, 1)]), (4, [(0, 1), (1, 2), (0, 2), (2, 3)]),
+                               (4, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3)]),
+                               (5, [(0, 1), (1, 2), (2, 3), (3, 0), (1, 4)]))]))
     def test_kernel_matches_first_copy(self, rng, pat):
         n = rng.randint(2, 10)
         u, v = sorted(rng.sample(range(n), 2))
@@ -410,10 +415,44 @@ class TestCopyFinders:
         first = next(_iter_through(n, adj, u, v, pat), None)
         expected = 0
         if first is not None:
-            for a, b in _copy_edges(pat, first):
-                expected |= depth_bit[a][b]
+            for i, j in _copy_pairs(pat):
+                expected |= depth_bit[first[i]][first[j]]
         assert find(u, v) == expected
         assert (find(u, v) == 0) == (first is None)
+
+    # (nodes over the batch, digest of every search tuple)
+    ARBITRARY_SEARCHES = (5421, "51c0dd116b5891c55b1fbb77247858d4b56dde8b8e699fb09f7f31db2be50450")
+
+    def test_arbitrary_pattern_searches(self):
+        """Search tuples of seeded queries with arbitrary targets, half of
+        them with forbidden sets: the conflict sets, and with them every
+        count, follow the copy each finder returns."""
+        rng = random.Random(1511)
+        digest = hashlib.sha256()
+        nodes = 0
+        for i in range(80):
+            r = 3 if i % 4 == 3 else 2
+            n = rng.randint(5, 8 if r == 2 else 6)
+            host = random_graph(rng, n, rng.uniform(0.5, 1.0))
+            targets = []
+            for _ in range(r):
+                pats = []
+                for _ in range(rng.randint(1, 2)):
+                    pairs = list(itertools.combinations(range(rng.randint(3, 5)), 2))
+                    pats.append(arbitrary(Graph.from_edges(
+                        pairs[-1][1] + 1, rng.sample(pairs, rng.randint(3, len(pairs))))))
+                targets.append(pats)
+            forbidden = None
+            if i % 2:
+                forbidden = [[rng.sample(range(n), pats[0].vertex_count)
+                              for _ in range(rng.randint(1, 5))] for pats in targets]
+            verdict = decide_ramsey(ramsey_query(host, targets, forbidden, node_budget=20000))
+            s = verdict.stats
+            nodes += s.nodes
+            witness = verdict.witness.colors if verdict.witness else None
+            digest.update(repr((verdict.status, s.nodes, s.checks, s.backjumps, s.max_depth,
+                                s.symmetry_cuts, witness)).encode())
+        assert (nodes, digest.hexdigest()) == self.ARBITRARY_SEARCHES
 
 
 class TestEdgelessTargets:
@@ -680,6 +719,21 @@ class TestCnfExport:
         q = ramsey_query(clique_graph(8), [clique(3), clique(3)])
         with pytest.raises(ValueError, match="cap"):
             export_cnf(q, clause_cap=10)
+
+    def test_clause_cap_stops_listing(self, monkeypatch):
+        # K16 has 104,832 copies of C5; export stops at the first one past the cap
+        listed = []
+        real = coloring._allowed_copies
+
+        def counted(*args):
+            for copy in real(*args):
+                listed.append(copy)
+                yield copy
+
+        monkeypatch.setattr(coloring, "_allowed_copies", counted)
+        with pytest.raises(ValueError, match="100"):
+            export_cnf(ramsey_query(clique_graph(16), [cycle(5), cycle(5)]), clause_cap=100)
+        assert len(listed) == 101
 
     @settings(max_examples=40, deadline=None)
     @given(st.builds(random_graph, st.randoms(use_true_random=False),

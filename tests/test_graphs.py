@@ -269,6 +269,8 @@ class TestContainment:
 
 
 PAW = Graph.from_edges(4, [(0, 1), (1, 2), (0, 2), (2, 3)])
+K4E = Graph.from_edges(4, [e for e in itertools.combinations(range(4), 2) if e != (2, 3)])
+EDGE_AND_VERTEX = Graph.from_edges(3, [(0, 1)])
 
 
 class TestListingOrder:
@@ -292,11 +294,30 @@ class TestListingOrder:
         "P4": (3661, "0458e3caca186af8bdd4724fed1a40d52eb5649503048ae91e4b1adc21b6b669"),
         "P5": (13514, "b93f58196ec2d0941e2b6493779f4034d1d04139ccfb3d4a0ca5573270370adf"),
         "graph(n=4,m=4)": (3134, "31506a65d66a4039034f27f7ab79621e9ebfdb35edbfd3bfee5ba8ce2b8ea74e"),
+        "graph(n=4,m=5)": (1431, "b99b96810092843f6b1d34f3b3e3ffac361b068b8d7ff19648321435abe368b5"),
+        "graph(n=3,m=1)": (255, "95f23adac86d81087988be028218d63fe99219d9118c986686d2e92ea4b6cd73"),
     }
     DIMACS = "f5c9f11deec6611fff9ac4257854c7c7bf44decceed7f98ed1ed483995c24d71"
+    # label: (host, per-color targets, forbidden sets, digest of the DIMACS text)
+    QUERIES = {
+        "K7-K4e-K3": (clique_graph(7), [arbitrary(K4E), clique(3)], None,
+                      "e6328272a3b7c9969fa75728bdf293adf7fff0e5d2d59eea697b46251aff541a"),
+        "forbidden": (clique_graph(6), [cycle(4), arbitrary(PAW)],
+                      [[(0, 1, 2, 3), (1, 2, 3, 4), (2, 3, 4, 5)], [(0, 1, 2, 3), (0, 2, 4, 5)]],
+                      "d64bd63f39e773995f5face00a9b0b89a3e625acb0d45e9d0106e2e3137fabdb"),
+        "three-colors": (clique_graph(6), [cycle(3), path(3), arbitrary(K4E)],
+                         [[], [(0, 1, 2), (3, 4, 5)], [(0, 1, 2, 3)]],
+                         "164dc5e1fd206326764884bb15838da5976730206a04bcc15d035ba826f9e887"),
+        "edge-and-vertex": (clique_graph(6), [arbitrary(EDGE_AND_VERTEX), clique(3)],
+                            [[(0, 1, v) for v in range(2, 6)] + [(2, 3, 4), (2, 3, 5)], []],
+                            "b18c5282c3ec45f9c975a75443aff5e5491f73f9da6ae3a00958795883d6b33f"),
+        "P1": (clique_graph(3), [path(1), cycle(3)], None,
+              "c19c2f80d128b1dee457e8d624668d33959dca8dbc66e3916a3a94a0f79871f7"),
+    }
 
     @pytest.mark.parametrize("pat", [cycle(k) for k in range(3, 7)]
-                             + [path(k) for k in range(1, 6)] + [arbitrary(PAW)],
+                             + [path(k) for k in range(1, 6)]
+                             + [arbitrary(PAW), arbitrary(K4E), arbitrary(EDGE_AND_VERTEX)],
                              ids=lambda pat: pat.describe())
     def test_copy_lists(self, pat):
         rng = random.Random(1414)
@@ -314,6 +335,12 @@ class TestListingOrder:
     def test_dimacs_bytes(self):
         text = export_cnf(ramsey_query(clique_graph(7), [cycle(5), path(4)])).dimacs()
         assert hashlib.sha256(text.encode()).hexdigest() == self.DIMACS
+
+    @pytest.mark.parametrize("label", QUERIES)
+    def test_query_dimacs(self, label):
+        host, targets, forbidden, digest = self.QUERIES[label]
+        text = export_cnf(ramsey_query(host, targets, forbidden)).dimacs()
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
 def homomorphism_exists(pat_graph: Graph, base: Graph) -> bool:
