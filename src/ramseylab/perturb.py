@@ -36,8 +36,23 @@ since the previous grid point are tested, each for a K_R through it.
 A Ramsey verdict reached by search is not carried forward, because a
 fresh search of a larger host could run out of node budget.  The node
 budget is the only limit on a search, so no verdict depends on machine
-speed, and every search verdict, inconclusive ones too, is cached by
-host for the rest of the scan of its base.
+speed, and every search verdict, inconclusive ones too, is decided
+once per host for the rest of the scan of its base.
+
+A scan of one base runs in three phases.  It first walks every trial
+and records each host that stands at some grid points as (host index,
+first point, end point), the index interning the host's adjacency in
+first-seen order, so memory grows with distinct hosts, not with runs;
+the walk needs no verdict, as the K_R test looks only at arrivals.  It
+then decides the distinct hosts in that order: in this process until
+they have spent _SERIAL_NODES search nodes, the rest cut into one
+contiguous chunk per usable CPU, each chunk but the last decided by a
+forked worker that sends its statuses back through a pipe.  Last it
+tallies each run under its host's status.  A status is a pure function
+of (host, targets, node budget), and the chunks only say which process
+computes it, so the bytes do not depend on the number of workers;
+taskset -c 0 gives one chunk, as do platforms without fork and
+processes running other threads.
 
 Ramsey trials that exhaust their node budget count as Inconclusive:
 they are reported separately and excluded from the success-rate
@@ -49,7 +64,9 @@ from __future__ import annotations
 import bisect
 import itertools
 import math
+import os
 import struct
+import sys
 from typing import Optional, Sequence
 
 from .coloring import (DEFAULT_NODE_BUDGET, INCONCLUSIVE, NOT_RAMSEY, RAMSEY,
@@ -61,6 +78,10 @@ from .graphs import Graph, _iter_through, _Record, clique, contains_pattern, emp
 _MASK64 = (1 << 64) - 1
 _UNIT = float(1 << 53)  # a variate is a 53-bit integer divided by this
 _WILSON_Z = 1.959963984540054  # two-sided 95%
+# search nodes a scan spends deciding hosts in-process before it splits
+# the rest over the usable CPUs: a fork costs milliseconds, a node microseconds
+_SERIAL_NODES = 20_000
+_STATUSES = (RAMSEY, NOT_RAMSEY, INCONCLUSIVE)  # a worker sends a status as its index
 
 # splitmix64: the counter's weights for seed, trial and edge index, its
 # offset, and the two multipliers of the finalizer
@@ -201,19 +222,24 @@ def _scan_base(base: Graph, targets: Sequence, grid: list[float], trials: int,
                clique_shortcut: bool) -> list[MonteCarloRow]:
     """One row per point of the ascending grid, for one base.
 
-    Trial-major: each trial draws variates for the base's missing pairs
-    in one call, and its hosts grow along the grid as those pairs
-    arrive, so the host at p is exactly perturb(base, p, seed, trial).
-    Pairs arriving at or above the last grid point are dropped before
-    the arrivals are sorted.  The edgeless-target test, the shortcut's
-    R and whether the base itself holds a K_R are worked out once,
-    before the first trial (module docstring).  A trial's earlier hosts
-    all lack a K_R, so a host holds one only through a pair that has
-    just arrived, and only those pairs are tested.  A host is looked up
-    once for the run of grid points it stands at, until the next pairs
-    arrive, so it keeps one verdict there.  Search verdicts, inconclusive
-    ones too, are cached by host adjacency; a Graph is built only for a
-    host that has to be decided.
+    The edgeless-target test, the shortcut's R and whether the base
+    itself holds a K_R are worked out once, before the first trial
+    (module docstring).  Then three phases.  The walk: each trial draws
+    variates for the base's missing pairs in one call, and its hosts
+    grow along the grid as those pairs arrive, so the host at p is
+    exactly perturb(base, p, seed, trial).  Pairs arriving at or above
+    the last grid point are dropped before the arrivals are sorted.  A
+    trial's earlier hosts all lack a K_R, so a host holds one only
+    through a pair that has just arrived, and only those pairs are
+    tested.  Each other host is recorded once for the run of grid points
+    it stands at, as its index among the distinct adjacencies and the
+    run's ends.  The decisions: _decide_hosts decides each distinct
+    host once, in first-seen order, inconclusive verdicts included; a
+    Graph is built only for a host being decided.  Its serial prefix is
+    counted in search nodes, not seconds, and its chunks are contiguous,
+    so the split is the same on every run with the same CPU count, and
+    no status depends on it.  The tally: each run adds its host's status
+    at its first point and removes it at its end.
     """
     if trials < 0:
         raise ValueError(f"trial count must be nonnegative, got {trials}")
@@ -233,25 +259,18 @@ def _scan_base(base: Graph, targets: Sequence, grid: list[float], trials: int,
     settled = edgeless or shortcut is not None and contains_pattern(base, shortcut)
     # per status and grid point, the change in the status's count of
     # trials from the previous point
-    deltas = {status: [0] * (len(grid) + 1) for status in (RAMSEY, NOT_RAMSEY, INCONCLUSIVE)}
+    deltas = {status: [0] * (len(grid) + 1) for status in _STATUSES}
     successes = deltas[RAMSEY]
     if settled:
         successes[0] = trials
     n = base.n
-    cache: dict = {}  # adjacency -> status of its search verdict
+    hosts: dict = {}  # adjacency -> index, in first-seen order
+    runs = []  # (host index, first grid point, end grid point)
 
-    def tally(adj: list[int], start: int, end: int) -> None:
-        """Count a host that stands at grid points start..end-1."""
-        if start == end:
-            return
-        key = tuple(adj)
-        status = cache.get(key)
-        if status is None:
-            q = RamseyQuery(Graph(n, key, base.labels), template.targets,
-                            template.forbidden, node_budget)
-            status = cache[key] = decide_ramsey(q).status
-        deltas[status][start] += 1
-        deltas[status][end] -= 1
+    def stand(adj: list[int], start: int, end: int) -> None:
+        """Record a host that stands at grid points start..end-1."""
+        if start < end:
+            runs.append((hosts.setdefault(tuple(adj), len(hosts)), start, end))
 
     indices, pairs = _missing_pairs(base)
     cuts = [p * _UNIT for p in grid]
@@ -264,7 +283,7 @@ def _scan_base(base: Graph, targets: Sequence, grid: list[float], trials: int,
         while k < len(arrivals):
             # the next pairs arrive at grid point end; the host stands until then
             end = bisect.bisect_right(cuts, arrivals[k][0])
-            tally(adj, start, end)
+            stand(adj, start, end)
             first = k
             while k < len(arrivals) and arrivals[k][0] < cuts[end]:
                 _, (u, v) = arrivals[k]
@@ -278,7 +297,18 @@ def _scan_base(base: Graph, targets: Sequence, grid: list[float], trials: int,
                 break
             start = end
         else:
-            tally(adj, start, len(grid))
+            stand(adj, start, len(grid))
+
+    def decide(key: tuple[int, ...]) -> tuple[str, int]:
+        verdict = decide_ramsey(RamseyQuery(Graph(n, key, base.labels), template.targets,
+                                            template.forbidden, node_budget))
+        return verdict.status, verdict.stats.nodes
+
+    statuses = _decide_hosts(list(hosts), decide)
+    for i, start, end in runs:
+        counts = deltas[statuses[i]]
+        counts[start] += 1
+        counts[end] -= 1
     rows = []
     s = inc = 0
     for p, ds, dinc in zip(grid, successes, deltas[INCONCLUSIVE]):
@@ -287,6 +317,98 @@ def _scan_base(base: Graph, targets: Sequence, grid: list[float], trials: int,
         lo, hi = wilson_interval(s, trials - inc)
         rows.append(MonteCarloRow(n, p, trials, s, inc, lo, hi))
     return rows
+
+
+def _cpu_count() -> int:
+    """The CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+def _decide_hosts(hosts: list, decide) -> list[str]:
+    """The status of each host, in order; decide(host) returns the
+    host's (status, search nodes).
+
+    Hosts are decided here until they have spent _SERIAL_NODES nodes.
+    The rest are cut into contiguous chunks, one per usable CPU; each
+    chunk but the last goes to a forked worker, the last is decided
+    here, and each worker writes one status byte per host to its pipe.
+    There is one chunk where fork is missing, where one CPU is usable,
+    and where other threads run, since a forked child would inherit
+    their locks in whatever state they were.  A worker that raises
+    sends its exception's text, which is raised here as a RuntimeError.
+    Every worker is reaped before this returns or raises, and killed
+    first when this process fails or is interrupted.
+    """
+    statuses = []
+    spent = k = 0
+    while k < len(hosts) and spent < _SERIAL_NODES:
+        status, nodes = decide(hosts[k])
+        statuses.append(status)
+        spent += nodes
+        k += 1
+    threading = sys.modules.get("threading")  # no thread runs unless it is loaded
+    alone = threading is None or threading.active_count() == 1
+    count = _cpu_count() if hasattr(os, "fork") and alone else 1
+    count = max(1, min(count, len(hosts) - k))
+    bounds = [k + (len(hosts) - k) * i // count for i in range(count + 1)]
+    workers = []  # (pid, read end of its pipe)
+    sent, codes = [], []
+    try:
+        for lo, hi in zip(bounds, bounds[1:-1]):
+            workers.append(_fork_decider(hosts[lo:hi], decide))
+        own = [decide(host)[0] for host in hosts[bounds[-2]:]]
+        for _, fd in workers:
+            with open(fd, "rb", closefd=False) as pipe:
+                sent.append(pipe.read())
+    finally:
+        failed = len(sent) < len(workers)
+        if failed:
+            import signal  # loaded only here, to keep import ramseylab light
+        for pid, fd in workers:
+            os.close(fd)
+            if failed:
+                os.kill(pid, signal.SIGKILL)
+            codes.append(os.waitpid(pid, 0)[1])
+    for data, code in zip(sent, codes):
+        if code:
+            text = data.decode(errors="replace") or f"wait status {code}"
+            raise RuntimeError(f"a scan worker failed: {text}")
+        statuses += [_STATUSES[b] for b in data]
+    return statuses + own
+
+
+def _fork_decider(chunk: list, decide) -> tuple[int, int]:
+    """Fork a worker that decides chunk and exits; its pid and the read
+    end of the pipe it writes the statuses to."""
+    read_fd, write_fd = os.pipe()
+    try:
+        pid = os.fork()
+    except OSError:
+        os.close(read_fd)
+        os.close(write_fd)
+        raise
+    if pid:
+        os.close(write_fd)
+        return pid, read_fd
+    # the worker: whatever happens, it leaves by os._exit and never
+    # unwinds into its caller's frames, which belong to the parent
+    code = 1
+    try:
+        os.close(read_fd)
+        try:
+            data = bytes(_STATUSES.index(decide(host)[0]) for host in chunk)
+            ok = True
+        except BaseException as exc:  # reported to the parent, which raises
+            data = f"{type(exc).__name__}: {exc}".encode()
+            ok = False
+        while data:
+            data = data[os.write(write_fd, data):]
+        code = 0 if ok else 1
+    finally:
+        os._exit(code)
 
 
 def log_spaced_grid(p_lo: float, p_hi: float, per_decade: int = 13) -> list[float]:
