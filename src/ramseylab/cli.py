@@ -229,6 +229,8 @@ def _cmd_construct(args) -> int:
             "avoids_blue_clique": args.s or args.k * (args.ell - 1) + 1})
     elif name == "k4-lower":
         from .perturb import sample_gnp
+        if args.s is None:
+            raise ManifestError(f"--name {name} needs --s")
         rnd = sample_gnp(args.n, args.p, args.seed)
         a_size = args.a_size if args.a_size is not None else args.n // 2
         ab = (list(range(a_size)), list(range(a_size, args.n)))

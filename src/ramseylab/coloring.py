@@ -194,6 +194,10 @@ class EdgeColoring(_FrozenRecord):
 
     @classmethod
     def from_jsonable(cls, data: dict) -> "EdgeColoring":
+        """The coloring to_jsonable wrote, with the same adjacency, r and
+        colors.  The host's part labels are not stored, since graph6 has
+        none, so the decoded host is unlabelled and the result compares
+        unequal to a coloring of a labelled host."""
         from . import graph6
         return cls(graph6.decode(data["host"]), int(data["r"]),
                    tuple(int(c) for c in data["colors"]))

@@ -11,8 +11,7 @@ from __future__ import annotations
 from typing import Optional, Sequence
 
 from .coloring import EdgeColoring, ramsey_query, decide_ramsey, NOT_RAMSEY
-from .graphs import (Graph, clique, clique_graph, contains_pattern,
-                     turan_graph)
+from .graphs import Graph, clique, contains_pattern, turan_graph
 
 
 class ConstructionError(ValueError):
@@ -131,8 +130,9 @@ def clique_split_coloring(n: int, k: int, s: int, t: int,
     clique Ramsey number against K_{s-k} exceeds k.  Edges inside each
     A_i or B_i are red, every edge leaving an A_i is blue, and edges
     between B_i and B_j take the color of {i,j} in a K_k coloring phi
-    with no red K_{a+1} and no blue K_{s-k} (found by the engine when
-    omitted).  The composite is re-verified by clique search.
+    with no red K_{a+1} and no blue K_{s-k} (when omitted, the one the
+    engine found while computing a).  The composite is re-verified by
+    clique search.
     """
     from .thresholds import _least_quotient_clique
 
@@ -143,15 +143,15 @@ def clique_split_coloring(n: int, k: int, s: int, t: int,
     a_side, b_side = (sorted(ab[0]), sorted(ab[1]))
     if sorted(a_side + b_side) != list(range(n)):
         raise ConstructionError("A and B must partition the vertices")
-    a = _least_quotient_clique(k, s - k)
+    a, found = _least_quotient_clique(k, s - k)
     ell = -(-t // a)
     if contains_pattern(random_part.induced(a_side), clique(t)):
         raise ConstructionError("random part on A contains a clique of size t")
     if contains_pattern(random_part.induced(b_side), clique(ell)):
         raise ConstructionError(f"random part on B contains a clique of size {ell}")
     if phi is None:
-        phi = _avoiding_coloring(clique_graph(k), [clique(a + 1), clique(s - k)],
-                                 f"K_{k}")
+        # the K_k coloring the search for a found; s - k >= 2 ensures one
+        phi = found
     if phi.host.n != k or phi.r != 2:
         raise ConstructionError("phi must 2-color the complete graph on the parts")
     if contains_pattern(phi.color_subgraph(RED), clique(a + 1)):

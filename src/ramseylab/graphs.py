@@ -34,6 +34,13 @@ def _bits(x: int) -> Iterator[int]:
         x ^= b
 
 
+def _check_vertex(n: int, v: int) -> None:
+    """Raise unless v is a vertex of an n-vertex graph; a negative v
+    would otherwise index adjacency from the end."""
+    if not 0 <= v < n:
+        raise ValueError(f"vertex {v} out of range for n={n}")
+
+
 class Graph:
     """Immutable undirected simple graph.
 
@@ -112,6 +119,8 @@ class Graph:
     def induced(self, vertices: Iterable[int]) -> "Graph":
         """Induced subgraph, relabelled 0..k-1 preserving vertex order."""
         vs = sorted(set(vertices))
+        for v in vs[:1] + vs[-1:]:
+            _check_vertex(self.n, v)
         pos = {v: i for i, v in enumerate(vs)}
         edges = [(pos[u], pos[v]) for u, v in itertools.combinations(vs, 2)
                  if self.has_edge(u, v)]
@@ -569,6 +578,8 @@ def iter_pattern_witnesses_through_edge(g: Graph, pat: Pattern, e: tuple[int, in
     is listed too, because forbidden sets name whole vertex sets.
     """
     u, v = e
+    _check_vertex(g.n, u)
+    _check_vertex(g.n, v)
     if not g.has_edge(u, v):
         raise ValueError(f"({u},{v}) is not an edge of the graph")
     yield from _iter_through(g.n, g.adj, u, v, pat)

@@ -70,9 +70,11 @@ def _seed_band(d: Fraction) -> int:
     return k
 
 
-def _least_quotient_clique(k: int, m: int) -> int:
+def _least_quotient_clique(k: int, m: int) -> tuple:
     """Least a with Ramsey number R(K_{a+1}, K_m) exceeding k, found by
-    exhaustive search on K_k."""
+    exhaustive search on K_k, and the engine's coloring of K_k with no
+    red K_{a+1} and no blue K_m; (k, None) when no a <= k has one,
+    which needs m = 1."""
     from .coloring import INCONCLUSIVE, decide_ramsey, ramsey_query
     from .graphs import clique, clique_graph
 
@@ -83,8 +85,8 @@ def _least_quotient_clique(k: int, m: int) -> int:
             raise RuntimeError("small-Ramsey evaluation exceeded its budget")
         if not verdict.is_ramsey:
             # K_k admits a coloring avoiding both, so R > k
-            return a
-    return k
+            return a, verdict.witness
+    return k, None
 
 
 def _clique_pair(t: int, s: int, d: Fraction) -> Optional[ThresholdAnswer]:
@@ -123,7 +125,7 @@ def _clique_pair(t: int, s: int, d: Fraction) -> Optional[ThresholdAnswer]:
                        "without the divisibility condition the exponent is "
                        "sharp only up to n^o(1)")
     if k + 2 <= s <= 2 * k:
-        a = _least_quotient_clique(k, s - k)
+        a, _ = _least_quotient_clique(k, s - k)
         lo = Fraction(-2 * t, t * (t - 1) + -(-t // a))
         hi = Fraction(-2, t)
         note = ""

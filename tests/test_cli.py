@@ -240,6 +240,12 @@ class TestConstructCommand:
         assert code == ERROR
         assert err.startswith(f"error: --name {name} needs --family")
 
+    def test_k4_lower_without_s_is_error(self, capsys):
+        code, out, err = run(capsys, ["construct", "--name", "k4-lower"])
+        assert code == ERROR
+        assert err == "error: --name k4-lower needs --s\n"
+        assert "Traceback" not in out + err
+
     def test_failed_construction_is_error(self, capsys):
         # K6 has no (C3,C3)-avoiding coloring, so no base is available
         k6 = graph6.encode(clique_graph(6))

@@ -531,6 +531,16 @@ class TestVerifyColoring:
         assert len(violations) == 22
         assert {v[0] for v in violations} == {1}
 
+    def test_json_round_trip_drops_labels_only(self):
+        host = turan_graph(6, 3)
+        witness = decide(host, [cycle(3), cycle(3)]).witness
+        back = EdgeColoring.from_jsonable(witness.to_jsonable())
+        assert back.host.adj == host.adj and back.host.labels is None
+        assert (back.r, back.colors) == (witness.r, witness.colors)
+        assert back != witness
+        q = ramsey_query(back.host, [cycle(3), cycle(3)])
+        assert verify_coloring(back, q) == []
+
     def test_size_mismatch_rejected(self):
         host = clique_graph(4)
         with pytest.raises(ValueError):

@@ -205,6 +205,29 @@ class TestCliqueSplitColoring:
         with pytest.raises(ConstructionError, match="partition"):
             clique_split_coloring(12, 4, 6, 6, ab, empty_graph(12))
 
+    def test_one_search_for_the_quotient_coloring(self, monkeypatch):
+        # a = 4 for k = 4, s = 6: K_4 against (K_5, K_2) is searched once,
+        # and its witness is the coloring phi _avoiding_coloring gives
+        import ramseylab.coloring as coloring_module
+        import ramseylab.constructions as constructions_module
+
+        calls = []
+
+        def counting(q, _decide=coloring_module.decide_ramsey):
+            sides = [[p.describe() for p in side] for side in q.targets]
+            if q.host == clique_graph(4) and sides == [["K5"], ["K2"]]:
+                calls.append(q)
+            return _decide(q)
+
+        monkeypatch.setattr(coloring_module, "decide_ramsey", counting)
+        monkeypatch.setattr(constructions_module, "decide_ramsey", counting)
+        n = 16
+        ab = (list(range(8)), list(range(8, 16)))
+        got = clique_split_coloring(n, 4, 6, 6, ab, empty_graph(n))
+        assert len(calls) == 1
+        phi = _avoiding_coloring(clique_graph(4), [clique(5), clique(2)], "K_4")
+        assert got == clique_split_coloring(n, 4, 6, 6, ab, empty_graph(n), phi)
+
     def test_randomized_instances(self):
         rng = random.Random(27)
         for trial in range(10):

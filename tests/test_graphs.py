@@ -66,6 +66,15 @@ class TestGraphBasics:
         sub = g.induced([0, 2, 4])
         assert sub.n == 3 and sub.edge_count == 3
 
+    @pytest.mark.parametrize("g, vertices, bad", [
+        (path_graph(3), [-1, 1], -1),   # read as vertex 2
+        (path_graph(3), [0, 7], 7),     # a phantom isolated vertex
+        (turan_graph(6, 3), [0, 9], 9),  # labels indexed past the end
+    ])
+    def test_induced_rejects_non_vertices(self, g, vertices, bad):
+        with pytest.raises(ValueError, match=f"vertex {bad} out of range"):
+            g.induced(vertices)
+
     def test_union(self):
         a = Graph.from_edges(4, [(0, 1)])
         b = Graph.from_edges(4, [(1, 2), (0, 1)])
@@ -213,6 +222,12 @@ class TestContainment:
             (0, 1, 2), (0, 1, 3)]
         got = list(iter_pattern_witnesses_through_edge(k6, clique(4), (0, 1)))
         assert got == [(0, 1) + rest for rest in itertools.combinations(range(2, 6), 2)]
+
+    @pytest.mark.parametrize("e, bad", [((-1, 0), -1), ((0, -4), -4), ((2, 9), 9)])
+    def test_through_edge_rejects_non_vertices(self, e, bad):
+        # (-1, 0) read as (3, 0) gave the witness (-1, 0, 1)
+        with pytest.raises(ValueError, match=f"vertex {bad} out of range"):
+            find_pattern_through_edge(clique_graph(4), clique(3), e)
 
     def test_through_edge_skips_forbidden_clique_only(self):
         g = clique_graph(4)
