@@ -22,20 +22,16 @@ from .coloring import (DEFAULT_NODE_BUDGET, INCONCLUSIVE, decide_ramsey,
 from .constructions import (ConstructionError, bipartite_decomposition,
                             clique_split_coloring, lift_coloring,
                             odd_cycle_free_multicoloring, turan_blue_composite,
-                            _avoiding_coloring, _part_offsets)
-from .densities import d2, m2, m2_asym, mu0, mu1, rho, rho_k_with_partition
-from .experiments import (ManifestError, PACKAGE_VERSION, parse_pattern,
+                            _avoiding_coloring)
+from .densities import _frac, d2, m2, m2_asym, mu0, mu1, rho, rho_k_with_partition
+from .experiments import (ManifestError, PACKAGE_VERSION, _fact_report, parse_pattern,
                           parse_targets, replay, run_experiment)
+from .facts import REFUTED, default_fact_suite
 from .graphs import Graph, build_family, clique_graph
-from .perturb import log_spaced_grid
+from .perturb import DEFAULT_PER_DECADE, log_spaced_grid
 from .thresholds import UNKNOWN, threshold_oracle
 
 OK, ERROR, UNDECIDED = 0, 1, 2
-
-
-def _frac(x) -> str:
-    x = Fraction(x)
-    return f"{x.numerator}/{x.denominator}"
 
 
 def _fraction_arg(text: str) -> Fraction:
@@ -64,7 +60,7 @@ def _grid_arg(text: str) -> list[float]:
     """Probability grid: 'lo:hi[:per_decade]' log spaced, or 'a,b,c'."""
     if ":" in text:
         pieces = text.split(":")
-        per_decade = int(pieces[2]) if len(pieces) > 2 else 13
+        per_decade = int(pieces[2]) if len(pieces) > 2 else DEFAULT_PER_DECADE
         return log_spaced_grid(float(pieces[0]), float(pieces[1]), per_decade)
     return [float(tok) for tok in text.split(",") if tok]
 
@@ -214,10 +210,12 @@ def _cmd_construct(args) -> int:
         payload = _coloring_payload(coloring, {
             "base": base.to_jsonable(), "lifted_vertices": blown.n})
     elif name == "turan-blue":
-        from .graphs import clique, empty_graph
+        from .graphs import clique, empty_graph, part_vertices, turan_graph
         from .perturb import sample_gnp
+        skeleton = turan_graph(args.n, args.k)
         inner = []
-        for idx, (at, size) in enumerate(_part_offsets(args.n, args.k)):
+        for idx in range(args.k):
+            size = len(part_vertices(skeleton, idx))
             part_graph = (sample_gnp(size, args.p, args.seed, trial=idx)
                           if args.p > 0 else empty_graph(size))
             inner.append(_avoiding_coloring(
@@ -264,19 +262,19 @@ def _cmd_scan(args) -> int:
 
 
 def _cmd_facts(args) -> int:
-    from . import facts as facts_mod
-    from .experiments import _fact_report
+    if args.fact_args is not None and not args.only:
+        raise ManifestError("--fact-args needs --only")
     if args.only:
         extra = {}
         if args.fact_args:
             extra = json.loads(args.fact_args)
         reports = [_fact_report(args.only, extra)]
     else:
-        reports = facts_mod.default_fact_suite()
+        reports = default_fact_suite()
     payload = [r.to_jsonable() for r in reports]
     _emit(payload if len(payload) > 1 else payload[0], args)
     statuses = {r.status for r in reports}
-    if "refuted" in statuses:
+    if REFUTED in statuses:
         return ERROR
     if INCONCLUSIVE in statuses:
         return UNDECIDED

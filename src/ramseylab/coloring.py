@@ -87,6 +87,7 @@ from .graphs import (Graph, Pattern, _FrozenRecord, _Record, _allowed_copies, _b
                      clique_graph, twin_classes)
 
 DEFAULT_NODE_BUDGET = 10 ** 8
+DEFAULT_RAMSEY_CAP = 12  # largest complete host a Ramsey-number search tries
 
 RAMSEY = "ramsey"
 NOT_RAMSEY = "not_ramsey"
@@ -478,7 +479,7 @@ def _symmetry_constraints(query: RamseyQuery, pairs: list) -> tuple[list, int]:
 # The decision procedure
 
 
-def targets_ramsey_number(targets, cap: int = 12,
+def targets_ramsey_number(targets, cap: int = DEFAULT_RAMSEY_CAP,
                           node_budget: int = DEFAULT_NODE_BUDGET) -> Optional[int]:
     """Least n <= cap with K_n Ramsey for the per-color targets; None
     when no size in range is, or when the node budget runs out first.
@@ -682,14 +683,13 @@ def decide_globally_ramsey(query: RamseyQuery, mu, mode: str = "exhaustive",
     can only ever report that no counterexample was found.
     """
     import itertools
-    import math
     import random
     from fractions import Fraction
 
     host = query.host
     n = host.n
     if isinstance(mu, Fraction):
-        s_min = max(0, -((-mu.numerator * n) // mu.denominator))
+        s_min = max(0, math.ceil(mu * n))
     else:
         s_min = max(0, math.ceil(mu * n - 1e-12))
     if s_min > n:

@@ -1,17 +1,19 @@
 """Explicit lower-bound colorings, each re-verified before it is returned.
 
 Every builder here composes a coloring that is supposed to avoid
-certain monochromatic targets, then checks that claim directly (clique
-search, odd-cycle search) and raises ConstructionError on any
-violation.  Callers therefore never receive an unchecked certificate.
+certain monochromatic targets, then checks that claim directly
+(verify_coloring for cliques, odd-cycle search) and raises
+ConstructionError on any violation.  Callers therefore never receive
+an unchecked certificate.
 """
 
 from __future__ import annotations
 
 from typing import Optional, Sequence
 
-from .coloring import EdgeColoring, ramsey_query, decide_ramsey, NOT_RAMSEY
-from .graphs import Graph, clique, contains_pattern, turan_graph
+from .coloring import (EdgeColoring, NOT_RAMSEY, decide_ramsey, ramsey_query,
+                       verify_coloring)
+from .graphs import Graph, clique, contains_pattern, part_vertices, turan_graph
 
 
 class ConstructionError(ValueError):
@@ -21,15 +23,15 @@ class ConstructionError(ValueError):
 RED, BLUE = 0, 1
 
 
-def _part_offsets(n: int, k: int) -> list[tuple[int, int]]:
-    q, r = divmod(n, k)
-    sizes = [q + 1] * r + [q] * (k - r)
-    offsets = []
-    at = 0
-    for size in sizes:
-        offsets.append((at, size))
-        at += size
-    return offsets
+def _check_avoids(coloring: EdgeColoring, red: int, blue: int, name: str) -> None:
+    """Raise ConstructionError, naming the coloring, unless verify_coloring
+    finds no red clique on red vertices and no blue clique on blue."""
+    query = ramsey_query(coloring.host, [clique(red), clique(blue)])
+    violations = verify_coloring(coloring, query)
+    if violations:
+        color, pattern, vertices = violations[0]
+        raise ConstructionError(f"{name} has a {('red', 'blue')[color]} clique "
+                                f"{pattern} on vertices {list(vertices)}")
 
 
 def bipartite_decomposition(g: Graph, i: int) -> list[Graph]:
@@ -71,36 +73,30 @@ def turan_blue_composite(n: int, k: int, inner: Sequence[EdgeColoring],
     blue clique on ell; the composite then has no red K_t at all and
     its blue cliques pick at most ell-1 vertices per part, so it avoids
     blue K_s for s = k(ell-1)+1 (the default).  Both properties are
-    re-verified by clique search on the composite.
+    re-verified by verify_coloring on the composite.  Part p of the
+    turan_graph(n, k) skeleton holds inner[p], its vertices in order.
     """
     if s is None:
         s = k * (ell - 1) + 1
     if s < k * (ell - 1) + 1:
         raise ConstructionError("s must be at least k*(ell-1)+1")
-    offsets = _part_offsets(n, k)
     if len(inner) != k:
         raise ConstructionError(f"need {k} in-part colorings")
     skeleton = turan_graph(n, k)
     edges = list(skeleton.edges())
     color_of = {e: BLUE for e in edges}
-    for (at, size), coloring in zip(offsets, inner):
-        if coloring.r != 2 or coloring.host.n != size:
+    for p, coloring in enumerate(inner):
+        part = part_vertices(skeleton, p)
+        if coloring.r != 2 or coloring.host.n != len(part):
             raise ConstructionError("inner coloring shape mismatch")
-        if contains_pattern(coloring.color_subgraph(RED), clique(t)):
-            raise ConstructionError("an inner coloring has a red clique of size t")
-        if contains_pattern(coloring.color_subgraph(BLUE), clique(ell)):
-            raise ConstructionError("an inner coloring has a blue clique of size ell")
+        _check_avoids(coloring, t, ell, f"inner coloring {p}")
         for (u, v), c in zip(coloring.host.edges(), coloring.colors):
-            e = (u + at, v + at)
+            e = (part[u], part[v])
             edges.append(e)
             color_of[e] = c
     host = Graph.from_edges(n, edges, skeleton.labels)
     composite = EdgeColoring(host, 2, tuple(color_of[e] for e in host.edges()))
-    if contains_pattern(composite.color_subgraph(RED), clique(t)):
-        raise ConstructionError("composite has a red clique of size t")
-    blue = composite.color_subgraph(BLUE)
-    if contains_pattern(blue, clique(k * (ell - 1) + 1)):
-        raise ConstructionError("composite blue clique number too large")
+    _check_avoids(composite, t, k * (ell - 1) + 1, "composite")
     return composite
 
 
@@ -131,8 +127,8 @@ def clique_split_coloring(n: int, k: int, s: int, t: int,
     A_i or B_i are red, every edge leaving an A_i is blue, and edges
     between B_i and B_j take the color of {i,j} in a K_k coloring phi
     with no red K_{a+1} and no blue K_{s-k} (when omitted, the one the
-    engine found while computing a).  The composite is re-verified by
-    clique search.
+    engine found while computing a).  phi and the composite are
+    re-verified by verify_coloring.
     """
     from .thresholds import _least_quotient_clique
 
@@ -154,10 +150,7 @@ def clique_split_coloring(n: int, k: int, s: int, t: int,
         phi = found
     if phi.host.n != k or phi.r != 2:
         raise ConstructionError("phi must 2-color the complete graph on the parts")
-    if contains_pattern(phi.color_subgraph(RED), clique(a + 1)):
-        raise ConstructionError("phi has a red clique of size a+1")
-    if contains_pattern(phi.color_subgraph(BLUE), clique(s - k)):
-        raise ConstructionError("phi has a blue clique of size s-k")
+    _check_avoids(phi, a + 1, s - k, "phi")
     phi_color = {}
     for (i, j), c in zip(phi.host.edges(), phi.colors):
         phi_color[(i, j)] = c
@@ -178,10 +171,7 @@ def clique_split_coloring(n: int, k: int, s: int, t: int,
             key = (min(pu, pv), max(pu, pv))
             colors.append(phi_color[key])
     composite = EdgeColoring(host, 2, tuple(colors))
-    if contains_pattern(composite.color_subgraph(RED), clique(t)):
-        raise ConstructionError("composite has a red clique of size t")
-    if contains_pattern(composite.color_subgraph(BLUE), clique(s)):
-        raise ConstructionError("composite has a blue clique of size s")
+    _check_avoids(composite, t, s, "composite")
     return composite
 
 

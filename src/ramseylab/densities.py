@@ -29,6 +29,12 @@ _PARTITION_LIMIT = 14
 GraphLike = Union[Graph, Pattern]
 
 
+def _frac(x) -> str:
+    """x as exact "num/den" text, the form every JSON output uses."""
+    x = Fraction(x)
+    return f"{x.numerator}/{x.denominator}"
+
+
 def _as_graph(h: GraphLike) -> Graph:
     return h.to_graph() if isinstance(h, Pattern) else h
 
@@ -288,7 +294,16 @@ def _check_prob(p: Prob):
         raise ValueError("edge probability must lie in [0, 1]")
 
 
-def _mu_value(pairs: list[tuple[int, int]], n: int, p: Prob) -> Union[float, Fraction]:
+def _mu(h: GraphLike, n: int, p: Prob, proper_only: bool) -> Union[float, Fraction]:
+    """min n^v p^e over the subgraphs of h with an edge, proper ones
+    only when proper_only; infinite when there are none."""
+    g = _as_graph(h)
+    if g.edge_count == 0:
+        raise ValueError("moment quantities need at least one edge")
+    if n < 1:
+        raise ValueError("need n >= 1")
+    _check_prob(p)
+    pairs = _mu_candidates(g, proper_only)
     if not pairs:
         return math.inf
     if isinstance(p, (Fraction, int)):
@@ -302,24 +317,12 @@ def _mu_value(pairs: list[tuple[int, int]], n: int, p: Prob) -> Union[float, Fra
 def mu0(h: GraphLike, n: int, p: Prob) -> Union[float, Fraction]:
     """Smallest expected copy-count scale over proper subgraphs with an
     edge: min n^v' p^e'.  Infinite when no such subgraph exists."""
-    g = _as_graph(h)
-    if g.edge_count == 0:
-        raise ValueError("moment quantities need at least one edge")
-    if n < 1:
-        raise ValueError("need n >= 1")
-    _check_prob(p)
-    return _mu_value(_mu_candidates(g, proper_only=True), n, p)
+    return _mu(h, n, p, proper_only=True)
 
 
 def mu1(h: GraphLike, n: int, p: Prob) -> Union[float, Fraction]:
     """Smallest expected copy-count scale over all subgraphs with an edge."""
-    g = _as_graph(h)
-    if g.edge_count == 0:
-        raise ValueError("moment quantities need at least one edge")
-    if n < 1:
-        raise ValueError("need n >= 1")
-    _check_prob(p)
-    return _mu_value(_mu_candidates(g, proper_only=False), n, p)
+    return _mu(h, n, p, proper_only=False)
 
 
 def _log_value(x: Union[float, Fraction]) -> float:

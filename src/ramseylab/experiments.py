@@ -29,19 +29,9 @@ from typing import Optional, Union
 from . import facts as facts_mod
 from .coloring import DEFAULT_NODE_BUDGET
 from .graphs import build_family
-from .perturb import log_spaced_grid, threshold_scan
+from .perturb import DEFAULT_PER_DECADE, log_spaced_grid, threshold_scan
 
 PACKAGE_VERSION = "0.1.0"
-
-_FACT_OPS = {
-    "list_cycle_lemma": facts_mod.verify_list_cycle_lemma,
-    "odd_cycle_unavoidable": facts_mod.verify_odd_cycle_unavoidable,
-    "small_ramsey": facts_mod.verify_small_ramsey,
-    "path_readings": facts_mod.path_ramsey_readings,
-    "matched_gadget": facts_mod.verify_matched_gadget,
-    "matched_gadget_general": facts_mod.verify_matched_gadget_general,
-    "bipartite_split": facts_mod.verify_bipartite_split,
-}
 
 
 class ManifestError(ValueError):
@@ -69,6 +59,13 @@ def _number(value, key: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ManifestError(f"{key!r} must be a number, got {value!r}")
     return float(value)
+
+
+def _string(value, key: str) -> str:
+    """value, once it is a string."""
+    if not isinstance(value, str):
+        raise ManifestError(f"{key!r} must be a string, got {value!r}")
+    return value
 
 
 def _boolean(value, key: str) -> bool:
@@ -106,15 +103,15 @@ def parse_targets(text: str) -> list[list]:
 
 
 def _fact_report(name: str, args: dict) -> facts_mod.FactReport:
-    if name not in _FACT_OPS:
-        raise ManifestError(f"unknown fact {name!r}; known: {sorted(_FACT_OPS)}")
+    if name not in facts_mod._FACTS:
+        raise ManifestError(f"unknown fact {name!r}; known: {sorted(facts_mod._FACTS)}")
     if not isinstance(args, dict):
         raise ManifestError(f"fact {name!r}: arguments must be a JSON object, "
                             f"got {type(args).__name__}")
     import inspect  # not at module level: it is slow to import
 
     kwargs = dict(args)
-    op = _FACT_OPS[name]
+    op = facts_mod._FACTS[name]
     signature = inspect.signature(op)
     try:
         signature.bind_partial(**kwargs)  # unknown keywords first
@@ -138,7 +135,7 @@ def _fact_report(name: str, args: dict) -> facts_mod.FactReport:
     for key in ("first", "second"):
         if key in kwargs:
             kwargs[key] = [parse_pattern(t) for t in str(kwargs[key]).split("+")]
-    return _FACT_OPS[name](**kwargs)
+    return op(**kwargs)
 
 
 def _resolve_grid(args: dict) -> list[float]:
@@ -148,16 +145,30 @@ def _resolve_grid(args: dict) -> list[float]:
     if isinstance(grid, dict):
         return log_spaced_grid(_number(_require(grid, "lo", "p_grid"), "lo"),
                                _number(_require(grid, "hi", "p_grid"), "hi"),
-                               _integer(grid.get("per_decade", 13), "per_decade"))
+                               _integer(grid.get("per_decade", DEFAULT_PER_DECADE), "per_decade"))
     raise ManifestError("scan needs 'p_grid' as a nonempty list or {lo, hi, per_decade}")
+
+
+def _build_base(descriptor):
+    """A scan base from a family string such as "turan:12,4", or from an
+    object with a string 'family' and, when given, a list 'args'."""
+    if isinstance(descriptor, dict):
+        _string(_require(descriptor, "family", "a scan base"), "family")
+        if not isinstance(descriptor.get("args", []), list):
+            raise ManifestError(f"'args' of a scan base must be a list, "
+                                f"got {descriptor['args']!r}")
+    elif not isinstance(descriptor, str):
+        raise ManifestError(f"'bases' entries must be family strings or objects, "
+                            f"got {descriptor!r}")
+    return build_family(descriptor)
 
 
 def _run_scan(args: dict, seed: int):
     descriptors = _require(args, "bases", "scan")
     if not isinstance(descriptors, list) or not descriptors:
         raise ManifestError(f"scan needs 'bases' as a nonempty list, got {descriptors!r}")
-    bases = [build_family(b) for b in descriptors]
-    targets = parse_targets(_require(args, "targets", "scan"))
+    bases = [_build_base(b) for b in descriptors]
+    targets = parse_targets(_string(_require(args, "targets", "scan"), "targets"))
     grid = _resolve_grid(args)
     result = threshold_scan(
         bases, targets, grid, _integer(_require(args, "trials", "scan"), "trials"), seed,

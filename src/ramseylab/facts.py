@@ -5,17 +5,20 @@ the exact engine or by direct enumeration and returns a FactReport:
 status "verified" or "refuted" with a certificate, or "inconclusive"
 when a search's node budget ran out.  Exploratory observations (small
 cases outside any claim) are kept in a separate field and never count
-as verification.
+as verification.  Each fact is one function registered by _fact under
+its manifest op name, which also times it.
 """
 
 from __future__ import annotations
 
+import functools
 import time
 from typing import Optional
 
-from .coloring import (DEFAULT_NODE_BUDGET, INCONCLUSIVE, NOT_RAMSEY, RAMSEY,
-                       decide_ramsey, ramsey_query, targets_ramsey_number)
-from .densities import rho_bound_hm
+from .coloring import (DEFAULT_NODE_BUDGET, DEFAULT_RAMSEY_CAP, INCONCLUSIVE,
+                       NOT_RAMSEY, RAMSEY, decide_ramsey, ramsey_query,
+                       targets_ramsey_number)
+from .densities import _frac, rho_bound_hm
 from .graphs import (Graph, Pattern, _Record, clique_graph, clique, cycle, hm_graph,
                      hmr_graph, path, part_vertices)
 
@@ -41,14 +44,32 @@ class FactReport(_Record):
                 "runtime": round(self.runtime, 6)}
 
 
+_FACTS: dict = {}  # manifest op name -> fact function
+
+
+def _fact(op: str):
+    """Register a fact function under the manifest op name op; the
+    registered function sets the runtime of the report it returns."""
+    def register(fn):
+        @functools.wraps(fn)
+        def timed(*args, **kwargs):
+            t0 = time.monotonic()
+            report = fn(*args, **kwargs)
+            report.runtime = time.monotonic() - t0
+            return report
+        _FACTS[op] = timed
+        return timed
+    return register
+
+
 def _decide(host: Graph, targets, node_budget=DEFAULT_NODE_BUDGET):
     return decide_ramsey(ramsey_query(host, targets, node_budget=node_budget))
 
 
+@_fact("list_cycle_lemma")
 def verify_list_cycle_lemma() -> FactReport:
     """The complete graph first forces {red triangle} vs {blue triangle
     or blue 5-cycle} at five vertices."""
-    t0 = time.monotonic()
     targets = [[cycle(3)], [cycle(3), cycle(5)]]
     on4 = _decide(clique_graph(4), targets)
     on5 = _decide(clique_graph(5), targets)
@@ -67,18 +88,18 @@ def verify_list_cycle_lemma() -> FactReport:
         "list_cycle_lemma",
         "two-coloring any K_n with n >= 5 forces a red triangle or a blue "
         "cycle from {C3, C5}, and K_4 does not",
-        status, cert, runtime=time.monotonic() - t0)
+        status, cert)
 
 
 def _odd_cycles_up_to(n: int) -> list[Pattern]:
     return [cycle(length) for length in range(3, n + 1, 2)]
 
 
+@_fact("odd_cycle_unavoidable")
 def verify_odd_cycle_unavoidable(r: int,
                                  node_budget: int = DEFAULT_NODE_BUDGET) -> FactReport:
     """Every r-coloring of the complete graph on 2^r + 1 vertices has a
     monochromatic odd cycle, and 2^r vertices do not suffice."""
-    t0 = time.monotonic()
     n = (1 << r) + 1
     statement = (f"every {r}-coloring of K_{n} has a monochromatic odd cycle, "
                  f"while K_{n - 1} admits one with all classes bipartite")
@@ -87,8 +108,7 @@ def verify_odd_cycle_unavoidable(r: int,
         avoid = not clique_graph(n - 1).has_odd_cycle()
         return FactReport("odd_cycle_unavoidable_r1", statement,
                           VERIFIED if has and avoid else REFUTED,
-                          {"k3_has_odd_cycle": has, "k2_bipartite": avoid},
-                          runtime=time.monotonic() - t0)
+                          {"k3_has_odd_cycle": has, "k2_bipartite": avoid})
     targets = [_odd_cycles_up_to(n)] * r
     upper = _decide(clique_graph(n), targets, node_budget)
     lower_targets = [_odd_cycles_up_to(n - 1)] * r
@@ -103,15 +123,14 @@ def verify_odd_cycle_unavoidable(r: int,
             for c in range(r))
     if INCONCLUSIVE in (upper.status, lower.status):
         status = INCONCLUSIVE
-    return FactReport(f"odd_cycle_unavoidable_r{r}", statement, status, cert,
-                      runtime=time.monotonic() - t0)
+    return FactReport(f"odd_cycle_unavoidable_r{r}", statement, status, cert)
 
 
+@_fact("small_ramsey")
 def verify_small_ramsey(first, second, expected: Optional[int] = None,
-                        n_hi: int = 12) -> FactReport:
+                        n_hi: int = DEFAULT_RAMSEY_CAP) -> FactReport:
     """Exhaustively locate the least complete-graph size forcing the
     two target families."""
-    t0 = time.monotonic()
     targets = [first if isinstance(first, (list, tuple)) else [first],
                second if isinstance(second, (list, tuple)) else [second]]
     value = targets_ramsey_number(targets, cap=n_hi)
@@ -125,16 +144,16 @@ def verify_small_ramsey(first, second, expected: Optional[int] = None,
         status = VERIFIED if value == expected else REFUTED
         cert["expected"] = expected
     return FactReport("small_ramsey", f"Ramsey number of ({names}) on complete hosts",
-                      status, cert, runtime=time.monotonic() - t0)
+                      status, cert)
 
 
+@_fact("path_readings")
 def path_ramsey_readings(k: int, ell: int, n_hi: int = 10) -> FactReport:
     """Both conventions for an index-(k-1) path, side by side.
 
     Reading A takes k-1 vertices, reading B k-1 edges (k vertices).
     Exploratory: the numbers are reported, nothing is asserted.
     """
-    t0 = time.monotonic()
     by_vertices = targets_ramsey_number([[path(k - 1)], [path(ell - 1)]], cap=n_hi)
     by_edges = targets_ramsey_number([[path(k)], [path(ell)]], cap=n_hi)
     return FactReport(
@@ -144,8 +163,7 @@ def path_ramsey_readings(k: int, ell: int, n_hi: int = 10) -> FactReport:
         VERIFIED,
         {"note": "both readings computed; no convention is asserted"},
         exploration={"vertex_count_reading": by_vertices,
-                     "edge_count_reading": by_edges},
-        runtime=time.monotonic() - t0)
+                     "edge_count_reading": by_edges})
 
 
 def _check_matched_structure(g: Graph, m: int, parts: int,
@@ -177,6 +195,7 @@ def _check_matched_structure(g: Graph, m: int, parts: int,
     return cert
 
 
+@_fact("matched_gadget")
 def verify_matched_gadget(m: int, k: int = 3, ell: int = 5,
                           explore_budget_nodes: int = 2 * 10 ** 6) -> FactReport:
     """Structure of the five-part gadget: two cross matchings, complete
@@ -185,14 +204,13 @@ def verify_matched_gadget(m: int, k: int = 3, ell: int = 5,
     For m <= 2 also attempts the cycle Ramsey decision on the gadget,
     recorded as exploration only (the property is only claimed for
     large part sizes)."""
-    t0 = time.monotonic()
     g = hm_graph(m)
     cert = _check_matched_structure(g, m, 5, {(0, 1), (2, 3)})
     expected_edges = 2 * m + 8 * m * m
     cert["edge_count_expected"] = expected_edges
     ok = cert["structure_ok"] and g.edge_count == expected_edges
     bound, groups = rho_bound_hm(m, 2)
-    cert["partition_density_bound"] = f"{bound.numerator}/{bound.denominator}"
+    cert["partition_density_bound"] = _frac(bound)
     cert["partition_pieces"] = len(groups)
     exploration: dict = {}
     if m <= 2:
@@ -206,14 +224,13 @@ def verify_matched_gadget(m: int, k: int = 3, ell: int = 5,
         f"five parts of size {m}, matchings between the first two part "
         f"pairs, complete elsewhere, {expected_edges} edges, and a "
         "3-piece partition of density at most 1/2",
-        VERIFIED if ok else REFUTED, cert, exploration,
-        runtime=time.monotonic() - t0)
+        VERIFIED if ok else REFUTED, cert, exploration)
 
 
+@_fact("matched_gadget_general")
 def verify_matched_gadget_general(m: int, r: int) -> FactReport:
     """Structure of the (2^r + 1)-part generalization, and agreement
     with the five-part gadget at r = 2."""
-    t0 = time.monotonic()
     g = hmr_graph(m, r)
     parts = (1 << r) + 1
     matched = {(2 * i, 2 * i + 1) for i in range(1 << (r - 1))}
@@ -223,23 +240,22 @@ def verify_matched_gadget_general(m: int, r: int) -> FactReport:
         cert["equals_five_part_gadget"] = (g == hm_graph(m))
         ok = ok and cert["equals_five_part_gadget"]
     bound, groups = rho_bound_hm(m, r)
-    cert["partition_density_bound"] = f"{bound.numerator}/{bound.denominator}"
+    cert["partition_density_bound"] = _frac(bound)
     cert["partition_pieces"] = len(groups)
     return FactReport(
         "matched_gadget_general_structure",
         f"{parts} parts of size {m} with {len(matched)} cross matchings, "
         "complete elsewhere, and a partition into "
         f"{(1 << (r - 1)) + 1} pieces of density at most 1/2",
-        VERIFIED if ok else REFUTED, cert,
-        runtime=time.monotonic() - t0)
+        VERIFIED if ok else REFUTED, cert)
 
 
+@_fact("bipartite_split")
 def verify_bipartite_split(i: int, n: Optional[int] = None) -> FactReport:
     """A complete 2^i-partite graph splits into i bipartite graphs."""
     from .constructions import bipartite_decomposition
     from .graphs import turan_graph
 
-    t0 = time.monotonic()
     parts = 1 << i
     if n is None:
         n = 3 * parts
@@ -253,8 +269,7 @@ def verify_bipartite_split(i: int, n: Optional[int] = None) -> FactReport:
         f"the complete {parts}-partite graph on {n} vertices splits into "
         f"{i} edge-disjoint bipartite graphs",
         VERIFIED if ok else REFUTED,
-        {"class_edge_counts": sizes, "total_edges": g.edge_count},
-        runtime=time.monotonic() - t0)
+        {"class_edge_counts": sizes, "total_edges": g.edge_count})
 
 
 def default_fact_suite() -> list[FactReport]:

@@ -90,6 +90,7 @@ class Graph:
         return bool(self.adj[u] & (1 << v))
 
     def degree(self, v: int) -> int:
+        _check_vertex(self.n, v)
         return self.adj[v].bit_count()
 
     def edges(self) -> tuple[tuple[int, int], ...]:
@@ -105,7 +106,7 @@ class Graph:
 
     @property
     def edge_count(self) -> int:
-        return sum(self.degree(v) for v in range(self.n)) // 2
+        return sum(row.bit_count() for row in self.adj) // 2
 
     def edge_index(self) -> dict[tuple[int, int], int]:
         return {e: i for i, e in enumerate(self.edges())}

@@ -69,15 +69,16 @@ import struct
 import sys
 from typing import Optional, Sequence
 
-from .coloring import (DEFAULT_NODE_BUDGET, INCONCLUSIVE, NOT_RAMSEY, RAMSEY,
-                       RamseyQuery, _edgeless_target, decide_ramsey, ramsey_query,
-                       targets_ramsey_number)
+from .coloring import (DEFAULT_NODE_BUDGET, DEFAULT_RAMSEY_CAP, INCONCLUSIVE,
+                       NOT_RAMSEY, RAMSEY, RamseyQuery, _edgeless_target,
+                       decide_ramsey, ramsey_query, targets_ramsey_number)
 from .densities import _check_prob
 from .graphs import Graph, _iter_through, _Record, clique, contains_pattern, empty_graph
 
 _MASK64 = (1 << 64) - 1
 _UNIT = float(1 << 53)  # a variate is a 53-bit integer divided by this
 _WILSON_Z = 1.959963984540054  # two-sided 95%
+DEFAULT_PER_DECADE = 13  # log_spaced_grid points per decade of p
 # search nodes a scan spends deciding hosts in-process before it splits
 # the rest over the usable CPUs: a fork costs milliseconds, a node microseconds
 _SERIAL_NODES = 20_000
@@ -173,10 +174,11 @@ def perturb(base: Graph, p: float, seed: int, trial: int = 0) -> Graph:
     return Graph(base.n, tuple(adj), base.labels)
 
 
-def wilson_interval(successes: int, total: int, z: float = _WILSON_Z) -> tuple[float, float]:
+def wilson_interval(successes: int, total: int) -> tuple[float, float]:
     """95% score interval for a binomial proportion; (0,1) when empty."""
     if total == 0:
         return (0.0, 1.0)
+    z = _WILSON_Z
     phat = successes / total
     denom = 1 + z * z / total
     center = (phat + z * z / (2 * total)) / denom
@@ -212,6 +214,9 @@ def monte_carlo_ramsey(base: Graph, targets: Sequence, p: float, trials: int,
     Success means decide_ramsey proves the perturbed host Ramsey.  The
     one-point case of a threshold scan: hosts repeat, so search
     verdicts are cached by host adjacency for the duration of the call.
+    The scan no longer calls it, but it stays: it is the exported
+    one-point entry, and perfbench/tracer.py wraps it by name as its
+    perturb.row span.
     """
     return _scan_base(base, targets, [p], trials, seed, node_budget,
                       clique_shortcut)[0]
@@ -251,7 +256,7 @@ def _scan_base(base: Graph, targets: Sequence, grid: list[float], trials: int,
     edgeless = _edgeless_target(template) is not None
     shortcut = None
     if clique_shortcut and not edgeless:
-        number = targets_ramsey_number(template.targets, cap=min(base.n, 12),
+        number = targets_ramsey_number(template.targets, cap=min(base.n, DEFAULT_RAMSEY_CAP),
                                        node_budget=node_budget)
         if number is not None:
             shortcut = clique(number)
@@ -411,7 +416,8 @@ def _fork_decider(chunk: list, decide) -> tuple[int, int]:
         os._exit(code)
 
 
-def log_spaced_grid(p_lo: float, p_hi: float, per_decade: int = 13) -> list[float]:
+def log_spaced_grid(p_lo: float, p_hi: float,
+                    per_decade: int = DEFAULT_PER_DECADE) -> list[float]:
     """Log-spaced probabilities from p_lo to p_hi inclusive."""
     if not 0 < p_lo < p_hi <= 1:
         raise ValueError("need 0 < p_lo < p_hi <= 1")

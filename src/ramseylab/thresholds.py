@@ -20,10 +20,13 @@ clique against an odd cycle.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .graphs import Pattern, _FrozenRecord, clique_order, cycle_length
+from .densities import _frac, m2_asym
+from .graphs import (Pattern, _FrozenRecord, clique, clique_graph, clique_order,
+                     cycle_length)
 
 EXACT = "exact"
 EXACT_UP_TO_O1 = "exact_up_to_o1"
@@ -40,21 +43,15 @@ class ThresholdAnswer(_FrozenRecord):
                              provenance=provenance, note=note)
 
     def to_jsonable(self) -> dict:
-        def frac(x):
-            return None if x is None else f"{x.numerator}/{x.denominator}"
         out = {"kind": self.kind, "provenance": self.provenance}
         if self.exponent is not None:
-            out["exponent"] = frac(self.exponent)
+            out["exponent"] = _frac(self.exponent)
         if self.lo is not None:
-            out["lo"] = frac(self.lo)
-            out["hi"] = frac(self.hi)
+            out["lo"] = _frac(self.lo)
+            out["hi"] = None if self.hi is None else _frac(self.hi)
         if self.note:
             out["note"] = self.note
         return out
-
-
-def _ceil_frac(x: Fraction) -> int:
-    return -((-x.numerator) // x.denominator)
 
 
 def _seed_band(d: Fraction) -> int:
@@ -65,7 +62,7 @@ def _seed_band(d: Fraction) -> int:
     """
     if d <= Fraction(1, 2):
         return 2
-    k = max(2, _ceil_frac(1 / (1 - d)))
+    k = max(2, math.ceil(1 / (1 - d)))
     assert 1 - Fraction(1, k - 1) < d <= 1 - Fraction(1, k)
     return k
 
@@ -76,7 +73,6 @@ def _least_quotient_clique(k: int, m: int) -> tuple:
     red K_{a+1} and no blue K_m; (k, None) when no a <= k has one,
     which needs m = 1."""
     from .coloring import INCONCLUSIVE, decide_ramsey, ramsey_query
-    from .graphs import clique, clique_graph
 
     host = clique_graph(k)
     for a in range(1, k + 1):
@@ -90,9 +86,6 @@ def _least_quotient_clique(k: int, m: int) -> tuple:
 
 
 def _clique_pair(t: int, s: int, d: Fraction) -> Optional[ThresholdAnswer]:
-    from .densities import m2_asym
-    from .graphs import clique_graph
-
     if s < 3:
         return None
     k = _seed_band(d)

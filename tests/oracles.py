@@ -138,11 +138,14 @@ def set_partitions(items: list[int], max_parts: int):
 
 def rho_k_brute(g: Graph, k: int) -> Fraction:
     best = None
+    block_rho = {}  # rho_brute of each block's induced subgraph, by vertex set
     for partition in set_partitions(list(range(g.n)), k):
         worst = Fraction(0)
         for block in partition:
-            sub = g.induced(sorted(block))
-            worst = max(worst, rho_brute(sub))
+            key = tuple(sorted(block))
+            if key not in block_rho:
+                block_rho[key] = rho_brute(g.induced(key))
+            worst = max(worst, block_rho[key])
         if best is None or worst < best:
             best = worst
     return best

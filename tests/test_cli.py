@@ -332,6 +332,18 @@ class TestScanAndReplay:
         assert code == ERROR
         assert err.startswith("error: replay needs 'out'")
 
+    def test_replay_of_malformed_scan_is_error(self, capsys, tmp_path):
+        (tmp_path / "results.csv").write_text("")
+        path = tmp_path / "results.csv.manifest.json"
+        path.write_text(json.dumps({
+            "op": "scan", "seed": 1, "out": "results.csv",
+            "args": {"bases": [5], "targets": "C3,C3", "trials": 2,
+                     "p_grid": [0.1, 0.5]}}))
+        code, out, err = run(capsys, ["replay", str(path)])
+        assert code == ERROR
+        assert err == "error: 'bases' entries must be family strings or objects, got 5\n"
+        assert "Traceback" not in out + err
+
     def test_only_a_node_budget(self, capsys, tmp_path):
         # searches are limited by nodes alone; a wall-time bound is
         # `timeout` around the command
@@ -421,6 +433,12 @@ class TestFactsCommand:
                                       "--fact-args", '{"i": "x"}'])
         assert code == ERROR
         assert err.startswith("error:") and "'i' must be int" in err
+
+    def test_fact_args_without_only_is_error(self, capsys):
+        code, out, err = run(capsys, ["facts", "--fact-args", '{"r": 3}'])
+        assert code == ERROR
+        assert err == "error: --fact-args needs --only\n"
+        assert out == ""
 
     def test_csv_format(self, capsys, tmp_path):
         target = tmp_path / "facts.csv"

@@ -127,6 +127,28 @@ class TestTuranBlueComposite:
         with pytest.raises(ConstructionError, match="red clique"):
             turan_blue_composite(12, 2, [bad, good], t=5, ell=3)
 
+    def test_violation_names_color_clique_and_vertices(self):
+        good = EdgeColoring(empty_graph(6), 2, ())
+        bad = EdgeColoring(clique_graph(6), 2, tuple([BLUE] * 15))
+        with pytest.raises(ConstructionError, match=r"^inner coloring 1 has a blue "
+                           r"clique K3 on vertices \[0, 1, 2\]$"):
+            turan_blue_composite(12, 2, [good, bad], t=5, ell=3)
+
+    def test_unequal_parts_take_the_skeleton_layout(self):
+        # turan_graph(11, 3) has parts {0..3}, {4..7}, {8..10}
+        rng = random.Random(5)
+        inner = [engine_witness(random_graph(rng, size, 0.5), [clique(4), clique(3)])
+                 for size in (4, 4, 3)]
+        composite = turan_blue_composite(11, 3, inner, t=4, ell=3)
+        for at, coloring in zip((0, 4, 8), inner):
+            moved = {(u + at, v + at): c
+                     for (u, v), c in zip(coloring.host.edges(), coloring.colors)}
+            got = {e: c for e, c in zip(composite.host.edges(), composite.colors)
+                   if e in moved}
+            assert got == moved
+        assert composite.host.edge_count == (turan_graph(11, 3).edge_count
+                                             + sum(c.host.edge_count for c in inner))
+
     def test_shape_mismatch(self):
         inner = [EdgeColoring(empty_graph(5), 2, ()) for _ in range(2)]
         with pytest.raises(ConstructionError, match="shape"):
@@ -199,6 +221,14 @@ class TestCliqueSplitColoring:
             clique_split_coloring(12, 4, 4, 6, ab, empty_graph(12))
         with pytest.raises(ConstructionError, match="k\\+2"):
             clique_split_coloring(12, 4, 6, 5, ab, empty_graph(12))
+
+    def test_phi_violation_named(self):
+        # a = 4 for k = 4, s = 6, so phi may have no blue edge at all
+        ab = (list(range(6)), list(range(6, 12)))
+        phi = EdgeColoring(clique_graph(4), 2, tuple([BLUE] * 6))
+        with pytest.raises(ConstructionError,
+                           match=r"^phi has a blue clique K2 on vertices \[0, 1\]$"):
+            clique_split_coloring(12, 4, 6, 6, ab, empty_graph(12), phi)
 
     def test_bad_partition(self):
         ab = (list(range(6)), list(range(5, 12)))

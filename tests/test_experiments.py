@@ -205,6 +205,32 @@ class TestRunExperiment:
                            base_dir=str(tmp_path))
         assert not list(tmp_path.iterdir())
 
+    @pytest.mark.parametrize("change, message", [
+        ({"bases": [5]}, "'bases' entries must be family strings or objects, got 5"),
+        ({"bases": [{"args": [5]}]}, "a scan base needs 'family'"),
+        ({"bases": [{"family": 5}]}, "'family' must be a string, got 5"),
+        ({"bases": [{"family": "turan", "args": 5}]},
+         "'args' of a scan base must be a list, got 5"),
+        ({"targets": ["C3", "C3"]}, r"'targets' must be a string, got \['C3', 'C3'\]"),
+    ], ids=["int-base", "no-family", "int-family", "int-args", "list-targets"])
+    def test_scan_malformed_bases_and_targets_named(self, tmp_path, change, message):
+        args = {"bases": ["turan:6,3"], "targets": "C3,C3", "trials": 2,
+                "p_grid": [0.1, 0.5]}
+        args.update(change)
+        with pytest.raises(ManifestError, match=message):
+            run_experiment({"op": "scan", "seed": 1, "args": args},
+                           base_dir=str(tmp_path))
+        assert not list(tmp_path.iterdir())
+
+    def test_scan_base_object_form_accepted(self, tmp_path):
+        args = {"bases": [{"family": "turan", "args": [6, 3]}, "turan:6,3"],
+                "targets": "C3,C3", "trials": 2, "p_grid": [0.1, 0.5]}
+        result = run_experiment({"op": "scan", "seed": 1, "args": args},
+                                base_dir=str(tmp_path))
+        # one row per p and base, the two forms of one base alike
+        rows = open(result["out"]).read().splitlines()
+        assert len(rows) == 5 and rows[1] == rows[2] and rows[3] == rows[4]
+
     @pytest.mark.parametrize("manifest, message", [
         ({"name": "list_cycle_lemma"}, "'op' key"),
         (["op", "facts"], "'op' key"),

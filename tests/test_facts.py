@@ -135,6 +135,19 @@ class TestSuite:
                                 "certificate", "exploration", "runtime"}
             assert out["runtime"] >= 0
 
+    def test_harness_registers_and_times_each_fact(self, monkeypatch):
+        import ramseylab.facts as facts
+
+        assert sorted(facts._FACTS) == [
+            "bipartite_split", "list_cycle_lemma", "matched_gadget",
+            "matched_gadget_general", "odd_cycle_unavoidable", "path_readings",
+            "small_ramsey"]
+        assert facts._FACTS["odd_cycle_unavoidable"] is verify_odd_cycle_unavoidable
+        # r = 1 returns early and reads no clock itself
+        ticks = iter([10.0, 12.5])
+        monkeypatch.setattr(facts.time, "monotonic", lambda: next(ticks))
+        assert verify_odd_cycle_unavoidable(1).runtime == 2.5
+
     def test_exploration_never_decides_status(self):
         # a gadget whose explored Ramsey check is negative still verifies
         report = verify_matched_gadget(1)

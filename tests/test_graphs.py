@@ -75,6 +75,12 @@ class TestGraphBasics:
         with pytest.raises(ValueError, match=f"vertex {bad} out of range"):
             g.induced(vertices)
 
+    @pytest.mark.parametrize("v", [-1, 3])
+    def test_degree_rejects_non_vertices(self, v):
+        # -1 would read vertex 2's row, 3 would index past the end
+        with pytest.raises(ValueError, match=f"vertex {v} out of range for n=3"):
+            path_graph(3).degree(v)
+
     def test_union(self):
         a = Graph.from_edges(4, [(0, 1)])
         b = Graph.from_edges(4, [(1, 2), (0, 1)])
