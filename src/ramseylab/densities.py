@@ -9,10 +9,13 @@ are added, and n^v p^e never increases for p <= 1.  The profile walks
 how many vertices a subset takes from each twin class (vertices with
 the same neighbours besides each other), up to 20 vertices: that is
 prod(|class| + 1) steps, 2^n for a twin-free graph and 7^3 = 343 for
-Turan(18,3).  rho_k walks subsets of its own, up to 14.  Rational
-results are exact Fractions; the moment quantities work in log-domain
-floats unless given a rational edge probability, in which case they
-are exact too.
+Turan(18,3).  The profile is walked once per Graph, on first use, and
+kept as a tuple in the graph's _profile slot; every maximum and minimum
+below reads it through _profile, so asking one graph for m2, m2_asym,
+rho, strict balance, mu0 and mu1 costs one walk.  rho_k walks subsets
+of its own, up to 14.  Rational results are exact Fractions; the
+moment quantities work in log-domain floats unless given a rational
+edge probability, in which case they are exact too.
 """
 
 from __future__ import annotations
@@ -101,6 +104,14 @@ def _edge_profile(g: Graph) -> list[int]:
         base_edges += inside if step[k] > 0 else -inside
 
 
+def _profile(g: Graph) -> tuple[int, ...]:
+    """g's edge profile (_edge_profile), walked on the first call for g
+    and read from its _profile slot after that."""
+    if g._profile is None:
+        g._profile = tuple(_edge_profile(g))
+    return g._profile
+
+
 def d2_of_counts(v: int, e: int) -> Fraction:
     """2-density from a (vertices, edges) pair."""
     if e == 0:
@@ -123,7 +134,7 @@ def _d2_by_order(g: Graph) -> list[Fraction]:
     """d2 of g's densest v-vertex subgraph, for v = 1..n."""
     if g.n == 0:
         raise ValueError("maximum 2-density needs a nonempty graph")
-    return [d2_of_counts(v, e) for v, e in enumerate(_edge_profile(g)) if v]
+    return [d2_of_counts(v, e) for v, e in enumerate(_profile(g)) if v]
 
 
 def m2(h: GraphLike) -> Fraction:
@@ -137,7 +148,7 @@ def _asym_by_order(h1: GraphLike, h2: GraphLike) -> list[Fraction]:
     g1, g2 = _as_graph(h1), _as_graph(h2)
     if g1.edge_count == 0 or g2.edge_count == 0:
         raise ValueError("asymmetric density needs an edge in both graphs")
-    emax = _edge_profile(g1)
+    emax = _profile(g1)
     m2_h2 = m2(g2)
     if max(d2_of_counts(v, e) for v, e in enumerate(emax)) < m2_h2:
         raise ValueError("asymmetric density needs m2(h1) >= m2(h2)")
@@ -171,7 +182,7 @@ def rho(f: GraphLike) -> Fraction:
     g = _as_graph(f)
     if g.n == 0:
         raise ValueError("density needs a nonempty graph")
-    return max(Fraction(e, v) for v, e in enumerate(_edge_profile(g)) if v)
+    return max(Fraction(e, v) for v, e in enumerate(_profile(g)) if v)
 
 
 def _rho_of_subset(adj: tuple[int, ...], subset: int, cache: dict[int, Fraction]) -> Fraction:
@@ -283,7 +294,7 @@ def _mu_candidates(g: Graph, proper_only: bool) -> list[tuple[int, int]]:
     dominates; on all n vertices the candidate is the whole graph, or
     for proper subgraphs the whole graph less one edge.
     """
-    emax = _edge_profile(g)
+    emax = list(_profile(g))
     if proper_only:
         emax[-1] -= 1
     return [(v, e) for v, e in enumerate(emax) if e >= 1]

@@ -151,7 +151,8 @@ def _resolve_grid(args: dict) -> list[float]:
 
 def _build_base(descriptor):
     """A scan base from a family string such as "turan:12,4", or from an
-    object with a string 'family' and, when given, a list 'args'."""
+    object with a string 'family' and, when given, a list 'args'; a
+    base that build_family rejects is a ManifestError with its text."""
     if isinstance(descriptor, dict):
         _string(_require(descriptor, "family", "a scan base"), "family")
         if not isinstance(descriptor.get("args", []), list):
@@ -160,7 +161,10 @@ def _build_base(descriptor):
     elif not isinstance(descriptor, str):
         raise ManifestError(f"'bases' entries must be family strings or objects, "
                             f"got {descriptor!r}")
-    return build_family(descriptor)
+    try:
+        return build_family(descriptor)
+    except ValueError as exc:
+        raise ManifestError(str(exc)) from None
 
 
 def _run_scan(args: dict, seed: int):

@@ -45,10 +45,11 @@ class Graph:
     """Immutable undirected simple graph.
 
     adj[v] is the neighborhood bitset of v.  labels, when present, give
-    each vertex a part index (used by multipartite families).
+    each vertex a part index (used by multipartite families).  _edges
+    and _profile (densities._profile) are filled on first use.
     """
 
-    __slots__ = ("n", "adj", "labels", "_edges")
+    __slots__ = ("n", "adj", "labels", "_edges", "_profile")
 
     def __init__(self, n: int, adj: tuple[int, ...], labels: Optional[tuple[int, ...]] = None):
         if not 0 <= n <= MAX_VERTICES:
@@ -70,6 +71,7 @@ class Graph:
         self.adj = tuple(adj)
         self.labels = tuple(labels) if labels is not None else None
         self._edges: Optional[tuple[tuple[int, int], ...]] = None
+        self._profile: Optional[tuple[int, ...]] = None
 
     @classmethod
     def from_edges(cls, n: int, edges: Iterable[tuple[int, int]],
@@ -785,12 +787,33 @@ def with_labels(g: Graph, labels: Sequence[int]) -> Graph:
     return Graph(g.n, tuple(g.adj), tuple(labels))
 
 
+def _family_arg(name: str, param: str, value):
+    """A family argument checked: a graph6 code (parameter g6) must be a
+    string, any other argument an int that is not a bool or a string
+    that int() reads, returned as an int."""
+    if param == "g6":
+        if isinstance(value, str):
+            return value
+        raise ValueError(f"family {name!r} argument g6 must be a graph6 string, got {value!r}")
+    if isinstance(value, int) and not isinstance(value, bool):
+        return value
+    if isinstance(value, str):
+        try:
+            return int(value)
+        except ValueError:
+            pass
+    raise ValueError(f"family {name!r} argument {param} must be an integer, got {value!r}")
+
+
 def build_family(descriptor) -> Graph:
     """Build a named family from a dict or a compact string.
 
     Accepts {"family": "turan", "args": [12, 4]} or "turan:12,4".
     Families: empty, clique, cycle, path, complete_multipartite, turan,
-    blowup (graph6 base), hm, hmr.
+    blowup (graph6 base), hm, hmr.  A graph6 code must be a string and
+    every other argument an int or an integer string; anything else (a
+    float, a bool, "x") is a ValueError naming the family and the
+    parameter.
     """
     from . import graph6
 
@@ -802,18 +825,20 @@ def build_family(descriptor) -> Graph:
         args = list(descriptor.get("args", []))
     name = name.strip().lower()
     if name == "complete_multipartite":
-        return complete_multipartite([int(a) for a in args])
-    # each builder's parameters are the family's arguments, in order
+        return complete_multipartite([_family_arg(name, str(i), a)
+                                      for i, a in enumerate(args, 1)])
+    # each builder's parameters are the family's arguments, in order; their
+    # names appear in the error messages
     builders = {
-        "empty": lambda n: empty_graph(int(n)),
-        "clique": lambda n: clique_graph(int(n)),
-        "cycle": lambda n: cycle_graph(int(n)),
-        "path": lambda n: path_graph(int(n)),
-        "turan": lambda n, k: turan_graph(int(n), int(k)),
-        "blowup": lambda g6, m: blowup(graph6.decode(str(g6)), int(m)),
-        "hm": lambda m: hm_graph(int(m)),
-        "hmr": lambda m, r: hmr_graph(int(m), int(r)),
-        "graph6": lambda g6: graph6.decode(str(g6)),
+        "empty": lambda n: empty_graph(n),
+        "clique": lambda n: clique_graph(n),
+        "cycle": lambda n: cycle_graph(n),
+        "path": lambda n: path_graph(n),
+        "turan": lambda n, k: turan_graph(n, k),
+        "blowup": lambda g6, m: blowup(graph6.decode(g6), m),
+        "hm": lambda m: hm_graph(m),
+        "hmr": lambda m, r: hmr_graph(m, r),
+        "graph6": lambda g6: graph6.decode(g6),
     }
     build = builders.get(name)
     if build is None:
@@ -823,4 +848,4 @@ def build_family(descriptor) -> Graph:
     if len(args) != len(params):
         raise ValueError(f"family {name!r} takes {len(params)} argument"
                          f"{'s' * (len(params) > 1)} ({','.join(params)}), got {len(args)}")
-    return build(*args)
+    return build(*(_family_arg(name, p, a) for p, a in zip(params, args)))

@@ -16,12 +16,19 @@ Every answer carries a human-readable provenance clause.  The covered
 families: clique pairs (with the quotient-clique reduction for dense
 seeds), cycle pairs, several colors sharing one long odd cycle, and a
 clique against an odd cycle.
+
+The clique clauses' two finite ingredients are memoised per process,
+keyed by small ints: the least quotient clique size a for (k, m)
+(_quotient_clique_size) and m2(K_t, K_q) (_clique_asym).  The memos hold
+ints and Fractions only, no witness coloring, and a search that runs out
+of its budget raises and leaves nothing cached.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
+from functools import lru_cache
 from typing import Optional, Sequence
 
 from .densities import _frac, m2_asym
@@ -85,6 +92,18 @@ def _least_quotient_clique(k: int, m: int) -> tuple:
     return k, None
 
 
+@lru_cache(maxsize=None)
+def _quotient_clique_size(k: int, m: int) -> int:
+    """The a of _least_quotient_clique(k, m), without its witness."""
+    return _least_quotient_clique(k, m)[0]
+
+
+@lru_cache(maxsize=None)
+def _clique_asym(t: int, q: int) -> Fraction:
+    """m2(K_t, K_q)."""
+    return m2_asym(clique_graph(t), clique_graph(q))
+
+
 def _clique_pair(t: int, s: int, d: Fraction) -> Optional[ThresholdAnswer]:
     if s < 3:
         return None
@@ -104,7 +123,7 @@ def _clique_pair(t: int, s: int, d: Fraction) -> Optional[ThresholdAnswer]:
                        "value, the interval's upper end is tight")
     if s >= 2 * k + 1:
         quotient = -(-s // k)
-        exponent = -1 / m2_asym(clique_graph(t), clique_graph(quotient))
+        exponent = -1 / _clique_asym(t, quotient)
         if k == 2 or s % k == 1:
             return ThresholdAnswer(
                 EXACT, exponent=exponent,
@@ -118,7 +137,7 @@ def _clique_pair(t: int, s: int, d: Fraction) -> Optional[ThresholdAnswer]:
                        "without the divisibility condition the exponent is "
                        "sharp only up to n^o(1)")
     if k + 2 <= s <= 2 * k:
-        a, _ = _least_quotient_clique(k, s - k)
+        a = _quotient_clique_size(k, s - k)
         lo = Fraction(-2 * t, t * (t - 1) + -(-t // a))
         hi = Fraction(-2, t)
         note = ""

@@ -344,6 +344,26 @@ class TestScanAndReplay:
         assert err == "error: 'bases' entries must be family strings or objects, got 5\n"
         assert "Traceback" not in out + err
 
+    def test_replay_of_non_integer_base_argument_is_error(self, capsys, tmp_path):
+        (tmp_path / "results.csv").write_text("")
+        path = tmp_path / "results.csv.manifest.json"
+        path.write_text(json.dumps({
+            "op": "scan", "seed": 1, "out": "results.csv",
+            "args": {"bases": [{"family": "turan", "args": [12.7, 4]}],
+                     "targets": "C3,C3", "trials": 2, "p_grid": [0.1, 0.5]}}))
+        code, out, err = run(capsys, ["replay", str(path)])
+        assert code == ERROR
+        assert err == "error: family 'turan' argument n must be an integer, got 12.7\n"
+        assert "Traceback" not in out + err
+
+    def test_scan_non_integer_base_argument_is_error(self, capsys, tmp_path):
+        code, out, err = run(capsys, [
+            "scan", "--base", "turan:12,x", "--targets", "C3,C3", "--p-grid", "0.5",
+            "--trials", "2", "--seed", "1", "--out", str(tmp_path / "s.csv")])
+        assert code == ERROR
+        assert err == "error: family 'turan' argument k must be an integer, got 'x'\n"
+        assert not list(tmp_path.iterdir())
+
     def test_only_a_node_budget(self, capsys, tmp_path):
         # searches are limited by nodes alone; a wall-time bound is
         # `timeout` around the command

@@ -1,8 +1,11 @@
 """The edge profile and the quantities read from it: the profile and the
 twin classes it walks, the strict-balance predicates against brute
-force, and the 20-vertex enumeration cap."""
+force, the 20-vertex enumeration cap, and the profile kept on each
+Graph."""
 
+import copy
 import itertools
+import pickle
 import random
 from fractions import Fraction
 
@@ -11,13 +14,14 @@ from hypothesis import example, given, settings, strategies as st
 
 from oracles import (edge_profile_brute, m2_brute, random_graph,
                      strictly_2_balanced_brute, strictly_balanced_wrt_brute)
+import ramseylab.densities as densities_module
 from ramseylab.densities import (_edge_profile, covariance_bound,
                                  is_strictly_2_balanced,
-                                 is_strictly_balanced_wrt, janson_bound, mu0,
-                                 mu1)
-from ramseylab.graphs import (Graph, _bits, clique, clique_graph, cycle,
-                              cycle_graph, empty_graph, path, turan_graph,
-                              twin_classes)
+                                 is_strictly_balanced_wrt, janson_bound, m2,
+                                 m2_asym, mu0, mu1, rho)
+from ramseylab.graphs import (Graph, _bits, arbitrary, clique, clique_graph,
+                              cycle, cycle_graph, empty_graph, path,
+                              turan_graph, twin_classes)
 
 
 def with_isolated(g: Graph, extra: int) -> Graph:
@@ -164,3 +168,58 @@ class TestEnumerationCap:
     def test_moment_quantities_raise_beyond_cap(self, call):
         with pytest.raises(ValueError, match="limited"):
             call(self.big)
+
+
+def profile_values(g):
+    """Every quantity read from the profile, asked in one fixed order."""
+    p = Fraction(1, 10)
+    return (m2(g), m2_asym(g, clique(2)), rho(g), is_strictly_2_balanced(g),
+            mu0(g, 100, p), mu1(g, 100, p))
+
+
+class TestProfileKeptOnGraph:
+    def test_walked_once_per_graph(self, monkeypatch):
+        walked = []
+
+        def counting(g, _walk=_edge_profile):
+            walked.append(g)
+            return _walk(g)
+
+        monkeypatch.setattr(densities_module, "_edge_profile", counting)
+        g = turan_graph(14, 3)
+        got = profile_values(g)
+        # m2_asym walks the fresh K2 of its second argument, nothing else
+        assert sum(h is g for h in walked) == 1
+        assert all(h is g or h == clique_graph(2) for h in walked)
+        assert profile_values(g) == got
+        assert sum(h is g for h in walked) == 1
+
+    @pytest.mark.parametrize("g", [clique_graph(5), turan_graph(9, 3), cycle_graph(6)],
+                             ids=["K5", "T(9,3)", "C6"])
+    def test_mu0_leaves_the_profile_intact(self, g):
+        # mu0 lowers the last profile entry by one edge on its own copy;
+        # on K5 a lowered entry would turn m2 from 3 into 8/3
+        fresh = Graph(g.n, g.adj, g.labels)
+        mu0(g, 100, Fraction(1, 10))
+        assert m2(g) == m2(fresh)
+        assert is_strictly_2_balanced(g) == is_strictly_2_balanced(fresh)
+        assert profile_values(g) == profile_values(Graph(g.n, g.adj, g.labels))
+
+    @pytest.mark.parametrize("pattern", [
+        clique(5), cycle(6), path(4),
+        arbitrary(Graph.from_edges(5, [(0, 1), (1, 2), (2, 0), (2, 3), (3, 4)]))],
+        ids=["K5", "C6", "P4", "triangle-tail"])
+    def test_pattern_matches_its_graph(self, pattern):
+        assert profile_values(pattern) == profile_values(pattern.to_graph())
+
+    def test_filled_slot_keeps_value_semantics(self):
+        g, plain = turan_graph(9, 3), turan_graph(9, 3)
+        m2(g)
+        assert g._profile is not None and plain._profile is None
+        assert g == plain and hash(g) == hash(plain)
+        for twin in [copy.deepcopy(g), copy.copy(g)] + [
+                pickle.loads(pickle.dumps(g, protocol))
+                for protocol in range(2, pickle.HIGHEST_PROTOCOL + 1)]:
+            assert twin == plain and hash(twin) == hash(plain)
+            assert twin.labels == plain.labels and twin.edges() == plain.edges()
+            assert profile_values(twin) == profile_values(plain)

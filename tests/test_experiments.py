@@ -222,6 +222,20 @@ class TestRunExperiment:
                            base_dir=str(tmp_path))
         assert not list(tmp_path.iterdir())
 
+    @pytest.mark.parametrize("base, message", [
+        ({"family": "turan", "args": [6.5, 3]},
+         "family 'turan' argument n must be an integer, got 6.5"),
+        ({"family": "turan", "args": [6, True]},
+         "family 'turan' argument k must be an integer, got True"),
+        ("turan:6,x", "family 'turan' argument k must be an integer, got 'x'"),
+    ])
+    def test_scan_non_integer_base_argument_named(self, tmp_path, base, message):
+        args = {"bases": [base], "targets": "C3,C3", "trials": 2, "p_grid": [0.1, 0.5]}
+        with pytest.raises(ManifestError, match=f"^{message}$"):
+            run_experiment({"op": "scan", "seed": 1, "args": args},
+                           base_dir=str(tmp_path))
+        assert not list(tmp_path.iterdir())
+
     def test_scan_base_object_form_accepted(self, tmp_path):
         args = {"bases": [{"family": "turan", "args": [6, 3]}, "turan:6,3"],
                 "targets": "C3,C3", "trials": 2, "p_grid": [0.1, 0.5]}

@@ -160,6 +160,29 @@ class TestFamilies:
         with pytest.raises(ValueError, match=message):
             build_family(descriptor)
 
+    @pytest.mark.parametrize("descriptor, message", [
+        ({"family": "turan", "args": [12.7, 4]},
+         "family 'turan' argument n must be an integer, got 12.7"),
+        ({"family": "empty", "args": [True]},
+         "family 'empty' argument n must be an integer, got True"),
+        ("turan:12,x", "family 'turan' argument k must be an integer, got 'x'"),
+        ("hmr:1,3.0", "family 'hmr' argument r must be an integer, got '3.0'"),
+        ("blowup:Bw,+", "family 'blowup' argument m must be an integer, got '\\+'"),
+        ("complete_multipartite:2,x,3",
+         "family 'complete_multipartite' argument 2 must be an integer, got 'x'"),
+        ({"family": "graph6", "args": [True]},
+         "family 'graph6' argument g6 must be a graph6 string, got True"),
+        ({"family": "blowup", "args": [None, 2]},
+         "family 'blowup' argument g6 must be a graph6 string, got None")])
+    def test_build_family_bad_argument_types_named(self, descriptor, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            build_family(descriptor)
+
+    def test_build_family_integer_strings_accepted(self):
+        assert build_family({"family": "turan", "args": ["12", " 4"]}) == turan_graph(12, 4)
+        assert build_family("complete_multipartite:+2,3") == complete_multipartite([2, 3])
+        assert build_family({"family": "blowup", "args": ["Bw", 2]}) == blowup(clique_graph(3), 2)
+
     def test_blowup_structure(self):
         g = blowup(cycle_graph(3), 2)
         assert g.n == 6 and g.edge_count == 3 * 4

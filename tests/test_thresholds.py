@@ -2,10 +2,13 @@ from fractions import Fraction as F
 
 import pytest
 
+import ramseylab.coloring as coloring_module
+import ramseylab.thresholds as thresholds_module
 from ramseylab.densities import m2_asym
 from ramseylab.graphs import clique, clique_graph, cycle, path
 from ramseylab.thresholds import (EXACT, EXACT_UP_TO_O1, INTERVAL, UNKNOWN,
-                                  ZERO, threshold_oracle)
+                                  ZERO, _clique_asym, _least_quotient_clique,
+                                  _quotient_clique_size, threshold_oracle)
 
 
 def ask(pats, d):
@@ -245,3 +248,68 @@ class TestJsonForm:
         out = ask([clique(5), clique(4)], F(2, 5)).to_jsonable()
         assert out["lo"] == "-10/23"
         assert out["hi"] == "-2/5"
+
+
+# the benchmark's oracle grid: clique and cycle pairs at four densities
+ORACLE_GRID = [([make(a), make(b)], F(d))
+               for make in (clique, cycle)
+               for a in range(3, 9) for b in range(3, a + 1)
+               for d in ("1/3", "3/5", "5/7", "7/9")]
+
+
+def clear_memos():
+    _quotient_clique_size.cache_clear()
+    _clique_asym.cache_clear()
+
+
+class TestOracleMemos:
+    def test_answers_equal_cold_answers(self):
+        cold = []
+        for pats, d in ORACLE_GRID:
+            clear_memos()
+            cold.append(threshold_oracle(pats, d).to_jsonable())
+        warm = [threshold_oracle(pats, d).to_jsonable() for pats, d in ORACLE_GRID]
+        assert warm == cold
+        assert len(cold) == 168
+
+    def test_each_ingredient_computed_once_and_exact(self, monkeypatch):
+        searched, densities = [], []
+
+        def searching(k, m, _search=_least_quotient_clique):
+            searched.append((k, m))
+            return _search(k, m)
+
+        def asym(h1, h2, _asym=m2_asym):
+            densities.append((h1.n, h2.n))
+            return _asym(h1, h2)
+
+        monkeypatch.setattr(thresholds_module, "_least_quotient_clique", searching)
+        monkeypatch.setattr(thresholds_module, "m2_asym", asym)
+        clear_memos()
+        for _ in range(2):
+            for pats, d in ORACLE_GRID:
+                threshold_oracle(pats, d)
+        assert searched and len(searched) == len(set(searched))
+        assert densities and len(densities) == len(set(densities))
+        assert _quotient_clique_size.cache_info().currsize == len(searched)
+        assert _clique_asym.cache_info().currsize == len(densities)
+        # the memos hold exact small values, never a witness
+        for k, m in searched:
+            a = _quotient_clique_size(k, m)
+            assert type(a) is int and a == _least_quotient_clique(k, m)[0]
+        for t, q in densities:
+            value = _clique_asym(t, q)
+            assert type(value) is F
+            assert value == m2_asym(clique_graph(t), clique_graph(q))
+
+    def test_inconclusive_search_raises_and_is_not_kept(self, monkeypatch):
+        class Inconclusive:
+            status = coloring_module.INCONCLUSIVE
+
+        clear_memos()
+        with monkeypatch.context() as patched:
+            patched.setattr(coloring_module, "decide_ramsey", lambda q: Inconclusive())
+            with pytest.raises(RuntimeError, match="budget"):
+                _quotient_clique_size(4, 2)
+        assert _quotient_clique_size.cache_info().currsize == 0
+        assert _quotient_clique_size(4, 2) == 4
