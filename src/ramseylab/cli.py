@@ -99,27 +99,27 @@ def _emit(payload, args, default_name: Optional[str] = None) -> None:
 
 def _cmd_density(args) -> int:
     if args.m2 is not None:
-        g = graph6.decode(args.m2)
+        g = _graph_arg(args.m2)
         payload = {"op": "m2", "graph": args.m2, "value": _frac(m2(g))}
     elif args.m2_asym is not None:
-        g1, g2 = (graph6.decode(tok) for tok in args.m2_asym)
+        g1, g2 = (_graph_arg(tok) for tok in args.m2_asym)
         payload = {"op": "m2_asym", "graphs": list(args.m2_asym),
                    "value": _frac(m2_asym(g1, g2))}
     elif args.d2 is not None:
         payload = {"op": "d2", "graph": args.d2,
-                   "value": _frac(d2(graph6.decode(args.d2)))}
+                   "value": _frac(d2(_graph_arg(args.d2)))}
     elif args.rho is not None:
         payload = {"op": "rho", "graph": args.rho,
-                   "value": _frac(rho(graph6.decode(args.rho)))}
+                   "value": _frac(rho(_graph_arg(args.rho)))}
     elif args.rho_k is not None:
         code, k = args.rho_k
-        value, parts = rho_k_with_partition(graph6.decode(code), int(k))
+        value, parts = rho_k_with_partition(_graph_arg(code), int(k))
         payload = {"op": "rho_k", "graph": code, "k": int(k),
                    "value": _frac(value),
                    "partition": [sorted(part) for part in parts]}
     else:
         code, n_text, p_text = args.mu
-        g = graph6.decode(code)
+        g = _graph_arg(code)
         n, p = int(n_text), _fraction_arg(p_text)
         payload = {"op": "mu", "graph": code, "n": n, "p": _frac(p),
                    "mu0": _frac(mu0(g, n, p)), "mu1": _frac(mu1(g, n, p))}
@@ -312,14 +312,15 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--budget-nodes", type=int, default=DEFAULT_NODE_BUDGET,
                            help="search node budget")
 
-    p = sub.add_parser("density", help="exact density calculus on graph6 inputs")
+    p = sub.add_parser("density", help="exact density calculus on graph6 or "
+                                       "family inputs such as turan:6,3")
     group = p.add_mutually_exclusive_group(required=True)
-    group.add_argument("--m2", metavar="G6")
-    group.add_argument("--m2-asym", nargs=2, metavar=("G6_1", "G6_2"))
-    group.add_argument("--d2", metavar="G6")
-    group.add_argument("--rho", metavar="G6")
-    group.add_argument("--rho-k", nargs=2, metavar=("G6", "K"))
-    group.add_argument("--mu", nargs=3, metavar=("G6", "N", "P"),
+    group.add_argument("--m2", metavar="GRAPH")
+    group.add_argument("--m2-asym", nargs=2, metavar=("GRAPH1", "GRAPH2"))
+    group.add_argument("--d2", metavar="GRAPH")
+    group.add_argument("--rho", metavar="GRAPH")
+    group.add_argument("--rho-k", nargs=2, metavar=("GRAPH", "K"))
+    group.add_argument("--mu", nargs=3, metavar=("GRAPH", "N", "P"),
                        help="mu0 and mu1 at vertex count N, probability P")
     common(p)
     p.set_defaults(func=_cmd_density)

@@ -18,8 +18,8 @@ before the search.  Without forbidden sets, cliques and cycles get
 flat bitset kernels: the first clique in the common neighbourhood
 (K3 and C3 take the least common neighbour), and the simple-path DFS
 of graphs._iter_simple_paths closed by one AND against the far
-endpoint's neighbourhood, unrolled into one loop for C4 and two for C5
-and recursive from C6 on.  Arbitrary patterns walk the embedding DFS
+endpoint's neighbourhood, unrolled into two loops for C5 and recursive
+for C4 and from C6 on.  Arbitrary patterns walk the embedding DFS
 of graphs._iter_embeddings, with its placement orders planned once per
 pattern edge when the finder is built.  Paths and forbidden sets walk
 the general through-edge iterator.
@@ -122,6 +122,8 @@ def ramsey_query(host: Graph, targets: Sequence, forbidden: Optional[Sequence] =
                                for c, entry in enumerate(forbidden))
     if host.n < 1:
         raise ValueError("host graph must be nonempty")
+    if node_budget < 0:
+        raise ValueError(f"node budget must be nonnegative, got {node_budget}")
     return RamseyQuery(host, norm_targets, norm_forbidden, node_budget)
 
 
@@ -333,25 +335,7 @@ def _cycle_finder(adjc: list, depth_bit: list, inner: int):
     """C_{inner+2} through (u,v), inner >= 2: the DFS _iter_cycles_through
     runs through _iter_simple_paths, over paths u, w1, .. that avoid v,
     whose last inner vertex is closed by one AND against v's
-    neighbourhood.  C4 and C5 unroll it into one loop over w1 and two
-    over w1 and w2."""
-    if inner == 2:
-        def find_c4(u: int, v: int) -> int:
-            free = ~((1 << u) | (1 << v))
-            ends = adjc[v] & free
-            if not ends:
-                return 0
-            cand = adjc[u] & free
-            while cand:
-                b = cand & -cand
-                cand ^= b
-                w = b.bit_length() - 1
-                end = adjc[w] & ends
-                if end:
-                    row = depth_bit[(end & -end).bit_length() - 1]
-                    return depth_bit[u][v] | depth_bit[w][u] | row[w] | row[v]
-            return 0
-        return find_c4
+    neighbourhood.  C5 unrolls it into two loops over w1 and w2."""
     if inner == 3:
         def find_c5(u: int, v: int) -> int:
             free = ~((1 << u) | (1 << v))

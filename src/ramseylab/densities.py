@@ -252,10 +252,10 @@ def rho_bound_hm(m: int, r: int) -> tuple[Fraction, list[list[int]]]:
     at most 1/2.
 
     Pairs of matched parts go together (each induces a perfect
-    matching), the last part stands alone.  Parts small enough for
-    subset enumeration are verified by rho directly; larger parts by
-    checking the induced graph is 1-regular (so every subgraph has at
-    most v/2 edges) or edgeless.
+    matching), the last part stands alone.  Each piece is certified by
+    its maximum degree: a graph has rho <= 1/2 exactly when no vertex
+    has two neighbours, since then its components are edges and single
+    vertices, and a vertex with two gives a 3-vertex path of density 2/3.
     """
     from .graphs import hmr_graph
 
@@ -267,18 +267,12 @@ def rho_bound_hm(m: int, r: int) -> tuple[Fraction, list[list[int]]]:
     for i in range(half):
         groups.append([p * m + a for p in (2 * i, 2 * i + 1) for a in range(m)])
     groups.append([(1 << r) * m + a for a in range(m)])
-    bound = Fraction(1, 2)
     for vs in groups:
         sub = g.induced(vs)
-        if sub.n <= _PARTITION_LIMIT:
-            part_rho = rho(sub)
-        elif all(sub.degree(v) <= 1 for v in range(sub.n)):
-            part_rho = Fraction(1, 2) if sub.edge_count else Fraction(0)
-        else:
-            raise ValueError("witness part fails the 1-regularity check")
-        if part_rho > bound:
-            raise ValueError("witness partition exceeds the claimed density")
-    return bound, groups
+        if any(sub.degree(v) > 1 for v in range(sub.n)):
+            raise ValueError("witness piece has a vertex with two neighbours, so its "
+                             "density exceeds 1/2")
+    return Fraction(1, 2), groups
 
 
 # ---------------------------------------------------------------------

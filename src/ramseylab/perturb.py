@@ -248,6 +248,8 @@ def _scan_base(base: Graph, targets: Sequence, grid: list[float], trials: int,
     """
     if trials < 0:
         raise ValueError(f"trial count must be nonnegative, got {trials}")
+    if node_budget < 0:
+        raise ValueError(f"node budget must be nonnegative, got {node_budget}")
     for p in grid:
         _check_prob(p)
     template = ramsey_query(base, targets)

@@ -17,11 +17,10 @@ families: clique pairs (with the quotient-clique reduction for dense
 seeds), cycle pairs, several colors sharing one long odd cycle, and a
 clique against an odd cycle.
 
-The clique clauses' two finite ingredients are memoised per process,
-keyed by small ints: the least quotient clique size a for (k, m)
-(_quotient_clique_size) and m2(K_t, K_q) (_clique_asym).  The memos hold
-ints and Fractions only, no witness coloring, and a search that runs out
-of its budget raises and leaves nothing cached.
+m2(K_t, K_q) is a closed form (_clique_asym).  The least quotient
+clique size a for (k, m) takes a search and is memoised per process
+(_quotient_clique_size): ints only, no witness coloring, and a search
+that runs out of its budget raises and leaves nothing cached.
 """
 
 from __future__ import annotations
@@ -31,7 +30,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Optional, Sequence
 
-from .densities import _frac, m2_asym
+from .densities import _frac
 from .graphs import (Pattern, _FrozenRecord, clique, clique_graph, clique_order,
                      cycle_length)
 
@@ -98,10 +97,12 @@ def _quotient_clique_size(k: int, m: int) -> int:
     return _least_quotient_clique(k, m)[0]
 
 
-@lru_cache(maxsize=None)
 def _clique_asym(t: int, q: int) -> Fraction:
-    """m2(K_t, K_q)."""
-    return m2_asym(clique_graph(t), clique_graph(q))
+    """m2(K_t, K_q) for 3 <= q <= t, attained by all of K_t: C(v,2) /
+    (v - 2 + 2/(q+1)) grows in v from 3 and equals m2(K_q) at v = q."""
+    if not 3 <= q <= t:
+        raise ValueError(f"m2(K_t, K_q) needs 3 <= q <= t, got t={t}, q={q}")
+    return Fraction(t * (t - 1) * (q + 1), 2 * ((t - 2) * (q + 1) + 2))
 
 
 def _clique_pair(t: int, s: int, d: Fraction) -> Optional[ThresholdAnswer]:
@@ -228,9 +229,15 @@ def threshold_oracle(patterns: Sequence[Pattern], d) -> ThresholdAnswer:
     """Threshold answer for making every coloring contain some color's
     target, when a density-d seed graph is perturbed by random edges.
 
-    d must be a rational in (0, 1).  Uncovered inputs yield an unknown
-    answer explaining what did not match; no exponent is ever guessed.
+    d must be a rational in (0, 1): an int, a Fraction or a string such
+    as '4/5'.  A float is refused, since its binary value can fall on the
+    other side of a band edge (Fraction(0.8) exceeds 4/5).  Uncovered
+    inputs yield an unknown answer explaining what did not match; no
+    exponent is ever guessed.
     """
+    if isinstance(d, float):
+        raise ValueError(f"seed density {d!r} is a float, which is not exact; "
+                         f"pass a Fraction or a string such as '4/5'")
     d = Fraction(d)
     if not 0 < d < 1:
         raise ValueError("seed density must lie strictly between 0 and 1")

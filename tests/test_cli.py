@@ -4,6 +4,7 @@ import pytest
 
 from ramseylab import graph6
 from ramseylab.cli import ERROR, OK, UNDECIDED, main
+from ramseylab.densities import _frac, m2_asym
 from ramseylab.graphs import clique_graph, turan_graph
 
 K3 = graph6.encode(clique_graph(3))
@@ -32,6 +33,22 @@ class TestDensityCommand:
     def test_m2_asym(self, capsys):
         _, payload = run_json(capsys, ["density", "--m2-asym", K5, K3])
         assert payload["value"] == "20/7"
+
+    def test_m2_of_family(self, capsys):
+        code, payload = run_json(capsys, ["density", "--m2", "turan:6,3"])
+        assert code == OK
+        assert payload == {"op": "m2", "graph": "turan:6,3", "value": "11/4"}
+        _, coded = run_json(capsys, ["density", "--m2", graph6.encode(turan_graph(6, 3))])
+        assert coded["value"] == payload["value"]
+
+    def test_m2_asym_of_families(self, capsys):
+        code, payload = run_json(capsys, ["density", "--m2-asym", "clique:5", "clique:3"])
+        assert code == OK
+        assert payload == {"op": "m2_asym", "graphs": ["clique:5", "clique:3"],
+                           "value": "20/7"}
+        _, mixed = run_json(capsys, ["density", "--m2-asym", "turan:6,3", K3])
+        assert mixed["graphs"] == ["turan:6,3", K3]
+        assert mixed["value"] == _frac(m2_asym(turan_graph(6, 3), clique_graph(3)))
 
     def test_d2(self, capsys):
         _, payload = run_json(capsys, ["density", "--d2", K5])
@@ -122,6 +139,14 @@ class TestRamseyCheckCommand:
         assert code == OK
         assert payload["status"] == "not_ramsey"
         assert payload["witness_violations"] == 0
+
+    def test_negative_budget_is_error(self, capsys):
+        code, out, err = run(
+            capsys, ["ramsey-check", "--host", "clique:5", "--red", "C3",
+                     "--blue", "C3", "--budget-nodes", "-1"])
+        assert code == ERROR
+        assert out == ""
+        assert err == "error: node budget must be nonnegative, got -1\n"
 
     def test_family_host_and_targets_form(self, capsys):
         code, payload = run_json(
@@ -298,6 +323,15 @@ class TestScanAndReplay:
         assert code == ERROR
         assert "error: trial count must be nonnegative" in err
         assert not (tmp_path / "scan.csv").exists()
+
+    def test_negative_budget_is_error(self, capsys, tmp_path):
+        code, out, err = run(
+            capsys, ["scan", "--base", "turan:6,3", "--targets", "C3,C3",
+                     "--p-grid", "0.1", "--trials", "2", "--budget-nodes", "-1",
+                     "--out", str(tmp_path / "scan.csv")])
+        assert code == ERROR
+        assert err == "error: node budget must be nonnegative, got -1\n"
+        assert not list(tmp_path.iterdir())
 
     def test_zero_per_decade_is_error(self, capsys, tmp_path):
         code, out, err = run(

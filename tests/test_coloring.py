@@ -161,6 +161,14 @@ class TestSearchBehavior:
         assert verdict.status == INCONCLUSIVE
         assert verdict.witness is None
 
+    def test_negative_budget_rejected(self):
+        with pytest.raises(ValueError, match="^node budget must be nonnegative, got -1$"):
+            ramsey_query(clique_graph(5), [cycle(3), cycle(3)], node_budget=-1)
+
+    def test_zero_budget_accepted(self):
+        q = ramsey_query(clique_graph(6), [cycle(3), cycle(3)], node_budget=0)
+        assert decide_ramsey(q).status == INCONCLUSIVE
+
     def test_verdicts_do_not_depend_on_the_clock(self, monkeypatch):
         # a clock that jumps 1000 s per reading: only the node budget may
         # end a search, so every answer is the one the real clock gives

@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -5,14 +6,16 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import ramseylab.densities as densities_module
+import ramseylab.graphs as graphs_module
 from oracles import (m2_asym_brute, m2_brute, mu0_brute, mu1_brute,
                      random_graph, rho_brute, rho_k_brute)
 from ramseylab.densities import (covariance_bound, d2, is_strictly_2_balanced,
                                  is_strictly_balanced_wrt, janson_bound, m2,
                                  m2_asym, mu0, mu1, rho, rho_bound_hm, rho_k,
                                  rho_k_with_partition)
-from ramseylab.graphs import (Graph, clique, clique_graph, cycle,
-                              empty_graph, hm_graph, path)
+from ramseylab.graphs import (MAX_VERTICES, Graph, clique, clique_graph, cycle,
+                              empty_graph, hm_graph, hmr_graph, part_vertices, path)
 
 small_graphs = st.builds(
     random_graph,
@@ -189,6 +192,47 @@ class TestRhoBoundHm:
         bound, groups = rho_bound_hm(9, 2)
         assert bound == Fraction(1, 2)
         assert len(groups) == 3
+
+    # every gadget hmr_graph builds: 2^r + 1 parts of m vertices, at most 64
+    BUILT = [(m, r) for r in range(2, 6) for m in range(1, MAX_VERTICES + 1)
+             if ((1 << r) + 1) * m <= MAX_VERTICES]
+
+    def test_every_built_gadget_without_a_profile_walk(self, monkeypatch):
+        def no_walk(g):
+            raise AssertionError("edge profile walked")
+
+        monkeypatch.setattr(densities_module, "_edge_profile", no_walk)
+        assert len(self.BUILT) == 12 + 7 + 3 + 1
+        for m, r in self.BUILT:
+            g = hmr_graph(m, r)
+            bound, groups = rho_bound_hm(m, r)
+            assert bound == Fraction(1, 2)
+            half = 1 << (r - 1)
+            assert groups == [part_vertices(g, 2 * i) + part_vertices(g, 2 * i + 1)
+                              for i in range(half)] + [part_vertices(g, 2 * half)]
+
+    def test_piece_with_a_degree_2_vertex_refused(self, monkeypatch):
+        monkeypatch.setattr(graphs_module, "hmr_graph", lambda m, r: clique_graph(10))
+        with pytest.raises(ValueError, match="two neighbours"):
+            rho_bound_hm(2, 2)
+
+
+@st.composite
+def sparse_graphs(draw):
+    n = draw(st.integers(min_value=1, max_value=9))
+    pairs = list(itertools.combinations(range(n), 2))
+    edges = draw(st.lists(st.sampled_from(pairs), max_size=6, unique=True)) if pairs else []
+    return Graph.from_edges(n, edges)
+
+
+class TestHalfDensityByDegree:
+    @settings(max_examples=300, deadline=None)
+    @given(st.one_of(sparse_graphs(), st.builds(
+        random_graph, st.randoms(use_true_random=False),
+        st.integers(min_value=1, max_value=9), st.floats(min_value=0.0, max_value=1.0))))
+    def test_rho_at_most_half_iff_max_degree_at_most_1(self, g):
+        max_degree = max(g.degree(v) for v in range(g.n))
+        assert (rho(g) <= Fraction(1, 2)) == (max_degree <= 1)
 
 
 class TestMu:

@@ -236,6 +236,14 @@ class TestRunExperiment:
                            base_dir=str(tmp_path))
         assert not list(tmp_path.iterdir())
 
+    def test_scan_negative_node_budget_writes_nothing(self, tmp_path):
+        args = {"bases": ["turan:6,3"], "targets": "C3,C3", "trials": 2,
+                "p_grid": [0.1, 0.5], "node_budget": -1}
+        with pytest.raises(ValueError, match="^node budget must be nonnegative, got -1$"):
+            run_experiment({"op": "scan", "seed": 1, "args": args},
+                           base_dir=str(tmp_path))
+        assert not list(tmp_path.iterdir())
+
     def test_scan_base_object_form_accepted(self, tmp_path):
         args = {"bases": [{"family": "turan", "args": [6, 3]}, "turan:6,3"],
                 "targets": "C3,C3", "trials": 2, "p_grid": [0.1, 0.5]}

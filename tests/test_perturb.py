@@ -337,6 +337,20 @@ class TestThresholdScan:
             with pytest.raises(ValueError, match="trial count"):
                 threshold_scan([turan_graph(6, 3)], targets, [0.1], -1, 3)
 
+    def test_negative_budget_rejected_before_any_draw(self, monkeypatch):
+        def no_draw(*args):
+            raise AssertionError("variates drawn")
+
+        monkeypatch.setattr(perturb_module, "_variates", no_draw)
+        for targets in ([cycle(3), cycle(3)], [path(1), cycle(3)]):
+            with pytest.raises(ValueError, match="^node budget must be nonnegative, got -1$"):
+                threshold_scan([turan_graph(6, 3)], targets, [0.1], 2, 3, node_budget=-1)
+
+    def test_zero_budget_rows(self):
+        result = threshold_scan([turan_graph(6, 3)], [cycle(3), cycle(3)], [0.5], 2, 3,
+                                node_budget=0)
+        assert len(result.rows) == 1
+
     def test_zero_trials_rows(self):
         result = threshold_scan([turan_graph(6, 3)], [cycle(3), cycle(3)],
                                 [0.1, 0.5], 0, 3)

@@ -225,6 +225,15 @@ class TestUncoveredAndErrors:
         with pytest.raises(ValueError):
             ask([clique(4), clique(3)], 1)
 
+    def test_float_density_rejected(self):
+        # Fraction(0.8) lies just above 4/5, in the next band
+        with pytest.raises(ValueError, match=r"^seed density 0\.8 is a float.*'4/5'$"):
+            ask([cycle(3), cycle(3)], 0.8)
+
+    def test_exact_density_forms_agree(self):
+        for d in (F(4, 5), "4/5", "0.8"):
+            assert_exact(ask([cycle(3), cycle(3)], d), F(-2))
+
     def test_single_color_rejected(self):
         with pytest.raises(ValueError):
             ask([clique(4)], F(1, 3))
@@ -259,7 +268,6 @@ ORACLE_GRID = [([make(a), make(b)], F(d))
 
 def clear_memos():
     _quotient_clique_size.cache_clear()
-    _clique_asym.cache_clear()
 
 
 class TestOracleMemos:
@@ -273,34 +281,23 @@ class TestOracleMemos:
         assert len(cold) == 168
 
     def test_each_ingredient_computed_once_and_exact(self, monkeypatch):
-        searched, densities = [], []
+        searched = []
 
         def searching(k, m, _search=_least_quotient_clique):
             searched.append((k, m))
             return _search(k, m)
 
-        def asym(h1, h2, _asym=m2_asym):
-            densities.append((h1.n, h2.n))
-            return _asym(h1, h2)
-
         monkeypatch.setattr(thresholds_module, "_least_quotient_clique", searching)
-        monkeypatch.setattr(thresholds_module, "m2_asym", asym)
         clear_memos()
         for _ in range(2):
             for pats, d in ORACLE_GRID:
                 threshold_oracle(pats, d)
         assert searched and len(searched) == len(set(searched))
-        assert densities and len(densities) == len(set(densities))
         assert _quotient_clique_size.cache_info().currsize == len(searched)
-        assert _clique_asym.cache_info().currsize == len(densities)
-        # the memos hold exact small values, never a witness
+        # the memo holds exact small values, never a witness
         for k, m in searched:
             a = _quotient_clique_size(k, m)
             assert type(a) is int and a == _least_quotient_clique(k, m)[0]
-        for t, q in densities:
-            value = _clique_asym(t, q)
-            assert type(value) is F
-            assert value == m2_asym(clique_graph(t), clique_graph(q))
 
     def test_inconclusive_search_raises_and_is_not_kept(self, monkeypatch):
         class Inconclusive:
@@ -313,3 +310,29 @@ class TestOracleMemos:
                 _quotient_clique_size(4, 2)
         assert _quotient_clique_size.cache_info().currsize == 0
         assert _quotient_clique_size(4, 2) == 4
+
+
+class TestCliqueAsymClosedForm:
+    def test_equals_the_subset_maximum(self):
+        for t in range(3, 21):
+            for q in range(3, t + 1):
+                value = _clique_asym(t, q)
+                assert type(value) is F
+                assert value == m2_asym(clique_graph(t), clique_graph(q))
+
+    @pytest.mark.parametrize("t,q", [(5, 2), (5, 6), (2, 2), (3, 4)])
+    def test_outside_its_range_rejected(self, t, q):
+        with pytest.raises(ValueError, match="3 <= q <= t"):
+            _clique_asym(t, q)
+
+    def test_large_cliques_answered(self):
+        for t in [*range(21, 65), 70]:
+            for s in range(5, 10):
+                q = -(-s // 2)
+                ans = ask([clique(t), clique(s)], F(1, 3))
+                assert_exact(ans, F(-2 * ((t - 2) * (q + 1) + 2), t * (t - 1) * (q + 1)))
+                assert ans.exponent == -1 / _clique_asym(t, q)
+
+    def test_large_worked_examples(self):
+        assert_exact(ask([clique(25), clique(7)], F(1, 3)), F(-39, 500))
+        assert_exact(ask([clique(70), clique(9)], F(1, 3)), F(-41, 1449))
