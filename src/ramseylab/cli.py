@@ -1,11 +1,12 @@
 """Command-line front end.
 
 Subcommands: density, threshold, ramsey-check, construct, scan, facts,
-replay.  Results print as JSON (or CSV for scans) and can be written
-with --out.  Exit codes: 0 success, 2 inconclusive (node budget
-exhausted) or uncovered, 1 error, usage errors included.  Searches are
-limited by node count only; bound a whole run's wall time from outside,
-e.g. with `timeout 60 ramseylab ...`.
+replay.  Results print as JSON (facts also as CSV rows, with --format
+csv) and can be written with --out; a scan writes its CSV there.  Exit
+codes: 0 success, 2 inconclusive (node budget exhausted) or uncovered,
+1 error, usage errors included.  Searches are limited by node count
+only; bound a whole run's wall time from outside, e.g. with
+`timeout 60 ramseylab ...`.
 """
 
 from __future__ import annotations
@@ -34,12 +35,20 @@ from .thresholds import UNKNOWN, threshold_oracle
 OK, ERROR, UNDECIDED = 0, 1, 2
 
 
-def _fraction_arg(text: str) -> Fraction:
-    """An exact rational such as '2/5' or '0.4'."""
+_NUMBER_KINDS = {int: "an integer", float: "a number",
+                 Fraction: "an exact rational such as 2/5"}
+
+
+def _number_arg(kind, text: str, option: str):
+    """kind(text), for kind int, float or Fraction; text that does not
+    parse is an error naming the option and the text."""
     try:
-        return Fraction(text)
+        return kind(text)
     except ZeroDivisionError:
-        raise ManifestError(f"{text!r} has a zero denominator") from None
+        raise ManifestError(f"{option}: {text!r} has a zero denominator") from None
+    except ValueError:
+        raise ManifestError(f"{option} needs {_NUMBER_KINDS[kind]}, "
+                            f"got {text!r}") from None
 
 
 def _family_arg(args) -> Graph:
@@ -60,9 +69,11 @@ def _grid_arg(text: str) -> list[float]:
     """Probability grid: 'lo:hi[:per_decade]' log spaced, or 'a,b,c'."""
     if ":" in text:
         pieces = text.split(":")
-        per_decade = int(pieces[2]) if len(pieces) > 2 else DEFAULT_PER_DECADE
-        return log_spaced_grid(float(pieces[0]), float(pieces[1]), per_decade)
-    return [float(tok) for tok in text.split(",") if tok]
+        per_decade = (_number_arg(int, pieces[2], "--p-grid PER_DECADE")
+                      if len(pieces) > 2 else DEFAULT_PER_DECADE)
+        return log_spaced_grid(_number_arg(float, pieces[0], "--p-grid LO"),
+                               _number_arg(float, pieces[1], "--p-grid HI"), per_decade)
+    return [_number_arg(float, tok, "--p-grid") for tok in text.split(",") if tok]
 
 
 def _rows_to_csv(rows: list[dict]) -> str:
@@ -81,17 +92,14 @@ def _rows_to_csv(rows: list[dict]) -> str:
     return buf.getvalue()
 
 
-def _emit(payload, args, default_name: Optional[str] = None) -> None:
-    if isinstance(payload, str):
-        text = payload
-    elif (getattr(args, "format", "json") == "csv" and isinstance(payload, list)
-          and all(isinstance(row, dict) for row in payload)):
-        text = _rows_to_csv(payload)
+def _emit(payload, args) -> None:
+    if getattr(args, "format", "json") == "csv":
+        # only facts takes --format: one row per fact report
+        text = _rows_to_csv(payload if isinstance(payload, list) else [payload])
     else:
         text = json.dumps(payload, indent=2) + "\n"
-    out = getattr(args, "out", None) or default_name
-    if out:
-        with open(out, "w", encoding="utf-8") as fh:
+    if args.out:
+        with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
@@ -112,15 +120,17 @@ def _cmd_density(args) -> int:
         payload = {"op": "rho", "graph": args.rho,
                    "value": _frac(rho(_graph_arg(args.rho)))}
     elif args.rho_k is not None:
-        code, k = args.rho_k
-        value, parts = rho_k_with_partition(_graph_arg(code), int(k))
-        payload = {"op": "rho_k", "graph": code, "k": int(k),
+        code, k_text = args.rho_k
+        k = _number_arg(int, k_text, "--rho-k K")
+        value, parts = rho_k_with_partition(_graph_arg(code), k)
+        payload = {"op": "rho_k", "graph": code, "k": k,
                    "value": _frac(value),
                    "partition": [sorted(part) for part in parts]}
     else:
         code, n_text, p_text = args.mu
         g = _graph_arg(code)
-        n, p = int(n_text), _fraction_arg(p_text)
+        n = _number_arg(int, n_text, "--mu N")
+        p = _number_arg(Fraction, p_text, "--mu P")
         payload = {"op": "mu", "graph": code, "n": n, "p": _frac(p),
                    "mu0": _frac(mu0(g, n, p)), "mu1": _frac(mu1(g, n, p))}
     _emit(payload, args)
@@ -134,7 +144,7 @@ def _cmd_threshold(args) -> int:
         if len(pats) != 1:
             raise ManifestError("the threshold oracle takes one pattern per color")
         patterns.append(pats[0])
-    density = _fraction_arg(args.density)
+    density = _number_arg(Fraction, args.density, "--density")
     answer = threshold_oracle(patterns, density)
     payload = answer.to_jsonable()
     payload["patterns"] = [p.describe() for p in patterns]
@@ -307,7 +317,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common(p, budget=False):
         p.add_argument("--out", help="write the result here instead of stdout")
-        p.add_argument("--format", choices=("csv", "json"), default="json")
         if budget:
             p.add_argument("--budget-nodes", type=int, default=DEFAULT_NODE_BUDGET,
                            help="search node budget")
@@ -381,6 +390,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("facts", help="run the verified-facts suite")
     p.add_argument("--only", help="one fact id instead of the whole suite")
     p.add_argument("--fact-args", help="JSON kwargs for --only")
+    p.add_argument("--format", choices=("csv", "json"), default="json",
+                   help="csv: one row per fact")
     common(p)
     p.set_defaults(func=_cmd_facts)
 

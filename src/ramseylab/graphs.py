@@ -89,7 +89,9 @@ class Graph:
     # -- basic queries -------------------------------------------------
 
     def has_edge(self, u: int, v: int) -> bool:
-        return bool(self.adj[u] & (1 << v))
+        _check_vertex(self.n, u)
+        _check_vertex(self.n, v)
+        return bool(self.adj[u] >> v & 1)
 
     def degree(self, v: int) -> int:
         _check_vertex(self.n, v)
@@ -581,8 +583,6 @@ def iter_pattern_witnesses_through_edge(g: Graph, pat: Pattern, e: tuple[int, in
     is listed too, because forbidden sets name whole vertex sets.
     """
     u, v = e
-    _check_vertex(g.n, u)
-    _check_vertex(g.n, v)
     if not g.has_edge(u, v):
         raise ValueError(f"({u},{v}) is not an edge of the graph")
     yield from _iter_through(g.n, g.adj, u, v, pat)

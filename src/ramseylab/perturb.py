@@ -73,7 +73,8 @@ from .coloring import (DEFAULT_NODE_BUDGET, DEFAULT_RAMSEY_CAP, INCONCLUSIVE,
                        NOT_RAMSEY, RAMSEY, RamseyQuery, _edgeless_target,
                        decide_ramsey, ramsey_query, targets_ramsey_number)
 from .densities import _check_prob
-from .graphs import Graph, _iter_through, _Record, clique, contains_pattern, empty_graph
+from .graphs import (Graph, _check_vertex, _iter_through, _Record, clique,
+                     contains_pattern, empty_graph)
 
 _MASK64 = (1 << 64) - 1
 _UNIT = float(1 << 53)  # a variate is a 53-bit integer divided by this
@@ -542,6 +543,8 @@ def drc_select(g: Graph, parts: Sequence[Sequence[int]], ell: int, t: int,
         vs = list(part)
         if not vs:
             raise ValueError("parts must be nonempty")
+        for v in vs:
+            _check_vertex(g.n, v)
         if seen.intersection(vs):
             raise ValueError("parts must be disjoint")
         seen.update(vs)

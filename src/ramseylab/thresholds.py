@@ -17,6 +17,14 @@ families: clique pairs (with the quotient-clique reduction for dense
 seeds), cycle pairs, several colors sharing one long odd cycle, and a
 clique against an odd cycle.
 
+Cycle pairs and shared odd cycles are band tables (_cycle_bands,
+_multicolor_bands): lists of (upper edge, kind, exponent or (lo, hi),
+provenance) in increasing edge order, read by one picker (_pick).  The
+sparse-only clauses (a clique against a triangle or an odd cycle, and
+the (K4, K4) point value) are one-band tables up to density 1/2.  The
+clique pairs' seed-band clauses, indexed by k (s >= 2k+1 and
+k+2 <= s <= 2k), stay closed forms.
+
 m2(K_t, K_q) is a closed form (_clique_asym).  The least quotient
 clique size a for (k, m) takes a search and is memoised per process
 (_quotient_clique_size): ints only, no witness coloring, and a search
@@ -28,7 +36,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import lru_cache
-from typing import Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 from .densities import _frac
 from .graphs import (Pattern, _FrozenRecord, clique, clique_graph, clique_order,
@@ -39,6 +47,10 @@ EXACT_UP_TO_O1 = "exact_up_to_o1"
 INTERVAL = "interval"
 ZERO = "zero"
 UNKNOWN = "unknown"
+
+# upper edge of the sparse band, where seeds of density at most 1/2 need
+# not contain a triangle
+_SPARSE = Fraction(1, 2)
 
 
 class ThresholdAnswer(_FrozenRecord):
@@ -66,7 +78,7 @@ def _seed_band(d: Fraction) -> int:
     Seeds of density above 1 - 1/k contain a complete (k+1)-partite
     quotient structure; k = 2 covers every density up to 1/2.
     """
-    if d <= Fraction(1, 2):
+    if d <= _SPARSE:
         return 2
     k = max(2, math.ceil(1 / (1 - d)))
     assert 1 - Fraction(1, k - 1) < d <= 1 - Fraction(1, k)
@@ -105,23 +117,32 @@ def _clique_asym(t: int, q: int) -> Fraction:
     return Fraction(t * (t - 1) * (q + 1), 2 * ((t - 2) * (q + 1) + 2))
 
 
+def _pick(bands, d: Fraction) -> Optional[ThresholdAnswer]:
+    """The answer of the first band (upper edge, kind, exponent or
+    (lo, hi) or None, provenance) whose upper edge is at least d; None
+    when d lies above every band."""
+    for edge, kind, value, provenance in bands:
+        if d <= edge:
+            if kind == INTERVAL:
+                return ThresholdAnswer(kind, lo=value[0], hi=value[1],
+                                       provenance=provenance)
+            return ThresholdAnswer(kind, exponent=value, provenance=provenance)
+    return None
+
+
 def _clique_pair(t: int, s: int, d: Fraction) -> Optional[ThresholdAnswer]:
     if s < 3:
         return None
-    k = _seed_band(d)
     if s == 3:
-        if k == 2:
-            return ThresholdAnswer(
-                EXACT, exponent=Fraction(-2, t - 1),
-                provenance=f"clique K{t} against a triangle with a sparse seed "
-                           "(density at most 1/2): threshold matches the clique's "
-                           "plain Ramsey appearance threshold")
-        return None
-    if (t, s) == (4, 4) and k == 2:
-        return ThresholdAnswer(
-            EXACT, exponent=Fraction(-1, 2),
-            provenance="pair of 4-cliques with a sparse seed: resolved point "
-                       "value, the interval's upper end is tight")
+        return _pick([(_SPARSE, EXACT, Fraction(-2, t - 1),
+                       f"clique K{t} against a triangle with a sparse seed (density "
+                       f"at most {_SPARSE}): threshold matches the clique's plain "
+                       "Ramsey appearance threshold")], d)
+    if (t, s) == (4, 4):
+        return _pick([(_SPARSE, EXACT, Fraction(-1, 2),
+                       "pair of 4-cliques with a sparse seed: resolved point "
+                       "value, the interval's upper end is tight")], d)
+    k = _seed_band(d)
     if s >= 2 * k + 1:
         quotient = -(-s // k)
         exponent = -1 / _clique_asym(t, quotient)
@@ -153,76 +174,65 @@ def _clique_pair(t: int, s: int, d: Fraction) -> Optional[ThresholdAnswer]:
     return None
 
 
-def _cycle_pair(k: int, length: int, d: Fraction) -> Optional[ThresholdAnswer]:
-    # canonical order: odd first for mixed parity, else shorter first
-    if k % 2 == 0 and length % 2 == 1:
-        k, length = length, k
-    elif k % 2 == length % 2 and k > length:
-        k, length = length, k
-    if k % 2 == 0:
-        return ThresholdAnswer(
-            ZERO, provenance="two even cycles: any dense seed alone is Ramsey, "
-                             "no random edges needed")
-    if d <= Fraction(1, 2):
-        return ThresholdAnswer(
-            EXACT, exponent=Fraction(-1),
-            provenance="odd first cycle with a sparse seed (density at most "
-                       "1/2): threshold at the connectivity-scale 1/n")
-    if length % 2 == 0:
-        return ThresholdAnswer(
-            ZERO, provenance="odd cycle against an even cycle with a dense "
-                             "seed (density above 1/2): the seed alone is Ramsey")
-    cut = Fraction(4, 5) if (k == 3 and length == 3) else Fraction(3, 4)
-    if d <= cut:
-        return ThresholdAnswer(
-            EXACT, exponent=Fraction(-2),
-            provenance=f"two odd cycles, seed density in (1/2, {cut}]: "
-                       "threshold at the single-edge scale 1/n^2")
-    return ThresholdAnswer(
-        ZERO, provenance=f"two odd cycles, seed density above {cut}: the seed "
-                         "alone is Ramsey")
+def _cycle_bands(k: int, length: int) -> list:
+    """Bands of the cycle pair (C_k, C_length), in either order."""
+    odd_cycles = k % 2 + length % 2
+    if odd_cycles == 0:
+        return [(1, ZERO, None, "two even cycles: any dense seed alone is Ramsey, "
+                                "no random edges needed")]
+    sparse = (_SPARSE, EXACT, Fraction(-1),
+              f"odd first cycle with a sparse seed (density at most {_SPARSE}): "
+              "threshold at the connectivity-scale 1/n")
+    if odd_cycles == 1:
+        return [sparse, (1, ZERO, None,
+                         "odd cycle against an even cycle with a dense seed "
+                         f"(density above {_SPARSE}): the seed alone is Ramsey")]
+    cut = Fraction(4, 5) if k == length == 3 else Fraction(3, 4)
+    return [sparse,
+            (cut, EXACT, Fraction(-2), f"two odd cycles, seed density in ({_SPARSE}, "
+                                       f"{cut}]: threshold at the single-edge scale 1/n^2"),
+            (1, ZERO, None, f"two odd cycles, seed density above {cut}: the seed "
+                            "alone is Ramsey")]
 
 
-def _clique_vs_odd_cycle(t: int, length: int, d: Fraction) -> Optional[ThresholdAnswer]:
-    if t < 4 or length < 5 or length % 2 == 0:
-        return None
-    if d <= Fraction(1, 2):
-        return ThresholdAnswer(
-            EXACT, exponent=Fraction(-2, t - 1),
-            provenance=f"clique K{t} against an odd cycle C{length} with a "
-                       "sparse seed (density at most 1/2): behaves like the "
-                       "clique-vs-triangle case")
-    return None
-
-
-def _multicolor_odd_cycle(r: int, length: int, d: Fraction) -> Optional[ThresholdAnswer]:
+def _multicolor_bands(r: int, length: int) -> Optional[list]:
+    """Bands of r colors sharing the odd cycle C_length; None unless
+    length is odd and exceeds 2^r."""
     if length % 2 == 0 or length < (1 << r) + 1:
         return None
-    b1 = 1 - Fraction(4, 1 << r)
-    b2 = 1 - Fraction(2, 1 << r)
-    b3 = 1 - Fraction(1, 1 << r)
+    b1, b2, b3 = (1 - Fraction(c, 1 << r) for c in (4, 2, 1))
     long_exponent = Fraction(-(length - 2), length - 1)
-    if d <= b1:
-        return ThresholdAnswer(
-            EXACT, exponent=long_exponent,
-            provenance=f"{r} colors sharing the odd cycle C{length}, seed "
-                       f"density at most {b1}: threshold at the cycle-space "
-                       "scale n^(-1+1/(length-1))")
-    if d <= b2:
-        return ThresholdAnswer(
-            INTERVAL, lo=Fraction(-1), hi=long_exponent,
-            provenance=f"{r} colors sharing the odd cycle C{length}, seed "
-                       f"density in ({b1}, {b2}]: bracketed between the "
-                       "connectivity and cycle-space scales")
-    if d <= b3:
-        return ThresholdAnswer(
-            EXACT, exponent=Fraction(-2),
-            provenance=f"{r} colors sharing the odd cycle C{length}, seed "
-                       f"density in ({b2}, {b3}]: threshold at the "
-                       "single-edge scale 1/n^2")
-    return ThresholdAnswer(
-        ZERO, provenance=f"{r} colors sharing the odd cycle C{length}, seed "
-                         f"density above {b3}: the seed alone is Ramsey")
+    shared = f"{r} colors sharing the odd cycle C{length}, seed density"
+    return [(b1, EXACT, long_exponent, f"{shared} at most {b1}: threshold at the "
+                                       "cycle-space scale n^(-1+1/(length-1))"),
+            (b2, INTERVAL, (Fraction(-1), long_exponent),
+             f"{shared} in ({b1}, {b2}]: bracketed between the connectivity and "
+             "cycle-space scales"),
+            (b3, EXACT, Fraction(-2), f"{shared} in ({b2}, {b3}]: threshold at the "
+                                      "single-edge scale 1/n^2"),
+            (1, ZERO, None, f"{shared} above {b3}: the seed alone is Ramsey")]
+
+
+def _clause_answers(pats: list, d: Fraction) -> Iterator[Optional[ThresholdAnswer]]:
+    """Each clause that matches the targets, in order of precedence:
+    its answer at d, or None when d lies outside its bands."""
+    if len(pats) > 2:
+        lengths = {cycle_length(p) for p in pats}
+        if len(lengths) == 1 and None not in lengths:
+            yield _pick(_multicolor_bands(len(pats), *lengths) or [], d)
+        return
+    orders = [clique_order(p) for p in pats]
+    lengths = [cycle_length(p) for p in pats]
+    if None not in orders:
+        yield _clique_pair(max(orders), min(orders), d)
+    if None not in lengths:
+        yield _pick(_cycle_bands(*lengths), d)
+    for t, length in zip(orders, reversed(lengths)):
+        if None not in (t, length) and t >= 4 and length >= 5 and length % 2:
+            yield _pick([(_SPARSE, EXACT, Fraction(-2, t - 1),
+                          f"clique K{t} against an odd cycle C{length} with a sparse "
+                          f"seed (density at most {_SPARSE}): behaves like the "
+                          "clique-vs-triangle case")], d)
 
 
 def threshold_oracle(patterns: Sequence[Pattern], d) -> ThresholdAnswer:
@@ -245,28 +255,9 @@ def threshold_oracle(patterns: Sequence[Pattern], d) -> ThresholdAnswer:
     if len(pats) < 2:
         raise ValueError("need at least two colors of targets")
 
-    if len(pats) == 2:
-        c0, c1 = clique_order(pats[0]), clique_order(pats[1])
-        y0, y1 = cycle_length(pats[0]), cycle_length(pats[1])
-        candidates = []
-        if c0 is not None and c1 is not None:
-            t, s = max(c0, c1), min(c0, c1)
-            candidates.append(_clique_pair(t, s, d))
-        if y0 is not None and y1 is not None:
-            candidates.append(_cycle_pair(y0, y1, d))
-        for cl, cy in ((c0, y1), (c1, y0)):
-            if cl is not None and cy is not None:
-                candidates.append(_clique_vs_odd_cycle(cl, cy, d))
-        for answer in candidates:
-            if answer is not None:
-                return answer
-    else:
-        lengths = [cycle_length(p) for p in pats]
-        if all(x is not None for x in lengths) and len(set(lengths)) == 1:
-            answer = _multicolor_odd_cycle(len(pats), lengths[0], d)
-            if answer is not None:
-                return answer
-
+    for answer in _clause_answers(pats, d):
+        if answer is not None:
+            return answer
     described = ", ".join(p.describe() for p in pats)
     return ThresholdAnswer(
         UNKNOWN,

@@ -79,6 +79,17 @@ class TestDensityCommand:
         assert code == ERROR
         assert "error:" in err
 
+    @pytest.mark.parametrize("argv, err_line", [
+        (["--rho-k", "D~{", "x"], "error: --rho-k K needs an integer, got 'x'"),
+        (["--mu", "D~{", "x", "1/2"], "error: --mu N needs an integer, got 'x'"),
+        (["--mu", "D~{", "5", "x"],
+         "error: --mu P needs an exact rational such as 2/5, got 'x'"),
+    ], ids=["rho-k-K", "mu-N", "mu-P"])
+    def test_non_numeric_argument_names_its_option(self, capsys, argv, err_line):
+        code, out, err = run(capsys, ["density"] + argv)
+        assert code == ERROR
+        assert err == err_line + "\n" and out == ""
+
     def test_out_file(self, capsys, tmp_path):
         target = tmp_path / "m2.json"
         code, out, _ = run(capsys, ["density", "--m2", K5,
@@ -121,6 +132,12 @@ class TestThresholdCommand:
             capsys, ["threshold", "--patterns", "K3,K3", "--density", "1/0"])
         assert code == ERROR
         assert err.startswith("error:") and "zero denominator" in err
+
+    def test_non_numeric_density_names_its_option(self, capsys):
+        code, out, err = run(
+            capsys, ["threshold", "--patterns", "K3,K3", "--density", "x"])
+        assert code == ERROR
+        assert err == "error: --density needs an exact rational such as 2/5, got 'x'\n"
 
 
 class TestRamseyCheckCommand:
@@ -342,6 +359,19 @@ class TestScanAndReplay:
         assert "error: need per_decade >= 1, got 0" in err
         assert not (tmp_path / "scan.csv").exists()
 
+    @pytest.mark.parametrize("grid, err_line", [
+        ("0.1:x", "error: --p-grid HI needs a number, got 'x'"),
+        ("0.1:0.5:y", "error: --p-grid PER_DECADE needs an integer, got 'y'"),
+    ], ids=["HI", "PER_DECADE"])
+    def test_non_numeric_grid_names_its_option(self, capsys, tmp_path, grid, err_line):
+        code, out, err = run(
+            capsys, ["scan", "--base", "turan:6,3", "--targets", "C3,C3",
+                     "--p-grid", grid, "--trials", "2",
+                     "--out", str(tmp_path / "scan.csv")])
+        assert code == ERROR
+        assert err == err_line + "\n"
+        assert not list(tmp_path.iterdir())
+
     def test_seed_drawn_when_missing(self, capsys, tmp_path):
         out = tmp_path / "s.csv"
         code, stdout, err = run(
@@ -504,6 +534,15 @@ class TestFactsCommand:
         assert len(lines) == 11
 
 
+    def test_csv_format_of_one_fact(self, capsys):
+        code, out, err = run(capsys, ["facts", "--only", "list_cycle_lemma",
+                                      "--format", "csv"])
+        assert code == OK
+        lines = out.strip().split("\n")
+        assert lines[0].startswith("fact_id,") and len(lines) == 2
+        assert lines[1].startswith("list_cycle_lemma,")
+
+
 class TestParserBasics:
     def test_version_flag(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -520,6 +559,14 @@ class TestParserBasics:
         with pytest.raises(SystemExit) as exc:
             main(["scan", "--help"])
         assert exc.value.code == OK
+
+    def test_format_only_on_facts(self, capsys):
+        # only the facts suite prints rows; elsewhere csv was a silent no-op
+        with pytest.raises(SystemExit) as exc:
+            main(["ramsey-check", "--host", "clique:4", "--red", "K3",
+                  "--blue", "K3", "--format", "csv"])
+        assert exc.value.code == ERROR
+        assert "unrecognized arguments: --format csv" in capsys.readouterr().err
 
     def test_unknown_family_is_error(self, capsys):
         code, out, err = run(capsys, ["ramsey-check", "--host", "mystery:3",

@@ -81,6 +81,16 @@ class TestGraphBasics:
         with pytest.raises(ValueError, match=f"vertex {v} out of range for n=3"):
             path_graph(3).degree(v)
 
+    @pytest.mark.parametrize("u, v, bad", [(-1, 1, -1), (0, 7, 7), (7, 0, 7), (1, -1, -1)])
+    def test_has_edge_rejects_non_vertices(self, u, v, bad):
+        # (-1, 1) read vertex 2's row, (7, 0) indexed past the end and
+        # (1, -1) shifted by a negative count
+        g = path_graph(3)
+        with pytest.raises(ValueError, match=f"^vertex {bad} out of range for n=3$"):
+            g.has_edge(u, v)
+        with pytest.raises(ValueError, match=f"^vertex {bad} out of range for n=3$"):
+            g.subgraph_with_edges([(0, 1), (u, v)])
+
     def test_union(self):
         a = Graph.from_edges(4, [(0, 1)])
         b = Graph.from_edges(4, [(1, 2), (0, 1)])

@@ -698,6 +698,15 @@ class TestDrcSelect:
         assert report.verified
         assert report.selected == []
 
+    @pytest.mark.parametrize("parts, bad", [
+        ([[0, 9], [2, 3]], 9),    # a sampled phantom vertex matched no edge
+        ([[0, 1], [2, 9]], 9),    # the last part's row lookup ran off the end
+        ([[0, -1], [2, 3]], -1),  # its part bitset shifted by a negative count
+    ])
+    def test_non_vertex_in_a_part_rejected(self, parts, bad):
+        with pytest.raises(ValueError, match=f"^vertex {bad} out of range for n=4$"):
+            drc_select(clique_graph(4), parts, ell=1, t=1, gamma_target=0.5, seed=1)
+
     def test_dense_random_bipartite_verifies(self):
         from ramseylab.perturb import edge_variate
         n = 32

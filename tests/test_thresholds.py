@@ -1,3 +1,6 @@
+import hashlib
+import json
+import math
 from fractions import Fraction as F
 
 import pytest
@@ -336,3 +339,60 @@ class TestCliqueAsymClosedForm:
     def test_large_worked_examples(self):
         assert_exact(ask([clique(25), clique(7)], F(1, 3)), F(-39, 500))
         assert_exact(ask([clique(70), clique(9)], F(1, 3)), F(-41, 1449))
+
+
+def _band_ends(kind, value):
+    """The exponent range a band's answer states; zero is -infinity."""
+    if kind == ZERO:
+        return -math.inf, -math.inf
+    if kind == INTERVAL:
+        return value
+    return value, value
+
+
+class TestBandTables:
+    def assert_density_rule(self, bands):
+        # a denser seed class is a subclass, so the threshold cannot rise
+        # with d: edges strictly increase up to 1, and no band's upper end
+        # exceeds an earlier band's lower end
+        edges = [edge for edge, _, _, _ in bands]
+        assert edges == sorted(set(edges)) and edges[-1] == 1
+        ends = [_band_ends(kind, value) for _, kind, value, _ in bands]
+        for i, (_, hi) in enumerate(ends):
+            assert all(hi <= lo for lo, _ in ends[:i]), bands
+
+    @pytest.mark.parametrize("k", range(3, 16))
+    def test_cycle_bands_obey_the_density_rule(self, k):
+        for length in range(3, 16):
+            self.assert_density_rule(thresholds_module._cycle_bands(k, length))
+
+    @pytest.mark.parametrize("r", [3, 4, 5])
+    def test_multicolor_bands_obey_the_density_rule(self, r):
+        for length in range(3, 80, 2):
+            bands = thresholds_module._multicolor_bands(r, length)
+            assert (bands is None) == (length <= 1 << r)
+            if bands is not None:
+                self.assert_density_rule(bands)
+
+    def test_provenance_states_each_band_edge(self):
+        for edge, _, _, provenance in thresholds_module._cycle_bands(3, 3)[:-1]:
+            assert f"{edge}" in provenance
+        bands = thresholds_module._multicolor_bands(3, 9)
+        assert [edge for edge, _, _, _ in bands] == [
+            F(1, 2), F(3, 4), F(7, 8), 1]
+
+    def test_pair_grid_digest(self):
+        # every to_jsonable() field of the ordered pairs from K3-K9 and
+        # C4-C9 at the 39 densities i/j <= 5/6 with j <= 12, pinned before
+        # the cycle and shared-cycle clauses became band tables
+        pats = [clique(t) for t in range(3, 10)] + [cycle(n) for n in range(4, 10)]
+        densities = sorted({F(i, j) for j in range(2, 13) for i in range(1, j)
+                            if F(i, j) <= F(5, 6)})
+        assert len(densities) == 39
+        answers = [threshold_oracle([a, b], d).to_jsonable()
+                   for a in pats for b in pats for d in densities]
+        assert len(answers) == 6591
+        assert sum(ans["kind"] == UNKNOWN for ans in answers) == 2458
+        text = "".join(json.dumps(ans, sort_keys=True) + "\n" for ans in answers)
+        assert hashlib.sha256(text.encode()).hexdigest() == (
+            "3238f53402186a2f5a29eafb7f2a25a91340f7da13cade47599ab3090e1071f5")
