@@ -220,14 +220,13 @@ def _cmd_construct(args) -> int:
         payload = _coloring_payload(coloring, {
             "base": base.to_jsonable(), "lifted_vertices": blown.n})
     elif name == "turan-blue":
-        from .graphs import clique, empty_graph, part_vertices, turan_graph
+        from .graphs import clique, part_vertices, turan_graph
         from .perturb import sample_gnp
         skeleton = turan_graph(args.n, args.k)
         inner = []
         for idx in range(args.k):
-            size = len(part_vertices(skeleton, idx))
-            part_graph = (sample_gnp(size, args.p, args.seed, trial=idx)
-                          if args.p > 0 else empty_graph(size))
+            part_graph = sample_gnp(len(part_vertices(skeleton, idx)), args.p, args.seed,
+                                    trial=idx)
             inner.append(_avoiding_coloring(
                 part_graph, [clique(args.t), clique(args.ell)], f"part {idx}"))
         coloring = turan_blue_composite(args.n, args.k, inner, args.t,

@@ -214,9 +214,9 @@ def odd_cycle_free_multicoloring(n: int, r: int, band: int) -> EdgeColoring:
     if band not in (1, 2):
         raise ConstructionError("band must be 1 or 2")
     ncolors = r - 1 if band == 1 else r
-    parts = 1 << ncolors
     if ncolors < 1:
         raise ConstructionError("need at least one color class")
+    parts = 1 << ncolors
     if n < parts:
         raise ConstructionError(f"need n >= {parts} vertices")
     skeleton = turan_graph(n, parts)

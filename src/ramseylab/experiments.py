@@ -45,35 +45,24 @@ def _require(mapping: dict, key: str, what: str):
     return mapping[key]
 
 
-def _integer(value, key: str) -> int:
-    """value, once it is an integer; a float or a bool is an error, not
-    something to truncate."""
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ManifestError(f"{key!r} must be an integer, got {value!r}")
-    return value
+# the JSON kind a manifest value must have, by the type it is read as
+_KINDS = {int: "an integer", float: "a number", str: "a string", bool: "true or false"}
 
 
-def _number(value, key: str) -> float:
-    """value as a float, once it is a JSON number; a bool or a string is
-    an error, not something to convert."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ManifestError(f"{key!r} must be a number, got {value!r}")
-    return float(value)
+def _is_kind(value, types: tuple) -> bool:
+    """Whether value has one of the JSON kinds read as types: an int
+    counts as a float, and a bool is never a number."""
+    if float in types:
+        types += (int,)
+    return isinstance(value, types) and (bool in types or not isinstance(value, bool))
 
 
-def _string(value, key: str) -> str:
-    """value, once it is a string."""
-    if not isinstance(value, str):
-        raise ManifestError(f"{key!r} must be a string, got {value!r}")
-    return value
-
-
-def _boolean(value, key: str) -> bool:
-    """value, once it is true or false; any other value is an error, not
-    something to read as truthy."""
-    if not isinstance(value, bool):
-        raise ManifestError(f"{key!r} must be true or false, got {value!r}")
-    return value
+def _typed(value, key: str, kind: type):
+    """value read as kind, once it has that JSON kind; nothing is
+    truncated, parsed from text or read as truthy."""
+    if not _is_kind(value, (kind,)):
+        raise ManifestError(f"{key!r} must be {_KINDS[kind]}, got {value!r}")
+    return kind(value)
 
 
 def parse_pattern(token: str):
@@ -126,9 +115,7 @@ def _fact_report(name: str, args: dict) -> facts_mod.FactReport:
             continue  # pattern text (first, second) is parsed below
         union = typing.get_origin(expected) is Union
         allowed = typing.get_args(expected) if union else (expected,)
-        if float in allowed:
-            allowed += (int,)
-        if isinstance(value, bool) and bool not in allowed or not isinstance(value, allowed):
+        if not _is_kind(value, allowed):
             names = " or ".join("null" if t is type(None) else t.__name__ for t in allowed)
             raise ManifestError(f"fact {name!r}: argument {key!r} must be {names}, "
                                 f"got {value!r}")
@@ -141,11 +128,12 @@ def _fact_report(name: str, args: dict) -> facts_mod.FactReport:
 def _resolve_grid(args: dict) -> list[float]:
     grid = args.get("p_grid")
     if isinstance(grid, list) and grid:
-        return [_number(p, "p_grid") for p in grid]
+        return [_typed(p, "p_grid", float) for p in grid]
     if isinstance(grid, dict):
-        return log_spaced_grid(_number(_require(grid, "lo", "p_grid"), "lo"),
-                               _number(_require(grid, "hi", "p_grid"), "hi"),
-                               _integer(grid.get("per_decade", DEFAULT_PER_DECADE), "per_decade"))
+        per_decade = grid.get("per_decade", DEFAULT_PER_DECADE)
+        return log_spaced_grid(_typed(_require(grid, "lo", "p_grid"), "lo", float),
+                               _typed(_require(grid, "hi", "p_grid"), "hi", float),
+                               _typed(per_decade, "per_decade", int))
     raise ManifestError("scan needs 'p_grid' as a nonempty list or {lo, hi, per_decade}")
 
 
@@ -154,7 +142,7 @@ def _build_base(descriptor):
     object with a string 'family' and, when given, a list 'args'; a
     base that build_family rejects is a ManifestError with its text."""
     if isinstance(descriptor, dict):
-        _string(_require(descriptor, "family", "a scan base"), "family")
+        _typed(_require(descriptor, "family", "a scan base"), "family", str)
         if not isinstance(descriptor.get("args", []), list):
             raise ManifestError(f"'args' of a scan base must be a list, "
                                 f"got {descriptor['args']!r}")
@@ -172,13 +160,12 @@ def _run_scan(args: dict, seed: int):
     if not isinstance(descriptors, list) or not descriptors:
         raise ManifestError(f"scan needs 'bases' as a nonempty list, got {descriptors!r}")
     bases = [_build_base(b) for b in descriptors]
-    targets = parse_targets(_string(_require(args, "targets", "scan"), "targets"))
+    targets = parse_targets(_typed(_require(args, "targets", "scan"), "targets", str))
     grid = _resolve_grid(args)
-    result = threshold_scan(
-        bases, targets, grid, _integer(_require(args, "trials", "scan"), "trials"), seed,
-        node_budget=_integer(args.get("node_budget", DEFAULT_NODE_BUDGET), "node_budget"),
-        clique_shortcut=_boolean(args.get("clique_shortcut", True), "clique_shortcut"))
-    return result, grid
+    return threshold_scan(
+        bases, targets, grid, _typed(_require(args, "trials", "scan"), "trials", int), seed,
+        node_budget=_typed(args.get("node_budget", DEFAULT_NODE_BUDGET), "node_budget", int),
+        clique_shortcut=_typed(args.get("clique_shortcut", True), "clique_shortcut", bool))
 
 
 def _strip_runtimes(obj):
@@ -194,8 +181,7 @@ def _result_text(manifest: dict) -> str:
     op = manifest.get("op")
     args = manifest.get("args", {})
     if op == "scan":
-        result, _ = _run_scan(args, manifest["seed"])
-        return result.to_csv()
+        return _run_scan(args, manifest["seed"]).to_csv()
     if op == "facts":
         reports = [r.to_jsonable() for r in facts_mod.default_fact_suite()]
         return json.dumps(reports, indent=2) + "\n"
@@ -216,7 +202,7 @@ def _check_manifest(manifest) -> dict:
         raise ManifestError(f"manifest 'args' must be a JSON object, "
                             f"got {type(args).__name__}")
     if "seed" in manifest:
-        _integer(manifest["seed"], "seed")
+        _typed(manifest["seed"], "seed", int)
     return manifest
 
 

@@ -62,8 +62,23 @@ def _fact(op: str):
     return register
 
 
-def _decide(host: Graph, targets, node_budget=DEFAULT_NODE_BUDGET):
-    return decide_ramsey(ramsey_query(host, targets, node_budget=node_budget))
+def _forced_pair(n: int, targets, lower_targets, node_budget: int = DEFAULT_NODE_BUDGET):
+    """Decide K_n against targets and K_{n-1} against lower_targets.
+
+    Returns the status (verified when K_n is Ramsey and K_{n-1} is not,
+    inconclusive when either search ran out, refuted otherwise), both
+    verdicts, and whether every color class of K_{n-1}'s witness is
+    bipartite (None without a witness)."""
+    upper = decide_ramsey(ramsey_query(clique_graph(n), targets, node_budget=node_budget))
+    lower = decide_ramsey(ramsey_query(clique_graph(n - 1), lower_targets,
+                                       node_budget=node_budget))
+    if INCONCLUSIVE in (upper.status, lower.status):
+        status = INCONCLUSIVE
+    else:
+        status = VERIFIED if (upper.status, lower.status) == (RAMSEY, NOT_RAMSEY) else REFUTED
+    bipartite = None if lower.witness is None else all(
+        not lower.witness.color_subgraph(c).has_odd_cycle() for c in range(lower.witness.r))
+    return status, upper, lower, bipartite
 
 
 @_fact("list_cycle_lemma")
@@ -71,19 +86,12 @@ def verify_list_cycle_lemma() -> FactReport:
     """The complete graph first forces {red triangle} vs {blue triangle
     or blue 5-cycle} at five vertices."""
     targets = [[cycle(3)], [cycle(3), cycle(5)]]
-    on4 = _decide(clique_graph(4), targets)
-    on5 = _decide(clique_graph(5), targets)
+    status, on5, on4, bipartite = _forced_pair(5, targets, targets)
     cert = {"k4_status": on4.status, "k5_status": on5.status,
             "k5_nodes": on5.stats.nodes}
-    status = VERIFIED if (on4.status == NOT_RAMSEY and on5.status == RAMSEY) else REFUTED
     if on4.witness is not None:
         cert["k4_witness"] = on4.witness.to_jsonable()
-        red = on4.witness.color_subgraph(0)
-        blue = on4.witness.color_subgraph(1)
-        cert["k4_witness_valid"] = (not red.has_odd_cycle()
-                                    and not blue.has_odd_cycle())
-    if INCONCLUSIVE in (on4.status, on5.status):
-        status = INCONCLUSIVE
+        cert["k4_witness_valid"] = bipartite
     return FactReport(
         "list_cycle_lemma",
         "two-coloring any K_n with n >= 5 forces a red triangle or a blue "
@@ -100,6 +108,8 @@ def verify_odd_cycle_unavoidable(r: int,
                                  node_budget: int = DEFAULT_NODE_BUDGET) -> FactReport:
     """Every r-coloring of the complete graph on 2^r + 1 vertices has a
     monochromatic odd cycle, and 2^r vertices do not suffice."""
+    if r < 1:
+        raise ValueError(f"r must be at least 1, got {r}")
     n = (1 << r) + 1
     statement = (f"every {r}-coloring of K_{n} has a monochromatic odd cycle, "
                  f"while K_{n - 1} admits one with all classes bipartite")
@@ -109,20 +119,15 @@ def verify_odd_cycle_unavoidable(r: int,
         return FactReport("odd_cycle_unavoidable_r1", statement,
                           VERIFIED if has and avoid else REFUTED,
                           {"k3_has_odd_cycle": has, "k2_bipartite": avoid})
-    targets = [_odd_cycles_up_to(n)] * r
-    upper = _decide(clique_graph(n), targets, node_budget)
-    lower_targets = [_odd_cycles_up_to(n - 1)] * r
-    lower = _decide(clique_graph(n - 1), lower_targets, node_budget)
+    # K_{n-1} has no C_n to find, and a C_n finder there would walk
+    # every long path without closing one
+    status, upper, lower, bipartite = _forced_pair(
+        n, [_odd_cycles_up_to(n)] * r, [_odd_cycles_up_to(n - 1)] * r, node_budget)
     cert = {"forced_status": upper.status, "forced_nodes": upper.stats.nodes,
             "tight_status": lower.status}
-    status = VERIFIED if (upper.status == RAMSEY and lower.status == NOT_RAMSEY) else REFUTED
     if lower.witness is not None:
         cert["tight_witness"] = lower.witness.to_jsonable()
-        cert["tight_witness_bipartite_classes"] = all(
-            not lower.witness.color_subgraph(c).has_odd_cycle()
-            for c in range(r))
-    if INCONCLUSIVE in (upper.status, lower.status):
-        status = INCONCLUSIVE
+        cert["tight_witness_bipartite_classes"] = bipartite
     return FactReport(f"odd_cycle_unavoidable_r{r}", statement, status, cert)
 
 
@@ -148,7 +153,7 @@ def verify_small_ramsey(first, second, expected: Optional[int] = None,
 
 
 @_fact("path_readings")
-def path_ramsey_readings(k: int, ell: int, n_hi: int = 10) -> FactReport:
+def path_ramsey_readings(k: int, ell: int, n_hi: int = DEFAULT_RAMSEY_CAP) -> FactReport:
     """Both conventions for an index-(k-1) path, side by side.
 
     Reading A takes k-1 vertices, reading B k-1 edges (k vertices).
@@ -214,8 +219,8 @@ def verify_matched_gadget(m: int, k: int = 3, ell: int = 5,
     cert["partition_pieces"] = len(groups)
     exploration: dict = {}
     if m <= 2:
-        verdict = _decide(g, [cycle(k), cycle(ell)],
-                          node_budget=explore_budget_nodes)
+        verdict = decide_ramsey(ramsey_query(g, [cycle(k), cycle(ell)],
+                                             node_budget=explore_budget_nodes))
         exploration[f"ramsey_c{k}_c{ell}_at_m{m}"] = verdict.status
         if verdict.witness is not None:
             exploration["witness"] = verdict.witness.to_jsonable()
@@ -256,6 +261,8 @@ def verify_bipartite_split(i: int, n: Optional[int] = None) -> FactReport:
     from .constructions import bipartite_decomposition
     from .graphs import turan_graph
 
+    if i < 1:
+        raise ValueError(f"i must be at least 1, got {i}")
     parts = 1 << i
     if n is None:
         n = 3 * parts

@@ -104,7 +104,6 @@ class Graph:
             for u in range(self.n):
                 for v in _bits(self.adj[u] >> (u + 1)):
                     out.append((u, u + 1 + v))
-            out.sort()
             self._edges = tuple(out)
         return self._edges
 

@@ -215,9 +215,8 @@ def monte_carlo_ramsey(base: Graph, targets: Sequence, p: float, trials: int,
     Success means decide_ramsey proves the perturbed host Ramsey.  The
     one-point case of a threshold scan: hosts repeat, so search
     verdicts are cached by host adjacency for the duration of the call.
-    The scan no longer calls it, but it stays: it is the exported
-    one-point entry, and perfbench/tracer.py wraps it by name as its
-    perturb.row span.
+    It stays as the exported one-point entry, and perfbench/tracer.py
+    wraps it by name as its perturb.row span.
     """
     return _scan_base(base, targets, [p], trials, seed, node_budget,
                       clique_shortcut)[0]
@@ -249,18 +248,16 @@ def _scan_base(base: Graph, targets: Sequence, grid: list[float], trials: int,
     """
     if trials < 0:
         raise ValueError(f"trial count must be nonnegative, got {trials}")
-    if node_budget < 0:
-        raise ValueError(f"node budget must be nonnegative, got {node_budget}")
+    template = ramsey_query(base, targets, node_budget=node_budget)
     for p in grid:
         _check_prob(p)
-    template = ramsey_query(base, targets)
     if not grid:
         return []
     edgeless = _edgeless_target(template) is not None
     shortcut = None
     if clique_shortcut and not edgeless:
         number = targets_ramsey_number(template.targets, cap=min(base.n, DEFAULT_RAMSEY_CAP),
-                                       node_budget=node_budget)
+                                       node_budget=template.node_budget)
         if number is not None:
             shortcut = clique(number)
     # either makes every host of every trial Ramsey at every p
@@ -309,7 +306,7 @@ def _scan_base(base: Graph, targets: Sequence, grid: list[float], trials: int,
 
     def decide(key: tuple[int, ...]) -> tuple[str, int]:
         verdict = decide_ramsey(RamseyQuery(Graph(n, key, base.labels), template.targets,
-                                            template.forbidden, node_budget))
+                                            template.forbidden, template.node_budget))
         return verdict.status, verdict.stats.nodes
 
     statuses = _decide_hosts(list(hosts), decide)

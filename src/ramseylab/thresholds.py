@@ -145,19 +145,14 @@ def _clique_pair(t: int, s: int, d: Fraction) -> Optional[ThresholdAnswer]:
     k = _seed_band(d)
     if s >= 2 * k + 1:
         quotient = -(-s // k)
-        exponent = -1 / _clique_asym(t, quotient)
-        if k == 2 or s % k == 1:
-            return ThresholdAnswer(
-                EXACT, exponent=exponent,
-                provenance=f"large second clique (s >= 2k+1, seed band k={k}): "
-                           f"reduces to K{t} against the quotient clique "
-                           f"K{quotient}; divisibility makes the exponent exact")
+        exact = k == 2 or s % k == 1
         return ThresholdAnswer(
-            EXACT_UP_TO_O1, exponent=exponent,
-            provenance=f"large second clique (s >= 2k+1, seed band k={k}): "
-                       f"reduces to K{t} against the quotient clique K{quotient}; "
-                       "without the divisibility condition the exponent is "
-                       "sharp only up to n^o(1)")
+            EXACT if exact else EXACT_UP_TO_O1, exponent=-1 / _clique_asym(t, quotient),
+            provenance=f"large second clique (s >= 2k+1, seed band k={k}): reduces to "
+                       f"K{t} against the quotient clique K{quotient}; "
+                       + ("divisibility makes the exponent exact" if exact else
+                          "without the divisibility condition the exponent is "
+                          "sharp only up to n^o(1)"))
     if k + 2 <= s <= 2 * k:
         a = _quotient_clique_size(k, s - k)
         lo = Fraction(-2 * t, t * (t - 1) + -(-t // a))

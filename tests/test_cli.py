@@ -305,6 +305,21 @@ class TestConstructCommand:
         assert code == ERROR
         assert "part 0 admits no coloring avoiding K3,K3 (ramsey)" in err
 
+    @pytest.mark.parametrize("p", ["-0.5", "1.5"])
+    def test_turan_blue_probability_out_of_range_is_error(self, capsys, p):
+        code, out, err = run(
+            capsys, ["construct", "--name", "turan-blue", "--n", "12", "--k", "2",
+                     "--t", "5", "--ell", "3", "--p", p])
+        assert code == ERROR
+        assert err == "error: edge probability must lie in [0, 1]\n"
+        assert out == ""
+
+    @pytest.mark.parametrize("colors", [["--r", "0"], ["--r", "-2", "--band", "2"]])
+    def test_multicycle_without_color_class_is_error(self, capsys, colors):
+        code, out, err = run(capsys, ["construct", "--name", "multicycle", *colors])
+        assert code == ERROR
+        assert err == "error: need at least one color class\n"
+
 
 class TestScanAndReplay:
     def scan(self, capsys, tmp_path, seed="7"):
@@ -517,6 +532,14 @@ class TestFactsCommand:
                                       "--fact-args", '{"i": "x"}'])
         assert code == ERROR
         assert err.startswith("error:") and "'i' must be int" in err
+
+    @pytest.mark.parametrize("name, key", [("odd_cycle_unavoidable", "r"),
+                                           ("bipartite_split", "i")])
+    def test_nonpositive_exponent_argument_named(self, capsys, name, key):
+        code, out, err = run(capsys, ["facts", "--only", name,
+                                      "--fact-args", f'{{"{key}": -1}}'])
+        assert code == ERROR
+        assert err == f"error: {key} must be at least 1, got -1\n"
 
     def test_fact_args_without_only_is_error(self, capsys):
         code, out, err = run(capsys, ["facts", "--fact-args", '{"r": 3}'])

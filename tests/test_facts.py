@@ -1,3 +1,6 @@
+import hashlib
+import json
+
 from ramseylab.coloring import INCONCLUSIVE, targets_ramsey_number
 from ramseylab.facts import (REFUTED, VERIFIED, default_fact_suite,
                              path_ramsey_readings, verify_bipartite_split,
@@ -119,6 +122,15 @@ class TestIndividualFacts:
 
 
 class TestSuite:
+    def test_suite_reports_digest(self):
+        # the suite's reports without runtimes, as `ramseylab facts` prints
+        # them with every runtime key dropped
+        reports = [{k: v for k, v in r.to_jsonable().items() if k != "runtime"}
+                   for r in default_fact_suite()]
+        text = json.dumps(reports, indent=2) + "\n"
+        assert hashlib.sha256(text.encode()).hexdigest() == (
+            "556f4ccdc1ebd59b330f03ee90142629316498f60e14d761aa4c168fc903438e")
+
     def test_default_suite_all_verified(self):
         suite = default_fact_suite()
         assert len(suite) == 10
