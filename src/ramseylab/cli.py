@@ -25,8 +25,8 @@ from .constructions import (ConstructionError, bipartite_decomposition,
                             odd_cycle_free_multicoloring, turan_blue_composite,
                             _avoiding_coloring)
 from .densities import _frac, d2, m2, m2_asym, mu0, mu1, rho, rho_k_with_partition
-from .experiments import (ManifestError, PACKAGE_VERSION, _fact_report, parse_pattern,
-                          parse_targets, replay, run_experiment)
+from .experiments import (ManifestError, PACKAGE_VERSION, _KINDS, _fact_report,
+                          parse_pattern, parse_targets, replay, run_experiment)
 from .facts import REFUTED, default_fact_suite
 from .graphs import Graph, build_family, clique_graph
 from .perturb import DEFAULT_PER_DECADE, log_spaced_grid
@@ -35,8 +35,7 @@ from .thresholds import UNKNOWN, threshold_oracle
 OK, ERROR, UNDECIDED = 0, 1, 2
 
 
-_NUMBER_KINDS = {int: "an integer", float: "a number",
-                 Fraction: "an exact rational such as 2/5"}
+_NUMBER_KINDS = {**_KINDS, Fraction: "an exact rational such as 2/5"}
 
 
 def _number_arg(kind, text: str, option: str):

@@ -16,11 +16,11 @@ import time
 from typing import Optional
 
 from .coloring import (DEFAULT_NODE_BUDGET, DEFAULT_RAMSEY_CAP, INCONCLUSIVE,
-                       NOT_RAMSEY, RAMSEY, decide_ramsey, ramsey_query,
-                       targets_ramsey_number)
+                       NOT_RAMSEY, RAMSEY, _normalize_targets, decide_ramsey,
+                       ramsey_query, targets_ramsey_number)
 from .densities import _frac, rho_bound_hm
-from .graphs import (Graph, Pattern, _Record, clique_graph, clique, cycle, hm_graph,
-                     hmr_graph, path, part_vertices)
+from .graphs import (Graph, Pattern, _Record, _check_order, clique_graph, clique, cycle,
+                     hm_graph, hmr_graph, path, part_vertices)
 
 VERIFIED = "verified"
 REFUTED = "refuted"
@@ -111,6 +111,7 @@ def verify_odd_cycle_unavoidable(r: int,
     if r < 1:
         raise ValueError(f"r must be at least 1, got {r}")
     n = (1 << r) + 1
+    _check_order(n)  # before r target lists of 2^(r-1) cycles each
     statement = (f"every {r}-coloring of K_{n} has a monochromatic odd cycle, "
                  f"while K_{n - 1} admits one with all classes bipartite")
     if r == 1:
@@ -136,8 +137,7 @@ def verify_small_ramsey(first, second, expected: Optional[int] = None,
                         n_hi: int = DEFAULT_RAMSEY_CAP) -> FactReport:
     """Exhaustively locate the least complete-graph size forcing the
     two target families."""
-    targets = [first if isinstance(first, (list, tuple)) else [first],
-               second if isinstance(second, (list, tuple)) else [second]]
+    targets = _normalize_targets([first, second])
     value = targets_ramsey_number(targets, cap=n_hi)
     names = " | ".join("+".join(p.describe() for p in side) for side in targets)
     cert = {"value": value, "search_cap": n_hi}

@@ -9,7 +9,7 @@ use a '~' prefix and an 18-bit size field, which covers this library's
 
 from __future__ import annotations
 
-from .graphs import Graph, MAX_VERTICES
+from .graphs import Graph, _check_order
 
 
 def encode(g: Graph) -> str:
@@ -49,8 +49,7 @@ def decode(s: str) -> Graph:
     else:
         n = ord(s[0]) - 63
         body = s[1:]
-    if not 0 <= n <= MAX_VERTICES:
-        raise ValueError(f"graph6 size {n} outside 0..{MAX_VERTICES}")
+    _check_order(n)
     need = (n * (n - 1) // 2 + 5) // 6
     if len(body) != need:
         raise ValueError(f"graph6 body has {len(body)} bytes, expected {need}")

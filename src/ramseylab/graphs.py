@@ -6,6 +6,11 @@ single integer operations.  Graphs are immutable and hashable.  The
 canonical edge order used everywhere (coloring, CNF variables, edge
 sampling) is lexicographic on (min, max).
 
+A graph holds at most MAX_VERTICES = 64 vertices.  _check_order is the
+one test of that cap: every constructor and family builder calls it
+before allocating anything the size of its argument, so an oversized
+request is a ValueError at once.
+
 A copy of a pattern is listed as a witness vertex tuple; its edges are
 the witness positions of _copy_pairs.  Copies are keyed by edge mask,
 an int whose bit i is set when the copy uses canonical edge i, read
@@ -34,6 +39,13 @@ def _bits(x: int) -> Iterator[int]:
         x ^= b
 
 
+def _check_order(n: int) -> None:
+    """Raise unless a graph can have n vertices; the one test of the
+    MAX_VERTICES cap."""
+    if not 0 <= n <= MAX_VERTICES:
+        raise ValueError(f"vertex count {n} outside 0..{MAX_VERTICES}")
+
+
 def _check_vertex(n: int, v: int) -> None:
     """Raise unless v is a vertex of an n-vertex graph; a negative v
     would otherwise index adjacency from the end."""
@@ -52,8 +64,7 @@ class Graph:
     __slots__ = ("n", "adj", "labels", "_edges", "_profile")
 
     def __init__(self, n: int, adj: tuple[int, ...], labels: Optional[tuple[int, ...]] = None):
-        if not 0 <= n <= MAX_VERTICES:
-            raise ValueError(f"vertex count {n} outside 0..{MAX_VERTICES}")
+        _check_order(n)
         if len(adj) != n:
             raise ValueError("adjacency length does not match vertex count")
         full = (1 << n) - 1
@@ -76,6 +87,7 @@ class Graph:
     @classmethod
     def from_edges(cls, n: int, edges: Iterable[tuple[int, int]],
                    labels: Optional[Iterable[int]] = None) -> "Graph":
+        _check_order(n)
         adj = [0] * n
         for u, v in edges:
             if u == v:
@@ -344,10 +356,7 @@ def clique_order(pat: Pattern) -> Optional[int]:
         return 3 if pat.size == 3 else None
     if pat.kind == "path":
         return pat.size if pat.size <= 2 else None
-    g = pat.graph
-    if all(g.degree(v) == g.n - 1 for v in range(g.n)):
-        return g.n
-    return None
+    return pat.graph.n if pat.graph.is_complete() else None
 
 
 def cycle_length(pat: Pattern) -> Optional[int]:
@@ -359,21 +368,10 @@ def cycle_length(pat: Pattern) -> Optional[int]:
     if pat.kind == "path":
         return None
     g = pat.graph
-    if g.n >= 3 and all(g.degree(v) == 2 for v in range(g.n)):
-        # connected 2-regular = a single cycle
-        seen = {0}
-        frontier = g.adj[0]
-        while True:
-            new = 0
-            for v in _bits(frontier):
-                if v not in seen:
-                    seen.add(v)
-                    new |= g.adj[v]
-            if not new:
-                break
-            frontier = new
-        if len(seen) == g.n:
-            return g.n
+    # a 2-regular graph is a single cycle when it has a Hamiltonian one
+    if (g.n >= 3 and all(row.bit_count() == 2 for row in g.adj)
+            and contains_pattern(g, cycle(g.n))):
+        return g.n
     return None
 
 
@@ -692,17 +690,18 @@ def empty_graph(n: int) -> Graph:
 
 
 def clique_graph(t: int) -> Graph:
+    _check_order(t)  # combinations copies range(t) before from_edges runs
     return Graph.from_edges(t, itertools.combinations(range(t), 2))
 
 
 def cycle_graph(length: int) -> Graph:
     if length < 3:
         raise ValueError("cycle length must be >= 3")
-    return Graph.from_edges(length, [(i, (i + 1) % length) for i in range(length)])
+    return Graph.from_edges(length, ((i, (i + 1) % length) for i in range(length)))
 
 
 def path_graph(k: int) -> Graph:
-    return Graph.from_edges(k, [(i, i + 1) for i in range(k - 1)])
+    return Graph.from_edges(k, ((i, i + 1) for i in range(k - 1)))
 
 
 def complete_multipartite(sizes: Iterable[int]) -> Graph:
@@ -710,6 +709,7 @@ def complete_multipartite(sizes: Iterable[int]) -> Graph:
     sizes = list(sizes)
     if any(s < 1 for s in sizes):
         raise ValueError("part sizes must be positive")
+    _check_order(sum(sizes))
     labels = [i for i, s in enumerate(sizes) for _ in range(s)]
     n = len(labels)
     edges = [(u, v) for u, v in itertools.combinations(range(n), 2)
@@ -721,6 +721,7 @@ def turan_graph(n: int, k: int) -> Graph:
     """Balanced complete k-partite graph on n vertices."""
     if k < 1 or k > n:
         raise ValueError("turan graph needs 1 <= k <= n")
+    _check_order(n)
     q, r = divmod(n, k)
     sizes = [q + 1] * r + [q] * (k - r)
     return complete_multipartite(sizes)
@@ -735,8 +736,7 @@ def blowup(base: Graph, m: int) -> Graph:
     if m < 1:
         raise ValueError("blowup factor must be >= 1")
     n = base.n * m
-    if n > MAX_VERTICES:
-        raise ValueError("blowup exceeds vertex capacity")
+    _check_order(n)
     labels = [v for v in range(base.n) for _ in range(m)]
     edges = []
     for u, v in base.edges():
@@ -759,8 +759,7 @@ def hmr_graph(m: int, r: int) -> Graph:
         raise ValueError("need m >= 1 and r >= 1")
     parts = (1 << r) + 1
     n = parts * m
-    if n > MAX_VERTICES:
-        raise ValueError("graph exceeds vertex capacity")
+    _check_order(n)
     labels = [p for p in range(parts) for _ in range(m)]
     matched = {(2 * i, 2 * i + 1) for i in range(1 << (r - 1))}
     edges = []

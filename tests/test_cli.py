@@ -90,6 +90,11 @@ class TestDensityCommand:
         assert code == ERROR
         assert err == err_line + "\n" and out == ""
 
+    def test_oversized_family_is_one_error_line(self, capsys):
+        code, out, err = run(capsys, ["density", "--m2", f"clique:{2 ** 70}"])
+        assert code == ERROR
+        assert err == f"error: vertex count {2 ** 70} outside 0..64\n" and out == ""
+
     def test_out_file(self, capsys, tmp_path):
         target = tmp_path / "m2.json"
         code, out, _ = run(capsys, ["density", "--m2", K5,
@@ -540,6 +545,12 @@ class TestFactsCommand:
                                       "--fact-args", f'{{"{key}": -1}}'])
         assert code == ERROR
         assert err == f"error: {key} must be at least 1, got -1\n"
+
+    def test_oversized_split_is_one_error_line(self, capsys):
+        code, out, err = run(capsys, ["facts", "--only", "bipartite_split",
+                                      "--fact-args", '{"i": 70}'])
+        assert code == ERROR
+        assert err == f"error: vertex count {3 * 2 ** 70} outside 0..64\n" and out == ""
 
     def test_fact_args_without_only_is_error(self, capsys):
         code, out, err = run(capsys, ["facts", "--fact-args", '{"r": 3}'])

@@ -1,6 +1,9 @@
 import hashlib
 import json
 
+import pytest
+
+import ramseylab.facts as facts_module
 from ramseylab.coloring import INCONCLUSIVE, targets_ramsey_number
 from ramseylab.facts import (REFUTED, VERIFIED, default_fact_suite,
                              path_ramsey_readings, verify_bipartite_split,
@@ -47,6 +50,15 @@ class TestIndividualFacts:
         assert report.certificate["forced_status"] == "ramsey"
         assert report.certificate["tight_status"] == "not_ramsey"
         assert report.certificate["tight_witness_bipartite_classes"] is True
+
+    def test_odd_cycle_host_past_the_cap_refused_first(self, monkeypatch):
+        # K_65 is refused before any of the 6 target lists is built
+        def no_patterns(length):
+            raise AssertionError("a target pattern was built")
+
+        monkeypatch.setattr(facts_module, "cycle", no_patterns)
+        with pytest.raises(ValueError, match=r"^vertex count 65 outside 0\.\.64$"):
+            verify_odd_cycle_unavoidable(6)
 
     def test_odd_cycle_budget_runs_out(self):
         report = verify_odd_cycle_unavoidable(2, node_budget=1)

@@ -66,3 +66,10 @@ def test_empty_graph_sizes():
     for n in (0, 1, 2, 63):
         g = empty_graph(n)
         assert graph6.decode(graph6.encode(g)).n == n
+
+
+def test_more_than_64_vertices_refused():
+    # long form: '~' and three 6-bit size groups, then the full body
+    code = "~?@@" + "?" * ((65 * 64 // 2 + 5) // 6)
+    with pytest.raises(ValueError, match=r"^vertex count 65 outside 0\.\.64$"):
+        graph6.decode(code)

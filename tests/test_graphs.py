@@ -1,15 +1,18 @@
 import hashlib
 import itertools
 import random
+import re
+import tracemalloc
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from oracles import contains_brute, copies_brute, random_graph
 from ramseylab.coloring import export_cnf, ramsey_query
+from ramseylab.perturb import sample_gnp
 from ramseylab.graphs import (Graph, arbitrary, blowup, build_family, clique,
-                              clique_graph, complete_multipartite,
-                              contains_pattern, cycle, cycle_graph,
+                              clique_graph, clique_order, complete_multipartite,
+                              contains_pattern, cycle, cycle_graph, cycle_length,
                               empty_graph, enumerate_copies, find_pattern,
                               find_pattern_through_edge, hm_graph, hmr_graph,
                               iter_pattern_witnesses_through_edge,
@@ -402,6 +405,69 @@ def homomorphism_exists(pat_graph: Graph, base: Graph) -> bool:
         if all(base.has_edge(image[u], image[v]) for u, v in pat_graph.edges()):
             return True
     return bool(pat_graph.n == 0)
+
+VERTEX_CAP_ERROR = r"^vertex count \d+ outside 0\.\.64$"
+
+
+class TestVertexCap:
+    """Every builder refuses more than 64 vertices before it allocates
+    anything of the requested size."""
+
+    @pytest.mark.parametrize("build", [
+        lambda: clique_graph(2 ** 70),
+        lambda: empty_graph(2 ** 70),
+        lambda: sample_gnp(2 ** 70, 0.5, 1),
+        lambda: turan_graph(3 * 2 ** 70, 2 ** 70),
+        lambda: blowup(clique_graph(2), 40)],
+        ids=["clique", "empty", "gnp", "turan", "blowup"])
+    def test_refused(self, build):
+        with pytest.raises(ValueError, match=VERTEX_CAP_ERROR):
+            build()
+
+    @pytest.mark.parametrize("build", [
+        lambda: complete_multipartite([40, 40]),
+        lambda: cycle_graph(10 ** 4),
+        lambda: path_graph(10 ** 4),
+        lambda: empty_graph(10 ** 4)],
+        ids=["multipartite", "cycle", "path", "empty"])
+    def test_refused_before_allocating(self, build):
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError) as info:
+                build()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert re.match(VERTEX_CAP_ERROR, str(info.value))
+        assert peak < 16 * 1024
+
+
+def _connected(g: Graph) -> bool:
+    """Breadth-first search from vertex 0 reaches every vertex."""
+    seen = frontier = 1
+    while frontier:
+        reached = 0
+        for v in range(g.n):
+            if frontier >> v & 1:
+                reached |= g.adj[v]
+        frontier = reached & ~seen
+        seen |= reached
+    return seen == (1 << g.n) - 1
+
+
+class TestShapeOfArbitraryPatterns:
+    def test_every_labelled_graph_up_to_six_vertices(self):
+        # K_n exactly when every degree is n - 1; C_n exactly when
+        # 2-regular and connected
+        for n in range(1, 7):
+            pairs = list(itertools.combinations(range(n), 2))
+            for mask in range(1 << len(pairs)):
+                g = Graph.from_edges(n, [e for i, e in enumerate(pairs) if mask >> i & 1])
+                degrees = {g.degree(v) for v in range(n)}
+                pat = arbitrary(g)
+                assert clique_order(pat) == (n if degrees == {n - 1} else None)
+                is_cycle = degrees == {2} and _connected(g)
+                assert cycle_length(pat) == (n if is_cycle else None)
 
 
 class TestBlowupHomomorphism:

@@ -8,7 +8,8 @@ import pytest
 import ramseylab.coloring as coloring_module
 import ramseylab.thresholds as thresholds_module
 from ramseylab.densities import m2_asym
-from ramseylab.graphs import clique, clique_graph, cycle, path
+from ramseylab.graphs import (Graph, arbitrary, clique, clique_graph, cycle, cycle_graph,
+                              path)
 from ramseylab.thresholds import (EXACT, EXACT_UP_TO_O1, INTERVAL, UNKNOWN,
                                   ZERO, _clique_asym, _least_quotient_clique,
                                   _quotient_clique_size, threshold_oracle)
@@ -247,6 +248,14 @@ class TestUncoveredAndErrors:
             ans = ask(pats, F(1, 3))
             assert ans.kind == UNKNOWN
             assert ans.exponent is None
+
+    def test_arbitrary_patterns_read_by_shape(self):
+        # a 5-cycle and a triangle given as graphs answer as C5 and C3
+        shapes = [arbitrary(cycle_graph(5)), arbitrary(clique_graph(3))]
+        assert ask(shapes, F(1, 2)) == ask([cycle(5), cycle(3)], F(1, 2))
+        # two disjoint triangles are 2-regular but no single cycle
+        triangles = Graph.from_edges(6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)])
+        assert ask([arbitrary(triangles), cycle(3)], F(1, 2)).kind == UNKNOWN
 
 
 class TestJsonForm:
