@@ -70,9 +70,11 @@ speed; time is measured (SearchStats.elapsed) but never decides.
 Forbidden copies are identified by vertex set: any copy whose vertex
 set is listed for its color does not count, whatever its edges.
 
-export_cnf takes the copies as edge masks (graphs._allowed_copies, bit
-i for canonical edge i) and writes each clause from the mask's set
-bits, so its literals come in canonical edge order.
+export_cnf and verify_coloring read one lister, graphs._allowed_copies,
+which gives each copy with its canonical edge indices in ascending
+order; export_cnf writes a copy's clause as the literals of those
+indices, so they come in canonical edge order.  Neither builds an edge
+mask: only decide_ramsey keeps a per-edge bit table (_edge_bits).
 """
 
 from __future__ import annotations
@@ -83,7 +85,7 @@ from itertools import islice
 from typing import Optional, Sequence
 
 from .graphs import (Graph, Pattern, _FrozenRecord, _Record, _allowed_copies, _bits,
-                     _copy_pairs, _edge_bits, _embedding_plan, _iter_pinned, _iter_through,
+                     _copy_pairs, _embedding_plan, _iter_pinned, _iter_through,
                      clique_graph, twin_classes)
 
 DEFAULT_NODE_BUDGET = 10 ** 8
@@ -397,6 +399,14 @@ def _cycle_finder(adjc: list, depth_bit: list, inner: int):
         return mask
 
     return find
+
+
+def _edge_bits(n: int, edges: Sequence[tuple[int, int]]) -> list[list[int]]:
+    """bit[a][b] = bit[b][a] = 1 << i for the i-th edge (a, b), else 0."""
+    bit = [[0] * n for _ in range(n)]
+    for i, (a, b) in enumerate(edges):
+        bit[a][b] = bit[b][a] = 1 << i
+    return bit
 
 
 def _edgeless_target(query: RamseyQuery) -> Optional[str]:
@@ -744,8 +754,9 @@ def export_cnf(query: RamseyQuery, clause_cap: int = 10 ** 6) -> CnfDocument:
     all-negative clause per copy in its color.  Copies are distinct
     edge subsets; one whose every placement lies on a forbidden vertex
     set contributes no clause.  A copy's clause lists its edges in
-    canonical order, the set bits of its edge mask.  Building stops
-    with a ValueError as soon as the clause count passes clause_cap.
+    canonical order, the literals of its ascending edge indices.
+    Building stops with a ValueError as soon as the clause count passes
+    clause_cap, so copies past it are never listed.
     """
     host = query.host
     m = len(host.edges())
@@ -775,8 +786,8 @@ def export_cnf(query: RamseyQuery, clause_cap: int = 10 ** 6) -> CnfDocument:
         for c in range(r):
             lits = literals[c]
             for pat in query.targets[c]:
-                for _, mask in _allowed_copies(host, pat, query.forbidden[c]):
-                    yield tuple([lits[i] for i in _bits(mask)])
+                for _, ids in _allowed_copies(host, pat, query.forbidden[c]):
+                    yield tuple([lits[i] for i in ids])
 
     clauses = list(islice(all_clauses(), clause_cap + 1))
     if len(clauses) > clause_cap:

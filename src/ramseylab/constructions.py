@@ -13,7 +13,8 @@ from typing import Optional, Sequence
 
 from .coloring import (EdgeColoring, NOT_RAMSEY, decide_ramsey, ramsey_query,
                        verify_coloring)
-from .graphs import Graph, clique, contains_pattern, part_vertices, turan_graph
+from .graphs import (MAX_VERTICES, Graph, _check_power, clique, contains_pattern, part_vertices,
+                     turan_graph)
 
 
 class ConstructionError(ValueError):
@@ -46,7 +47,12 @@ def bipartite_decomposition(g: Graph, i: int) -> list[Graph]:
         raise ConstructionError("graph needs part labels")
     if i < 1:
         raise ConstructionError("need at least one class")
-    if max(g.labels, default=0) >= (1 << i):
+    # one list per class is built, so i is bounded as _check_power
+    # bounds an exponent
+    if i > MAX_VERTICES * MAX_VERTICES:
+        raise ConstructionError(f"more than {MAX_VERTICES * MAX_VERTICES} classes")
+    top = max(g.labels, default=0)
+    if top > 0 and top.bit_length() > i:  # top >= 2^i, without building 2^i
         raise ConstructionError(f"more than 2^{i} parts")
     classes: list[list[tuple[int, int]]] = [[] for _ in range(i)]
     for u, v in g.edges():
@@ -216,6 +222,7 @@ def odd_cycle_free_multicoloring(n: int, r: int, band: int) -> EdgeColoring:
     ncolors = r - 1 if band == 1 else r
     if ncolors < 1:
         raise ConstructionError("need at least one color class")
+    _check_power(ncolors)
     parts = 1 << ncolors
     if n < parts:
         raise ConstructionError(f"need n >= {parts} vertices")

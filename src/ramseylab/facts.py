@@ -19,8 +19,8 @@ from .coloring import (DEFAULT_NODE_BUDGET, DEFAULT_RAMSEY_CAP, INCONCLUSIVE,
                        NOT_RAMSEY, RAMSEY, _normalize_targets, decide_ramsey,
                        ramsey_query, targets_ramsey_number)
 from .densities import _frac, rho_bound_hm
-from .graphs import (Graph, Pattern, _Record, _check_order, clique_graph, clique, cycle,
-                     hm_graph, hmr_graph, path, part_vertices)
+from .graphs import (Graph, Pattern, _Record, _check_order, _check_power, clique_graph,
+                     clique, cycle, hm_graph, hmr_graph, path, part_vertices)
 
 VERIFIED = "verified"
 REFUTED = "refuted"
@@ -110,6 +110,7 @@ def verify_odd_cycle_unavoidable(r: int,
     monochromatic odd cycle, and 2^r vertices do not suffice."""
     if r < 1:
         raise ValueError(f"r must be at least 1, got {r}")
+    _check_power(r)
     n = (1 << r) + 1
     _check_order(n)  # before r target lists of 2^(r-1) cycles each
     statement = (f"every {r}-coloring of K_{n} has a monochromatic odd cycle, "
@@ -263,6 +264,7 @@ def verify_bipartite_split(i: int, n: Optional[int] = None) -> FactReport:
 
     if i < 1:
         raise ValueError(f"i must be at least 1, got {i}")
+    _check_power(i)
     parts = 1 << i
     if n is None:
         n = 3 * parts

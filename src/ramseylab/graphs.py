@@ -9,17 +9,22 @@ sampling) is lexicographic on (min, max).
 A graph holds at most MAX_VERTICES = 64 vertices.  _check_order is the
 one test of that cap: every constructor and family builder calls it
 before allocating anything the size of its argument, so an oversized
-request is a ValueError at once.
+request is a ValueError at once.  A count made from a power 2^e is
+first checked by _check_power, which refuses a huge exponent before
+1 << e is computed.
 
 A copy of a pattern is listed as a witness vertex tuple; its edges are
-the witness positions of _copy_pairs.  Copies are keyed by edge mask,
-an int whose bit i is set when the copy uses canonical edge i, read
-from a bit[a][b] table built once per listing (_edge_bits); cliques,
-cycles and paths with edges are listed once by construction, so only
-arbitrary and edgeless patterns are deduplicated.  Arbitrary patterns
-are embedded by one iterative DFS, _iter_embeddings, which places the
-pattern's vertices in the order _embedding_plan fixes: pinned vertices
-first, then by decreasing degree.
+the witness positions of _copy_pairs.  _allowed_copies gives each copy
+with its canonical edge indices in ascending order, read from an
+ids[a][b] table built at the first copy (_edge_ids).  Cliques and
+cycles are listed by flat single-frame DFS kernels (_clique_copies,
+_cycle_copies), which read the indices of a copy's prefix once for all
+its last vertices; cliques, cycles and paths with edges are listed once
+by construction, so only arbitrary and edgeless patterns are
+deduplicated, on their index tuples.  Arbitrary patterns are embedded
+by one iterative DFS, _iter_embeddings, which places the pattern's
+vertices in the order _embedding_plan fixes: pinned vertices first,
+then by decreasing degree.
 """
 
 from __future__ import annotations
@@ -44,6 +49,17 @@ def _check_order(n: int) -> None:
     MAX_VERTICES cap."""
     if not 0 <= n <= MAX_VERTICES:
         raise ValueError(f"vertex count {n} outside 0..{MAX_VERTICES}")
+
+
+def _check_power(e: int) -> None:
+    """Raise before 1 << e is computed when that would build an int of
+    more than MAX_VERTICES^2 = 4096 bits.  A smaller power is cheap to
+    build and to print, so a count made from it reaches _check_order
+    and its message; past that neither number is printed, since either
+    may be too long."""
+    if e > MAX_VERTICES * MAX_VERTICES:
+        raise ValueError(f"vertex count over 2^{MAX_VERTICES * MAX_VERTICES} "
+                         f"outside 0..{MAX_VERTICES}")
 
 
 def _check_vertex(n: int, v: int) -> None:
@@ -419,19 +435,6 @@ def _iter_cycles_through(adj, u: int, v: int, length: int) -> Iterator[tuple[int
         yield w + (v,)
 
 
-def _iter_cycles(g: Graph, length: int) -> Iterator[tuple[int, ...]]:
-    """Each cycle exactly once: minimum vertex first, lower neighbor second.
-
-    A cycle with least vertex s is a path from s over higher vertices
-    that ends next to s; keeping w[1] < w[-1] drops its reverse.
-    """
-    adj = g.adj
-    for s in range(g.n):
-        for w in _iter_simple_paths(adj, (s,), (1 << (s + 1)) - 1, length, adj[s]):
-            if w[1] < w[-1]:
-                yield w
-
-
 def _iter_paths(g: Graph, k: int) -> Iterator[tuple[int, ...]]:
     """Each path on k vertices exactly once (smaller endpoint first)."""
     if k == 1:
@@ -513,7 +516,7 @@ def _iter_copies(g: Graph, pat: Pattern) -> Iterator[tuple[int, ...]]:
     if pat.kind == "clique":
         return _iter_cliques(g.adj, (1 << g.n) - 1, pat.size)
     if pat.kind == "cycle":
-        return _iter_cycles(g, pat.size)
+        return _cycle_copies(g, pat.size, indexed=False)
     if pat.kind == "path":
         return _iter_paths(g, pat.size)
     return _iter_embeddings(g.n, g.adj, _embedding_plan(pat.graph))
@@ -561,14 +564,6 @@ def _copy_pairs(pat: Pattern) -> list[tuple[int, int]]:
     if pat.kind == "path":
         return [(i, i + 1) for i in range(k - 1)]
     return list(pat.graph.edges())
-
-
-def _edge_bits(n: int, edges: Sequence[tuple[int, int]]) -> list[list[int]]:
-    """bit[a][b] = bit[b][a] = 1 << i for the i-th edge (a, b), else 0."""
-    bit = [[0] * n for _ in range(n)]
-    for i, (a, b) in enumerate(edges):
-        bit[a][b] = bit[b][a] = 1 << i
-    return bit
 
 
 def iter_pattern_witnesses_through_edge(g: Graph, pat: Pattern, e: tuple[int, int]
@@ -649,37 +644,188 @@ def enumerate_copies(g: Graph, pat: Pattern) -> list[tuple[tuple[int, ...], tupl
     (lexicographic on the vertex tuple for cliques).
     """
     edges = g.edges()
-    return [(w, tuple(edges[i] for i in _bits(mask)))
-            for w, mask in _allowed_copies(g, pat, frozenset())]
+    return [(w, tuple([edges[i] for i in ids]))
+            for w, ids in _allowed_copies(g, pat, frozenset())]
+
+
+def _edge_ids(g: Graph) -> list[list[int]]:
+    """ids[a][b] = ids[b][a] = i for the i-th canonical edge (a, b)."""
+    ids = [[0] * g.n for _ in range(g.n)]
+    for i, (a, b) in enumerate(g.edges()):
+        ids[a][b] = ids[b][a] = i
+    return ids
 
 
 def _allowed_copies(g: Graph, pat: Pattern, forbidden: frozenset
-                    ) -> Iterator[tuple[tuple[int, ...], int]]:
-    """(witness, edge mask) for each copy of enumerate_copies that
-    counts outside the forbidden vertex sets; bit i of the mask is
-    canonical edge i.  An edge set is kept when some placement of it has
-    a vertex set not in forbidden, and its first such placement is the
-    witness.  Placements differ only for patterns with isolated
-    vertices, whose vertex set is more than the edges' endpoints.
+                    ) -> Iterator[tuple[tuple[int, ...], tuple[int, ...]]]:
+    """(witness, edge indices) for each copy of enumerate_copies that
+    counts outside the forbidden vertex sets, lazily; the indices are
+    the copy's canonical edge indices in ascending order.  An edge set
+    is kept when some placement of it has a vertex set not in
+    forbidden, and its first such placement is the witness.  Placements
+    differ only for patterns with isolated vertices, whose vertex set is
+    more than the edges' endpoints.
+
+    Cliques with edges and cycles come from their kernels
+    (_clique_copies, _cycle_copies); paths, arbitrary and edgeless
+    patterns from _listed_copies.
     """
+    if pat.kind == "cycle" or pat.kind == "clique" and pat.size >= 2:
+        kernel = _cycle_copies if pat.kind == "cycle" else _clique_copies
+        copies = kernel(g, pat.size)
+        if not forbidden:
+            return copies
+        return ((w, ids) for w, ids in copies if frozenset(w) not in forbidden)
+    return _listed_copies(g, pat, forbidden)
+
+
+def _listed_copies(g: Graph, pat: Pattern, forbidden: frozenset
+                   ) -> Iterator[tuple[tuple[int, ...], tuple[int, ...]]]:
+    """_allowed_copies for paths, arbitrary and edgeless patterns: the
+    copies of _iter_copies, each with its indices sorted."""
     pairs = _copy_pairs(pat)
-    # cliques, cycles and paths with edges list each edge set once;
-    # edgeless targets and embeddings repeat them
+    # paths with edges list each edge set once; edgeless targets and
+    # embeddings repeat them
     seen = set() if pat.kind == "arbitrary" or not pairs else None
-    bit = None  # built at the first copy; verify_coloring mostly finds none
+    table = None  # built at the first copy; verify_coloring mostly finds none
     for w in _iter_copies(g, pat):
         if forbidden and frozenset(w) in forbidden:
             continue
-        if bit is None:
-            bit = _edge_bits(g.n, g.edges())
-        mask = 0
+        if table is None:
+            table = _edge_ids(g)
+        ids = []
         for i, j in pairs:
-            mask |= bit[w[i]][w[j]]
+            ids.append(table[w[i]][w[j]])
+        ids.sort()
+        ids = tuple(ids)
         if seen is not None:
-            if mask in seen:
+            if ids in seen:
                 continue
-            seen.add(mask)
-        yield w, mask
+            seen.add(ids)
+        yield w, ids
+
+
+def _clique_copies(g: Graph, t: int) -> Iterator[tuple[tuple[int, ...], tuple[int, ...]]]:
+    """(witness, edge indices) for every t-clique, t >= 2, in the order
+    of _iter_cliques: increasing witnesses, lexicographically.
+
+    One frame walks the branching of _iter_cliques, keeping the
+    candidates left at each level on a stack; the last level's
+    candidates each close a copy.
+    """
+    adj = g.adj
+    last = t - 1
+    clique = [0] * last
+    stack = [0] * last
+    table = None  # built at the first copy
+    cand = (1 << g.n) - 1
+    i = 0
+    while True:
+        if i == last or cand.bit_count() < t - i:
+            if i == last and cand:
+                if table is None:
+                    table = _edge_ids(g)
+                head = tuple(clique)
+                rows = [table[x] for x in head]
+                inner = [rows[a][head[b]] for a in range(last) for b in range(a + 1, last)]
+                while cand:
+                    b = cand & -cand
+                    cand ^= b
+                    v = b.bit_length() - 1
+                    ids = inner + [row[v] for row in rows]
+                    ids.sort()
+                    yield head + (v,), tuple(ids)
+            if not i:
+                return
+            i -= 1
+            cand = stack[i]
+            continue
+        b = cand & -cand
+        cand ^= b
+        v = b.bit_length() - 1
+        clique[i] = v
+        stack[i] = cand
+        cand &= adj[v]
+        i += 1
+
+
+def _cycle_copies(g: Graph, length: int, indexed: bool = True) -> Iterator[tuple]:
+    """(witness, edge indices) for every cycle of the given length,
+    each once: least vertex s first, then a path over higher vertices
+    whose last vertex is a neighbour of s above the second one.  With
+    indexed false, the witnesses alone, and no index table is built.
+
+    One frame walks the ascending simple-path DFS of
+    _iter_simple_paths from s, keeping the candidates left at each step
+    on a stack.  The orientation w[1] < w[-1] is applied at the last
+    step, so no cycle is listed twice, and a branch stops as soon as no
+    free neighbour of s above w[1] remains to close it.  Once the index
+    table exists, each step records the index of the edge it adds.
+    """
+    adj = g.adj
+    mid = length - 2  # the witness position before the closing vertex
+    walk = [0] * (mid + 1)
+    stack = [0] * (mid + 1)
+    eids = [0] * mid  # eids[j]: the index of edge (walk[j], walk[j + 1])
+    table = None  # built at the first copy
+    for s in range(g.n - length + 1):
+        above = -2 << s  # the vertices above s
+        close = adj[s] & above
+        if close.bit_count() < 2:
+            continue
+        walk[0] = s
+        # w[1] lies below some closing vertex, so not on the highest
+        cand = close ^ 1 << close.bit_length() - 1
+        free = above
+        ends = 0
+        i = 1
+        while True:
+            if not cand:
+                i -= 1
+                if not i:
+                    break
+                free |= 1 << walk[i]
+                cand = stack[i]
+                continue
+            b = cand & -cand
+            cand ^= b
+            v = b.bit_length() - 1
+            if i == 1:
+                ends = close & -2 << v
+            if i < mid:
+                if ends & free & ~b:
+                    walk[i] = v
+                    if table is not None:
+                        eids[i - 1] = table[walk[i - 1]][v]
+                    stack[i] = cand
+                    free ^= b
+                    i += 1
+                    cand = adj[v] & free
+                continue
+            closers = adj[v] & ends & free
+            if not closers:
+                continue
+            walk[mid] = v
+            head = tuple(walk)
+            if not indexed:
+                while closers:
+                    b = closers & -closers
+                    closers ^= b
+                    yield head + (b.bit_length() - 1,)
+                continue
+            if table is None:
+                table = _edge_ids(g)
+                for j in range(mid - 1):
+                    eids[j] = table[walk[j]][walk[j + 1]]
+            row_s, row_v = table[s], table[v]
+            eids[mid - 1] = row_v[walk[mid - 1]]
+            while closers:
+                b = closers & -closers
+                closers ^= b
+                c = b.bit_length() - 1
+                ids = [*eids, row_v[c], row_s[c]]
+                ids.sort()
+                yield head + (c,), tuple(ids)
 
 
 # ---------------------------------------------------------------------
@@ -757,6 +903,7 @@ def hmr_graph(m: int, r: int) -> Graph:
     joined by perfect matchings, all other pairs completely."""
     if m < 1 or r < 1:
         raise ValueError("need m >= 1 and r >= 1")
+    _check_power(r)
     parts = (1 << r) + 1
     n = parts * m
     _check_order(n)

@@ -11,7 +11,8 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 
-from ramseylab.graphs import Graph, Pattern, iter_pattern_witnesses_through_edge
+from ramseylab.graphs import (Graph, Pattern, _embedding_plan, _iter_embeddings,
+                              iter_pattern_witnesses_through_edge)
 
 
 def contains_brute(g: Graph, pat: Pattern) -> bool:
@@ -43,6 +44,98 @@ def copies_brute(g: Graph, pat: Pattern) -> set[frozenset[tuple[int, int]]]:
         if ok:
             found.add(frozenset(mapped))
     return found
+
+
+def _set_bits(x: int):
+    while x:
+        b = x & -x
+        yield b.bit_length() - 1
+        x ^= b
+
+
+def _nested_cliques(adj, cand: int, need: int, prefix: tuple = ()):
+    if need == 1:
+        for v in _set_bits(cand):
+            yield prefix + (v,)
+        return
+    if need == 0:
+        yield prefix
+        return
+    while cand.bit_count() >= need:
+        b = cand & -cand
+        cand ^= b
+        v = b.bit_length() - 1
+        yield from _nested_cliques(adj, cand & adj[v], need - 1, prefix + (v,))
+
+
+def _nested_paths(adj, path: tuple, used: int, k: int, ends: int):
+    last = path[-1]
+    if len(path) == k - 1:
+        for w in _set_bits(adj[last] & ends & ~used):
+            yield path + (w,)
+        return
+    for w in _set_bits(adj[last] & ~used):
+        yield from _nested_paths(adj, path + (w,), used | 1 << w, k, ends)
+
+
+def _nested_copies(g: Graph, pat: Pattern):
+    if pat.vertex_count > g.n:
+        return
+    adj = g.adj
+    if pat.kind == "clique":
+        yield from _nested_cliques(adj, (1 << g.n) - 1, pat.size)
+    elif pat.kind == "cycle":
+        # every cycle twice, once per direction; w[1] < w[-1] keeps one
+        for s in range(g.n):
+            for w in _nested_paths(adj, (s,), (1 << (s + 1)) - 1, pat.size, adj[s]):
+                if w[1] < w[-1]:
+                    yield w
+    elif pat.kind == "path":
+        if pat.size == 1:
+            yield from ((v,) for v in range(g.n))
+            return
+        for s in range(g.n):
+            yield from _nested_paths(adj, (s,), 1 << s, pat.size, ~((1 << (s + 1)) - 1))
+    else:
+        yield from _iter_embeddings(g.n, adj, _embedding_plan(pat.graph))
+
+
+def allowed_copies_reference(g: Graph, pat: Pattern, forbidden: frozenset = frozenset()):
+    """(witness, ascending canonical edge indices) of every copy whose
+    vertex set is not forbidden, one per edge set, in the order of the
+    nested-generator listing that keyed each copy by its edge mask (bit
+    i for canonical edge i): cliques by recursive lexicographic
+    branching, each cycle as a simple path from its least vertex in both
+    directions with one dropped, paths as simple paths ending above
+    their start.  Arbitrary patterns walk the package's embedding DFS,
+    whose order this reference is not about."""
+    k = pat.size
+    if pat.kind == "clique":
+        pairs = list(itertools.combinations(range(k), 2))
+    elif pat.kind == "cycle":
+        pairs = [(i, (i + 1) % k) for i in range(k)]
+    elif pat.kind == "path":
+        pairs = [(i, i + 1) for i in range(k - 1)]
+    else:
+        pairs = list(pat.graph.edges())
+    bit = {}
+    for i, (a, b) in enumerate(g.edges()):
+        bit[a, b] = bit[b, a] = 1 << i
+    # cliques, cycles and paths with edges list each edge set once
+    seen = set() if pat.kind == "arbitrary" or not pairs else None
+    out = []
+    for w in _nested_copies(g, pat):
+        if frozenset(w) in forbidden:
+            continue
+        mask = 0
+        for i, j in pairs:
+            mask |= bit[w[i], w[j]]
+        if seen is not None:
+            if mask in seen:
+                continue
+            seen.add(mask)
+        out.append((w, tuple(_set_bits(mask))))
+    return out
 
 
 def subgraphs_with_edges(g: Graph):

@@ -1,6 +1,7 @@
 import hashlib
 import itertools
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -752,6 +753,18 @@ class TestCnfExport:
         with pytest.raises(ValueError, match="100"):
             export_cnf(ramsey_query(clique_graph(16), [cycle(5), cycle(5)]), clause_cap=100)
         assert len(listed) == 101
+
+    def test_clause_cap_bounds_listing_memory(self):
+        # K40 holds about 7.9M copies of C5: a lister that built them all
+        # before export_cnf stops would need far more than this
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="100"):
+                export_cnf(ramsey_query(clique_graph(40), [cycle(5), cycle(5)]), clause_cap=100)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1024 * 1024
 
     @settings(max_examples=40, deadline=None)
     @given(st.builds(random_graph, st.randoms(use_true_random=False),

@@ -7,11 +7,14 @@ import tracemalloc
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from oracles import contains_brute, copies_brute, random_graph
+from oracles import allowed_copies_reference, contains_brute, copies_brute, random_graph
 from ramseylab.coloring import export_cnf, ramsey_query
+from ramseylab.constructions import bipartite_decomposition, odd_cycle_free_multicoloring
+from ramseylab.facts import verify_bipartite_split, verify_odd_cycle_unavoidable
 from ramseylab.perturb import sample_gnp
-from ramseylab.graphs import (Graph, arbitrary, blowup, build_family, clique,
-                              clique_graph, clique_order, complete_multipartite,
+from ramseylab.graphs import (Graph, _allowed_copies, _iter_copies, arbitrary, blowup,
+                              build_family, clique, clique_graph, clique_order,
+                              complete_multipartite,
                               contains_pattern, cycle, cycle_graph, cycle_length,
                               empty_graph, enumerate_copies, find_pattern,
                               find_pattern_through_edge, hm_graph, hmr_graph,
@@ -406,6 +409,66 @@ def homomorphism_exists(pat_graph: Graph, base: Graph) -> bool:
             return True
     return bool(pat_graph.n == 0)
 
+P3_AND_VERTEX = Graph.from_edges(4, [(0, 1), (1, 2)])
+
+
+class TestListingMatchesReference:
+    """_allowed_copies gives the (witness, ascending edge indices) list
+    of the nested-generator reference in tests/oracles.py, in the same
+    order, with and without forbidden vertex sets, and the copies of the
+    brute-force oracle."""
+
+    @pytest.mark.parametrize("pat", [clique(t) for t in range(1, 6)]
+                             + [cycle(k) for k in range(3, 8)]
+                             + [path(k) for k in range(1, 6)]
+                             + [arbitrary(PAW), arbitrary(K4E), arbitrary(EDGE_AND_VERTEX),
+                                arbitrary(P3_AND_VERTEX)],
+                             ids=lambda pat: pat.describe())
+    def test_same_list_as_reference(self, pat):
+        rng = random.Random(2424)
+        for _ in range(25):
+            g = random_graph(rng, rng.randint(1, 10), rng.random())
+            k = pat.vertex_count
+            forbidden = frozenset(frozenset(vs) for vs in itertools.combinations(range(g.n), k)
+                                  if rng.random() < 0.3)
+            for forb in (frozenset(), forbidden):
+                got = list(_allowed_copies(g, pat, forb))
+                assert got == allowed_copies_reference(g, pat, forb)
+                assert all(list(ids) == sorted(set(ids)) for _, ids in got)
+            if g.n <= 7:
+                edges = g.edges()
+                mine = {frozenset(edges[i] for i in ids)
+                        for _, ids in _allowed_copies(g, pat, frozenset())}
+                assert mine == copies_brute(g, pat)
+
+    @pytest.mark.parametrize("k", range(3, 8))
+    def test_cycle_witnesses_without_indices(self, k):
+        # find_pattern and contains_pattern read the cycle kernel without
+        # its index table; they see the same witnesses in the same order
+        rng = random.Random(2626)
+        for _ in range(25):
+            g = random_graph(rng, rng.randint(1, 10), rng.random())
+            assert list(_iter_copies(g, cycle(k))) == [
+                w for w, _ in allowed_copies_reference(g, cycle(k))]
+
+    def test_random_arbitrary_patterns(self):
+        rng = random.Random(2525)
+        for _ in range(60):
+            g = random_graph(rng, rng.randint(1, 8), rng.uniform(0.3, 1.0))
+            k = rng.randint(2, 5)
+            pairs = list(itertools.combinations(range(k), 2))
+            pat = arbitrary(Graph.from_edges(k, rng.sample(pairs, rng.randint(1, len(pairs)))))
+            forbidden = frozenset(frozenset(vs) for vs in itertools.combinations(range(g.n), k)
+                                  if rng.random() < 0.3)
+            for forb in (frozenset(), forbidden):
+                assert list(_allowed_copies(g, pat, forb)) == allowed_copies_reference(g, pat, forb)
+            if g.n <= 7:
+                edges = g.edges()
+                mine = {frozenset(edges[i] for i in ids)
+                        for _, ids in _allowed_copies(g, pat, frozenset())}
+                assert mine == copies_brute(g, pat)
+
+
 VERTEX_CAP_ERROR = r"^vertex count \d+ outside 0\.\.64$"
 
 
@@ -439,6 +502,30 @@ class TestVertexCap:
         finally:
             tracemalloc.stop()
         assert re.match(VERTEX_CAP_ERROR, str(info.value))
+        assert peak < 16 * 1024
+
+    @pytest.mark.parametrize("build, message", [
+        (lambda: hmr_graph(1, 10 ** 8), "vertex count over 2^4096 outside 0..64"),
+        (lambda: verify_odd_cycle_unavoidable(10 ** 8), "vertex count over 2^4096 outside 0..64"),
+        (lambda: verify_bipartite_split(10 ** 8), "vertex count over 2^4096 outside 0..64"),
+        (lambda: odd_cycle_free_multicoloring(16, 10 ** 8, 2),
+         "vertex count over 2^4096 outside 0..64"),
+        # i counts classes, not vertices: one list each would be built
+        (lambda g=turan_graph(4, 4): bipartite_decomposition(g, 10 ** 8),
+         "more than 4096 classes")],
+        ids=["hmr", "odd_cycle_unavoidable", "bipartite_split", "multicycle",
+             "bipartite_decomposition"])
+    def test_exponent_refused_before_shifting(self, build, message):
+        # 2^e vertices or parts: the exponent is checked before 1 << e,
+        # and the error prints neither number
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError) as info:
+                build()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert str(info.value) == message
         assert peak < 16 * 1024
 
 
