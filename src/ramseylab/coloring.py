@@ -189,8 +189,14 @@ class EdgeColoring(_FrozenRecord):
         self.__dict__.update(host=host, r=r, colors=colors)
 
     def color_subgraph(self, c: int) -> Graph:
-        edges = [e for e, col in zip(self.host.edges(), self.colors) if col == c]
-        return self.host.subgraph_with_edges(edges)
+        """The host's vertices and labels with the edges of color c,
+        its rows built in one pass over the host's edges."""
+        adj = [0] * self.host.n
+        for (u, v), col in zip(self.host.edges(), self.colors):
+            if col == c:
+                adj[u] |= 1 << v
+                adj[v] |= 1 << u
+        return Graph(self.host.n, tuple(adj), self.host.labels)
 
     def to_jsonable(self) -> dict:
         from . import graph6

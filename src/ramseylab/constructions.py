@@ -132,9 +132,9 @@ def clique_split_coloring(n: int, k: int, s: int, t: int,
     clique Ramsey number against K_{s-k} exceeds k.  Edges inside each
     A_i or B_i are red, every edge leaving an A_i is blue, and edges
     between B_i and B_j take the color of {i,j} in a K_k coloring phi
-    with no red K_{a+1} and no blue K_{s-k} (when omitted, the one the
-    engine found while computing a).  phi and the composite are
-    re-verified by verify_coloring.
+    with no red K_{a+1} and no blue K_{s-k} (when omitted, the engine's
+    least one, which comes with a from a Ramsey identity or a search).
+    phi and the composite are re-verified by verify_coloring.
     """
     from .thresholds import _least_quotient_clique
 
@@ -152,7 +152,7 @@ def clique_split_coloring(n: int, k: int, s: int, t: int,
     if contains_pattern(random_part.induced(b_side), clique(ell)):
         raise ConstructionError(f"random part on B contains a clique of size {ell}")
     if phi is None:
-        # the K_k coloring the search for a found; s - k >= 2 ensures one
+        # the K_k coloring that came with a; s - k >= 2 ensures one
         phi = found
     if phi.host.n != k or phi.r != 2:
         raise ConstructionError("phi must 2-color the complete graph on the parts")

@@ -25,15 +25,18 @@ the (K4, K4) point value) are one-band tables up to density 1/2.  The
 clique pairs' seed-band clauses, indexed by k (s >= 2k+1 and
 k+2 <= s <= 2k), stay closed forms.
 
-m2(K_t, K_q) is a closed form (_clique_asym).  The least quotient
-clique size a for (k, m) takes a search and is memoised per process
-(_quotient_clique_size): ints only, no witness coloring, and a search
-that runs out of its budget raises and leaves nothing cached.
+m2(K_t, K_q) is a closed form (_clique_asym), and the seed band k of
+a density p/q is found in integers (_seed_band).  The least quotient
+clique size a for (k, m) comes from the identities R(K_1, K_m) = 1,
+R(K_2, K_m) = m and R(K_{a+1}, K_2) = a + 1 where they decide it
+(m <= 2 or m > k), and otherwise from a search on K_k that starts at
+a = 2.  It is memoised per process (_quotient_clique_size): ints only,
+no witness coloring, and a search that runs out of its budget raises
+and leaves nothing cached.
 """
 
 from __future__ import annotations
 
-import math
 from fractions import Fraction
 from functools import lru_cache
 from typing import Iterator, Optional, Sequence
@@ -76,31 +79,53 @@ def _seed_band(d: Fraction) -> int:
     """The k >= 2 with 1 - 1/(k-1) < d <= 1 - 1/k.
 
     Seeds of density above 1 - 1/k contain a complete (k+1)-partite
-    quotient structure; k = 2 covers every density up to 1/2.
+    quotient structure; k = 2 covers every density up to 1/2.  For
+    d = p/q above 1/2, k = ceil(q/(q-p)), and the band is checked by
+    cross-multiplying p and q.
     """
     if d <= _SPARSE:
         return 2
-    k = max(2, math.ceil(1 / (1 - d)))
-    assert 1 - Fraction(1, k - 1) < d <= 1 - Fraction(1, k)
+    p, q = d.numerator, d.denominator
+    k = -(-q // (q - p))
+    assert (k - 2) * q < (k - 1) * p and k * p <= (k - 1) * q
     return k
 
 
 def _least_quotient_clique(k: int, m: int) -> tuple:
-    """Least a with Ramsey number R(K_{a+1}, K_m) exceeding k, found by
-    exhaustive search on K_k, and the engine's coloring of K_k with no
-    red K_{a+1} and no blue K_m; (k, None) when no a <= k has one,
-    which needs m = 1."""
-    from .coloring import INCONCLUSIVE, decide_ramsey, ramsey_query
+    """Least a with Ramsey number R(K_{a+1}, K_m) exceeding k, and the
+    engine's coloring of K_k with no red K_{a+1} and no blue K_m;
+    (k, None) when no a <= k has one, which needs m <= 1, as
+    R(K_1, K_m) = 1.
 
+    The identities come first.  R(K_2, K_m) = m makes a = 1 when m > k,
+    with K_k all blue.  K_k all red has no red K_{k+1} and no blue K_m
+    for m >= 2, so a <= k; with R(K_{a+1}, K_2) = a + 1 this makes
+    a = k when m = 2.  Any other m has 3 <= m <= k, which rules out
+    a = 1, so K_k is decided by exhaustive search for a = 2, ..., k - 1
+    (K_k with one blue edge shows a <= k - 1).  An all-blue or all-red
+    coloring is the least in the search's order, and is re-verified as
+    a search witness is.
+    """
+    from .coloring import (INCONCLUSIVE, EdgeColoring, decide_ramsey, ramsey_query,
+                           verify_coloring)
+
+    if m <= 1:
+        return k, None
     host = clique_graph(k)
-    for a in range(1, k + 1):
-        verdict = decide_ramsey(ramsey_query(host, [clique(a + 1), clique(m)]))
-        if verdict.status == INCONCLUSIVE:
-            raise RuntimeError("small-Ramsey evaluation exceeded its budget")
-        if not verdict.is_ramsey:
-            # K_k admits a coloring avoiding both, so R > k
-            return a, verdict.witness
-    return k, None
+    if 2 < m <= k:
+        for a in range(2, k):
+            verdict = decide_ramsey(ramsey_query(host, [clique(a + 1), clique(m)]))
+            if verdict.status == INCONCLUSIVE:
+                raise RuntimeError("small-Ramsey evaluation exceeded its budget")
+            if not verdict.is_ramsey:
+                # K_k admits a coloring avoiding both, so R > k
+                return a, verdict.witness
+    a, color = (1, 1) if m > k else (k, 0)
+    witness = EdgeColoring(host, 2, (color,) * len(host.edges()))
+    bad = verify_coloring(witness, ramsey_query(host, [clique(a + 1), clique(m)]))
+    if bad:
+        raise AssertionError(f"identity produced an invalid witness: {bad}")
+    return a, witness
 
 
 @lru_cache(maxsize=None)

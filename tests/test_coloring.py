@@ -550,6 +550,50 @@ class TestVerifyColoring:
         q = ramsey_query(back.host, [cycle(3), cycle(3)])
         assert verify_coloring(back, q) == []
 
+    def test_violations_match_brute_force_with_forbidden_sets(self):
+        # seeded colorings, mostly invalid, of random hosts: the listed
+        # violations are the monochromatic copies, one per edge set, that
+        # have a placement on a vertex set which is not forbidden
+        rng = random.Random(2727)
+        listed = dropped = 0
+        for _ in range(80):
+            r = rng.choice((2, 2, 3))
+            n = rng.randint(3, 6)
+            host = random_graph(rng, n, rng.uniform(0.5, 1.0))
+            targets, forbidden = [], []
+            for _ in range(r):
+                pats = rng.sample([clique(3), cycle(4), path(3), path(4),
+                                   arbitrary(_pattern_graph(rng, rng.randint(2, 4)))],
+                                  rng.randint(1, 2))
+                targets.append(pats)
+                forbidden.append([vs for k in {p.vertex_count for p in pats}
+                                  for vs in itertools.combinations(range(n), k)
+                                  if rng.random() < 0.4])
+            colors = tuple(rng.randrange(r) for _ in host.edges())
+            got = verify_coloring(EdgeColoring(host, r, colors),
+                                  ramsey_query(host, targets, forbidden))
+            expected, anywhere, pairs_of = set(), set(), {}
+            for c, pats in enumerate(targets):
+                forb = {frozenset(vs) for vs in forbidden[c]}
+                own = {e for e, col in zip(host.edges(), colors) if col == c}
+                for pat in pats:
+                    pairs = pairs_of[c, pat.describe()] = pat.to_graph().edges()
+                    for image in itertools.permutations(range(n), pat.vertex_count):
+                        copy = frozenset(tuple(sorted((image[i], image[j]))) for i, j in pairs)
+                        if copy <= own:
+                            anywhere.add((c, pat.describe(), copy))
+                            if frozenset(image) not in forb:
+                                expected.add((c, pat.describe(), copy))
+            seen = [(c, name, frozenset(tuple(sorted((w[i], w[j])))
+                                        for i, j in pairs_of[c, name]))
+                    for c, name, w in got]
+            assert len(seen) == len(set(seen)) and set(seen) == expected
+            assert all(frozenset(w) not in {frozenset(vs) for vs in forbidden[c]}
+                       for c, _, w in got)
+            listed += len(got)
+            dropped += len(anywhere - expected)
+        assert listed >= 200 and dropped >= 100
+
     def test_size_mismatch_rejected(self):
         host = clique_graph(4)
         with pytest.raises(ValueError):

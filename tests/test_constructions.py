@@ -235,9 +235,10 @@ class TestCliqueSplitColoring:
         with pytest.raises(ConstructionError, match="partition"):
             clique_split_coloring(12, 4, 6, 6, ab, empty_graph(12))
 
-    def test_one_search_for_the_quotient_coloring(self, monkeypatch):
-        # a = 4 for k = 4, s = 6: K_4 against (K_5, K_2) is searched once,
-        # and its witness is the coloring phi _avoiding_coloring gives
+    def test_no_search_for_the_quotient_coloring(self, monkeypatch):
+        # a = 4 for k = 4, s = 6 by R(K_{a+1}, K_2) = a + 1: K_4 against
+        # (K_5, K_2) is never searched, and the all-red phi it gives is
+        # the coloring phi _avoiding_coloring's search finds
         import ramseylab.coloring as coloring_module
         import ramseylab.constructions as constructions_module
 
@@ -254,7 +255,7 @@ class TestCliqueSplitColoring:
         n = 16
         ab = (list(range(8)), list(range(8, 16)))
         got = clique_split_coloring(n, 4, 6, 6, ab, empty_graph(n))
-        assert len(calls) == 1
+        assert len(calls) == 0
         phi = _avoiding_coloring(clique_graph(4), [clique(5), clique(2)], "K_4")
         assert got == clique_split_coloring(n, 4, 6, 6, ab, empty_graph(n), phi)
 

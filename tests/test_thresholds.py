@@ -5,14 +5,16 @@ from fractions import Fraction as F
 
 import pytest
 
+from oracles import _coloring_avoids, first_avoiding_coloring_brute
 import ramseylab.coloring as coloring_module
 import ramseylab.thresholds as thresholds_module
+from ramseylab.coloring import ramsey_query
 from ramseylab.densities import m2_asym
 from ramseylab.graphs import (Graph, arbitrary, clique, clique_graph, cycle, cycle_graph,
                               path)
 from ramseylab.thresholds import (EXACT, EXACT_UP_TO_O1, INTERVAL, UNKNOWN,
                                   ZERO, _clique_asym, _least_quotient_clique,
-                                  _quotient_clique_size, threshold_oracle)
+                                  _quotient_clique_size, _seed_band, threshold_oracle)
 
 
 def ask(pats, d):
@@ -319,9 +321,61 @@ class TestOracleMemos:
         with monkeypatch.context() as patched:
             patched.setattr(coloring_module, "decide_ramsey", lambda q: Inconclusive())
             with pytest.raises(RuntimeError, match="budget"):
-                _quotient_clique_size(4, 2)
+                _quotient_clique_size(4, 3)
         assert _quotient_clique_size.cache_info().currsize == 0
-        assert _quotient_clique_size(4, 2) == 4
+        assert _quotient_clique_size(4, 3) == 2
+
+
+class TestQuotientCliqueIdentities:
+    """R(K_1, K_m) = 1, R(K_2, K_m) = m and R(K_{a+1}, K_2) = a + 1
+    settle m <= 1, m > k and m = 2 without a search; the a and the
+    coloring are the ones a search from a = 1 would give."""
+
+    @staticmethod
+    def _brute(k, m):
+        # the first coloring in the search's order, confirmed by a full
+        # copy check, which alone sees a blue K_1 in every coloring
+        host = clique_graph(k)
+        for a in range(1, k + 1):
+            targets = [clique(a + 1), clique(m)]
+            _, colors = first_avoiding_coloring_brute(ramsey_query(host, targets))
+            if colors is not None and _coloring_avoids(
+                    host, host.edges(), colors, [[p] for p in targets], [set(), set()]):
+                return a, colors
+        return k, None
+
+    def test_equals_brute_force(self):
+        for k in range(1, 7):
+            for m in range(1, k + 3):
+                a, witness = _least_quotient_clique(k, m)
+                assert (a, None if witness is None else witness.colors) == \
+                    self._brute(k, m), (k, m)
+
+    def test_identity_cases_do_not_search(self, monkeypatch):
+        def refuse(query):
+            raise AssertionError("searched")
+
+        monkeypatch.setattr(coloring_module, "decide_ramsey", refuse)
+        for k in range(1, 9):
+            edges = k * (k - 1) // 2
+            assert _least_quotient_clique(k, 1) == (k, None)
+            a, witness = _least_quotient_clique(k, 2)
+            assert (a, witness.colors) == (k, (0,) * edges)
+            for m in range(k + 1, k + 4):
+                a, witness = _least_quotient_clique(k, m)
+                assert (a, witness.colors) == (1, (1,) * edges)
+        with pytest.raises(AssertionError, match="searched"):
+            _least_quotient_clique(4, 3)
+
+
+class TestSeedBand:
+    def test_equals_the_fraction_definition(self):
+        for q in range(2, 61):
+            for p in range(1, q):
+                d = F(p, q)
+                k = 2 if d <= F(1, 2) else max(2, math.ceil(1 / (1 - d)))
+                assert _seed_band(d) == k, d
+                assert k == 2 or 1 - F(1, k - 1) < d <= 1 - F(1, k)
 
 
 class TestCliqueAsymClosedForm:
