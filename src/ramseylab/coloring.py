@@ -16,13 +16,14 @@ its blocked colors' masks, a dead end jumps to its highest bit and the
 merge is one OR.  Each (color, pattern) gets one copy finder, built
 before the search.  Without forbidden sets, cliques and cycles get
 flat bitset kernels: the first clique in the common neighbourhood
-(K3 and C3 take the least common neighbour), and the simple-path DFS
-of graphs._iter_simple_paths closed by one AND against the far
-endpoint's neighbourhood, unrolled into two loops for C5 and recursive
-for C4 and from C6 on.  Arbitrary patterns walk the embedding DFS
-of graphs._iter_embeddings, with its placement orders planned once per
-pattern edge when the finder is built.  Paths and forbidden sets walk
-the general through-edge iterator.
+(K3 and C3 take the least common neighbour, larger cliques run
+graphs._first_clique, the clique kernel a scan's K_R tests also run),
+and the simple-path DFS of graphs._iter_simple_paths closed by one
+AND against the far endpoint's neighbourhood, unrolled into two loops
+for C5 and recursive for C4 and from C6 on.  Arbitrary patterns walk
+the embedding DFS of graphs._iter_embeddings, with its placement
+orders planned once per pattern edge when the finder is built.  Paths
+and forbidden sets walk the general through-edge iterator.
 Every finder returns the copy that iterator lists first, so the
 conflict sets, and with them the node counts, do not depend on which
 finder ran.  Each node calls its color's first finder directly and
@@ -59,7 +60,7 @@ targets_ramsey_number searches K_1, K_2, .. afresh on every call; the
 module keeps no state between calls, so its R, the least n <= cap with
 K_n Ramsey, depends only on the targets, the node budget and the cap.
 A caller that needs the number for many hosts (a scan's clique
-shortcut) asks once and keeps it.
+shortcut) asks once per distinct cap and keeps it.
 
 Verdicts are first class: Ramsey and NotRamsey are only reported from a
 completed search (witnesses are re-verified independently); running out
@@ -85,8 +86,8 @@ from itertools import islice
 from typing import Optional, Sequence
 
 from .graphs import (Graph, Pattern, _FrozenRecord, _Record, _allowed_copies, _bits,
-                     _copy_pairs, _embedding_plan, _iter_pinned, _iter_through,
-                     clique_graph, twin_classes)
+                     _copy_pairs, _embedding_plan, _first_clique, _iter_pinned,
+                     _iter_through, clique_graph, twin_classes)
 
 DEFAULT_NODE_BUDGET = 10 ** 8
 DEFAULT_RAMSEY_CAP = 12  # largest complete host a Ramsey-number search tries
@@ -297,7 +298,7 @@ def _copy_finder(adjc: list, n: int, depth_bit: list, pat: Pattern, forb: frozen
 
 def _clique_finder(adjc: list, depth_bit: list, need: int):
     """K_{need+2} through (u,v): the lexicographically first need-clique
-    in the common neighbourhood, branching as _iter_cliques does."""
+    in the common neighbourhood, from graphs._first_clique."""
     if need == 0:
         return lambda u, v: depth_bit[u][v]
 
@@ -310,22 +311,8 @@ def _clique_finder(adjc: list, depth_bit: list, need: int):
             return depth_bit[u][v] | row[u] | row[v]
         return find_k3
 
-    def first(cand: int, need: int):
-        # the first need-clique inside cand, highest vertex first
-        if need == 1:
-            return [(cand & -cand).bit_length() - 1] if cand else None
-        while cand.bit_count() >= need:
-            b = cand & -cand
-            cand ^= b
-            w = b.bit_length() - 1
-            rest = first(cand & adjc[w], need - 1)
-            if rest is not None:
-                rest.append(w)
-                return rest
-        return None
-
     def find(u: int, v: int) -> int:
-        ws = first(adjc[u] & adjc[v], need)
+        ws = _first_clique(adjc, adjc[u] & adjc[v], need)
         if ws is None:
             return 0
         ws += (u, v)

@@ -21,10 +21,12 @@ cycles are listed by flat single-frame DFS kernels (_clique_copies,
 _cycle_copies), which read the indices of a copy's prefix once for all
 its last vertices; cliques, cycles and paths with edges are listed once
 by construction, so only arbitrary and edgeless patterns are
-deduplicated, on their index tuples.  Arbitrary patterns are embedded
-by one iterative DFS, _iter_embeddings, which places the pattern's
-vertices in the order _embedding_plan fixes: pinned vertices first,
-then by decreasing degree.
+deduplicated, on their index tuples.  _first_clique walks the branching
+of _iter_cliques with no generator frames, for callers that want only
+the first clique: the engine's clique finder and the scan's K_R tests.
+Arbitrary patterns are embedded by one iterative DFS, _iter_embeddings,
+which places the pattern's vertices in the order _embedding_plan fixes:
+pinned vertices first, then by decreasing degree.
 """
 
 from __future__ import annotations
@@ -413,6 +415,25 @@ def _iter_cliques(adj: tuple[int, ...], cand: int, need: int,
         cand ^= b
         v = b.bit_length() - 1
         yield from _iter_cliques(adj, cand & adj[v], need - 1, prefix + (v,))
+
+
+def _first_clique(adj, cand: int, need: int) -> Optional[list[int]]:
+    """The first need-clique inside the candidate bitset in the order of
+    _iter_cliques, highest vertex first, or None: its branching with no
+    generator frames or tuples, for callers that want one clique."""
+    if need == 1:
+        return [(cand & -cand).bit_length() - 1] if cand else None
+    if not need:
+        return []
+    while cand.bit_count() >= need:
+        b = cand & -cand
+        cand ^= b
+        w = b.bit_length() - 1
+        rest = _first_clique(adj, cand & adj[w], need - 1)
+        if rest is not None:
+            rest.append(w)
+            return rest
+    return None
 
 
 def _iter_simple_paths(adj, path_: tuple[int, ...], used: int, k: int, ends: int

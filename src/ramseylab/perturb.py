@@ -12,11 +12,14 @@ A perturbed host G ∪ G(n,p) differs from its base only on the base's
 missing pairs, so perturb and the scan draw variates for those pairs
 alone, each under its index in the canonical order of the complete
 graph: the variate of a pair is the one sample_gnp gives it.  Graphs
-are drawn through _variates, which mixes all of a trial's indices in
-one pass over a packed integer and returns each variate as a 53-bit
-integer x, the variate being x / 2**53, so comparing it with p is
-exact; edge_variate is the scalar form and the reference.  A scan
-draws each trial's variates in one call and drops the pairs that would
+are drawn through one kernel in two parts: _pack packs an index list
+into one integer, lanes 128 bits apart, and multiplies it by the edge
+weight; _draw adds a trial's counter to every lane and mixes all of
+them in one pass, returning each variate as a 53-bit integer x, the
+variate being x / 2**53, so comparing it with p is exact.  _variates
+runs both for one trial; edge_variate is the scalar form and the
+reference.  A scan packs its base's missing pairs once and draws each
+trial's variates in one _draw call, and drops the pairs that would
 arrive at or above its last grid point; the others enter the trial's
 host in arrival order as p grows along the sorted grid, so the host at
 each grid point is exactly perturb(base, p, seed, trial).
@@ -27,7 +30,10 @@ base and before any trial, the verdicts that no budget can change.  A
 target without edges makes every host on n vertices Ramsey, so nothing
 is drawn or decided.  With the clique shortcut, R = the least n' <= n
 (capped at 12) with K_n' Ramsey for the targets depends only on the
-targets, the node budget and n.  A host holding a K_R is Ramsey, and so
+targets, the node budget and the cap min(n, 12), so threshold_scan
+searches it once per distinct cap, not once per base.  Every K_R test
+runs the flat clique kernel graphs._first_clique, which the engine's
+clique finder also runs.  A host holding a K_R is Ramsey, and so
 is every later host of its trial, which then count as successes
 without being built; a base holding a K_R makes every host Ramsey, so
 again nothing is drawn or decided.  Otherwise a trial's hosts lack a
@@ -73,8 +79,7 @@ from .coloring import (DEFAULT_NODE_BUDGET, DEFAULT_RAMSEY_CAP, INCONCLUSIVE,
                        NOT_RAMSEY, RAMSEY, RamseyQuery, _edgeless_target,
                        decide_ramsey, ramsey_query, targets_ramsey_number)
 from .densities import _check_prob
-from .graphs import (Graph, _check_vertex, _iter_through, _Record, clique,
-                     contains_pattern, empty_graph)
+from .graphs import Graph, _check_vertex, _first_clique, _Record, empty_graph
 
 _MASK64 = (1 << 64) - 1
 _UNIT = float(1 << 53)  # a variate is a 53-bit integer divided by this
@@ -109,29 +114,37 @@ def edge_variate(seed: int, trial: int, edge_idx: int) -> float:
     return (x >> 11) / _UNIT
 
 
-def _variates(seed: int, trial: int, indices: Sequence[int]) -> tuple[int, ...]:
-    """One trial's variates for the edge indices given (each in
-    0..2**64-1), as the 53-bit integers x with edge_variate(seed, trial,
-    j) == x / 2**53; the variate is below p exactly when x < p * 2**53.
+def _pack(indices: Sequence[int]) -> tuple:
+    """The part of _draw's kernel that depends only on the edge indices
+    given (each in 0..2**64-1), built once per index list: the struct
+    layout, the lane constants and the packed indices times the edge
+    weight, with the byte length of the packed integer.
 
-    All indices are mixed at once.  Each gets a 64-bit lane of one
-    integer, the lanes 128 bits apart, so a lane times a 64-bit
-    multiplier stays inside its own slot, and the two splitmix64 rounds
-    run as whole-integer shifts, XORs and multiplies.  An AND with the
-    lane mask reduces every product mod 2**64 and, before each multiply,
-    clears the bits a right shift brought down from the next lane into
-    a slot's upper half.  Lanes are packed and read back little-endian,
-    whatever the host's byte order.
+    Each index gets a 64-bit lane of one integer, the lanes 128 bits
+    apart, so a lane times a 64-bit multiplier stays inside its own
+    slot.  Lanes are packed and read back little-endian, whatever the
+    host's byte order.
     """
     k = len(indices)
-    if not k:
-        return ()
     layout = "<" + "Q8x" * k
     ones = int.from_bytes((b"\x01" + bytes(15)) * k, "little")
-    lanes = ones * _MASK64
-    counter = (seed * _SEED_MUL + trial * _TRIAL_MUL + _OFFSET) & _MASK64
-    x = (int.from_bytes(struct.pack(layout, *indices), "little") * _EDGE_MUL
-         + counter * ones) & lanes
+    term = int.from_bytes(struct.pack(layout, *indices), "little") * _EDGE_MUL
+    return layout, ones, ones * _MASK64, term, 16 * k
+
+
+def _draw(packed: tuple, seed: int, trial: int) -> tuple[int, ...]:
+    """One trial's variates for the indices packed by _pack, as the
+    53-bit integers x with edge_variate(seed, trial, j) == x / 2**53;
+    the variate is below p exactly when x < p * 2**53.
+
+    The trial's counter is added to every lane at once, and the two
+    splitmix64 rounds run as whole-integer shifts, XORs and multiplies.
+    An AND with the lane mask reduces every product mod 2**64 and,
+    before each multiply, clears the bits a right shift brought down
+    from the next lane into a slot's upper half.
+    """
+    layout, ones, lanes, term, size = packed
+    x = (term + ((seed * _SEED_MUL + trial * _TRIAL_MUL + _OFFSET) & _MASK64) * ones) & lanes
     for _ in range(2):
         x ^= x >> 30
         x = (x & lanes) * _MIX_MUL1 & lanes
@@ -140,7 +153,13 @@ def _variates(seed: int, trial: int, indices: Sequence[int]) -> tuple[int, ...]:
         # the next lane's low bits land above bit 96 of the slot, where
         # the next shift keeps them out of the lane and the next AND clears them
         x ^= x >> 31
-    return struct.unpack(layout, (x >> 11).to_bytes(16 * k, "little"))
+    return struct.unpack(layout, (x >> 11).to_bytes(size, "little"))
+
+
+def _variates(seed: int, trial: int, indices: Sequence[int]) -> tuple[int, ...]:
+    """One trial's variates for the edge indices given, through the
+    kernel a scan runs once per trial (_pack, then _draw)."""
+    return _draw(_pack(indices), seed, trial)
 
 
 def sample_gnp(n: int, p: float, seed: int, trial: int = 0) -> Graph:
@@ -219,18 +238,21 @@ def monte_carlo_ramsey(base: Graph, targets: Sequence, p: float, trials: int,
     wraps it by name as its perturb.row span.
     """
     return _scan_base(base, targets, [p], trials, seed, node_budget,
-                      clique_shortcut)[0]
+                      clique_shortcut, {})[0]
 
 
 def _scan_base(base: Graph, targets: Sequence, grid: list[float], trials: int,
-               seed: int, node_budget: int,
-               clique_shortcut: bool) -> list[MonteCarloRow]:
+               seed: int, node_budget: int, clique_shortcut: bool,
+               numbers: dict) -> list[MonteCarloRow]:
     """One row per point of the ascending grid, for one base.
 
     The edgeless-target test, the shortcut's R and whether the base
     itself holds a K_R are worked out once, before the first trial
-    (module docstring).  Then three phases.  The walk: each trial draws
-    variates for the base's missing pairs in one call, and its hosts
+    (module docstring), and so is the per-base part of the variate
+    kernel, the missing pairs' packed indices (_pack).  numbers maps a
+    cap min(n, 12) to its R, so the caller's bases of one cap share one
+    search.  Then three phases.  The walk: each trial draws variates
+    for the base's missing pairs in one _draw call, and its hosts
     grow along the grid as those pairs arrive, so the host at p is
     exactly perturb(base, p, seed, trial).  Pairs arriving at or above
     the last grid point are dropped before the arrivals are sorted.  A
@@ -254,21 +276,23 @@ def _scan_base(base: Graph, targets: Sequence, grid: list[float], trials: int,
     if not grid:
         return []
     edgeless = _edgeless_target(template) is not None
-    shortcut = None
+    n = base.n
+    number = None
     if clique_shortcut and not edgeless:
-        number = targets_ramsey_number(template.targets, cap=min(base.n, DEFAULT_RAMSEY_CAP),
-                                       node_budget=template.node_budget)
-        if number is not None:
-            shortcut = clique(number)
+        cap = min(n, DEFAULT_RAMSEY_CAP)
+        if cap not in numbers:
+            numbers[cap] = targets_ramsey_number(template.targets, cap=cap,
+                                                 node_budget=template.node_budget)
+        number = numbers[cap]
     # either makes every host of every trial Ramsey at every p
-    settled = edgeless or shortcut is not None and contains_pattern(base, shortcut)
+    settled = edgeless or (number is not None
+                           and _first_clique(base.adj, (1 << n) - 1, number) is not None)
     # per status and grid point, the change in the status's count of
     # trials from the previous point
     deltas = {status: [0] * (len(grid) + 1) for status in _STATUSES}
     successes = deltas[RAMSEY]
     if settled:
         successes[0] = trials
-    n = base.n
     hosts: dict = {}  # adjacency -> index, in first-seen order
     runs = []  # (host index, first grid point, end grid point)
 
@@ -278,10 +302,11 @@ def _scan_base(base: Graph, targets: Sequence, grid: list[float], trials: int,
             runs.append((hosts.setdefault(tuple(adj), len(hosts)), start, end))
 
     indices, pairs = _missing_pairs(base)
+    packed = _pack(indices)
     cuts = [p * _UNIT for p in grid]
     top = cuts[-1]
     for t in range(0 if settled else trials):
-        arrivals = sorted([(x, e) for x, e in zip(_variates(seed, t, indices), pairs)
+        arrivals = sorted([(x, e) for x, e in zip(_draw(packed, seed, t), pairs)
                            if x < top])
         adj = list(base.adj)
         start = k = 0
@@ -295,8 +320,8 @@ def _scan_base(base: Graph, targets: Sequence, grid: list[float], trials: int,
                 adj[u] |= 1 << v
                 adj[v] |= 1 << u
                 k += 1
-            if shortcut is not None and any(
-                    next(_iter_through(n, adj, u, v, shortcut), None) is not None
+            if number is not None and any(
+                    _first_clique(adj, adj[u] & adj[v], number - 2) is not None
                     for _, (u, v) in arrivals[first:k]):
                 successes[end] += 1  # carried to the last point
                 break
@@ -480,9 +505,10 @@ def threshold_scan(bases: Sequence[Graph], targets: Sequence, p_grid: Sequence[f
     flags: list[str] = []
     crossings: dict[int, Optional[float]] = {}
     grid = sorted(p_grid)
+    numbers: dict = {}  # the shortcut's R per cap, shared by bases of one cap
     for base in bases:
         size_rows = _scan_base(base, targets, grid, trials, seed, node_budget,
-                               clique_shortcut)
+                               clique_shortcut, numbers)
         for row in size_rows:
             if row.effective == 0:
                 flags.append(f"all trials inconclusive at n={row.n}, p={row.p!r}")

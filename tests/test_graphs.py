@@ -12,7 +12,8 @@ from ramseylab.coloring import export_cnf, ramsey_query
 from ramseylab.constructions import bipartite_decomposition, odd_cycle_free_multicoloring
 from ramseylab.facts import verify_bipartite_split, verify_odd_cycle_unavoidable
 from ramseylab.perturb import sample_gnp
-from ramseylab.graphs import (Graph, _allowed_copies, _iter_copies, arbitrary, blowup,
+from ramseylab.graphs import (Graph, _allowed_copies, _first_clique, _iter_cliques,
+                              _iter_copies, arbitrary, blowup,
                               build_family, clique, clique_graph, clique_order,
                               complete_multipartite,
                               contains_pattern, cycle, cycle_graph, cycle_length,
@@ -331,6 +332,27 @@ class TestContainment:
 PAW = Graph.from_edges(4, [(0, 1), (1, 2), (0, 2), (2, 3)])
 K4E = Graph.from_edges(4, [e for e in itertools.combinations(range(4), 2) if e != (2, 3)])
 EDGE_AND_VERTEX = Graph.from_edges(3, [(0, 1)])
+
+
+class TestFirstClique:
+    """_first_clique, the flat kernel behind the engine's K4+ finder and
+    the scan's K_R tests, against the first clique _iter_cliques lists."""
+
+    def test_matches_iter_cliques(self):
+        rng = random.Random(2026)
+        outcomes = set()
+        for _ in range(200):
+            g = random_graph(rng, rng.randint(0, 14), rng.random())
+            # the whole vertex set, and the common neighbourhood of each edge
+            cands = [(1 << g.n) - 1] + [g.adj[u] & g.adj[v] for u, v in g.edges()]
+            for cand in cands:
+                for need in range(7):
+                    ws = _first_clique(g.adj, cand, need)
+                    first = next(_iter_cliques(g.adj, cand, need), None)
+                    assert (None if ws is None else tuple(reversed(ws))) == first
+                    outcomes.add((need, ws is None))
+        assert outcomes == {(need, none) for need in range(1, 7) for none in (False, True)
+                            } | {(0, False)}
 
 
 class TestListingOrder:

@@ -1,4 +1,3 @@
-import collections
 import hashlib
 import importlib
 import itertools
@@ -117,12 +116,15 @@ class TestStream:
     def test_kernel_matches_scalar(self, seed):
         index_lists = ([], [0], [7], [2015, 3, 999, 0, 3, 64], [2 ** 64 - 1],
                        list(range(math.comb(64, 2))))
-        for trial in range(4):
-            for indices in index_lists:
-                xs = perturb_module._variates(seed, trial, indices)
-                assert all(isinstance(x, int) and 0 <= x < 2 ** 53 for x in xs)
-                assert [x / 2 ** 53 for x in xs] == [edge_variate(seed, trial, j)
-                                                     for j in indices]
+        for indices in index_lists:
+            # one per-base part serves every trial, as in a scan
+            packed = perturb_module._pack(indices)
+            for trial in range(4):
+                expected = [edge_variate(seed, trial, j) for j in indices]
+                for xs in (perturb_module._variates(seed, trial, indices),
+                           perturb_module._draw(packed, seed, trial)):
+                    assert all(isinstance(x, int) and 0 <= x < 2 ** 53 for x in xs)
+                    assert [x / 2 ** 53 for x in xs] == expected
 
     @settings(max_examples=100, deadline=None)
     @given(n=st.integers(min_value=0, max_value=14),
@@ -341,7 +343,8 @@ class TestThresholdScan:
         def no_draw(*args):
             raise AssertionError("variates drawn")
 
-        monkeypatch.setattr(perturb_module, "_variates", no_draw)
+        monkeypatch.setattr(perturb_module, "_pack", no_draw)
+        monkeypatch.setattr(perturb_module, "_draw", no_draw)
         for targets in ([cycle(3), cycle(3)], [path(1), cycle(3)]):
             with pytest.raises(ValueError, match="^node budget must be nonnegative, got -1$"):
                 threshold_scan([turan_graph(6, 3)], targets, [0.1], 2, 3, node_budget=-1)
@@ -453,34 +456,35 @@ class TestTrialMajorScan:
 
 
 def traced_scan(monkeypatch, base, targets, grid, trials, seed, **kw):
-    """threshold_scan on one base, recording the trial of each variate
-    drawn and (trial, host, verdict) for each host decided, the trial of
-    a host being the first whose hosts include it.  The scan runs in one
-    process, since the wrapper sees only the decisions made here."""
-    draws, decided = [], []  # draws: (trial, index count) per kernel call
-    draw, decide = perturb_module._variates, perturb_module.decide_ramsey
+    """threshold_scan on one base, recording (trial, variate count) for
+    each call of the per-trial kernel _draw and (trial, host, verdict)
+    for each host decided, the trial of a host being the first whose
+    hosts include it.  The scan runs in one process, since the wrapper
+    sees only the decisions made here."""
+    draws, decided = [], []
+    draw, decide = perturb_module._draw, perturb_module.decide_ramsey
 
-    def counted_draw(seed_, trial, indices):
-        draws.append((trial, len(indices)))
-        return draw(seed_, trial, indices)
+    def counted_draw(packed, seed_, trial):
+        xs = draw(packed, seed_, trial)
+        draws.append((trial, len(xs)))
+        return xs
 
     def recorded_decide(query):
         verdict = decide(query)
         decided.append((query.host, verdict))
         return verdict
 
-    monkeypatch.setattr(perturb_module, "_variates", counted_draw)
+    monkeypatch.setattr(perturb_module, "_draw", counted_draw)
     monkeypatch.setattr(perturb_module, "decide_ramsey", recorded_decide)
     monkeypatch.setattr(perturb_module, "_cpu_count", lambda: 1)
     result = threshold_scan([base], targets, grid, trials, seed, **kw)
     monkeypatch.undo()
-    variates = [trial for trial, count in draws for _ in range(count)]
     first_trial = {}
     for t in reversed(range(trials)):
         for p in grid:
             first_trial[perturb(base, p, seed, t).adj] = t
-    return result, variates, [(first_trial[host.adj], host, verdict)
-                              for host, verdict in decided]
+    return result, draws, [(first_trial[host.adj], host, verdict)
+                           for host, verdict in decided]
 
 
 class TestScanWork:
@@ -492,9 +496,9 @@ class TestScanWork:
 
     def test_draws_only_missing_pairs(self, monkeypatch):
         base = turan_graph(10, 5)  # five parts of two: five missing pairs
-        _, variates, _ = traced_scan(monkeypatch, base, [cycle(3), cycle(3)],
-                                     self.GRID, 30, 3)
-        assert collections.Counter(variates) == {t: 5 for t in range(30)}
+        _, draws, _ = traced_scan(monkeypatch, base, [cycle(3), cycle(3)],
+                                  self.GRID, 30, 3)
+        assert draws == [(t, 5) for t in range(30)]
 
     def test_no_decision_after_shortcut(self, monkeypatch):
         base, targets, trials, seed = turan_graph(10, 5), [cycle(3), cycle(3)], 30, 3
@@ -517,20 +521,20 @@ class TestScanWork:
     def test_no_decision_after_edgeless(self, monkeypatch):
         targets = [arbitrary(empty_graph(2)), cycle(3)]
         for grid in ([0.3, 0.6, 0.9], [0.0, 0.6]):
-            result, variates, decided = traced_scan(monkeypatch, turan_graph(10, 5),
-                                                    targets, grid, 20, 5)
+            result, draws, decided = traced_scan(monkeypatch, turan_graph(10, 5),
+                                                 targets, grid, 20, 5)
             assert all(row.successes == 20 for row in result.rows)
-            assert variates == decided == []
+            assert draws == decided == []
 
     def test_no_draw_when_base_holds_k_r(self, monkeypatch):
         # Turan(12,6) holds a K6 and R(C3,C3) = 6: every host is Ramsey
         base, targets = turan_graph(12, 6), [cycle(3), cycle(3)]
-        result, variates, decided = traced_scan(monkeypatch, base, targets,
-                                                self.GRID, 20, 5)
+        result, draws, decided = traced_scan(monkeypatch, base, targets,
+                                             self.GRID, 20, 5)
         assert all(row.successes == 20 for row in result.rows)
         assert result.rows == [reference_row(base, targets, p, 20, 5, DEFAULT_NODE_BUDGET,
                                              True) for p in self.GRID]
-        assert variates == decided == []
+        assert draws == decided == []
 
     def test_each_host_decided_once(self, monkeypatch):
         # the node budget is the only limit on a search, so an
@@ -558,6 +562,11 @@ class TestScanWork:
         assert calls == [10, 7]
         monte_carlo_ramsey(bases[0], [cycle(3), cycle(3)], 0.2, 10, 3)
         assert calls == [10, 7, 10]
+        calls.clear()
+        # both bases have cap 12, so one search serves both
+        threshold_scan([turan_graph(15, 5), turan_graph(20, 5)], [cycle(3), cycle(3)],
+                       self.GRID, 10, 3)
+        assert calls == [12]
         calls.clear()
         threshold_scan(bases, [cycle(3), cycle(3)], self.GRID, 10, 3,
                        clique_shortcut=False)
