@@ -16,11 +16,13 @@ first checked by _check_power, which refuses a huge exponent before
 A copy of a pattern is listed as a witness vertex tuple; its edges are
 the witness positions of _copy_pairs.  _allowed_copies gives each copy
 with its canonical edge indices in ascending order, read from an
-ids[a][b] table built at the first copy (_edge_ids).  Cliques and
-cycles are listed by flat single-frame DFS kernels (_clique_copies,
-_cycle_copies), which read the indices of a copy's prefix once for all
-its last vertices; cliques, cycles and paths with edges are listed once
-by construction, so only arbitrary and edgeless patterns are
+ids[a][b] table built at the first copy (_edge_ids).  Whole-graph
+cycles are listed by one flat single-frame DFS kernel, _cycle_copies,
+which reads the indices of a copy's prefix once for all its closing
+vertices; every other pattern by _listed_copies over the kind's
+iterator, so cliques come from _iter_cliques: a flat clique kernel
+measured no faster.  Cliques, cycles and paths with edges are listed
+once by construction, so only arbitrary and edgeless patterns are
 deduplicated, on their index tuples.  _first_clique walks the branching
 of _iter_cliques with no generator frames, for callers that want only
 the first clique: the engine's clique finder and the scan's K_R tests.
@@ -402,6 +404,8 @@ def _iter_cliques(adj: tuple[int, ...], cand: int, need: int,
 
     Each clique is listed once, as an increasing tuple, in lexicographic
     order: branching on v leaves only v's higher neighbors as candidates.
+    A branch left with too few candidates is skipped before its
+    generator is made.
     """
     if need == 1:
         for v in _bits(cand):
@@ -414,7 +418,9 @@ def _iter_cliques(adj: tuple[int, ...], cand: int, need: int,
         b = cand & -cand
         cand ^= b
         v = b.bit_length() - 1
-        yield from _iter_cliques(adj, cand & adj[v], need - 1, prefix + (v,))
+        rest = cand & adj[v]
+        if rest.bit_count() >= need - 1:
+            yield from _iter_cliques(adj, rest, need - 1, prefix + (v,))
 
 
 def _first_clique(adj, cand: int, need: int) -> Optional[list[int]]:
@@ -650,10 +656,13 @@ def _iter_paths_through(adj, u: int, v: int, k: int) -> Iterator[tuple[int, ...]
 
 
 def find_pattern_through_edge(g: Graph, pat: Pattern, e: tuple[int, int],
-                              forbidden: frozenset = frozenset()) -> Optional[tuple[int, ...]]:
-    """First copy of pat through e whose vertex set is not forbidden."""
+                              forbidden: Iterable[Iterable[int]] = frozenset()
+                              ) -> Optional[tuple[int, ...]]:
+    """First copy of pat through e whose vertex set is not forbidden;
+    forbidden holds vertex iterables, each read as a set."""
+    forbidden = frozenset(frozenset(vs) for vs in forbidden)
     for w in iter_pattern_witnesses_through_edge(g, pat, e):
-        if not forbidden or frozenset(w) not in forbidden:
+        if frozenset(w) not in forbidden:
             return w
     return None
 
@@ -687,13 +696,11 @@ def _allowed_copies(g: Graph, pat: Pattern, forbidden: frozenset
     differ only for patterns with isolated vertices, whose vertex set is
     more than the edges' endpoints.
 
-    Cliques with edges and cycles come from their kernels
-    (_clique_copies, _cycle_copies); paths, arbitrary and edgeless
-    patterns from _listed_copies.
+    Cycles come from their kernel, _cycle_copies; every other pattern
+    from _listed_copies.
     """
-    if pat.kind == "cycle" or pat.kind == "clique" and pat.size >= 2:
-        kernel = _cycle_copies if pat.kind == "cycle" else _clique_copies
-        copies = kernel(g, pat.size)
+    if pat.kind == "cycle":
+        copies = _cycle_copies(g, pat.size)
         if not forbidden:
             return copies
         return ((w, ids) for w, ids in copies if frozenset(w) not in forbidden)
@@ -702,11 +709,11 @@ def _allowed_copies(g: Graph, pat: Pattern, forbidden: frozenset
 
 def _listed_copies(g: Graph, pat: Pattern, forbidden: frozenset
                    ) -> Iterator[tuple[tuple[int, ...], tuple[int, ...]]]:
-    """_allowed_copies for paths, arbitrary and edgeless patterns: the
-    copies of _iter_copies, each with its indices sorted."""
+    """_allowed_copies for every kind but cycles: the copies of
+    _iter_copies, each with its indices sorted."""
     pairs = _copy_pairs(pat)
-    # paths with edges list each edge set once; edgeless targets and
-    # embeddings repeat them
+    # cliques and paths with edges list each edge set once; edgeless
+    # targets and embeddings repeat them
     seen = set() if pat.kind == "arbitrary" or not pairs else None
     table = None  # built at the first copy; verify_coloring mostly finds none
     for w in _iter_copies(g, pat):
@@ -724,50 +731,6 @@ def _listed_copies(g: Graph, pat: Pattern, forbidden: frozenset
                 continue
             seen.add(ids)
         yield w, ids
-
-
-def _clique_copies(g: Graph, t: int) -> Iterator[tuple[tuple[int, ...], tuple[int, ...]]]:
-    """(witness, edge indices) for every t-clique, t >= 2, in the order
-    of _iter_cliques: increasing witnesses, lexicographically.
-
-    One frame walks the branching of _iter_cliques, keeping the
-    candidates left at each level on a stack; the last level's
-    candidates each close a copy.
-    """
-    adj = g.adj
-    last = t - 1
-    clique = [0] * last
-    stack = [0] * last
-    table = None  # built at the first copy
-    cand = (1 << g.n) - 1
-    i = 0
-    while True:
-        if i == last or cand.bit_count() < t - i:
-            if i == last and cand:
-                if table is None:
-                    table = _edge_ids(g)
-                head = tuple(clique)
-                rows = [table[x] for x in head]
-                inner = [rows[a][head[b]] for a in range(last) for b in range(a + 1, last)]
-                while cand:
-                    b = cand & -cand
-                    cand ^= b
-                    v = b.bit_length() - 1
-                    ids = inner + [row[v] for row in rows]
-                    ids.sort()
-                    yield head + (v,), tuple(ids)
-            if not i:
-                return
-            i -= 1
-            cand = stack[i]
-            continue
-        b = cand & -cand
-        cand ^= b
-        v = b.bit_length() - 1
-        clique[i] = v
-        stack[i] = cand
-        cand &= adj[v]
-        i += 1
 
 
 def _cycle_copies(g: Graph, length: int, indexed: bool = True) -> Iterator[tuple]:

@@ -195,7 +195,9 @@ def perturb(base: Graph, p: float, seed: int, trial: int = 0) -> Graph:
 
 
 def wilson_interval(successes: int, total: int) -> tuple[float, float]:
-    """95% score interval for a binomial proportion; (0,1) when empty."""
+    """95% score interval for a binomial proportion; (0,1) when empty.
+    The interval ends exactly at 0 when no trial succeeds and at 1 when
+    all do, where the rounded formula can miss by an ulp."""
     if total == 0:
         return (0.0, 1.0)
     z = _WILSON_Z
@@ -203,7 +205,9 @@ def wilson_interval(successes: int, total: int) -> tuple[float, float]:
     denom = 1 + z * z / total
     center = (phat + z * z / (2 * total)) / denom
     half = z * math.sqrt(phat * (1 - phat) / total + z * z / (4 * total * total)) / denom
-    return (max(0.0, center - half), min(1.0, center + half))
+    lo = 0.0 if successes == 0 else max(0.0, center - half)
+    hi = 1.0 if successes == total else min(1.0, center + half)
+    return (lo, hi)
 
 
 class MonteCarloRow(_Record):

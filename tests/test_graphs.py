@@ -280,6 +280,14 @@ class TestContainment:
         assert find_pattern_through_edge(g, clique(3), (0, 1),
                                          forbidden={frozenset({0, 1, 2})}) == (0, 1, 3)
 
+    def test_through_edge_reads_forbidden_as_vertex_sets(self):
+        # a list of lists or a set of tuples names the same vertex sets
+        # as frozensets do
+        g = clique_graph(4)
+        for forbidden in ([[0, 1, 2]], {(0, 1, 2)}, [(2, 1, 0)]):
+            assert find_pattern_through_edge(g, clique(3), (0, 1),
+                                             forbidden=forbidden) == (0, 1, 3)
+
     @settings(max_examples=80, deadline=None)
     @given(small_graphs, patterns)
     # two copies of P3 through (0,1) share each of the vertex sets {0,1,2}, {0,1,3}
@@ -327,6 +335,26 @@ class TestContainment:
                 want = [vs for vs in itertools.combinations(range(g.n), t)
                         if all(g.has_edge(a, b) for a, b in itertools.combinations(vs, 2))]
                 assert [w for w, _ in enumerate_copies(g, clique(t))] == want
+
+    def test_find_pattern_is_first_enumerated_copy(self):
+        # find_pattern walks _iter_copies without edge indices, and
+        # enumerate_copies reads _allowed_copies: both must start at the
+        # same witness, or at none
+        rng = random.Random(27)
+        named = ([clique(t) for t in range(1, 7)] + [cycle(k) for k in range(3, 8)]
+                 + [path(k) for k in range(1, 6)])
+        # edgeless, with isolated vertices, and connected
+        shapes = [(1, 0.0), (3, 0.0), (4, 0.3), (5, 0.4), (4, 1.0)]
+        found = 0
+        for _ in range(160):
+            g = random_graph(rng, rng.randint(1, 11), rng.random())
+            extra = [arbitrary(random_graph(rng, k, p)) for k, p in shapes]
+            for pat in named + extra:
+                copies = enumerate_copies(g, pat)
+                want = copies[0][0] if copies else None
+                assert find_pattern(g, pat) == want, (g, pat)
+                found += want is not None
+        assert 0 < found < 160 * 21
 
 
 PAW = Graph.from_edges(4, [(0, 1), (1, 2), (0, 2), (2, 3)])

@@ -161,6 +161,13 @@ class TestWilson:
         lo, hi = wilson_interval(20, 20)
         assert 0.8 < lo < 1 and hi == 1.0
 
+    def test_all_or_none_end_exactly(self):
+        # the rounded formula gave 0.9999999999999999 at n = 10 and a
+        # lower end of 1.7e-18 for 0 of 200
+        for n in range(1, 401):
+            assert wilson_interval(n, n)[1] == 1.0, n
+            assert wilson_interval(0, n)[0] == 0.0, n
+
     def test_empty_batch(self):
         assert wilson_interval(0, 0) == (0.0, 1.0)
 
