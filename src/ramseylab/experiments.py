@@ -11,11 +11,13 @@ A manifest is a JSON object:
      "out": "results.csv"}           # relative to the manifest
 
 Running writes the result file and a sibling ``<out>.manifest.json``
-with the seed, the probability grid, and the package version resolved,
-so a later replay needs no defaults.  The resolved ``out`` is the
-result's file name, relative to that sibling manifest.  Replays are
-compared byte for byte, except that fact-report runtimes are zeroed on
-both sides first.
+with the seed, the package version and, for a scan, the probability
+grid, node budget, clique shortcut and cache resolved, so a later
+replay needs no defaults.  A new scan's cache is "monotone"; a stored
+scan manifest without one replays with "none", as it ran.  The resolved
+``out`` is the result's file name, relative to that sibling manifest.
+Replays are compared byte for byte, except that fact-report runtimes
+are zeroed on both sides first.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ from typing import Optional, Union
 from . import facts as facts_mod
 from .coloring import DEFAULT_NODE_BUDGET
 from .graphs import build_family
-from .perturb import DEFAULT_PER_DECADE, log_spaced_grid, threshold_scan
+from .perturb import _CACHES, DEFAULT_PER_DECADE, log_spaced_grid, threshold_scan
 
 PACKAGE_VERSION = "0.1.0"
 
@@ -162,10 +164,14 @@ def _run_scan(args: dict, seed: int):
     bases = [_build_base(b) for b in descriptors]
     targets = parse_targets(_typed(_require(args, "targets", "scan"), "targets", str))
     grid = _resolve_grid(args)
+    cache = args.get("cache", "none")  # a manifest stored without it searched every host
+    if cache not in _CACHES:
+        raise ManifestError(f"'cache' must be \"monotone\" or \"none\", got {cache!r}")
     return threshold_scan(
         bases, targets, grid, _typed(_require(args, "trials", "scan"), "trials", int), seed,
         node_budget=_typed(args.get("node_budget", DEFAULT_NODE_BUDGET), "node_budget", int),
-        clique_shortcut=_typed(args.get("clique_shortcut", True), "clique_shortcut", bool))
+        clique_shortcut=_typed(args.get("clique_shortcut", True), "clique_shortcut", bool),
+        cache=cache)
 
 
 def _strip_runtimes(obj):
@@ -230,8 +236,11 @@ def run_experiment(manifest: Union[str, dict],
         import secrets  # not at module level: it loads hashlib and libcrypto
         resolved["seed"] = secrets.randbits(63)
     if resolved["op"] == "scan":
-        resolved.setdefault("args", {})
-        resolved["args"]["p_grid"] = _resolve_grid(resolved["args"])
+        args = resolved.setdefault("args", {})
+        args["p_grid"] = _resolve_grid(args)
+        args.setdefault("node_budget", DEFAULT_NODE_BUDGET)
+        args.setdefault("clique_shortcut", True)
+        args.setdefault("cache", "monotone")
     out_name = resolved.get("out")
     if not out_name:
         out_name = "results.csv" if resolved["op"] == "scan" else "results.json"

@@ -487,15 +487,18 @@ def _embedding_plan(pg: Graph, pinned: tuple[int, ...] = ()) -> list[tuple[int, 
     return plan
 
 
-def _iter_embeddings(n: int, adj, plan: list, head: tuple[int, ...] = ()
-                     ) -> Iterator[tuple[int, ...]]:
+def _iter_embeddings(n: int, adj, plan: list, head: tuple[int, ...] = (),
+                     cap: Optional[list] = None) -> Iterator[tuple[int, ...]]:
     """Injective maps of a pattern into the host adjacency sending edges
     to edges, as tuples indexed by pattern vertex.
 
     The DFS places the pattern vertices in the order of plan (from
     _embedding_plan), the i-th on head[i] when i < len(head), each on
     the free host vertices, ascending, that are adjacent to the images
-    of its earlier neighbors and have at least its degree.
+    of its earlier neighbors and have at least its degree.  cap, when
+    given, is a one-item list holding the placements the DFS may still
+    make; each placement takes one, the DFS stops when none is left, and
+    the list holds what is left whenever a map is yielded or the DFS ends.
     """
     k = len(plan)
     if k > n:
@@ -505,12 +508,13 @@ def _iter_embeddings(n: int, adj, plan: list, head: tuple[int, ...] = ()
     fixed = len(head)
     full = (1 << n) - 1
     used = i = 0
+    left = -1 if cap is None else cap[0]  # below 0: no cap
     cand = full & (1 << head[0]) if fixed else full
     pv, deg, _ = plan[0]
-    while True:
+    while left:
         if not cand:
             if not i:
-                return
+                break
             i -= 1
             pv, deg, _ = plan[i]
             used ^= 1 << assign[pv]
@@ -522,7 +526,10 @@ def _iter_embeddings(n: int, adj, plan: list, head: tuple[int, ...] = ()
         if adj[hv].bit_count() < deg:
             continue
         assign[pv] = hv
+        left -= 1
         if i == k - 1:
+            if cap is not None:
+                cap[0] = left
             yield tuple(assign)
             continue
         stack[i] = cand
@@ -534,6 +541,8 @@ def _iter_embeddings(n: int, adj, plan: list, head: tuple[int, ...] = ()
             cand &= 1 << head[i]
         for pu in earlier:
             cand &= adj[assign[pu]]
+    if cap is not None:
+        cap[0] = left
 
 
 def _iter_copies(g: Graph, pat: Pattern) -> Iterator[tuple[int, ...]]:

@@ -39,26 +39,38 @@ without being built; a base holding a K_R makes every host Ramsey, so
 again nothing is drawn or decided.  Otherwise a trial's hosts lack a
 K_R until one arrives with a new pair, so only the pairs that arrived
 since the previous grid point are tested, each for a K_R through it.
-A Ramsey verdict reached by search is not carried forward, because a
-fresh search of a larger host could run out of node budget.  The node
-budget is the only limit on a search, so no verdict depends on machine
-speed, and every search verdict, inconclusive ones too, is decided
-once per host for the rest of the scan of its base.
+The node budget is the only limit on a search, so no verdict depends on
+machine speed, and every search verdict, inconclusive ones too, is
+decided once per host for the rest of the scan of its base.
 
 A scan of one base runs in three phases.  It first walks every trial
 and records each host that stands at some grid points as (host index,
 first point, end point), the index interning the host's adjacency in
 first-seen order, so memory grows with distinct hosts, not with runs;
 the walk needs no verdict, as the K_R test looks only at arrivals.  It
-then decides the distinct hosts in that order: in this process until
-they have spent _SERIAL_NODES search nodes, the rest cut into one
-contiguous chunk per usable CPU, each chunk but the last decided by a
-forked worker that sends its statuses back through a pipe.  Last it
-tallies each run under its host's status.  A status is a pure function
-of (host, targets, node budget), and the chunks only say which process
-computes it, so the bytes do not depend on the number of workers;
-taskset -c 0 gives one chunk, as do platforms without fork and
-processes running other threads.
+then decides the distinct hosts in that order, as the scan's cache
+says.  Last it tallies each run under its host's status.
+
+With cache "none" every distinct host is searched, and a Ramsey verdict
+reached by search is not carried to other hosts, because a fresh search
+of a larger host could run out of node budget.  The hosts are decided
+in this process until they have spent _SERIAL_NODES search nodes, the
+rest cut into one contiguous chunk per usable CPU, each chunk but the
+last decided by a forked worker that sends its statuses back through a
+pipe.  A status is a pure function of (host, targets, node budget), and
+the chunks only say which process computes it, so the bytes do not
+depend on the number of workers; taskset -c 0 gives one chunk, as do
+platforms without fork and processes running other threads.
+
+With cache "monotone" (_decide_monotone) the hosts are decided in this
+process through a library of the verdicts searched so far: a host that
+contains a host searched RAMSEY is RAMSEY, and one that embeds in a
+host searched NOT_RAMSEY is NOT_RAMSEY, through the pulled-back
+witness, which verify_coloring re-checks.  Each containment test stops
+after _EMBED_PLACEMENTS embedding placements, and a host with no hit is
+searched.  A host's status is then what a search gives whenever a
+search decides it, and a host that a search would leave inconclusive
+may be settled, so the cache is part of a scan's manifest.
 
 Ramsey trials that exhaust their node budget count as Inconclusive:
 they are reported separately and excluded from the success-rate
@@ -76,10 +88,12 @@ import sys
 from typing import Optional, Sequence
 
 from .coloring import (DEFAULT_NODE_BUDGET, DEFAULT_RAMSEY_CAP, INCONCLUSIVE,
-                       NOT_RAMSEY, RAMSEY, RamseyQuery, _edgeless_target,
-                       decide_ramsey, ramsey_query, targets_ramsey_number)
+                       NOT_RAMSEY, RAMSEY, EdgeColoring, RamseyQuery, _edgeless_target,
+                       decide_ramsey, ramsey_query, targets_ramsey_number,
+                       verify_coloring)
 from .densities import _check_prob
-from .graphs import Graph, _check_vertex, _first_clique, _Record, empty_graph
+from .graphs import (Graph, _check_vertex, _embedding_plan, _first_clique,
+                     _iter_embeddings, _Record, empty_graph)
 
 _MASK64 = (1 << 64) - 1
 _UNIT = float(1 << 53)  # a variate is a 53-bit integer divided by this
@@ -89,6 +103,11 @@ DEFAULT_PER_DECADE = 13  # log_spaced_grid points per decade of p
 # the rest over the usable CPUs: a fork costs milliseconds, a node microseconds
 _SERIAL_NODES = 20_000
 _STATUSES = (RAMSEY, NOT_RAMSEY, INCONCLUSIVE)  # a worker sends a status as its index
+_CACHES = ("monotone", "none")  # how a scan decides its distinct hosts
+# embedding-DFS placements one containment test of the monotone library
+# may make before it counts as no hit: a Turan(12,2) scan against (C3,C5)
+# needs up to 19,941 for a hit, and a placement costs about a search node
+_EMBED_PLACEMENTS = 20_000
 
 # splitmix64: the counter's weights for seed, trial and edge index, its
 # offset, and the two multipliers of the finalizer
@@ -247,7 +266,7 @@ def monte_carlo_ramsey(base: Graph, targets: Sequence, p: float, trials: int,
 
 def _scan_base(base: Graph, targets: Sequence, grid: list[float], trials: int,
                seed: int, node_budget: int, clique_shortcut: bool,
-               numbers: dict) -> list[MonteCarloRow]:
+               numbers: dict, cache: str = "none") -> list[MonteCarloRow]:
     """One row per point of the ascending grid, for one base.
 
     The edgeless-target test, the shortcut's R and whether the base
@@ -264,13 +283,16 @@ def _scan_base(base: Graph, targets: Sequence, grid: list[float], trials: int,
     through a pair that has just arrived, and only those pairs are
     tested.  Each other host is recorded once for the run of grid points
     it stands at, as its index among the distinct adjacencies and the
-    run's ends.  The decisions: _decide_hosts decides each distinct
-    host once, in first-seen order, inconclusive verdicts included; a
-    Graph is built only for a host being decided.  Its serial prefix is
-    counted in search nodes, not seconds, and its chunks are contiguous,
-    so the split is the same on every run with the same CPU count, and
-    no status depends on it.  The tally: each run adds its host's status
-    at its first point and removes it at its end.
+    run's ends.  The decisions: each distinct host gets one status, in
+    first-seen order, inconclusive ones included.  With cache "none"
+    _decide_hosts searches each host, a Graph being built only for a
+    host being decided; its serial prefix is counted in search nodes,
+    not seconds, and its chunks are contiguous, so the split is the same
+    on every run with the same CPU count, and no status depends on it.
+    With cache "monotone" _decide_monotone settles what it can by
+    containment and searches the rest, all in this process.  The tally:
+    each run adds its host's status at its first point and removes it at
+    its end.
     """
     if trials < 0:
         raise ValueError(f"trial count must be nonnegative, got {trials}")
@@ -333,12 +355,18 @@ def _scan_base(base: Graph, targets: Sequence, grid: list[float], trials: int,
         else:
             stand(adj, start, len(grid))
 
+    def query(key: tuple[int, ...]) -> RamseyQuery:
+        return RamseyQuery(Graph(n, key, base.labels), template.targets,
+                           template.forbidden, template.node_budget)
+
     def decide(key: tuple[int, ...]) -> tuple[str, int]:
-        verdict = decide_ramsey(RamseyQuery(Graph(n, key, base.labels), template.targets,
-                                            template.forbidden, template.node_budget))
+        verdict = decide_ramsey(query(key))
         return verdict.status, verdict.stats.nodes
 
-    statuses = _decide_hosts(list(hosts), decide)
+    if cache == "monotone":
+        statuses = _decide_monotone([query(key) for key in hosts])
+    else:
+        statuses = _decide_hosts(list(hosts), decide)
     for i, start, end in runs:
         counts = deltas[statuses[i]]
         counts[start] += 1
@@ -351,6 +379,78 @@ def _scan_base(base: Graph, targets: Sequence, grid: list[float], trials: int,
         lo, hi = wilson_interval(s, trials - inc)
         rows.append(MonteCarloRow(n, p, trials, s, inc, lo, hi))
     return rows
+
+
+def _profile(g: Graph) -> tuple[int, list[int]]:
+    """The edge count and the degrees, largest first."""
+    degrees = sorted((row.bit_count() for row in g.adj), reverse=True)
+    return sum(degrees) // 2, degrees
+
+
+def _may_embed(small: tuple, big: tuple) -> bool:
+    """Whether a graph of profile small may embed in one of profile big
+    on as many vertices: an embedding needs no fewer edges, and no
+    smaller k-th largest degree for any k, in big."""
+    return small[0] <= big[0] and all(a <= b for a, b in zip(small[1], big[1]))
+
+
+def _embedding(plan: list, n: int, adj) -> Optional[tuple[int, ...]]:
+    """An embedding of plan's pattern into adj found within
+    _EMBED_PLACEMENTS placements, or None: a test that stops is no hit."""
+    return next(_iter_embeddings(n, adj, plan, cap=[_EMBED_PLACEMENTS]), None)
+
+
+def _decide_monotone(queries: list[RamseyQuery]) -> list[str]:
+    """The status of each query's host, in order, in this process,
+    settling a host by containment where it can (the library).
+
+    Being Ramsey for non-induced targets is monotone in the host.  A
+    host that contains a host searched RAMSEY is RAMSEY; a host that
+    embeds in a host searched NOT_RAMSEY is NOT_RAMSEY, through the
+    latter's witness pulled back along the embedding and re-checked by
+    verify_coloring.  The hosts share one vertex count, so an embedding
+    maps vertices one to one; an edge-count and degree-sequence filter
+    comes before each test, and a test stops after _EMBED_PLACEMENTS
+    placements.  A host with no hit is searched; a RAMSEY or NOT_RAMSEY
+    verdict makes it an entry.  Every step is counted in nodes or
+    placements, so no status depends on machine speed or CPU count.
+    """
+    ramsey = []  # (profile, embedding plan) of each host searched RAMSEY
+    refuted = []  # (profile, adjacency, color of each ordered edge) of each NOT_RAMSEY one
+    statuses = []
+    for query in queries:
+        host = query.host
+        n, profile = host.n, _profile(host)
+        status = plan = None  # the host's plan is built when first needed
+        if any(_may_embed(entry, profile) and _embedding(within, n, host.adj) is not None
+               for entry, within in ramsey):
+            status = RAMSEY
+        else:
+            for entry, adj, colors in refuted:
+                if not _may_embed(profile, entry):
+                    continue
+                plan = plan or _embedding_plan(host)
+                into = _embedding(plan, n, adj)
+                if into is not None:
+                    pulled = EdgeColoring(host, query.r, tuple(colors[into[u], into[v]]
+                                                               for u, v in host.edges()))
+                    bad = verify_coloring(pulled, query)
+                    if bad:
+                        raise AssertionError(f"a pulled-back witness is invalid: {bad}")
+                    status = NOT_RAMSEY
+                    break
+        if status is None:
+            verdict = decide_ramsey(query)
+            status = verdict.status
+            if status == RAMSEY:
+                ramsey.append((profile, plan or _embedding_plan(host)))
+            elif status == NOT_RAMSEY:
+                colors = {}
+                for (u, v), c in zip(host.edges(), verdict.witness.colors):
+                    colors[u, v] = colors[v, u] = c
+                refuted.append((profile, host.adj, colors))
+        statuses.append(status)
+    return statuses
 
 
 def _cpu_count() -> int:
@@ -496,15 +596,19 @@ def _crossing(points: list[tuple[float, Optional[float]]]) -> Optional[float]:
 
 def threshold_scan(bases: Sequence[Graph], targets: Sequence, p_grid: Sequence[float],
                    trials: int, seed: int, node_budget: int = DEFAULT_NODE_BUDGET,
-                   clique_shortcut: bool = True) -> ScanResult:
+                   clique_shortcut: bool = True, cache: str = "none") -> ScanResult:
     """Success curves over a probability grid for one or more host sizes.
 
     Produces one row per (n, p), sorted; per-size crossing estimates;
     and, with at least two sizes crossing above p = 0, the empirical
     exponent log(p*_1/p*_2) / log(n_1/n_2) as a descriptive quantity.
     Flags record curve decreases beyond Wilson-interval overlap and
-    all-inconclusive batches.
+    all-inconclusive batches.  cache is "none" (every distinct host
+    searched, over forked workers) or "monotone" (hosts settled by
+    containment where they can, in this process: _decide_monotone).
     """
+    if cache not in _CACHES:
+        raise ValueError(f"cache must be one of {_CACHES}, got {cache!r}")
     rows: list[MonteCarloRow] = []
     flags: list[str] = []
     crossings: dict[int, Optional[float]] = {}
@@ -512,7 +616,7 @@ def threshold_scan(bases: Sequence[Graph], targets: Sequence, p_grid: Sequence[f
     numbers: dict = {}  # the shortcut's R per cap, shared by bases of one cap
     for base in bases:
         size_rows = _scan_base(base, targets, grid, trials, seed, node_budget,
-                               clique_shortcut, numbers)
+                               clique_shortcut, numbers, cache)
         for row in size_rows:
             if row.effective == 0:
                 flags.append(f"all trials inconclusive at n={row.n}, p={row.p!r}")

@@ -1,0 +1,247 @@
+"""The scan's monotone verdict library (cache "monotone"): containment
+tests bounded in placements, statuses equal to fresh search wherever
+fresh search decides, and manifests that replay under either cache."""
+
+import hashlib
+import importlib
+import json
+import os
+import random
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from ramseylab.coloring import (DEFAULT_NODE_BUDGET, INCONCLUSIVE, NOT_RAMSEY, RAMSEY,
+                                EdgeColoring, RamseyVerdict, decide_ramsey, ramsey_query)
+from ramseylab.experiments import ManifestError, replay, run_experiment
+from ramseylab.graphs import (Graph, _embedding_plan, _iter_embeddings, clique, cycle,
+                              cycle_graph, path, turan_graph)
+from ramseylab.perturb import log_spaced_grid, perturb, threshold_scan
+
+from oracles import random_graph
+
+perturb_module = importlib.import_module("ramseylab.perturb")
+
+SEARCH_ARGS = {"bases": ["turan:9,3"], "targets": "C3,C5",
+               "p_grid": {"lo": 0.02, "hi": 0.5, "per_decade": 6}, "trials": 40}
+SEARCH_CSV = "6c7048ee490b8b0a332ccf7e642a56a3ebe03f9e7c878eb5454a0cf6099df01e"
+
+
+def recorded_decisions(monkeypatch):
+    """Patch the scan's decide_ramsey to record each query's host and
+    verdict in the returned list."""
+    decided = []
+    decide = perturb_module.decide_ramsey
+
+    def recorded(query):
+        verdict = decide(query)
+        decided.append((query.host, verdict))
+        return verdict
+
+    monkeypatch.setattr(perturb_module, "decide_ramsey", recorded)
+    return decided
+
+
+class TestBoundedEmbedding:
+    def test_cap_keeps_the_dfs_order(self):
+        # a capped DFS yields the unbounded DFS's first map or nothing,
+        # spends at most its cap, and stops only when the cap is used up
+        rng = random.Random(28)
+        for _ in range(300):
+            n = rng.randint(1, 9)
+            host = random_graph(rng, n, rng.random())
+            pattern = random_graph(rng, rng.randint(1, n), rng.random())
+            plan = _embedding_plan(pattern)
+            first = next(_iter_embeddings(n, host.adj, plan), None)
+            for cap in (0, 1, 3, 10, 100):
+                left = [cap]
+                found = next(_iter_embeddings(n, host.adj, plan, cap=left), None)
+                assert 0 <= left[0] <= cap
+                assert found in (None, first)
+                if found is None and first is not None:
+                    assert left[0] == 0
+
+    @pytest.mark.parametrize("trial", [2, 3])
+    def test_hard_pair_stops_at_cap_and_host_is_searched(self, monkeypatch, trial):
+        # an unbounded test takes seconds on these n = 18 pairs: with
+        # trial 2 the small host embeds in the large one, with trial 3 it
+        # does not; either way the library's test stops at its cap
+        small = perturb(turan_graph(18, 3), 2 / 18, 8020, 105)
+        large = perturb(turan_graph(18, 3), 3 / 18, 8020, trial)
+        assert perturb_module._may_embed(perturb_module._profile(small),
+                                         perturb_module._profile(large))
+        left = [perturb_module._EMBED_PLACEMENTS]
+        assert next(_iter_embeddings(18, large.adj, _embedding_plan(small), cap=left),
+                    None) is None
+        assert left == [0]
+        # a scan that has searched the small host RAMSEY then searches the large one
+        searched = []
+
+        def ramsey_stub(query):
+            searched.append(query.host)
+            return RamseyVerdict(RAMSEY)
+
+        monkeypatch.setattr(perturb_module, "decide_ramsey", ramsey_stub)
+        queries = [ramsey_query(g, [cycle(3), cycle(5)]) for g in (small, large)]
+        assert perturb_module._decide_monotone(queries) == [RAMSEY, RAMSEY]
+        assert searched == [small, large]
+
+
+class TestLibrary:
+    def test_scan_search_searches_eight_hosts(self, monkeypatch):
+        # the scan_search scan: 85 distinct hosts, 77 settled by containment
+        grid = log_spaced_grid(0.02, 0.5, 6)
+        for cpus in (1, 2):
+            monkeypatch.setattr(perturb_module, "_cpu_count", lambda: cpus)
+            decided = recorded_decisions(monkeypatch)
+            result = threshold_scan([turan_graph(9, 3)], [cycle(3), cycle(5)], grid, 40,
+                                    8020, cache="monotone")
+            monkeypatch.undo()
+            assert hashlib.sha256(result.to_csv().encode()).hexdigest() == SEARCH_CSV
+            assert len(decided) == 8
+            assert sum(verdict.stats.nodes for _, verdict in decided) == 39230
+
+    def test_equal_profiles_are_not_a_hit(self, monkeypatch):
+        # two triangles and a 6-cycle share edge count and degrees, and
+        # neither embeds in the other, so each is searched; a host that
+        # contains one triangle pair, or embeds in the 6-cycle, is not
+        triangles = Graph.from_edges(6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)])
+        hexagon = cycle_graph(6)
+        for status in (RAMSEY, NOT_RAMSEY):
+            searched = []
+
+            def stub(query):
+                searched.append(query.host)
+                colors = (0, 1, 0, 1, 0, 1) if query.host == hexagon else (0, 0, 1) * 2
+                return RamseyVerdict(status, EdgeColoring(query.host, 2, colors))
+
+            monkeypatch.setattr(perturb_module, "decide_ramsey", stub)
+            first, second = (triangles, hexagon) if status == RAMSEY else (hexagon, triangles)
+            settled = (triangles.union(Graph.from_edges(6, [(2, 3)])) if status == RAMSEY
+                       else hexagon.subgraph_with_edges([(0, 1), (1, 2), (3, 4)]))
+            queries = [ramsey_query(g, [cycle(3), cycle(3)]) for g in (first, second, settled)]
+            assert perturb_module._decide_monotone(queries) == [status] * 3
+            assert searched == [first, second]
+
+    def test_invalid_pulled_back_witness_raises(self, monkeypatch):
+        # an entry whose witness is wrong (every edge red on a host with a
+        # triangle) makes the host embedded in it raise, as the engine does
+        entry = turan_graph(6, 3)
+        inside = entry.subgraph_with_edges([(0, 2), (2, 4), (0, 4)])
+
+        def bogus(query):
+            return RamseyVerdict(NOT_RAMSEY, EdgeColoring(query.host, 2,
+                                                          (0,) * query.host.edge_count))
+
+        monkeypatch.setattr(perturb_module, "decide_ramsey", bogus)
+        queries = [ramsey_query(g, [cycle(3), cycle(3)]) for g in (entry, inside)]
+        with pytest.raises(AssertionError, match="pulled-back witness"):
+            perturb_module._decide_monotone(queries)
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(min_value=0, max_value=2 ** 32),
+           targets=st.sampled_from([[cycle(3), cycle(3)], [cycle(3), cycle(5)],
+                                    [clique(3), cycle(4)], [path(3), clique(3)]]),
+           node_budget=st.one_of(st.integers(min_value=1, max_value=300),
+                                 st.just(DEFAULT_NODE_BUDGET)),
+           clique_shortcut=st.booleans())
+    def test_monotone_against_fresh(self, seed, targets, node_budget, clique_shortcut):
+        rng = random.Random(seed)
+        base = random_graph(rng, rng.randint(4, 8), rng.random() * 0.6)
+        grid = sorted(rng.random() for _ in range(rng.randint(1, 5)))
+        trials = rng.randint(1, 8)
+        # the hosts a scan of the base decides, in a first-seen order
+        hosts = list(dict.fromkeys(perturb(base, p, seed, t)
+                                   for t in range(trials) for p in grid))
+        queries = [ramsey_query(h, targets, node_budget=node_budget) for h in hosts]
+        fresh = [decide_ramsey(q).status for q in queries]
+        for status, settled in zip(fresh, perturb_module._decide_monotone(queries)):
+            assert status == INCONCLUSIVE or settled == status
+
+        def scan(cache, cpus):
+            saved = perturb_module._cpu_count, perturb_module._SERIAL_NODES
+            perturb_module._cpu_count = lambda: cpus
+            perturb_module._SERIAL_NODES = 0
+            try:
+                return threshold_scan([base], targets, grid, trials, seed,
+                                      node_budget=node_budget,
+                                      clique_shortcut=clique_shortcut, cache=cache).rows
+            finally:
+                perturb_module._cpu_count, perturb_module._SERIAL_NODES = saved
+
+        none, monotone = scan("none", 1), scan("monotone", 1)
+        assert scan("monotone", 2) == monotone
+        for a, b in zip(none, monotone):
+            assert b.inconclusive <= a.inconclusive
+            assert b.successes >= a.successes
+            if not a.inconclusive:
+                assert b == a
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+    def test_monotone_never_forks(self, monkeypatch):
+        forks = []
+        fork = os.fork
+        monkeypatch.setattr(perturb_module, "_SERIAL_NODES", 0)
+        monkeypatch.setattr(perturb_module, "_cpu_count", lambda: 2)
+        monkeypatch.setattr(os, "fork", lambda: forks.append(None) or fork())
+        threshold_scan([turan_graph(9, 3)], [cycle(3), cycle(5)], [0.1, 0.3], 12, 8020,
+                       cache="monotone")
+        assert forks == []
+
+    def test_unknown_cache_rejected(self):
+        with pytest.raises(ValueError, match="cache"):
+            threshold_scan([turan_graph(6, 3)], [cycle(3), cycle(3)], [0.5], 2, 1,
+                           cache="fresh")
+
+
+def top_rows(path):
+    """(successes, inconclusive) at the top two grid points of a scan CSV."""
+    with open(path, encoding="utf-8") as fh:
+        rows = [line.split(",") for line in fh.read().splitlines()[1:]]
+    return [(int(row[3]), int(row[6])) for row in rows[-2:]]
+
+
+class TestManifestCache:
+    def run(self, tmp_path, name, **extra):
+        args = dict(SEARCH_ARGS, node_budget=15000, **extra)
+        return run_experiment({"op": "scan", "seed": 8020, "args": args, "out": name},
+                              base_dir=str(tmp_path))
+
+    def test_replay_contract(self, tmp_path):
+        # the scan_search scan at node budget 15000, where fresh search
+        # leaves hosts inconclusive that the library settles
+        fresh = self.run(tmp_path, "fresh.csv", cache="none")
+        assert top_rows(fresh["out"]) == [(3, 1), (8, 7)]
+        # a manifest stored before the field existed searches every host
+        with open(fresh["manifest"], encoding="utf-8") as fh:
+            stored = json.load(fh)
+        del stored["args"]["cache"]
+        with open(fresh["manifest"], "w", encoding="utf-8") as fh:
+            json.dump(stored, fh)
+        assert replay(fresh["manifest"])["identical"]
+        new = self.run(tmp_path, "new.csv")
+        assert new["resolved"]["args"]["cache"] == "monotone"
+        with open(new["manifest"], encoding="utf-8") as fh:
+            assert json.load(fh)["args"]["cache"] == "monotone"
+        assert top_rows(new["out"]) == [(4, 0), (13, 2)]
+        assert replay(new["manifest"])["identical"]
+
+    def test_every_scan_default_resolved(self, tmp_path):
+        args = {"bases": ["turan:6,3"], "targets": "C3,C3", "trials": 2, "p_grid": [0.1, 0.5]}
+        resolved = run_experiment({"op": "scan", "seed": 1, "args": args},
+                                  base_dir=str(tmp_path))["resolved"]["args"]
+        assert (resolved["node_budget"], resolved["clique_shortcut"], resolved["cache"]) == (
+            DEFAULT_NODE_BUDGET, True, "monotone")
+        given_args = dict(args, node_budget=500, clique_shortcut=False, cache="none")
+        result = run_experiment({"op": "scan", "seed": 1, "args": given_args},
+                                base_dir=str(tmp_path))
+        assert result["resolved"]["args"] == dict(given_args, p_grid=[0.1, 0.5])
+        assert replay(result["manifest"])["identical"]
+
+    @pytest.mark.parametrize("value", ["Monotone", "fresh", "", None, True, 1, ["none"]])
+    def test_cache_must_be_one_of_two_strings(self, tmp_path, value):
+        args = {"bases": ["turan:6,3"], "targets": "C3,C3", "trials": 2,
+                "p_grid": [0.1, 0.5], "cache": value}
+        with pytest.raises(ManifestError, match="'cache' must be \"monotone\" or \"none\""):
+            run_experiment({"op": "scan", "seed": 1, "args": args}, base_dir=str(tmp_path))
+        assert not list(tmp_path.iterdir())
