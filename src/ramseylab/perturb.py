@@ -51,16 +51,10 @@ the walk needs no verdict, as the K_R test looks only at arrivals.  It
 then decides the distinct hosts in that order, as the scan's cache
 says.  Last it tallies each run under its host's status.
 
-With cache "none" every distinct host is searched, and a Ramsey verdict
-reached by search is not carried to other hosts, because a fresh search
-of a larger host could run out of node budget.  The hosts are decided
-in this process until they have spent _SERIAL_NODES search nodes, the
-rest cut into one contiguous chunk per usable CPU, each chunk but the
-last decided by a forked worker that sends its statuses back through a
-pipe.  A status is a pure function of (host, targets, node budget), and
-the chunks only say which process computes it, so the bytes do not
-depend on the number of workers; taskset -c 0 gives one chunk, as do
-platforms without fork and processes running other threads.
+With cache "none" every distinct host is searched, in this process, and
+a Ramsey verdict reached by search is not carried to other hosts,
+because a fresh search of a larger host could run out of node budget.
+A status is then a pure function of (host, targets, node budget).
 
 With cache "monotone" (_decide_monotone) the hosts are decided in this
 process through a library of the verdicts searched so far: a host that
@@ -82,9 +76,7 @@ from __future__ import annotations
 import bisect
 import itertools
 import math
-import os
 import struct
-import sys
 from typing import Optional, Sequence
 
 from .coloring import (DEFAULT_NODE_BUDGET, DEFAULT_RAMSEY_CAP, INCONCLUSIVE,
@@ -99,10 +91,7 @@ _MASK64 = (1 << 64) - 1
 _UNIT = float(1 << 53)  # a variate is a 53-bit integer divided by this
 _WILSON_Z = 1.959963984540054  # two-sided 95%
 DEFAULT_PER_DECADE = 13  # log_spaced_grid points per decade of p
-# search nodes a scan spends deciding hosts in-process before it splits
-# the rest over the usable CPUs: a fork costs milliseconds, a node microseconds
-_SERIAL_NODES = 20_000
-_STATUSES = (RAMSEY, NOT_RAMSEY, INCONCLUSIVE)  # a worker sends a status as its index
+_STATUSES = (RAMSEY, NOT_RAMSEY, INCONCLUSIVE)  # the statuses a scan tallies
 _CACHES = ("monotone", "none")  # how a scan decides its distinct hosts
 # embedding-DFS placements one containment test of the monotone library
 # may make before it counts as no hit: a Turan(12,2) scan against (C3,C5)
@@ -284,13 +273,10 @@ def _scan_base(base: Graph, targets: Sequence, grid: list[float], trials: int,
     tested.  Each other host is recorded once for the run of grid points
     it stands at, as its index among the distinct adjacencies and the
     run's ends.  The decisions: each distinct host gets one status, in
-    first-seen order, inconclusive ones included.  With cache "none"
-    _decide_hosts searches each host, a Graph being built only for a
-    host being decided; its serial prefix is counted in search nodes,
-    not seconds, and its chunks are contiguous, so the split is the same
-    on every run with the same CPU count, and no status depends on it.
-    With cache "monotone" _decide_monotone settles what it can by
-    containment and searches the rest, all in this process.  The tally:
+    first-seen order, inconclusive ones included, all in this process
+    and a Graph being built only for a host being decided.  With cache
+    "none" each host is searched; with cache "monotone" _decide_monotone
+    settles what it can by containment and searches the rest.  The tally:
     each run adds its host's status at its first point and removes it at
     its end.
     """
@@ -359,14 +345,10 @@ def _scan_base(base: Graph, targets: Sequence, grid: list[float], trials: int,
         return RamseyQuery(Graph(n, key, base.labels), template.targets,
                            template.forbidden, template.node_budget)
 
-    def decide(key: tuple[int, ...]) -> tuple[str, int]:
-        verdict = decide_ramsey(query(key))
-        return verdict.status, verdict.stats.nodes
-
     if cache == "monotone":
         statuses = _decide_monotone([query(key) for key in hosts])
     else:
-        statuses = _decide_hosts(list(hosts), decide)
+        statuses = [decide_ramsey(query(key)).status for key in hosts]
     for i, start, end in runs:
         counts = deltas[statuses[i]]
         counts[start] += 1
@@ -453,98 +435,6 @@ def _decide_monotone(queries: list[RamseyQuery]) -> list[str]:
     return statuses
 
 
-def _cpu_count() -> int:
-    """The CPUs this process may run on."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity call on this platform
-        return os.cpu_count() or 1
-
-
-def _decide_hosts(hosts: list, decide) -> list[str]:
-    """The status of each host, in order; decide(host) returns the
-    host's (status, search nodes).
-
-    Hosts are decided here until they have spent _SERIAL_NODES nodes.
-    The rest are cut into contiguous chunks, one per usable CPU; each
-    chunk but the last goes to a forked worker, the last is decided
-    here, and each worker writes one status byte per host to its pipe.
-    There is one chunk where fork is missing, where one CPU is usable,
-    and where other threads run, since a forked child would inherit
-    their locks in whatever state they were.  A worker that raises
-    sends its exception's text, which is raised here as a RuntimeError.
-    Every worker is reaped before this returns or raises, and killed
-    first when this process fails or is interrupted.
-    """
-    statuses = []
-    spent = k = 0
-    while k < len(hosts) and spent < _SERIAL_NODES:
-        status, nodes = decide(hosts[k])
-        statuses.append(status)
-        spent += nodes
-        k += 1
-    threading = sys.modules.get("threading")  # no thread runs unless it is loaded
-    alone = threading is None or threading.active_count() == 1
-    count = _cpu_count() if hasattr(os, "fork") and alone else 1
-    count = max(1, min(count, len(hosts) - k))
-    bounds = [k + (len(hosts) - k) * i // count for i in range(count + 1)]
-    workers = []  # (pid, read end of its pipe)
-    sent, codes = [], []
-    try:
-        for lo, hi in zip(bounds, bounds[1:-1]):
-            workers.append(_fork_decider(hosts[lo:hi], decide))
-        own = [decide(host)[0] for host in hosts[bounds[-2]:]]
-        for _, fd in workers:
-            with open(fd, "rb", closefd=False) as pipe:
-                sent.append(pipe.read())
-    finally:
-        failed = len(sent) < len(workers)
-        if failed:
-            import signal  # loaded only here, to keep import ramseylab light
-        for pid, fd in workers:
-            os.close(fd)
-            if failed:
-                os.kill(pid, signal.SIGKILL)
-            codes.append(os.waitpid(pid, 0)[1])
-    for data, code in zip(sent, codes):
-        if code:
-            text = data.decode(errors="replace") or f"wait status {code}"
-            raise RuntimeError(f"a scan worker failed: {text}")
-        statuses += [_STATUSES[b] for b in data]
-    return statuses + own
-
-
-def _fork_decider(chunk: list, decide) -> tuple[int, int]:
-    """Fork a worker that decides chunk and exits; its pid and the read
-    end of the pipe it writes the statuses to."""
-    read_fd, write_fd = os.pipe()
-    try:
-        pid = os.fork()
-    except OSError:
-        os.close(read_fd)
-        os.close(write_fd)
-        raise
-    if pid:
-        os.close(write_fd)
-        return pid, read_fd
-    # the worker: whatever happens, it leaves by os._exit and never
-    # unwinds into its caller's frames, which belong to the parent
-    code = 1
-    try:
-        os.close(read_fd)
-        try:
-            data = bytes(_STATUSES.index(decide(host)[0]) for host in chunk)
-            ok = True
-        except BaseException as exc:  # reported to the parent, which raises
-            data = f"{type(exc).__name__}: {exc}".encode()
-            ok = False
-        while data:
-            data = data[os.write(write_fd, data):]
-        code = 0 if ok else 1
-    finally:
-        os._exit(code)
-
-
 def log_spaced_grid(p_lo: float, p_hi: float,
                     per_decade: int = DEFAULT_PER_DECADE) -> list[float]:
     """Log-spaced probabilities from p_lo to p_hi inclusive."""
@@ -603,9 +493,9 @@ def threshold_scan(bases: Sequence[Graph], targets: Sequence, p_grid: Sequence[f
     and, with at least two sizes crossing above p = 0, the empirical
     exponent log(p*_1/p*_2) / log(n_1/n_2) as a descriptive quantity.
     Flags record curve decreases beyond Wilson-interval overlap and
-    all-inconclusive batches.  cache is "none" (every distinct host
-    searched, over forked workers) or "monotone" (hosts settled by
-    containment where they can, in this process: _decide_monotone).
+    all-inconclusive batches.  Every host is decided in this process;
+    cache is "none" (every distinct host searched) or "monotone" (hosts
+    settled by containment where they can: _decide_monotone).
     """
     if cache not in _CACHES:
         raise ValueError(f"cache must be one of {_CACHES}, got {cache!r}")

@@ -90,16 +90,22 @@ class TestBoundedEmbedding:
 class TestLibrary:
     def test_scan_search_searches_eight_hosts(self, monkeypatch):
         # the scan_search scan: 85 distinct hosts, 77 settled by containment
-        grid = log_spaced_grid(0.02, 0.5, 6)
-        for cpus in (1, 2):
-            monkeypatch.setattr(perturb_module, "_cpu_count", lambda: cpus)
-            decided = recorded_decisions(monkeypatch)
-            result = threshold_scan([turan_graph(9, 3)], [cycle(3), cycle(5)], grid, 40,
-                                    8020, cache="monotone")
-            monkeypatch.undo()
-            assert hashlib.sha256(result.to_csv().encode()).hexdigest() == SEARCH_CSV
-            assert len(decided) == 8
-            assert sum(verdict.stats.nodes for _, verdict in decided) == 39230
+        decided = recorded_decisions(monkeypatch)
+        result = threshold_scan([turan_graph(9, 3)], [cycle(3), cycle(5)],
+                                log_spaced_grid(0.02, 0.5, 6), 40, 8020, cache="monotone")
+        assert hashlib.sha256(result.to_csv().encode()).hexdigest() == SEARCH_CSV
+        assert len(decided) == 8
+        assert sum(verdict.stats.nodes for _, verdict in decided) == 39230
+
+    def test_scan_search_decides_every_host_here(self, monkeypatch):
+        # under cache "none" the same scan searches each of its 85
+        # distinct hosts once, every search in this process
+        decided = recorded_decisions(monkeypatch)
+        result = threshold_scan([turan_graph(9, 3)], [cycle(3), cycle(5)],
+                                log_spaced_grid(0.02, 0.5, 6), 40, 8020, cache="none")
+        assert hashlib.sha256(result.to_csv().encode()).hexdigest() == SEARCH_CSV
+        assert len(decided) == len({host for host, _ in decided}) == 85
+        assert sum(verdict.stats.nodes for _, verdict in decided) == 310483
 
     def test_equal_profiles_are_not_a_hit(self, monkeypatch):
         # two triangles and a 6-cycle share edge count and degrees, and
@@ -158,19 +164,10 @@ class TestLibrary:
         for status, settled in zip(fresh, perturb_module._decide_monotone(queries)):
             assert status == INCONCLUSIVE or settled == status
 
-        def scan(cache, cpus):
-            saved = perturb_module._cpu_count, perturb_module._SERIAL_NODES
-            perturb_module._cpu_count = lambda: cpus
-            perturb_module._SERIAL_NODES = 0
-            try:
-                return threshold_scan([base], targets, grid, trials, seed,
-                                      node_budget=node_budget,
-                                      clique_shortcut=clique_shortcut, cache=cache).rows
-            finally:
-                perturb_module._cpu_count, perturb_module._SERIAL_NODES = saved
-
-        none, monotone = scan("none", 1), scan("monotone", 1)
-        assert scan("monotone", 2) == monotone
+        none, monotone = (threshold_scan([base], targets, grid, trials, seed,
+                                         node_budget=node_budget,
+                                         clique_shortcut=clique_shortcut, cache=cache).rows
+                          for cache in ("none", "monotone"))
         for a, b in zip(none, monotone):
             assert b.inconclusive <= a.inconclusive
             assert b.successes >= a.successes
@@ -178,14 +175,14 @@ class TestLibrary:
                 assert b == a
 
     @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
-    def test_monotone_never_forks(self, monkeypatch):
+    def test_no_scan_forks(self, monkeypatch):
+        # the scan_search scan, which spends 310,483 search nodes under "none"
         forks = []
         fork = os.fork
-        monkeypatch.setattr(perturb_module, "_SERIAL_NODES", 0)
-        monkeypatch.setattr(perturb_module, "_cpu_count", lambda: 2)
         monkeypatch.setattr(os, "fork", lambda: forks.append(None) or fork())
-        threshold_scan([turan_graph(9, 3)], [cycle(3), cycle(5)], [0.1, 0.3], 12, 8020,
-                       cache="monotone")
+        for cache in ("none", "monotone"):
+            threshold_scan([turan_graph(9, 3)], [cycle(3), cycle(5)],
+                           log_spaced_grid(0.02, 0.5, 6), 40, 8020, cache=cache)
         assert forks == []
 
     def test_unknown_cache_rejected(self):

@@ -2,9 +2,6 @@ import hashlib
 import importlib
 import itertools
 import math
-import os
-import threading
-import time
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -435,6 +432,21 @@ class TestTrialMajorScan:
                                       node_budget=node_budget,
                                       clique_shortcut=clique_shortcut) == by_p[p]
 
+    @pytest.mark.parametrize("node_budget", [1, 8, 60, 500, DEFAULT_NODE_BUDGET])
+    @pytest.mark.parametrize("bases", [[turan_graph(9, 3)],
+                                       [turan_graph(6, 3), complete_multipartite([2, 3])]])
+    def test_rows_match_reference_at_budgets(self, bases, node_budget):
+        # a cache-less scan against per-trial decisions, budgets from one
+        # node up: the hosts' statuses are inconclusive, decided or both
+        targets = [cycle(3), cycle(5)] if bases[0].n == 9 else [cycle(3), cycle(3)]
+        grid, trials, seed = [0.05, 0.1, 0.2, 0.3, 0.5], 12, 8020
+        result = threshold_scan(bases, targets, grid, trials, seed,
+                                node_budget=node_budget, cache="none")
+        assert result.rows == [reference_row(base, targets, p, trials, seed, node_budget, True)
+                               for base in sorted(bases, key=lambda g: g.n) for p in grid]
+        if node_budget == 1:
+            assert any(row.inconclusive for row in result.rows)
+
     def test_inconclusive_rows_occur(self):
         # guards the example above: a small node budget gives a mix of
         # decided and inconclusive trials within one row
@@ -466,8 +478,7 @@ def traced_scan(monkeypatch, base, targets, grid, trials, seed, **kw):
     """threshold_scan on one base, recording (trial, variate count) for
     each call of the per-trial kernel _draw and (trial, host, verdict)
     for each host decided, the trial of a host being the first whose
-    hosts include it.  The scan runs in one process, since the wrapper
-    sees only the decisions made here."""
+    hosts include it."""
     draws, decided = [], []
     draw, decide = perturb_module._draw, perturb_module.decide_ramsey
 
@@ -483,7 +494,6 @@ def traced_scan(monkeypatch, base, targets, grid, trials, seed, **kw):
 
     monkeypatch.setattr(perturb_module, "_draw", counted_draw)
     monkeypatch.setattr(perturb_module, "decide_ramsey", recorded_decide)
-    monkeypatch.setattr(perturb_module, "_cpu_count", lambda: 1)
     result = threshold_scan([base], targets, grid, trials, seed, **kw)
     monkeypatch.undo()
     first_trial = {}
@@ -593,110 +603,6 @@ class TestScanWork:
                 assert verdict.stats.route == "search"
                 ramsey_trials.add(t)
         assert again
-
-
-def assert_no_child_left():
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
-
-
-@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
-class TestDecideInWorkers:
-    """Hosts decided over forked workers give the rows of one process,
-    and every worker is reaped, whatever goes wrong."""
-
-    GRID = [0.05, 0.1, 0.2, 0.3, 0.5]
-
-    def scan(self, monkeypatch, cpus, bases, targets, node_budget, trials=12, seed=8020):
-        monkeypatch.setattr(perturb_module, "_SERIAL_NODES", 0)
-        monkeypatch.setattr(perturb_module, "_cpu_count", lambda: cpus)
-        forks = []
-        fork = os.fork
-
-        def counted_fork():
-            forks.append(None)
-            return fork()
-
-        monkeypatch.setattr(os, "fork", counted_fork)
-        result = threshold_scan(bases, targets, self.GRID, trials, seed,
-                                node_budget=node_budget)
-        monkeypatch.undo()
-        return result, len(forks)
-
-    @pytest.mark.parametrize("node_budget", [1, 8, 60, 500, DEFAULT_NODE_BUDGET])
-    @pytest.mark.parametrize("bases", [[turan_graph(9, 3)],
-                                       [turan_graph(6, 3), complete_multipartite([2, 3])]])
-    def test_rows_match_one_process(self, monkeypatch, bases, node_budget):
-        targets = [cycle(3), cycle(5)] if bases[0].n == 9 else [cycle(3), cycle(3)]
-        one, forks = self.scan(monkeypatch, 1, bases, targets, node_budget)
-        assert forks == 0
-        for cpus in (2, 3):
-            split, forks = self.scan(monkeypatch, cpus, bases, targets, node_budget)
-            assert forks == (cpus - 1) * len(bases)
-            assert split.rows == one.rows
-            assert split.to_csv() == one.to_csv()
-        if node_budget == 1:  # inconclusive statuses crossed the pipes
-            assert any(row.inconclusive for row in one.rows)
-        assert_no_child_left()
-
-    def test_threads_or_no_fork_give_one_process(self, monkeypatch):
-        base, targets = turan_graph(9, 3), [cycle(3), cycle(5)]
-        one, _ = self.scan(monkeypatch, 1, [base], targets, 500)
-        stop = threading.Event()
-        waiter = threading.Thread(target=stop.wait, args=(60,))
-        waiter.start()
-        try:
-            result, forks = self.scan(monkeypatch, 2, [base], targets, 500)
-        finally:
-            stop.set()
-            waiter.join(60)
-        assert not waiter.is_alive()
-        assert forks == 0 and result.rows == one.rows
-        monkeypatch.setattr(perturb_module, "_SERIAL_NODES", 0)
-        monkeypatch.setattr(perturb_module, "_cpu_count", lambda: 2)
-        monkeypatch.delattr(os, "fork")
-        result = threshold_scan([base], targets, self.GRID, 12, 8020, node_budget=500)
-        monkeypatch.undo()
-        assert result.rows == one.rows
-
-    def failing_scan(self, monkeypatch, fail):
-        """A scan over two processes whose decisions call fail(parent) first."""
-        parent = os.getpid()
-        decide = perturb_module.decide_ramsey
-
-        def failing_decide(query):
-            fail(os.getpid() == parent)
-            return decide(query)
-
-        monkeypatch.setattr(perturb_module, "_SERIAL_NODES", 0)
-        monkeypatch.setattr(perturb_module, "_cpu_count", lambda: 2)
-        monkeypatch.setattr(perturb_module, "decide_ramsey", failing_decide)
-        try:
-            threshold_scan([turan_graph(9, 3)], [cycle(3), cycle(5)], self.GRID, 12, 8020)
-        finally:
-            monkeypatch.undo()
-
-    def test_worker_error_raised(self, monkeypatch):
-        def fail(in_parent):
-            if not in_parent:
-                raise ValueError("no verdict here")
-
-        with pytest.raises(RuntimeError, match="ValueError: no verdict here"):
-            self.failing_scan(monkeypatch, fail)
-        assert_no_child_left()
-
-    @pytest.mark.parametrize("error", [ValueError, KeyboardInterrupt])
-    def test_parent_error_kills_worker(self, monkeypatch, error):
-        def fail(in_parent):
-            if not in_parent:
-                time.sleep(60)  # only a kill ends this worker in time
-            raise error("parent failed")
-
-        started = time.monotonic()
-        with pytest.raises(error, match="parent failed"):
-            self.failing_scan(monkeypatch, fail)
-        assert time.monotonic() - started < 30
-        assert_no_child_left()
 
 
 class TestDrcSelect:
