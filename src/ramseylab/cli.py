@@ -68,6 +68,8 @@ def _grid_arg(text: str) -> list[float]:
     """Probability grid: 'lo:hi[:per_decade]' log spaced, or 'a,b,c'."""
     if ":" in text:
         pieces = text.split(":")
+        if len(pieces) > 3:
+            raise ManifestError(f"--p-grid takes lo:hi[:per_decade], got {text!r}")
         per_decade = (_number_arg(int, pieces[2], "--p-grid PER_DECADE")
                       if len(pieces) > 2 else DEFAULT_PER_DECADE)
         return log_spaced_grid(_number_arg(float, pieces[0], "--p-grid LO"),

@@ -47,6 +47,21 @@ def _require(mapping: dict, key: str, what: str):
     return mapping[key]
 
 
+# the keys a scan's args may hold, and those of a p_grid object; a
+# scan manifest written before searches were bounded by nodes alone also
+# holds "time_budget", which is read and ignored so that it replays
+_SCAN_ARGS = ("bases", "targets", "p_grid", "trials", "node_budget", "clique_shortcut",
+              "cache")
+_GRID_KEYS = ("lo", "hi", "per_decade")
+
+
+def _known_keys(mapping: dict, known: tuple, what: str) -> None:
+    """A ManifestError naming the first key of mapping not in known."""
+    for key in mapping:
+        if key not in known:
+            raise ManifestError(f"unknown {what} {key!r}; known: {', '.join(known)}")
+
+
 # the JSON kind a manifest value must have, by the type it is read as
 _KINDS = {int: "an integer", float: "a number", str: "a string", bool: "true or false"}
 
@@ -132,6 +147,7 @@ def _resolve_grid(args: dict) -> list[float]:
     if isinstance(grid, list) and grid:
         return [_typed(p, "p_grid", float) for p in grid]
     if isinstance(grid, dict):
+        _known_keys(grid, _GRID_KEYS, "p_grid key")
         per_decade = grid.get("per_decade", DEFAULT_PER_DECADE)
         return log_spaced_grid(_typed(_require(grid, "lo", "p_grid"), "lo", float),
                                _typed(_require(grid, "hi", "p_grid"), "hi", float),
@@ -158,6 +174,7 @@ def _build_base(descriptor):
 
 
 def _run_scan(args: dict, seed: int):
+    _known_keys(args, _SCAN_ARGS + ("time_budget",), "scan argument")
     descriptors = _require(args, "bases", "scan")
     if not isinstance(descriptors, list) or not descriptors:
         raise ManifestError(f"scan needs 'bases' as a nonempty list, got {descriptors!r}")

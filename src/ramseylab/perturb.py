@@ -16,8 +16,8 @@ are drawn through one kernel in two parts: _pack packs an index list
 into one integer, lanes 128 bits apart, and multiplies it by the edge
 weight; _draw adds a trial's counter to every lane and mixes all of
 them in one pass, returning each variate as a 53-bit integer x, the
-variate being x / 2**53, so comparing it with p is exact.  _variates
-runs both for one trial; edge_variate is the scalar form and the
+variate being x / 2**53, so comparing it with p is exact; perturb
+runs both for one trial.  edge_variate is the scalar form and the
 reference.  A scan packs its base's missing pairs once and draws each
 trial's variates in one _draw call, and drops the pairs that would
 arrive at or above its last grid point; the others enter the trial's
@@ -43,28 +43,29 @@ The node budget is the only limit on a search, so no verdict depends on
 machine speed, and every search verdict, inconclusive ones too, is
 decided once per host for the rest of the scan of its base.
 
-A scan of one base runs in three phases.  It first walks every trial
-and records each host that stands at some grid points as (host index,
-first point, end point), the index interning the host's adjacency in
-first-seen order, so memory grows with distinct hosts, not with runs;
-the walk needs no verdict, as the K_R test looks only at arrivals.  It
-then decides the distinct hosts in that order, as the scan's cache
-says.  Last it tallies each run under its host's status.
+A scan of one base walks every trial once.  A host that stands at
+some grid points is decided where the walk first meets it, as the
+scan's cache says, so hosts are decided in first-seen order; its status
+is kept by adjacency, so memory grows with distinct hosts, not with
+runs, and each run of grid points the host stands at is tallied under
+that status at once.  The K_R test looks only at arrivals, so no
+verdict steers the walk.
 
 With cache "none" every distinct host is searched, in this process, and
 a Ramsey verdict reached by search is not carried to other hosts,
 because a fresh search of a larger host could run out of node budget.
 A status is then a pure function of (host, targets, node budget).
 
-With cache "monotone" (_decide_monotone) the hosts are decided in this
-process through a library of the verdicts searched so far: a host that
-contains a host searched RAMSEY is RAMSEY, and one that embeds in a
-host searched NOT_RAMSEY is NOT_RAMSEY, through the pulled-back
-witness, which verify_coloring re-checks.  Each containment test stops
-after _EMBED_PLACEMENTS embedding placements, and a host with no hit is
-searched.  A host's status is then what a search gives whenever a
-search decides it, and a host that a search would leave inconclusive
-may be settled, so the cache is part of a scan's manifest.
+With cache "monotone" the hosts are decided one at a time in this
+process by a _monotone_decider, whose library holds the verdicts it
+has searched so far: a host that contains a host searched RAMSEY is
+RAMSEY, and one that embeds in a host searched NOT_RAMSEY is
+NOT_RAMSEY, through the pulled-back witness, which verify_coloring
+re-checks.  Each containment test stops after _EMBED_PLACEMENTS
+embedding placements, and a host with no hit is searched.  A host's
+status is then what a search gives whenever a search decides it, and a
+host that a search would leave inconclusive may be settled, so the
+cache is part of a scan's manifest.
 
 Ramsey trials that exhaust their node budget count as Inconclusive:
 they are reported separately and excluded from the success-rate
@@ -77,7 +78,7 @@ import bisect
 import itertools
 import math
 import struct
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 from .coloring import (DEFAULT_NODE_BUDGET, DEFAULT_RAMSEY_CAP, INCONCLUSIVE,
                        NOT_RAMSEY, RAMSEY, EdgeColoring, RamseyQuery, _edgeless_target,
@@ -91,7 +92,6 @@ _MASK64 = (1 << 64) - 1
 _UNIT = float(1 << 53)  # a variate is a 53-bit integer divided by this
 _WILSON_Z = 1.959963984540054  # two-sided 95%
 DEFAULT_PER_DECADE = 13  # log_spaced_grid points per decade of p
-_STATUSES = (RAMSEY, NOT_RAMSEY, INCONCLUSIVE)  # the statuses a scan tallies
 _CACHES = ("monotone", "none")  # how a scan decides its distinct hosts
 # embedding-DFS placements one containment test of the monotone library
 # may make before it counts as no hit: a Turan(12,2) scan against (C3,C5)
@@ -164,12 +164,6 @@ def _draw(packed: tuple, seed: int, trial: int) -> tuple[int, ...]:
     return struct.unpack(layout, (x >> 11).to_bytes(size, "little"))
 
 
-def _variates(seed: int, trial: int, indices: Sequence[int]) -> tuple[int, ...]:
-    """One trial's variates for the edge indices given, through the
-    kernel a scan runs once per trial (_pack, then _draw)."""
-    return _draw(_pack(indices), seed, trial)
-
-
 def sample_gnp(n: int, p: float, seed: int, trial: int = 0) -> Graph:
     """Binomial random graph on n vertices; edge j appears when its
     counter variate is below p.  Edge indices follow the canonical
@@ -195,7 +189,7 @@ def perturb(base: Graph, p: float, seed: int, trial: int = 0) -> Graph:
     adj = list(base.adj)
     indices, pairs = _missing_pairs(base)
     cut = p * _UNIT
-    for (u, v), x in zip(pairs, _variates(seed, trial, indices)):
+    for (u, v), x in zip(pairs, _draw(_pack(indices), seed, trial)):
         if x < cut:
             adj[u] |= 1 << v
             adj[v] |= 1 << u
@@ -263,22 +257,20 @@ def _scan_base(base: Graph, targets: Sequence, grid: list[float], trials: int,
     (module docstring), and so is the per-base part of the variate
     kernel, the missing pairs' packed indices (_pack).  numbers maps a
     cap min(n, 12) to its R, so the caller's bases of one cap share one
-    search.  Then three phases.  The walk: each trial draws variates
-    for the base's missing pairs in one _draw call, and its hosts
-    grow along the grid as those pairs arrive, so the host at p is
-    exactly perturb(base, p, seed, trial).  Pairs arriving at or above
-    the last grid point are dropped before the arrivals are sorted.  A
-    trial's earlier hosts all lack a K_R, so a host holds one only
-    through a pair that has just arrived, and only those pairs are
-    tested.  Each other host is recorded once for the run of grid points
-    it stands at, as its index among the distinct adjacencies and the
-    run's ends.  The decisions: each distinct host gets one status, in
-    first-seen order, inconclusive ones included, all in this process
-    and a Graph being built only for a host being decided.  With cache
-    "none" each host is searched; with cache "monotone" _decide_monotone
-    settles what it can by containment and searches the rest.  The tally:
-    each run adds its host's status at its first point and removes it at
-    its end.
+    search.  Then the walk: each trial draws variates for the base's
+    missing pairs in one _draw call, and its hosts grow along the grid
+    as those pairs arrive, so the host at p is exactly
+    perturb(base, p, seed, trial).  Pairs arriving at or above the last
+    grid point are dropped before the arrivals are sorted.  A trial's
+    earlier hosts all lack a K_R, so a host holds one only through a
+    pair that has just arrived, and only those pairs are tested.  Each
+    other host stands for a run of grid points.  The first time a host
+    stands it gets one status, inconclusive ones included, in this
+    process, and a Graph is built only then; its status is kept by
+    adjacency.  With cache "none" the host is searched; with cache
+    "monotone" one _monotone_decider settles what it can by containment
+    and searches the rest.  Each run adds its host's status at its first
+    point and removes it at its end.
     """
     if trials < 0:
         raise ValueError(f"trial count must be nonnegative, got {trials}")
@@ -299,19 +291,28 @@ def _scan_base(base: Graph, targets: Sequence, grid: list[float], trials: int,
     # either makes every host of every trial Ramsey at every p
     settled = edgeless or (number is not None
                            and _first_clique(base.adj, (1 << n) - 1, number) is not None)
-    # per status and grid point, the change in the status's count of
-    # trials from the previous point
-    deltas = {status: [0] * (len(grid) + 1) for status in _STATUSES}
+    # per tallied status and grid point, the change in the status's
+    # count of trials from the previous point
+    deltas = {status: [0] * (len(grid) + 1) for status in (RAMSEY, INCONCLUSIVE)}
     successes = deltas[RAMSEY]
     if settled:
         successes[0] = trials
-    hosts: dict = {}  # adjacency -> index, in first-seen order
-    runs = []  # (host index, first grid point, end grid point)
+    decide = (_monotone_decider() if cache == "monotone"
+              else lambda query: decide_ramsey(query).status)
+    statuses: dict = {}  # adjacency -> status, decided when the host first stands
 
     def stand(adj: list[int], start: int, end: int) -> None:
-        """Record a host that stands at grid points start..end-1."""
+        """Tally a host that stands at grid points start..end-1."""
         if start < end:
-            runs.append((hosts.setdefault(tuple(adj), len(hosts)), start, end))
+            key = tuple(adj)
+            if key not in statuses:
+                statuses[key] = decide(RamseyQuery(Graph(n, key, base.labels),
+                                                   template.targets, template.forbidden,
+                                                   template.node_budget))
+            counts = deltas.get(statuses[key])
+            if counts is not None:
+                counts[start] += 1
+                counts[end] -= 1
 
     indices, pairs = _missing_pairs(base)
     packed = _pack(indices)
@@ -340,19 +341,6 @@ def _scan_base(base: Graph, targets: Sequence, grid: list[float], trials: int,
             start = end
         else:
             stand(adj, start, len(grid))
-
-    def query(key: tuple[int, ...]) -> RamseyQuery:
-        return RamseyQuery(Graph(n, key, base.labels), template.targets,
-                           template.forbidden, template.node_budget)
-
-    if cache == "monotone":
-        statuses = _decide_monotone([query(key) for key in hosts])
-    else:
-        statuses = [decide_ramsey(query(key)).status for key in hosts]
-    for i, start, end in runs:
-        counts = deltas[statuses[i]]
-        counts[start] += 1
-        counts[end] -= 1
     rows = []
     s = inc = 0
     for p, ds, dinc in zip(grid, successes, deltas[INCONCLUSIVE]):
@@ -382,57 +370,57 @@ def _embedding(plan: list, n: int, adj) -> Optional[tuple[int, ...]]:
     return next(_iter_embeddings(n, adj, plan, cap=[_EMBED_PLACEMENTS]), None)
 
 
-def _decide_monotone(queries: list[RamseyQuery]) -> list[str]:
-    """The status of each query's host, in order, in this process,
-    settling a host by containment where it can (the library).
+def _monotone_decider() -> Callable[[RamseyQuery], str]:
+    """A function decide(query) -> the status of the query's host, in
+    this process, settling a host by containment where it can, through
+    a library of the hosts it has searched so far.
 
     Being Ramsey for non-induced targets is monotone in the host.  A
     host that contains a host searched RAMSEY is RAMSEY; a host that
     embeds in a host searched NOT_RAMSEY is NOT_RAMSEY, through the
     latter's witness pulled back along the embedding and re-checked by
-    verify_coloring.  The hosts share one vertex count, so an embedding
-    maps vertices one to one; an edge-count and degree-sequence filter
-    comes before each test, and a test stops after _EMBED_PLACEMENTS
-    placements.  A host with no hit is searched; a RAMSEY or NOT_RAMSEY
-    verdict makes it an entry.  Every step is counted in nodes or
-    placements, so no status depends on machine speed or CPU count.
+    verify_coloring.  The queries given to one decider share one vertex
+    count, targets and forbidden sets, so an embedding maps vertices one
+    to one; an edge-count and degree-sequence filter comes before each
+    test, and a test stops after _EMBED_PLACEMENTS placements.  A host
+    with no hit is searched; a RAMSEY or NOT_RAMSEY verdict makes it an
+    entry.  Every step is counted in nodes or placements, so no status
+    depends on machine speed or CPU count.  decide_ramsey is looked up
+    when a host is searched, so a rebinding of the module's name is seen.
     """
     ramsey = []  # (profile, embedding plan) of each host searched RAMSEY
     refuted = []  # (profile, adjacency, color of each ordered edge) of each NOT_RAMSEY one
-    statuses = []
-    for query in queries:
+
+    def decide(query: RamseyQuery) -> str:
         host = query.host
         n, profile = host.n, _profile(host)
-        status = plan = None  # the host's plan is built when first needed
         if any(_may_embed(entry, profile) and _embedding(within, n, host.adj) is not None
                for entry, within in ramsey):
-            status = RAMSEY
-        else:
-            for entry, adj, colors in refuted:
-                if not _may_embed(profile, entry):
-                    continue
-                plan = plan or _embedding_plan(host)
-                into = _embedding(plan, n, adj)
-                if into is not None:
-                    pulled = EdgeColoring(host, query.r, tuple(colors[into[u], into[v]]
-                                                               for u, v in host.edges()))
-                    bad = verify_coloring(pulled, query)
-                    if bad:
-                        raise AssertionError(f"a pulled-back witness is invalid: {bad}")
-                    status = NOT_RAMSEY
-                    break
-        if status is None:
-            verdict = decide_ramsey(query)
-            status = verdict.status
-            if status == RAMSEY:
-                ramsey.append((profile, plan or _embedding_plan(host)))
-            elif status == NOT_RAMSEY:
-                colors = {}
-                for (u, v), c in zip(host.edges(), verdict.witness.colors):
-                    colors[u, v] = colors[v, u] = c
-                refuted.append((profile, host.adj, colors))
-        statuses.append(status)
-    return statuses
+            return RAMSEY
+        plan = None  # the host's plan is built when first needed
+        for entry, adj, colors in refuted:
+            if not _may_embed(profile, entry):
+                continue
+            plan = plan or _embedding_plan(host)
+            into = _embedding(plan, n, adj)
+            if into is not None:
+                pulled = EdgeColoring(host, query.r, tuple(colors[into[u], into[v]]
+                                                           for u, v in host.edges()))
+                bad = verify_coloring(pulled, query)
+                if bad:
+                    raise AssertionError(f"a pulled-back witness is invalid: {bad}")
+                return NOT_RAMSEY
+        verdict = decide_ramsey(query)
+        if verdict.status == RAMSEY:
+            ramsey.append((profile, plan or _embedding_plan(host)))
+        elif verdict.status == NOT_RAMSEY:
+            colors = {}
+            for (u, v), c in zip(host.edges(), verdict.witness.colors):
+                colors[u, v] = colors[v, u] = c
+            refuted.append((profile, host.adj, colors))
+        return verdict.status
+
+    return decide
 
 
 def log_spaced_grid(p_lo: float, p_hi: float,
@@ -493,9 +481,10 @@ def threshold_scan(bases: Sequence[Graph], targets: Sequence, p_grid: Sequence[f
     and, with at least two sizes crossing above p = 0, the empirical
     exponent log(p*_1/p*_2) / log(n_1/n_2) as a descriptive quantity.
     Flags record curve decreases beyond Wilson-interval overlap and
-    all-inconclusive batches.  Every host is decided in this process;
-    cache is "none" (every distinct host searched) or "monotone" (hosts
-    settled by containment where they can: _decide_monotone).
+    all-inconclusive batches.  Every host is decided in this process,
+    where the scan's walk first meets it; cache is "none" (every
+    distinct host searched) or "monotone" (hosts settled by containment
+    where they can, through one _monotone_decider per base).
     """
     if cache not in _CACHES:
         raise ValueError(f"cache must be one of {_CACHES}, got {cache!r}")

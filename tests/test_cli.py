@@ -382,7 +382,8 @@ class TestScanAndReplay:
     @pytest.mark.parametrize("grid, err_line", [
         ("0.1:x", "error: --p-grid HI needs a number, got 'x'"),
         ("0.1:0.5:y", "error: --p-grid PER_DECADE needs an integer, got 'y'"),
-    ], ids=["HI", "PER_DECADE"])
+        ("0.1:0.5:2:junk", "error: --p-grid takes lo:hi[:per_decade], got '0.1:0.5:2:junk'"),
+    ], ids=["HI", "PER_DECADE", "EXTRA"])
     def test_non_numeric_grid_names_its_option(self, capsys, tmp_path, grid, err_line):
         code, out, err = run(
             capsys, ["scan", "--base", "turan:6,3", "--targets", "C3,C3",

@@ -133,6 +133,19 @@ class TestRunExperiment:
                            base_dir=str(tmp_path))
         assert not list(tmp_path.iterdir())
 
+    @pytest.mark.parametrize("where, key", [
+        ("args", "node_budgt"), ("args", "cache_"), ("args", "seed"), ("p_grid", "per_decad"),
+    ])
+    def test_scan_unknown_key_named(self, tmp_path, where, key):
+        # a misspelled key would otherwise run with the default it meant to set
+        args = {"bases": ["turan:6,3"], "targets": "C3,C3", "trials": 2,
+                "p_grid": {"lo": 0.1, "hi": 0.5, "per_decade": 2}}
+        (args if where == "args" else args["p_grid"])[key] = 1
+        with pytest.raises(ManifestError, match=f"unknown .* '{key}'; known: "):
+            run_experiment({"op": "scan", "seed": 1, "args": args},
+                           base_dir=str(tmp_path))
+        assert not list(tmp_path.iterdir())
+
     def test_zero_per_decade_rejected(self, tmp_path):
         args = {"bases": ["turan:6,3"], "targets": "C3,C3", "trials": 2,
                 "p_grid": {"lo": 0.1, "hi": 0.5, "per_decade": 0}}

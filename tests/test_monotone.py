@@ -27,6 +27,28 @@ SEARCH_ARGS = {"bases": ["turan:9,3"], "targets": "C3,C5",
 SEARCH_CSV = "6c7048ee490b8b0a332ccf7e642a56a3ebe03f9e7c878eb5454a0cf6099df01e"
 
 
+# the seed of a random scan (scan_queries), its targets and the node
+# budget of its searches
+SCAN_CASE = dict(seed=st.integers(min_value=0, max_value=2 ** 32),
+                 targets=st.sampled_from([[cycle(3), cycle(3)], [cycle(3), cycle(5)],
+                                          [clique(3), cycle(4)], [path(3), clique(3)]]),
+                 node_budget=st.one_of(st.integers(min_value=1, max_value=300),
+                                       st.just(DEFAULT_NODE_BUDGET)))
+
+
+def scan_queries(seed, targets, node_budget):
+    """A random base, grid and trial count drawn from seed, and the
+    queries of the distinct hosts a scan of the base meets, in a
+    first-seen order; the generator is returned for further draws."""
+    rng = random.Random(seed)
+    base = random_graph(rng, rng.randint(4, 8), rng.random() * 0.6)
+    grid = sorted(rng.random() for _ in range(rng.randint(1, 5)))
+    trials = rng.randint(1, 8)
+    hosts = dict.fromkeys(perturb(base, p, seed, t) for t in range(trials) for p in grid)
+    queries = [ramsey_query(h, targets, node_budget=node_budget) for h in hosts]
+    return rng, base, grid, trials, queries
+
+
 def recorded_decisions(monkeypatch):
     """Patch the scan's decide_ramsey to record each query's host and
     verdict in the returned list."""
@@ -83,7 +105,8 @@ class TestBoundedEmbedding:
 
         monkeypatch.setattr(perturb_module, "decide_ramsey", ramsey_stub)
         queries = [ramsey_query(g, [cycle(3), cycle(5)]) for g in (small, large)]
-        assert perturb_module._decide_monotone(queries) == [RAMSEY, RAMSEY]
+        decide = perturb_module._monotone_decider()
+        assert [decide(q) for q in queries] == [RAMSEY, RAMSEY]
         assert searched == [small, large]
 
 
@@ -126,7 +149,8 @@ class TestLibrary:
             settled = (triangles.union(Graph.from_edges(6, [(2, 3)])) if status == RAMSEY
                        else hexagon.subgraph_with_edges([(0, 1), (1, 2), (3, 4)]))
             queries = [ramsey_query(g, [cycle(3), cycle(3)]) for g in (first, second, settled)]
-            assert perturb_module._decide_monotone(queries) == [status] * 3
+            decide = perturb_module._monotone_decider()
+            assert [decide(q) for q in queries] == [status] * 3
             assert searched == [first, second]
 
     def test_invalid_pulled_back_witness_raises(self, monkeypatch):
@@ -141,27 +165,17 @@ class TestLibrary:
 
         monkeypatch.setattr(perturb_module, "decide_ramsey", bogus)
         queries = [ramsey_query(g, [cycle(3), cycle(3)]) for g in (entry, inside)]
+        decide = perturb_module._monotone_decider()
         with pytest.raises(AssertionError, match="pulled-back witness"):
-            perturb_module._decide_monotone(queries)
+            [decide(q) for q in queries]
 
     @settings(max_examples=60, deadline=None)
-    @given(seed=st.integers(min_value=0, max_value=2 ** 32),
-           targets=st.sampled_from([[cycle(3), cycle(3)], [cycle(3), cycle(5)],
-                                    [clique(3), cycle(4)], [path(3), clique(3)]]),
-           node_budget=st.one_of(st.integers(min_value=1, max_value=300),
-                                 st.just(DEFAULT_NODE_BUDGET)),
-           clique_shortcut=st.booleans())
+    @given(clique_shortcut=st.booleans(), **SCAN_CASE)
     def test_monotone_against_fresh(self, seed, targets, node_budget, clique_shortcut):
-        rng = random.Random(seed)
-        base = random_graph(rng, rng.randint(4, 8), rng.random() * 0.6)
-        grid = sorted(rng.random() for _ in range(rng.randint(1, 5)))
-        trials = rng.randint(1, 8)
-        # the hosts a scan of the base decides, in a first-seen order
-        hosts = list(dict.fromkeys(perturb(base, p, seed, t)
-                                   for t in range(trials) for p in grid))
-        queries = [ramsey_query(h, targets, node_budget=node_budget) for h in hosts]
+        _, base, grid, trials, queries = scan_queries(seed, targets, node_budget)
         fresh = [decide_ramsey(q).status for q in queries]
-        for status, settled in zip(fresh, perturb_module._decide_monotone(queries)):
+        decide = perturb_module._monotone_decider()
+        for status, settled in zip(fresh, [decide(q) for q in queries]):
             assert status == INCONCLUSIVE or settled == status
 
         none, monotone = (threshold_scan([base], targets, grid, trials, seed,
@@ -173,6 +187,25 @@ class TestLibrary:
             assert b.successes >= a.successes
             if not a.inconclusive:
                 assert b == a
+
+    @settings(max_examples=60, deadline=None)
+    @given(**SCAN_CASE)
+    def test_decision_order_does_not_matter(self, seed, targets, node_budget):
+        # the scan's distinct hosts fed to one library in a shuffled
+        # order, as an adaptive caller may feed them: a host that fresh
+        # search decides gets its status, and no host gets the verdict
+        # opposite to a search under the default budget
+        rng, _, _, _, queries = scan_queries(seed, targets, node_budget)
+        rng.shuffle(queries)
+        decide = perturb_module._monotone_decider()
+        for query in queries:
+            settled = decide(query)
+            fresh = decide_ramsey(query).status
+            if fresh != INCONCLUSIVE:
+                assert settled == fresh
+            elif settled != INCONCLUSIVE:
+                truth = decide_ramsey(ramsey_query(query.host, targets)).status
+                assert truth in (settled, INCONCLUSIVE)
 
     @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
     def test_no_scan_forks(self, monkeypatch):

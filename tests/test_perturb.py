@@ -105,9 +105,9 @@ class TestPerturb:
 
 
 class TestStream:
-    """The packed kernel _variates against the scalar edge_variate, bit
-    for bit, and the graphs drawn with it against graphs built from
-    edge_variate one pair at a time."""
+    """The packed kernel (_pack, then _draw) against the scalar
+    edge_variate, bit for bit, and the graphs drawn with it against
+    graphs built from edge_variate one pair at a time."""
 
     @pytest.mark.parametrize("seed", [0, -1, -8020, 2 ** 64, 2 ** 64 + 8020, 3 ** 50])
     def test_kernel_matches_scalar(self, seed):
@@ -118,7 +118,7 @@ class TestStream:
             packed = perturb_module._pack(indices)
             for trial in range(4):
                 expected = [edge_variate(seed, trial, j) for j in indices]
-                for xs in (perturb_module._variates(seed, trial, indices),
+                for xs in (perturb_module._draw(perturb_module._pack(indices), seed, trial),
                            perturb_module._draw(packed, seed, trial)):
                     assert all(isinstance(x, int) and 0 <= x < 2 ** 53 for x in xs)
                     assert [x / 2 ** 53 for x in xs] == expected
