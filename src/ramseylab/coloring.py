@@ -52,6 +52,17 @@ These reasons keep backjumping complete.  The argument rests on the
 branching order: if it ever changes, both constraints (which entry an
 edge decides, and in what order) must be derived again.
 
+_decide_degree_first changes which vertex branches first without
+touching that order: it relabels the host, by decreasing degree, then
+by the least member of each vertex's twin class, then by label, and
+relabels the forbidden sets to match, then runs decide_ramsey on the
+relabelled query, whose symmetries the argument above covers as it
+stands.  Twins share a degree, so each twin class stays a run of
+labels and keeps its twin-row constraints.  The witness is mapped back
+to the host's canonical edge order and re-verified.  A scan uses it
+under the manifest's "order": "degree"; the vertices that perturbation
+made densest then branch first (fail first, Haralick & Elliott 1980).
+
 A target without edges (K1, P1, an edgeless graph) has a copy in every
 color class as soon as one placement of its vertices is allowed; such
 a query is Ramsey before any search.
@@ -643,6 +654,46 @@ def decide_ramsey(query: RamseyQuery) -> RamseyVerdict:
     stats.symmetry_cuts = cuts
     stats.elapsed = time.monotonic() - start
     return RamseyVerdict(status, witness, stats)
+
+
+def _decide_degree_first(query: RamseyQuery) -> RamseyVerdict:
+    """decide_ramsey on the query with the host's vertices relabelled by
+    (-degree, least member of their twin class, label) and every color's
+    forbidden sets to match (module docstring).  A decided status is the
+    canonical order's; the node count can differ, and with it which
+    budget-limited searches decide.  A NOT_RAMSEY witness is mapped back
+    to the host's canonical edge order and re-verified.  A host already
+    in this order is decided as it stands.  decide_ramsey is looked up
+    at the call, so a rebinding of the module's name sees every search.
+    """
+    host = query.host
+    n, adj = host.n, host.adj
+    least = [0] * n  # the least member of each vertex's twin class
+    for members, _ in twin_classes(host):
+        low = (members & -members).bit_length() - 1
+        for v in _bits(members):
+            least[v] = low
+    order = sorted(range(n), key=lambda v: (-adj[v].bit_count(), least[v], v))
+    if order == list(range(n)):
+        return decide_ramsey(query)
+    pos = [0] * n
+    for i, v in enumerate(order):
+        pos[v] = i
+    relabelled = Graph(n, tuple(sum(1 << pos[w] for w in _bits(adj[v])) for v in order))
+    # a forbidden vertex outside the host names no vertex, and stays as it is
+    forbidden = tuple(frozenset(frozenset(pos[x] if 0 <= x < n else x for x in vs)
+                                for vs in forb) for forb in query.forbidden)
+    verdict = decide_ramsey(RamseyQuery(relabelled, query.targets, forbidden,
+                                        query.node_budget))
+    if verdict.witness is None:
+        return verdict
+    color = dict(zip(relabelled.edges(), verdict.witness.colors))
+    witness = EdgeColoring(host, query.r, tuple(color[min(pos[u], pos[v]), max(pos[u], pos[v])]
+                                                for u, v in host.edges()))
+    bad = verify_coloring(witness, query)
+    if bad:
+        raise AssertionError(f"a mapped-back witness is invalid: {bad}")
+    return RamseyVerdict(verdict.status, witness, verdict.stats)
 
 
 # ---------------------------------------------------------------------

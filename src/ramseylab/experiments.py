@@ -10,12 +10,17 @@ A manifest is a JSON object:
      "seed": 123,                    # optional; drawn and persisted if absent
      "out": "results.csv"}           # relative to the manifest
 
+A key that the manifest's op does not read (at the top level, in a
+scan's args or in a p_grid object) is refused with a ManifestError
+naming it; the top level may also hold the "version" a run records.
 Running writes the result file and a sibling ``<out>.manifest.json``
 with the seed, the package version and, for a scan, the probability
-grid, node budget, clique shortcut and cache resolved, so a later
-replay needs no defaults.  A new scan's cache is "monotone"; a stored
-scan manifest without one replays with "none", as it ran.  The resolved
-``out`` is the result's file name, relative to that sibling manifest.
+grid, node budget, clique shortcut, cache and order resolved, so a
+later replay needs no defaults.  A new scan's cache is "monotone" and
+its order "degree"; a stored scan manifest without a cache replays
+with "none", and one without an order with "canonical", as it ran.
+The resolved ``out`` is the result's file name, relative to that
+sibling manifest.
 Replays are compared byte for byte, except that fact-report runtimes
 are zeroed on both sides first.
 """
@@ -31,7 +36,7 @@ from typing import Optional, Union
 from . import facts as facts_mod
 from .coloring import DEFAULT_NODE_BUDGET
 from .graphs import build_family
-from .perturb import _CACHES, DEFAULT_PER_DECADE, log_spaced_grid, threshold_scan
+from .perturb import _CACHES, _ORDERS, DEFAULT_PER_DECADE, log_spaced_grid, threshold_scan
 
 PACKAGE_VERSION = "0.1.0"
 
@@ -51,8 +56,11 @@ def _require(mapping: dict, key: str, what: str):
 # scan manifest written before searches were bounded by nodes alone also
 # holds "time_budget", which is read and ignored so that it replays
 _SCAN_ARGS = ("bases", "targets", "p_grid", "trials", "node_budget", "clique_shortcut",
-              "cache")
+              "cache", "order")
 _GRID_KEYS = ("lo", "hi", "per_decade")
+# the top-level keys a manifest of each op may hold
+_MANIFEST_KEYS = {op: ("op", "args", "seed", "out", "version") + extra
+                  for op, extra in (("scan", ()), ("facts", ()), ("fact", ("name",)))}
 
 
 def _known_keys(mapping: dict, known: tuple, what: str) -> None:
@@ -184,11 +192,14 @@ def _run_scan(args: dict, seed: int):
     cache = args.get("cache", "none")  # a manifest stored without it searched every host
     if cache not in _CACHES:
         raise ManifestError(f"'cache' must be \"monotone\" or \"none\", got {cache!r}")
+    order = args.get("order", "canonical")  # a manifest stored without it searched so
+    if order not in _ORDERS:
+        raise ManifestError(f"'order' must be \"degree\" or \"canonical\", got {order!r}")
     return threshold_scan(
         bases, targets, grid, _typed(_require(args, "trials", "scan"), "trials", int), seed,
         node_budget=_typed(args.get("node_budget", DEFAULT_NODE_BUDGET), "node_budget", int),
         clique_shortcut=_typed(args.get("clique_shortcut", True), "clique_shortcut", bool),
-        cache=cache)
+        cache=cache, order=order)
 
 
 def _strip_runtimes(obj):
@@ -215,11 +226,14 @@ def _result_text(manifest: dict) -> str:
 
 
 def _check_manifest(manifest) -> dict:
-    """The manifest, once it is a JSON object with an 'op' key whose
-    'args', when given, are a JSON object too, and whose seed, when
-    given, is an integer."""
+    """The manifest, once it is a JSON object with an 'op' key, no key
+    its op does not read, 'args', when given, a JSON object too, and
+    the seed, when given, an integer."""
     if not isinstance(manifest, dict) or "op" not in manifest:
         raise ManifestError("manifest must be a JSON object with an 'op' key")
+    op = manifest["op"]
+    if isinstance(op, str) and op in _MANIFEST_KEYS:  # an unknown op is refused when run
+        _known_keys(manifest, _MANIFEST_KEYS[op], f"{op} manifest key")
     args = manifest.get("args", {})
     if not isinstance(args, dict):
         raise ManifestError(f"manifest 'args' must be a JSON object, "
@@ -258,6 +272,7 @@ def run_experiment(manifest: Union[str, dict],
         args.setdefault("node_budget", DEFAULT_NODE_BUDGET)
         args.setdefault("clique_shortcut", True)
         args.setdefault("cache", "monotone")
+        args.setdefault("order", "degree")
     out_name = resolved.get("out")
     if not out_name:
         out_name = "results.csv" if resolved["op"] == "scan" else "results.json"

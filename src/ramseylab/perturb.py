@@ -67,6 +67,16 @@ status is then what a search gives whenever a search decides it, and a
 host that a search would leave inconclusive may be settled, so the
 cache is part of a scan's manifest.
 
+A scan's order says how a host is searched.  Under "canonical" it is
+searched as labelled.  Under "degree" it is searched through
+coloring._decide_degree_first, relabelled so that its densest vertices
+branch first: a perturbed host's random edges raise the degrees of a
+few arbitrarily labelled vertices, which the label order often reaches
+last.  A relabelling is an isomorphism, so a decided status is the
+same in both orders and the mapped-back witness is re-verified; but a
+search can decide within its node budget in one order and not in the
+other, so the order is part of a scan's manifest too.
+
 Ramsey trials that exhaust their node budget count as Inconclusive:
 they are reported separately and excluded from the success-rate
 denominator, never as success or failure.
@@ -81,9 +91,9 @@ import struct
 from typing import Callable, Optional, Sequence
 
 from .coloring import (DEFAULT_NODE_BUDGET, DEFAULT_RAMSEY_CAP, INCONCLUSIVE,
-                       NOT_RAMSEY, RAMSEY, EdgeColoring, RamseyQuery, _edgeless_target,
-                       decide_ramsey, ramsey_query, targets_ramsey_number,
-                       verify_coloring)
+                       NOT_RAMSEY, RAMSEY, EdgeColoring, RamseyQuery, RamseyVerdict,
+                       _decide_degree_first, _edgeless_target, decide_ramsey, ramsey_query,
+                       targets_ramsey_number, verify_coloring)
 from .densities import _check_prob
 from .graphs import (Graph, _check_vertex, _embedding_plan, _first_clique,
                      _iter_embeddings, _Record, empty_graph)
@@ -93,6 +103,7 @@ _UNIT = float(1 << 53)  # a variate is a 53-bit integer divided by this
 _WILSON_Z = 1.959963984540054  # two-sided 95%
 DEFAULT_PER_DECADE = 13  # log_spaced_grid points per decade of p
 _CACHES = ("monotone", "none")  # how a scan decides its distinct hosts
+_ORDERS = ("degree", "canonical")  # the vertex order a scan's searches branch in
 # embedding-DFS placements one containment test of the monotone library
 # may make before it counts as no hit: a Turan(12,2) scan against (C3,C5)
 # needs up to 19,941 for a hit, and a placement costs about a search node
@@ -249,7 +260,8 @@ def monte_carlo_ramsey(base: Graph, targets: Sequence, p: float, trials: int,
 
 def _scan_base(base: Graph, targets: Sequence, grid: list[float], trials: int,
                seed: int, node_budget: int, clique_shortcut: bool,
-               numbers: dict, cache: str = "none") -> list[MonteCarloRow]:
+               numbers: dict, cache: str = "none",
+               order: str = "canonical") -> list[MonteCarloRow]:
     """One row per point of the ascending grid, for one base.
 
     The edgeless-target test, the shortcut's R and whether the base
@@ -269,8 +281,9 @@ def _scan_base(base: Graph, targets: Sequence, grid: list[float], trials: int,
     process, and a Graph is built only then; its status is kept by
     adjacency.  With cache "none" the host is searched; with cache
     "monotone" one _monotone_decider settles what it can by containment
-    and searches the rest.  Each run adds its host's status at its first
-    point and removes it at its end.
+    and searches the rest.  Either way a search runs in the given order,
+    "canonical" or "degree" (_search).  Each run adds its host's status
+    at its first point and removes it at its end.
     """
     if trials < 0:
         raise ValueError(f"trial count must be nonnegative, got {trials}")
@@ -297,8 +310,8 @@ def _scan_base(base: Graph, targets: Sequence, grid: list[float], trials: int,
     successes = deltas[RAMSEY]
     if settled:
         successes[0] = trials
-    decide = (_monotone_decider() if cache == "monotone"
-              else lambda query: decide_ramsey(query).status)
+    decide = (_monotone_decider(order) if cache == "monotone"
+              else lambda query: _search(query, order).status)
     statuses: dict = {}  # adjacency -> status, decided when the host first stands
 
     def stand(adj: list[int], start: int, end: int) -> None:
@@ -370,7 +383,15 @@ def _embedding(plan: list, n: int, adj) -> Optional[tuple[int, ...]]:
     return next(_iter_embeddings(n, adj, plan, cap=[_EMBED_PLACEMENTS]), None)
 
 
-def _monotone_decider() -> Callable[[RamseyQuery], str]:
+def _search(query: RamseyQuery, order: str) -> RamseyVerdict:
+    """decide_ramsey on the query, or under order "degree" on the query
+    with the host's densest vertices branching first
+    (coloring._decide_degree_first); either name is looked up at the
+    call, so a rebinding of it is seen."""
+    return (_decide_degree_first if order == "degree" else decide_ramsey)(query)
+
+
+def _monotone_decider(order: str = "canonical") -> Callable[[RamseyQuery], str]:
     """A function decide(query) -> the status of the query's host, in
     this process, settling a host by containment where it can, through
     a library of the hosts it has searched so far.
@@ -383,10 +404,11 @@ def _monotone_decider() -> Callable[[RamseyQuery], str]:
     count, targets and forbidden sets, so an embedding maps vertices one
     to one; an edge-count and degree-sequence filter comes before each
     test, and a test stops after _EMBED_PLACEMENTS placements.  A host
-    with no hit is searched; a RAMSEY or NOT_RAMSEY verdict makes it an
-    entry.  Every step is counted in nodes or placements, so no status
-    depends on machine speed or CPU count.  decide_ramsey is looked up
-    when a host is searched, so a rebinding of the module's name is seen.
+    with no hit is searched, in the given order (_search); a RAMSEY or
+    NOT_RAMSEY verdict makes it an entry.  Every step is counted in
+    nodes or placements, so no status depends on machine speed or CPU
+    count.  The search is looked up when a host is searched, so a
+    rebinding of the module's name is seen.
     """
     ramsey = []  # (profile, embedding plan) of each host searched RAMSEY
     refuted = []  # (profile, adjacency, color of each ordered edge) of each NOT_RAMSEY one
@@ -410,7 +432,7 @@ def _monotone_decider() -> Callable[[RamseyQuery], str]:
                 if bad:
                     raise AssertionError(f"a pulled-back witness is invalid: {bad}")
                 return NOT_RAMSEY
-        verdict = decide_ramsey(query)
+        verdict = _search(query, order)
         if verdict.status == RAMSEY:
             ramsey.append((profile, plan or _embedding_plan(host)))
         elif verdict.status == NOT_RAMSEY:
@@ -474,7 +496,8 @@ def _crossing(points: list[tuple[float, Optional[float]]]) -> Optional[float]:
 
 def threshold_scan(bases: Sequence[Graph], targets: Sequence, p_grid: Sequence[float],
                    trials: int, seed: int, node_budget: int = DEFAULT_NODE_BUDGET,
-                   clique_shortcut: bool = True, cache: str = "none") -> ScanResult:
+                   clique_shortcut: bool = True, cache: str = "none",
+                   order: str = "canonical") -> ScanResult:
     """Success curves over a probability grid for one or more host sizes.
 
     Produces one row per (n, p), sorted; per-size crossing estimates;
@@ -484,10 +507,14 @@ def threshold_scan(bases: Sequence[Graph], targets: Sequence, p_grid: Sequence[f
     all-inconclusive batches.  Every host is decided in this process,
     where the scan's walk first meets it; cache is "none" (every
     distinct host searched) or "monotone" (hosts settled by containment
-    where they can, through one _monotone_decider per base).
+    where they can, through one _monotone_decider per base), and order
+    is "canonical" (hosts searched as labelled) or "degree" (with their
+    densest vertices branching first; module docstring).
     """
     if cache not in _CACHES:
         raise ValueError(f"cache must be one of {_CACHES}, got {cache!r}")
+    if order not in _ORDERS:
+        raise ValueError(f"order must be one of {_ORDERS}, got {order!r}")
     rows: list[MonteCarloRow] = []
     flags: list[str] = []
     crossings: dict[int, Optional[float]] = {}
@@ -495,7 +522,7 @@ def threshold_scan(bases: Sequence[Graph], targets: Sequence, p_grid: Sequence[f
     numbers: dict = {}  # the shortcut's R per cap, shared by bases of one cap
     for base in bases:
         size_rows = _scan_base(base, targets, grid, trials, seed, node_budget,
-                               clique_shortcut, numbers, cache)
+                               clique_shortcut, numbers, cache, order)
         for row in size_rows:
             if row.effective == 0:
                 flags.append(f"all trials inconclusive at n={row.n}, p={row.p!r}")

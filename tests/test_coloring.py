@@ -16,7 +16,7 @@ from ramseylab.coloring import (EdgeColoring, INCONCLUSIVE, NOT_RAMSEY, RAMSEY,
                                 targets_ramsey_number, verify_coloring)
 from ramseylab.graphs import (Graph, _copy_pairs, _iter_through, arbitrary, clique,
                               clique_graph, cycle, cycle_graph, empty_graph, path,
-                              turan_graph)
+                              turan_graph, twin_classes)
 from ramseylab.perturb import perturb
 
 
@@ -354,6 +354,104 @@ class TestFirstColoring:
             if equal_targets:
                 forbidden = [forbidden[0]] * r
         _assert_first_coloring(ramsey_query(host, targets, forbidden))
+
+
+def _assert_degree_first_agrees(query, monkeypatch):
+    """The degree-first helper's verdict on query, once its status is
+    canonical search's, its witness is valid for both checkers, and the
+    host it searched has degrees in descending order with each twin
+    class contiguous; returns (canonical verdict, helper verdict)."""
+    searched = []
+
+    def recorded(q):
+        searched.append(q.host)
+        return decide_ramsey(q)
+
+    canonical = decide_ramsey(query)
+    with monkeypatch.context() as m:
+        m.setattr(coloring, "decide_ramsey", recorded)
+        verdict = coloring._decide_degree_first(query)
+    assert verdict.status == canonical.status
+    if verdict.status == NOT_RAMSEY:
+        assert verify_coloring(verdict.witness, query) == []
+        host = query.host
+        assert _coloring_avoids(host, host.edges(), verdict.witness.colors,
+                                query.targets, query.forbidden)
+    (relabelled,) = searched
+    degrees = [row.bit_count() for row in relabelled.adj]
+    assert degrees == sorted(degrees, reverse=True)
+    for members, _ in twin_classes(relabelled):
+        run = members // (members & -members)
+        assert run & (run + 1) == 0  # consecutive labels
+    return canonical, verdict
+
+
+class TestDegreeFirst:
+    """coloring._decide_degree_first, the order a new scan's searches
+    branch in, against canonical search and the brute-force checker."""
+
+    @pytest.mark.parametrize("targets", [[cycle(3), cycle(5)], [clique(3), clique(3)]],
+                             ids=["C3-C5", "K3-K3"])
+    def test_perturbed_turan_hosts(self, targets, monkeypatch):
+        rng = random.Random(31)
+        statuses, relabelled = [], 0
+        for _ in range(30):
+            n = rng.randint(5, 10)
+            host = perturb(turan_graph(n, rng.randint(2, 4)), rng.random(), 8020,
+                           rng.randrange(1000))
+            _, verdict = _assert_degree_first_agrees(ramsey_query(host, targets),
+                                                     monkeypatch)
+            statuses.append(verdict.status)
+            degrees = [row.bit_count() for row in host.adj]
+            relabelled += degrees != sorted(degrees, reverse=True)
+        assert set(statuses) == {RAMSEY, NOT_RAMSEY}
+        assert relabelled >= 20
+
+    def test_forbidden_sets_and_several_targets(self, monkeypatch):
+        # forbidden sets are drawn from 0..n, so some name a vertex
+        # outside the host, which no copy can use
+        rng = random.Random(24)
+        statuses = []
+        for _ in range(40):
+            n = rng.randint(4, 8)
+            host = perturb(turan_graph(n, rng.randint(2, 3)), rng.random() * 0.5, 31,
+                           rng.randrange(1000))
+            r = rng.choice((2, 3))
+            pool = ([clique(3), cycle(4), cycle(5), path(4), K4_MINUS_EDGE] if r == 2
+                    else [clique(3), path(3), cycle(4)])
+            targets = [rng.sample(pool, rng.randint(1, 2)) for _ in range(r)]
+            forbidden = [[rng.sample(range(n + 1), 3) for _ in range(rng.randint(0, 4))]
+                         for _ in range(r)]
+            _, verdict = _assert_degree_first_agrees(
+                ramsey_query(host, targets, forbidden), monkeypatch)
+            statuses.append(verdict.status)
+        assert set(statuses) == {RAMSEY, NOT_RAMSEY}
+
+    @pytest.mark.parametrize("host", [clique_graph(9), clique_graph(8), turan_graph(15, 5)],
+                             ids=["K9", "K8", "Turan15-5"])
+    @pytest.mark.parametrize("targets", [[cycle(3), cycle(5)], [clique(3), clique(3)]],
+                             ids=["C3-C5", "K3-K3"])
+    def test_regular_host_is_searched_as_it_stands(self, host, targets):
+        # every vertex has one degree and the twin classes are runs of
+        # labels, so the permutation is the identity
+        query = ramsey_query(host, targets)
+        canonical = decide_ramsey(query)
+        verdict = coloring._decide_degree_first(query)
+        assert (verdict.status, verdict.witness, verdict.stats.nodes) == (
+            canonical.status, canonical.witness, canonical.stats.nodes)
+
+    def test_invalid_mapped_back_witness_raises(self, monkeypatch):
+        # every edge red on a host with triangles, and one vertex of
+        # higher degree, so the host is relabelled
+        host = turan_graph(6, 3).union(Graph.from_edges(6, [(4, 5)]))
+
+        def bogus(query):
+            return coloring.RamseyVerdict(NOT_RAMSEY, EdgeColoring(
+                query.host, 2, (0,) * query.host.edge_count))
+
+        monkeypatch.setattr(coloring, "decide_ramsey", bogus)
+        with pytest.raises(AssertionError, match="mapped-back witness"):
+            coloring._decide_degree_first(ramsey_query(host, [cycle(3), cycle(3)]))
 
 
 class TestSearchCounters:

@@ -146,6 +146,28 @@ class TestRunExperiment:
                            base_dir=str(tmp_path))
         assert not list(tmp_path.iterdir())
 
+    @pytest.mark.parametrize("manifest, key", [
+        ({"op": "scan", "seed": 5, "sead": 5}, "sead"),
+        ({"op": "scan", "seed": 5, "ot": "mine.csv"}, "ot"),
+        ({"op": "scan", "seed": 5, "name": "small_ramsey"}, "name"),
+        ({"op": "facts", "seeds": 1}, "seeds"),
+        ({"op": "fact", "name": "list_cycle_lemma", "arg": {}}, "arg"),
+    ], ids=["scan-sead", "scan-ot", "scan-name", "facts-seeds", "fact-arg"])
+    def test_unknown_top_level_key_named(self, tmp_path, manifest, key):
+        # a misspelled seed ran with a fresh random one and stored both,
+        # and a misspelled out wrote results.csv
+        if manifest["op"] == "scan":
+            manifest["args"] = {"bases": ["turan:6,3"], "targets": "C3,C3", "trials": 2,
+                                "p_grid": [0.1, 0.5]}
+        message = f"^unknown {manifest['op']} manifest key '{key}'; known: op, args, "
+        with pytest.raises(ManifestError, match=message):
+            run_experiment(manifest, base_dir=str(tmp_path))
+        path = tmp_path / "m.json"
+        path.write_text(json.dumps(manifest))
+        with pytest.raises(ManifestError, match=message):
+            load_manifest(str(path))
+        assert [p.name for p in tmp_path.iterdir()] == ["m.json"]
+
     def test_zero_per_decade_rejected(self, tmp_path):
         args = {"bases": ["turan:6,3"], "targets": "C3,C3", "trials": 2,
                 "p_grid": {"lo": 0.1, "hi": 0.5, "per_decade": 0}}

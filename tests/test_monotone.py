@@ -49,18 +49,19 @@ def scan_queries(seed, targets, node_budget):
     return rng, base, grid, trials, queries
 
 
-def recorded_decisions(monkeypatch):
-    """Patch the scan's decide_ramsey to record each query's host and
-    verdict in the returned list."""
+def recorded_decisions(monkeypatch, name="decide_ramsey"):
+    """Patch the scan's search, decide_ramsey or, for order "degree",
+    _decide_degree_first, to record each query's host and verdict in
+    the returned list."""
     decided = []
-    decide = perturb_module.decide_ramsey
+    decide = getattr(perturb_module, name)
 
     def recorded(query):
         verdict = decide(query)
         decided.append((query.host, verdict))
         return verdict
 
-    monkeypatch.setattr(perturb_module, "decide_ramsey", recorded)
+    monkeypatch.setattr(perturb_module, name, recorded)
     return decided
 
 
@@ -115,10 +116,37 @@ class TestLibrary:
         # the scan_search scan: 85 distinct hosts, 77 settled by containment
         decided = recorded_decisions(monkeypatch)
         result = threshold_scan([turan_graph(9, 3)], [cycle(3), cycle(5)],
-                                log_spaced_grid(0.02, 0.5, 6), 40, 8020, cache="monotone")
+                                log_spaced_grid(0.02, 0.5, 6), 40, 8020, cache="monotone",
+                                order="canonical")
         assert hashlib.sha256(result.to_csv().encode()).hexdigest() == SEARCH_CSV
         assert len(decided) == 8
         assert sum(verdict.stats.nodes for _, verdict in decided) == 39230
+
+    @pytest.mark.parametrize("cache, searches, nodes", [("monotone", 8, 10036),
+                                                        ("none", 85, 75841)])
+    def test_scan_search_degree_order(self, monkeypatch, cache, searches, nodes):
+        # the same hosts searched with their densest vertices branching
+        # first: the same CSV, from 39,230 and 310,483 nodes in the
+        # canonical order
+        decided = recorded_decisions(monkeypatch, "_decide_degree_first")
+        result = threshold_scan([turan_graph(9, 3)], [cycle(3), cycle(5)],
+                                log_spaced_grid(0.02, 0.5, 6), 40, 8020, cache=cache,
+                                order="degree")
+        assert hashlib.sha256(result.to_csv().encode()).hexdigest() == SEARCH_CSV
+        assert len(decided) == len({host for host, _ in decided}) == searches
+        assert sum(verdict.stats.nodes for _, verdict in decided) == nodes
+
+    @pytest.mark.parametrize("base, targets, grid, trials", [
+        (turan_graph(9, 3), [cycle(3), cycle(5)], log_spaced_grid(0.02, 0.5, 6), 40),
+        (turan_graph(12, 3), [cycle(3), cycle(5)], log_spaced_grid(0.05, 0.6, 6), 20),
+    ], ids=["scan_search", "Turan12-3"])
+    def test_orders_give_the_same_bytes(self, base, targets, grid, trials):
+        caches = ("monotone", "none") if base.n == 9 else ("monotone",)
+        for cache in caches:
+            canonical, degree = (threshold_scan([base], targets, grid, trials, 8020,
+                                                cache=cache, order=order).to_csv()
+                                 for order in ("canonical", "degree"))
+            assert canonical == degree
 
     def test_scan_search_decides_every_host_here(self, monkeypatch):
         # under cache "none" the same scan searches each of its 85
@@ -223,6 +251,12 @@ class TestLibrary:
             threshold_scan([turan_graph(6, 3)], [cycle(3), cycle(3)], [0.5], 2, 1,
                            cache="fresh")
 
+    @pytest.mark.parametrize("order", ["Degree", "random", None, True])
+    def test_unknown_order_rejected(self, order):
+        with pytest.raises(ValueError, match="order must be one of"):
+            threshold_scan([turan_graph(6, 3)], [cycle(3), cycle(3)], [0.5], 2, 1,
+                           order=order)
+
 
 def top_rows(path):
     """(successes, inconclusive) at the top two grid points of a scan CSV."""
@@ -239,30 +273,46 @@ class TestManifestCache:
 
     def test_replay_contract(self, tmp_path):
         # the scan_search scan at node budget 15000, where fresh search
-        # leaves hosts inconclusive that the library settles
-        fresh = self.run(tmp_path, "fresh.csv", cache="none")
+        # in the canonical order leaves hosts inconclusive that the
+        # library, or the degree order, settles
+        fresh = self.run(tmp_path, "fresh.csv", cache="none", order="canonical")
         assert top_rows(fresh["out"]) == [(3, 1), (8, 7)]
-        # a manifest stored before the field existed searches every host
+        # a manifest stored before either field existed searches every
+        # host in the canonical order
         with open(fresh["manifest"], encoding="utf-8") as fh:
             stored = json.load(fh)
-        del stored["args"]["cache"]
+        del stored["args"]["cache"], stored["args"]["order"]
         with open(fresh["manifest"], "w", encoding="utf-8") as fh:
             json.dump(stored, fh)
         assert replay(fresh["manifest"])["identical"]
+        canonical = self.run(tmp_path, "canonical.csv", order="canonical")
+        assert canonical["resolved"]["args"]["cache"] == "monotone"
+        assert top_rows(canonical["out"]) == [(4, 0), (13, 2)]
+        assert replay(canonical["manifest"])["identical"]
         new = self.run(tmp_path, "new.csv")
-        assert new["resolved"]["args"]["cache"] == "monotone"
+        assert (new["resolved"]["args"]["cache"], new["resolved"]["args"]["order"]) == (
+            "monotone", "degree")
         with open(new["manifest"], encoding="utf-8") as fh:
-            assert json.load(fh)["args"]["cache"] == "monotone"
-        assert top_rows(new["out"]) == [(4, 0), (13, 2)]
+            stored = json.load(fh)["args"]
+        assert (stored["cache"], stored["order"]) == ("monotone", "degree")
+        assert top_rows(new["out"]) == [(4, 0), (15, 0)]
         assert replay(new["manifest"])["identical"]
+        # the same manifest without its order replays the canonical bytes
+        with open(new["manifest"], encoding="utf-8") as fh:
+            stored = json.load(fh)
+        del stored["args"]["order"]
+        legacy = tmp_path / "legacy.json"
+        legacy.write_text(json.dumps(dict(stored, out="canonical.csv")))
+        assert replay(str(legacy))["identical"]
 
     def test_every_scan_default_resolved(self, tmp_path):
         args = {"bases": ["turan:6,3"], "targets": "C3,C3", "trials": 2, "p_grid": [0.1, 0.5]}
         resolved = run_experiment({"op": "scan", "seed": 1, "args": args},
                                   base_dir=str(tmp_path))["resolved"]["args"]
-        assert (resolved["node_budget"], resolved["clique_shortcut"], resolved["cache"]) == (
-            DEFAULT_NODE_BUDGET, True, "monotone")
-        given_args = dict(args, node_budget=500, clique_shortcut=False, cache="none")
+        assert (resolved["node_budget"], resolved["clique_shortcut"], resolved["cache"],
+                resolved["order"]) == (DEFAULT_NODE_BUDGET, True, "monotone", "degree")
+        given_args = dict(args, node_budget=500, clique_shortcut=False, cache="none",
+                          order="canonical")
         result = run_experiment({"op": "scan", "seed": 1, "args": given_args},
                                 base_dir=str(tmp_path))
         assert result["resolved"]["args"] == dict(given_args, p_grid=[0.1, 0.5])
@@ -273,5 +323,14 @@ class TestManifestCache:
         args = {"bases": ["turan:6,3"], "targets": "C3,C3", "trials": 2,
                 "p_grid": [0.1, 0.5], "cache": value}
         with pytest.raises(ManifestError, match="'cache' must be \"monotone\" or \"none\""):
+            run_experiment({"op": "scan", "seed": 1, "args": args}, base_dir=str(tmp_path))
+        assert not list(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("value", [True, "Degree", 1, "", None, ["degree"]])
+    def test_order_must_be_one_of_two_strings(self, tmp_path, value):
+        args = {"bases": ["turan:6,3"], "targets": "C3,C3", "trials": 2,
+                "p_grid": [0.1, 0.5], "order": value}
+        with pytest.raises(ManifestError,
+                           match="'order' must be \"degree\" or \"canonical\""):
             run_experiment({"op": "scan", "seed": 1, "args": args}, base_dir=str(tmp_path))
         assert not list(tmp_path.iterdir())
