@@ -190,11 +190,11 @@ def _run_scan(args: dict, seed: int):
     targets = parse_targets(_typed(_require(args, "targets", "scan"), "targets", str))
     grid = _resolve_grid(args)
     cache = args.get("cache", "none")  # a manifest stored without it searched every host
-    if cache not in _CACHES:
-        raise ManifestError(f"'cache' must be \"monotone\" or \"none\", got {cache!r}")
     order = args.get("order", "canonical")  # a manifest stored without it searched so
-    if order not in _ORDERS:
-        raise ManifestError(f"'order' must be \"degree\" or \"canonical\", got {order!r}")
+    for key, value, allowed in (("cache", cache, _CACHES), ("order", order, _ORDERS)):
+        if value not in allowed:
+            raise ManifestError(f"'{key}' must be {' or '.join(map(json.dumps, allowed))}, "
+                                f"got {value!r}")
     return threshold_scan(
         bases, targets, grid, _typed(_require(args, "trials", "scan"), "trials", int), seed,
         node_budget=_typed(args.get("node_budget", DEFAULT_NODE_BUDGET), "node_budget", int),

@@ -25,57 +25,60 @@ host in arrival order as p grows along the sorted grid, so the host at
 each grid point is exactly perturb(base, p, seed, trial).
 
 Hosts are nested in p within a trial, and being Ramsey for non-induced
-targets is monotone under adding edges.  The scan settles, once per
-base and before any trial, the verdicts that no budget can change.  A
-target without edges makes every host on n vertices Ramsey, so nothing
-is drawn or decided.  With the clique shortcut, R = the least n' <= n
-(capped at 12) with K_n' Ramsey for the targets depends only on the
-targets, the node budget and the cap min(n, 12), so threshold_scan
-searches it once per distinct cap, not once per base.  Every K_R test
+targets is monotone under adding edges.  threshold_scan settles, once
+per base and before any trial, the verdicts that no budget can change:
+it gives the walk a number R, or None, such that a host holding a K_R
+is Ramsey.  A target without edges makes every host Ramsey, so R = 0,
+which every host holds.  Otherwise, with the clique shortcut, R = the
+least n' <= n (capped at 12) with K_n' Ramsey for the targets depends
+only on the targets, the node budget and the cap min(n, 12), so it is
+searched once per distinct cap, not once per base.  Every K_R test
 runs the flat clique kernel graphs._first_clique, which the engine's
-clique finder also runs.  A host holding a K_R is Ramsey, and so
-is every later host of its trial, which then count as successes
-without being built; a base holding a K_R makes every host Ramsey, so
-again nothing is drawn or decided.  Otherwise a trial's hosts lack a
-K_R until one arrives with a new pair, so only the pairs that arrived
+clique finder also runs.  A base holding a K_R makes every host
+Ramsey, so nothing is drawn or decided.  A host holding a K_R is
+Ramsey, and so is every later host of its trial, which then count as
+successes without being built.  Otherwise a trial's hosts lack a K_R
+until one arrives with a new pair, so only the pairs that arrived
 since the previous grid point are tested, each for a K_R through it.
 The node budget is the only limit on a search, so no verdict depends on
 machine speed, and every search verdict, inconclusive ones too, is
 decided once per host for the rest of the scan of its base.
 
 A scan of one base walks every trial once.  A host that stands at
-some grid points is decided where the walk first meets it, as the
-scan's cache says, so hosts are decided in first-seen order; its status
-is kept by adjacency, so memory grows with distinct hosts, not with
-runs, and each run of grid points the host stands at is tallied under
-that status at once.  The K_R test looks only at arrivals, so no
-verdict steers the walk.
+some grid points is decided where the walk first meets it, by the one
+function decide(query) -> status that threshold_scan builds for the
+base from the scan's cache and order, so hosts are decided in
+first-seen order; its status is kept by adjacency, so memory grows
+with distinct hosts, not with runs, and each run of grid points the
+host stands at is tallied under that status at once.  The K_R test
+looks only at arrivals, so no verdict steers the walk.
 
-With cache "none" every distinct host is searched, in this process, and
-a Ramsey verdict reached by search is not carried to other hosts,
-because a fresh search of a larger host could run out of node budget.
-A status is then a pure function of (host, targets, node budget).
+With cache "none" decide searches every distinct host, and a Ramsey
+verdict reached by search is not carried to other hosts, because a
+fresh search of a larger host could run out of node budget.  A status
+is then a pure function of (host, targets, node budget, order).
 
-With cache "monotone" the hosts are decided one at a time in this
-process by a _monotone_decider, whose library holds the verdicts it
-has searched so far: a host that contains a host searched RAMSEY is
-RAMSEY, and one that embeds in a host searched NOT_RAMSEY is
-NOT_RAMSEY, through the pulled-back witness, which verify_coloring
-re-checks.  Each containment test stops after _EMBED_PLACEMENTS
-embedding placements, and a host with no hit is searched.  A host's
-status is then what a search gives whenever a search decides it, and a
-host that a search would leave inconclusive may be settled, so the
-cache is part of a scan's manifest.
+With cache "monotone" decide is a _monotone_decider, whose library
+holds the verdicts it has searched so far: a host that contains a host
+searched RAMSEY is RAMSEY, and one that embeds in a host searched
+NOT_RAMSEY is NOT_RAMSEY, through the pulled-back witness, which
+verify_coloring re-checks.  Each containment test stops after
+_EMBED_PLACEMENTS embedding placements, and a host with no hit is
+searched.  A host's status is then what a search gives whenever a
+search decides it, and a host that a search would leave inconclusive
+may be settled, so the cache is part of a scan's manifest.
 
-A scan's order says how a host is searched.  Under "canonical" it is
-searched as labelled.  Under "degree" it is searched through
-coloring._decide_degree_first, relabelled so that its densest vertices
-branch first: a perturbed host's random edges raise the degrees of a
-few arbitrarily labelled vertices, which the label order often reaches
-last.  A relabelling is an isomorphism, so a decided status is the
-same in both orders and the mapped-back witness is re-verified; but a
-search can decide within its node budget in one order and not in the
-other, so the order is part of a scan's manifest too.
+A scan's order names the search that decide runs, looked up when
+threshold_scan starts.  Under "canonical" it is decide_ramsey, which
+searches a host as labelled.  Under "degree" it is
+coloring._decide_degree_first, which relabels the host so that its
+densest vertices branch first: a perturbed host's random edges raise
+the degrees of a few arbitrarily labelled vertices, which the label
+order often reaches last.  A relabelling is an isomorphism, so a
+decided status is the same in both orders and the mapped-back witness
+is re-verified; but a search can decide within its node budget in one
+order and not in the other, so the order is part of a scan's manifest
+too.
 
 Ramsey trials that exhaust their node budget count as Inconclusive:
 they are reported separately and excluded from the success-rate
@@ -249,69 +252,47 @@ def monte_carlo_ramsey(base: Graph, targets: Sequence, p: float, trials: int,
     """Success rate of the Ramsey property over perturbed samples.
 
     Success means decide_ramsey proves the perturbed host Ramsey.  The
-    one-point case of a threshold scan: hosts repeat, so search
+    one-point threshold scan of one base: hosts repeat, so search
     verdicts are cached by host adjacency for the duration of the call.
     It stays as the exported one-point entry, and perfbench/tracer.py
     wraps it by name as its perturb.row span.
     """
-    return _scan_base(base, targets, [p], trials, seed, node_budget,
-                      clique_shortcut, {})[0]
+    return threshold_scan([base], targets, [p], trials, seed, node_budget,
+                          clique_shortcut).rows[0]
 
 
-def _scan_base(base: Graph, targets: Sequence, grid: list[float], trials: int,
-               seed: int, node_budget: int, clique_shortcut: bool,
-               numbers: dict, cache: str = "none",
-               order: str = "canonical") -> list[MonteCarloRow]:
-    """One row per point of the ascending grid, for one base.
+def _scan_base(base: Graph, template: RamseyQuery, grid: list[float], trials: int,
+               seed: int, number: Optional[int],
+               decide: Callable[[RamseyQuery], str]) -> list[MonteCarloRow]:
+    """One row per point of the ascending, nonempty grid, for one base,
+    given its query template, the R or None such that a host holding a
+    K_R is Ramsey (module docstring), and the function that decides a
+    host.
 
-    The edgeless-target test, the shortcut's R and whether the base
-    itself holds a K_R are worked out once, before the first trial
-    (module docstring), and so is the per-base part of the variate
-    kernel, the missing pairs' packed indices (_pack).  numbers maps a
-    cap min(n, 12) to its R, so the caller's bases of one cap share one
-    search.  Then the walk: each trial draws variates for the base's
-    missing pairs in one _draw call, and its hosts grow along the grid
-    as those pairs arrive, so the host at p is exactly
-    perturb(base, p, seed, trial).  Pairs arriving at or above the last
-    grid point are dropped before the arrivals are sorted.  A trial's
-    earlier hosts all lack a K_R, so a host holds one only through a
-    pair that has just arrived, and only those pairs are tested.  Each
-    other host stands for a run of grid points.  The first time a host
-    stands it gets one status, inconclusive ones included, in this
-    process, and a Graph is built only then; its status is kept by
-    adjacency.  With cache "none" the host is searched; with cache
-    "monotone" one _monotone_decider settles what it can by containment
-    and searches the rest.  Either way a search runs in the given order,
-    "canonical" or "degree" (_search).  Each run adds its host's status
-    at its first point and removes it at its end.
+    Whether the base itself holds a K_R is worked out once, before the
+    first trial, and so is the per-base part of the variate kernel, the
+    missing pairs' packed indices (_pack).  Then each trial draws
+    variates for the base's missing pairs in one _draw call, and its
+    hosts grow along the grid as those pairs arrive, so the host at p is
+    exactly perturb(base, p, seed, trial).  Pairs arriving at or above
+    the last grid point are dropped before the arrivals are sorted.  A
+    trial's earlier hosts all lack a K_R, so a host holds one only
+    through a pair that has just arrived, and only those pairs are
+    tested.  Each other host stands for a run of grid points.  The first
+    time a host stands it gets one status from decide, inconclusive ones
+    included, and a Graph is built only then; its status is kept by
+    adjacency.  Each run adds its host's status at its first point and
+    removes it at its end.
     """
-    if trials < 0:
-        raise ValueError(f"trial count must be nonnegative, got {trials}")
-    template = ramsey_query(base, targets, node_budget=node_budget)
-    for p in grid:
-        _check_prob(p)
-    if not grid:
-        return []
-    edgeless = _edgeless_target(template) is not None
     n = base.n
-    number = None
-    if clique_shortcut and not edgeless:
-        cap = min(n, DEFAULT_RAMSEY_CAP)
-        if cap not in numbers:
-            numbers[cap] = targets_ramsey_number(template.targets, cap=cap,
-                                                 node_budget=template.node_budget)
-        number = numbers[cap]
-    # either makes every host of every trial Ramsey at every p
-    settled = edgeless or (number is not None
-                           and _first_clique(base.adj, (1 << n) - 1, number) is not None)
+    # makes every host of every trial Ramsey at every p
+    settled = number is not None and _first_clique(base.adj, (1 << n) - 1, number) is not None
     # per tallied status and grid point, the change in the status's
     # count of trials from the previous point
     deltas = {status: [0] * (len(grid) + 1) for status in (RAMSEY, INCONCLUSIVE)}
     successes = deltas[RAMSEY]
     if settled:
         successes[0] = trials
-    decide = (_monotone_decider(order) if cache == "monotone"
-              else lambda query: _search(query, order).status)
     statuses: dict = {}  # adjacency -> status, decided when the host first stands
 
     def stand(adj: list[int], start: int, end: int) -> None:
@@ -383,18 +364,12 @@ def _embedding(plan: list, n: int, adj) -> Optional[tuple[int, ...]]:
     return next(_iter_embeddings(n, adj, plan, cap=[_EMBED_PLACEMENTS]), None)
 
 
-def _search(query: RamseyQuery, order: str) -> RamseyVerdict:
-    """decide_ramsey on the query, or under order "degree" on the query
-    with the host's densest vertices branching first
-    (coloring._decide_degree_first); either name is looked up at the
-    call, so a rebinding of it is seen."""
-    return (_decide_degree_first if order == "degree" else decide_ramsey)(query)
-
-
-def _monotone_decider(order: str = "canonical") -> Callable[[RamseyQuery], str]:
+def _monotone_decider(search: Callable[[RamseyQuery], RamseyVerdict]
+                      ) -> Callable[[RamseyQuery], str]:
     """A function decide(query) -> the status of the query's host, in
     this process, settling a host by containment where it can, through
-    a library of the hosts it has searched so far.
+    a library of the hosts it has searched so far with search, such as
+    decide_ramsey or coloring._decide_degree_first.
 
     Being Ramsey for non-induced targets is monotone in the host.  A
     host that contains a host searched RAMSEY is RAMSEY; a host that
@@ -404,11 +379,9 @@ def _monotone_decider(order: str = "canonical") -> Callable[[RamseyQuery], str]:
     count, targets and forbidden sets, so an embedding maps vertices one
     to one; an edge-count and degree-sequence filter comes before each
     test, and a test stops after _EMBED_PLACEMENTS placements.  A host
-    with no hit is searched, in the given order (_search); a RAMSEY or
-    NOT_RAMSEY verdict makes it an entry.  Every step is counted in
-    nodes or placements, so no status depends on machine speed or CPU
-    count.  The search is looked up when a host is searched, so a
-    rebinding of the module's name is seen.
+    with no hit is searched; a RAMSEY or NOT_RAMSEY verdict makes it an
+    entry.  Every step is counted in nodes or placements, so no status
+    depends on machine speed or CPU count.
     """
     ramsey = []  # (profile, embedding plan) of each host searched RAMSEY
     refuted = []  # (profile, adjacency, color of each ordered edge) of each NOT_RAMSEY one
@@ -432,7 +405,7 @@ def _monotone_decider(order: str = "canonical") -> Callable[[RamseyQuery], str]:
                 if bad:
                     raise AssertionError(f"a pulled-back witness is invalid: {bad}")
                 return NOT_RAMSEY
-        verdict = _search(query, order)
+        verdict = search(query)
         if verdict.status == RAMSEY:
             ramsey.append((profile, plan or _embedding_plan(host)))
         elif verdict.status == NOT_RAMSEY:
@@ -504,25 +477,46 @@ def threshold_scan(bases: Sequence[Graph], targets: Sequence, p_grid: Sequence[f
     and, with at least two sizes crossing above p = 0, the empirical
     exponent log(p*_1/p*_2) / log(n_1/n_2) as a descriptive quantity.
     Flags record curve decreases beyond Wilson-interval overlap and
-    all-inconclusive batches.  Every host is decided in this process,
-    where the scan's walk first meets it; cache is "none" (every
-    distinct host searched) or "monotone" (hosts settled by containment
-    where they can, through one _monotone_decider per base), and order
-    is "canonical" (hosts searched as labelled) or "degree" (with their
-    densest vertices branching first; module docstring).
+    all-inconclusive batches.  The options are resolved here into what
+    each base's walk (_scan_base) needs: the R, or None, such that a
+    host holding a K_R is Ramsey (module docstring), and a function that
+    decides each host in this process, where the walk first meets it.
+    order names its search: "canonical" (decide_ramsey, hosts searched
+    as labelled) or "degree" (coloring._decide_degree_first, their
+    densest vertices branching first).  cache is "none" (every distinct
+    host searched) or "monotone" (hosts settled by containment where
+    they can, through one _monotone_decider per base).
     """
     if cache not in _CACHES:
         raise ValueError(f"cache must be one of {_CACHES}, got {cache!r}")
     if order not in _ORDERS:
         raise ValueError(f"order must be one of {_ORDERS}, got {order!r}")
+    if trials < 0:
+        raise ValueError(f"trial count must be nonnegative, got {trials}")
+    grid = sorted(p_grid)
+    for p in grid:
+        _check_prob(p)
+    # looked up at the call, so a rebinding of either module name is seen
+    search = {"degree": _decide_degree_first, "canonical": decide_ramsey}[order]
     rows: list[MonteCarloRow] = []
     flags: list[str] = []
     crossings: dict[int, Optional[float]] = {}
-    grid = sorted(p_grid)
     numbers: dict = {}  # the shortcut's R per cap, shared by bases of one cap
     for base in bases:
-        size_rows = _scan_base(base, targets, grid, trials, seed, node_budget,
-                               clique_shortcut, numbers, cache, order)
+        template = ramsey_query(base, targets, node_budget=node_budget)
+        number = None
+        if _edgeless_target(template) is not None:
+            number = 0  # every host holds K_0, so every host is Ramsey
+        elif clique_shortcut and grid:
+            cap = min(base.n, DEFAULT_RAMSEY_CAP)
+            if cap not in numbers:
+                numbers[cap] = targets_ramsey_number(template.targets, cap=cap,
+                                                     node_budget=template.node_budget)
+            number = numbers[cap]
+        decide = (_monotone_decider(search) if cache == "monotone"
+                  else lambda query: search(query).status)
+        size_rows = _scan_base(base, template, grid, trials, seed, number,
+                               decide) if grid else []
         for row in size_rows:
             if row.effective == 0:
                 flags.append(f"all trials inconclusive at n={row.n}, p={row.p!r}")

@@ -12,7 +12,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ramseylab.coloring import (DEFAULT_NODE_BUDGET, INCONCLUSIVE, NOT_RAMSEY, RAMSEY,
-                                EdgeColoring, RamseyVerdict, decide_ramsey, ramsey_query)
+                                EdgeColoring, RamseyVerdict, _decide_degree_first,
+                                decide_ramsey, ramsey_query)
 from ramseylab.experiments import ManifestError, replay, run_experiment
 from ramseylab.graphs import (Graph, _embedding_plan, _iter_embeddings, clique, cycle,
                               cycle_graph, path, turan_graph)
@@ -34,6 +35,8 @@ SCAN_CASE = dict(seed=st.integers(min_value=0, max_value=2 ** 32),
                                           [clique(3), cycle(4)], [path(3), clique(3)]]),
                  node_budget=st.one_of(st.integers(min_value=1, max_value=300),
                                        st.just(DEFAULT_NODE_BUDGET)))
+# the search a library runs: either order a scan takes
+SEARCHES = st.sampled_from([decide_ramsey, _decide_degree_first])
 
 
 def scan_queries(seed, targets, node_budget):
@@ -106,7 +109,7 @@ class TestBoundedEmbedding:
 
         monkeypatch.setattr(perturb_module, "decide_ramsey", ramsey_stub)
         queries = [ramsey_query(g, [cycle(3), cycle(5)]) for g in (small, large)]
-        decide = perturb_module._monotone_decider()
+        decide = perturb_module._monotone_decider(perturb_module.decide_ramsey)
         assert [decide(q) for q in queries] == [RAMSEY, RAMSEY]
         assert searched == [small, large]
 
@@ -177,7 +180,7 @@ class TestLibrary:
             settled = (triangles.union(Graph.from_edges(6, [(2, 3)])) if status == RAMSEY
                        else hexagon.subgraph_with_edges([(0, 1), (1, 2), (3, 4)]))
             queries = [ramsey_query(g, [cycle(3), cycle(3)]) for g in (first, second, settled)]
-            decide = perturb_module._monotone_decider()
+            decide = perturb_module._monotone_decider(perturb_module.decide_ramsey)
             assert [decide(q) for q in queries] == [status] * 3
             assert searched == [first, second]
 
@@ -193,22 +196,30 @@ class TestLibrary:
 
         monkeypatch.setattr(perturb_module, "decide_ramsey", bogus)
         queries = [ramsey_query(g, [cycle(3), cycle(3)]) for g in (entry, inside)]
-        decide = perturb_module._monotone_decider()
+        decide = perturb_module._monotone_decider(perturb_module.decide_ramsey)
         with pytest.raises(AssertionError, match="pulled-back witness"):
             [decide(q) for q in queries]
 
     @settings(max_examples=60, deadline=None)
-    @given(clique_shortcut=st.booleans(), **SCAN_CASE)
-    def test_monotone_against_fresh(self, seed, targets, node_budget, clique_shortcut):
+    @given(clique_shortcut=st.booleans(), search=SEARCHES, **SCAN_CASE)
+    def test_monotone_against_fresh(self, seed, targets, node_budget, clique_shortcut,
+                                    search):
         _, base, grid, trials, queries = scan_queries(seed, targets, node_budget)
-        fresh = [decide_ramsey(q).status for q in queries]
-        decide = perturb_module._monotone_decider()
-        for status, settled in zip(fresh, [decide(q) for q in queries]):
-            assert status == INCONCLUSIVE or settled == status
+        # a host that a fresh search in the library's order decides gets
+        # its status; one that only the other order decides may be left
+        # inconclusive, but no status contradicts the canonical search
+        decide = perturb_module._monotone_decider(search)
+        for query in queries:
+            settled, fresh = decide(query), search(query).status
+            assert fresh == INCONCLUSIVE or settled == fresh
+            canonical = decide_ramsey(query).status
+            assert INCONCLUSIVE in (settled, canonical) or settled == canonical
 
+        order = "canonical" if search is decide_ramsey else "degree"
         none, monotone = (threshold_scan([base], targets, grid, trials, seed,
                                          node_budget=node_budget,
-                                         clique_shortcut=clique_shortcut, cache=cache).rows
+                                         clique_shortcut=clique_shortcut, cache=cache,
+                                         order=order).rows
                           for cache in ("none", "monotone"))
         for a, b in zip(none, monotone):
             assert b.inconclusive <= a.inconclusive
@@ -217,18 +228,18 @@ class TestLibrary:
                 assert b == a
 
     @settings(max_examples=60, deadline=None)
-    @given(**SCAN_CASE)
-    def test_decision_order_does_not_matter(self, seed, targets, node_budget):
+    @given(search=SEARCHES, **SCAN_CASE)
+    def test_decision_order_does_not_matter(self, seed, targets, node_budget, search):
         # the scan's distinct hosts fed to one library in a shuffled
-        # order, as an adaptive caller may feed them: a host that fresh
-        # search decides gets its status, and no host gets the verdict
-        # opposite to a search under the default budget
+        # order, as an adaptive caller may feed them: a host that a fresh
+        # search in the library's order decides gets its status, and no
+        # host gets the verdict opposite to a search under the default budget
         rng, _, _, _, queries = scan_queries(seed, targets, node_budget)
         rng.shuffle(queries)
-        decide = perturb_module._monotone_decider()
+        decide = perturb_module._monotone_decider(search)
         for query in queries:
             settled = decide(query)
-            fresh = decide_ramsey(query).status
+            fresh = search(query).status
             if fresh != INCONCLUSIVE:
                 assert settled == fresh
             elif settled != INCONCLUSIVE:

@@ -536,10 +536,14 @@ class TestScanWork:
             sum(i <= j for i in first) for j in range(len(self.GRID))]
 
     def test_no_decision_after_edgeless(self, monkeypatch):
+        # with the shortcut or without, under either cache, and on a base
+        # that holds no K_2
         targets = [arbitrary(empty_graph(2)), cycle(3)]
-        for grid in ([0.3, 0.6, 0.9], [0.0, 0.6]):
-            result, draws, decided = traced_scan(monkeypatch, turan_graph(10, 5),
-                                                 targets, grid, 20, 5)
+        for base, grid, shortcut, cache in itertools.product(
+                [turan_graph(10, 5), empty_graph(10)], ([0.3, 0.6, 0.9], [0.0, 0.6]),
+                [True, False], ["none", "monotone"]):
+            result, draws, decided = traced_scan(monkeypatch, base, targets, grid, 20, 5,
+                                                 clique_shortcut=shortcut, cache=cache)
             assert all(row.successes == 20 for row in result.rows)
             assert draws == decided == []
 
