@@ -274,8 +274,13 @@ def _copy_finder(adjc: list, n: int, depth_bit: list, pat: Pattern, forb: frozen
     with placement orders planned here once per pattern edge, and skip
     the dedupe of _iter_through: a repeated copy has the vertex set of
     its first listing, so the first allowed embedding is the first
-    allowed copy.  Paths and forbidden sets walk _iter_through.
+    allowed copy.  Paths and forbidden sets walk _iter_through.  A
+    pattern with more vertices than the host has no copy, so its finder
+    answers 0 at once, where a path or cycle DFS would walk every long
+    path first.
     """
+    if pat.vertex_count > n:
+        return lambda u, v: 0
     if not forb:
         if pat.kind == "clique" and pat.size >= 2:
             return _clique_finder(adjc, depth_bit, pat.size - 2)

@@ -62,16 +62,15 @@ def _fact(op: str):
     return register
 
 
-def _forced_pair(n: int, targets, lower_targets, node_budget: int = DEFAULT_NODE_BUDGET):
-    """Decide K_n against targets and K_{n-1} against lower_targets.
+def _forced_pair(n: int, targets, node_budget: int = DEFAULT_NODE_BUDGET):
+    """Decide K_n and K_{n-1} against targets.
 
     Returns the status (verified when K_n is Ramsey and K_{n-1} is not,
     inconclusive when either search ran out, refuted otherwise), both
     verdicts, and whether every color class of K_{n-1}'s witness is
     bipartite (None without a witness)."""
     upper = decide_ramsey(ramsey_query(clique_graph(n), targets, node_budget=node_budget))
-    lower = decide_ramsey(ramsey_query(clique_graph(n - 1), lower_targets,
-                                       node_budget=node_budget))
+    lower = decide_ramsey(ramsey_query(clique_graph(n - 1), targets, node_budget=node_budget))
     if INCONCLUSIVE in (upper.status, lower.status):
         status = INCONCLUSIVE
     else:
@@ -86,7 +85,7 @@ def verify_list_cycle_lemma() -> FactReport:
     """The complete graph first forces {red triangle} vs {blue triangle
     or blue 5-cycle} at five vertices."""
     targets = [[cycle(3)], [cycle(3), cycle(5)]]
-    status, on5, on4, bipartite = _forced_pair(5, targets, targets)
+    status, on5, on4, bipartite = _forced_pair(5, targets)
     cert = {"k4_status": on4.status, "k5_status": on5.status,
             "k5_nodes": on5.stats.nodes}
     if on4.witness is not None:
@@ -121,10 +120,7 @@ def verify_odd_cycle_unavoidable(r: int,
         return FactReport("odd_cycle_unavoidable_r1", statement,
                           VERIFIED if has and avoid else REFUTED,
                           {"k3_has_odd_cycle": has, "k2_bipartite": avoid})
-    # K_{n-1} has no C_n to find, and a C_n finder there would walk
-    # every long path without closing one
-    status, upper, lower, bipartite = _forced_pair(
-        n, [_odd_cycles_up_to(n)] * r, [_odd_cycles_up_to(n - 1)] * r, node_budget)
+    status, upper, lower, bipartite = _forced_pair(n, [_odd_cycles_up_to(n)] * r, node_budget)
     cert = {"forced_status": upper.status, "forced_nodes": upper.stats.nodes,
             "tight_status": lower.status}
     if lower.witness is not None:

@@ -14,18 +14,20 @@ first checked by _check_power, which refuses a huge exponent before
 1 << e is computed.
 
 A copy of a pattern is listed as a witness vertex tuple; its edges are
-the witness positions of _copy_pairs.  _allowed_copies gives each copy
-with its canonical edge indices in ascending order, read from an
-ids[a][b] table built at the first copy (_edge_ids).  Whole-graph
-cycles are listed by one flat single-frame DFS kernel, _cycle_copies,
-which reads the indices of a copy's prefix once for all its closing
-vertices; every other pattern by _listed_copies over the kind's
-iterator, so cliques come from _iter_cliques: a flat clique kernel
-measured no faster.  Cliques, cycles and paths with edges are listed
-once by construction, so only arbitrary and edgeless patterns are
-deduplicated, on their index tuples.  _first_clique walks the branching
-of _iter_cliques with no generator frames, for callers that want only
-the first clique: the engine's clique finder and the scan's K_R tests.
+the witness positions of _copy_pairs.  _allowed_copies is the one
+whole-graph lister, read by find_pattern, contains_pattern,
+enumerate_copies, coloring.verify_coloring and coloring.export_cnf.  It
+gives each copy with its canonical edge indices in ascending order,
+read from an ids[a][b] table built at the first copy (_edge_ids).
+Cycles come from one flat single-frame DFS kernel, _cycle_copies, which
+reads the indices of a copy's prefix once for all its closing vertices;
+every other kind from its iterator in _listed_copies, so cliques come
+from _iter_cliques: a flat clique kernel measured no faster.  Cliques,
+cycles and paths with edges are listed once by construction, so only
+arbitrary and edgeless patterns are deduplicated, on their index
+tuples.  _first_clique walks the branching of _iter_cliques with no
+generator frames, for callers that want only the first clique: the
+engine's clique finder and the scan's K_R tests.
 Arbitrary patterns are embedded by one iterative DFS, _iter_embeddings,
 which places the pattern's vertices in the order _embedding_plan fixes:
 pinned vertices first, then by decreasing degree.
@@ -545,22 +547,10 @@ def _iter_embeddings(n: int, adj, plan: list, head: tuple[int, ...] = (),
         cap[0] = left
 
 
-def _iter_copies(g: Graph, pat: Pattern) -> Iterator[tuple[int, ...]]:
-    """Witness vertex tuples of pat's copies in g, from the kind's iterator."""
-    if pat.vertex_count > g.n:
-        return iter(())
-    if pat.kind == "clique":
-        return _iter_cliques(g.adj, (1 << g.n) - 1, pat.size)
-    if pat.kind == "cycle":
-        return _cycle_copies(g, pat.size, indexed=False)
-    if pat.kind == "path":
-        return _iter_paths(g, pat.size)
-    return _iter_embeddings(g.n, g.adj, _embedding_plan(pat.graph))
-
-
 def find_pattern(g: Graph, pat: Pattern) -> Optional[tuple[int, ...]]:
-    """A witness vertex tuple for one copy of pat in g, or None."""
-    return next(_iter_copies(g, pat), None)
+    """The witness of the first copy of pat in g that _allowed_copies
+    lists, or None."""
+    return next((w for w, _ in _allowed_copies(g, pat, frozenset())), None)
 
 
 def contains_pattern(g: Graph, pat: Pattern) -> bool:
@@ -608,12 +598,15 @@ def iter_pattern_witnesses_through_edge(g: Graph, pat: Pattern, e: tuple[int, in
 
     Each copy, a distinct edge set as in enumerate_copies, is listed
     once.  For a pattern with isolated vertices each placement of them
-    is listed too, because forbidden sets name whole vertex sets.
+    is listed too, because forbidden sets name whole vertex sets.  A
+    pattern with more vertices than g yields nothing at once, where a
+    path or cycle DFS would walk every long path first.
     """
     u, v = e
     if not g.has_edge(u, v):
         raise ValueError(f"({u},{v}) is not an edge of the graph")
-    yield from _iter_through(g.n, g.adj, u, v, pat)
+    if pat.vertex_count <= g.n:
+        yield from _iter_through(g.n, g.adj, u, v, pat)
 
 
 def _iter_pinned(n: int, adj, plans: list, u: int, v: int) -> Iterator[tuple[int, ...]]:
@@ -718,14 +711,24 @@ def _allowed_copies(g: Graph, pat: Pattern, forbidden: frozenset
 
 def _listed_copies(g: Graph, pat: Pattern, forbidden: frozenset
                    ) -> Iterator[tuple[tuple[int, ...], tuple[int, ...]]]:
-    """_allowed_copies for every kind but cycles: the copies of
-    _iter_copies, each with its indices sorted."""
+    """_allowed_copies for every kind but cycles: the copies of the
+    kind's iterator (_iter_cliques, _iter_paths or _iter_embeddings),
+    each with its indices sorted.  A pattern with more vertices than g
+    lists nothing at once; a path DFS would walk every long path first."""
+    if pat.vertex_count > g.n:
+        return
+    if pat.kind == "clique":
+        copies = _iter_cliques(g.adj, (1 << g.n) - 1, pat.size)
+    elif pat.kind == "path":
+        copies = _iter_paths(g, pat.size)
+    else:
+        copies = _iter_embeddings(g.n, g.adj, _embedding_plan(pat.graph))
     pairs = _copy_pairs(pat)
     # cliques and paths with edges list each edge set once; edgeless
     # targets and embeddings repeat them
     seen = set() if pat.kind == "arbitrary" or not pairs else None
     table = None  # built at the first copy; verify_coloring mostly finds none
-    for w in _iter_copies(g, pat):
+    for w in copies:
         if forbidden and frozenset(w) in forbidden:
             continue
         if table is None:
@@ -742,11 +745,10 @@ def _listed_copies(g: Graph, pat: Pattern, forbidden: frozenset
         yield w, ids
 
 
-def _cycle_copies(g: Graph, length: int, indexed: bool = True) -> Iterator[tuple]:
+def _cycle_copies(g: Graph, length: int) -> Iterator[tuple]:
     """(witness, edge indices) for every cycle of the given length,
     each once: least vertex s first, then a path over higher vertices
-    whose last vertex is a neighbour of s above the second one.  With
-    indexed false, the witnesses alone, and no index table is built.
+    whose last vertex is a neighbour of s above the second one.
 
     One frame walks the ascending simple-path DFS of
     _iter_simple_paths from s, keeping the candidates left at each step
@@ -800,12 +802,6 @@ def _cycle_copies(g: Graph, length: int, indexed: bool = True) -> Iterator[tuple
                 continue
             walk[mid] = v
             head = tuple(walk)
-            if not indexed:
-                while closers:
-                    b = closers & -closers
-                    closers ^= b
-                    yield head + (b.bit_length() - 1,)
-                continue
             if table is None:
                 table = _edge_ids(g)
                 for j in range(mid - 1):

@@ -9,13 +9,14 @@ from hypothesis import given, settings, strategies as st
 import dpll
 from oracles import (_coloring_avoids, first_avoiding_coloring_brute, ramsey_brute,
                      random_graph)
-from ramseylab import coloring
+from ramseylab import coloring, graphs as graphs_module
 from ramseylab.coloring import (EdgeColoring, INCONCLUSIVE, NOT_RAMSEY, RAMSEY,
                                 decide_globally_ramsey, decide_ramsey,
                                 export_cnf, ramsey_query,
                                 targets_ramsey_number, verify_coloring)
 from ramseylab.graphs import (Graph, _copy_pairs, _iter_through, arbitrary, clique,
-                              clique_graph, cycle, cycle_graph, empty_graph, path,
+                              clique_graph, cycle, cycle_graph, empty_graph,
+                              iter_pattern_witnesses_through_edge, path,
                               turan_graph, twin_classes)
 from ramseylab.perturb import perturb
 
@@ -560,6 +561,37 @@ class TestCopyFinders:
             digest.update(repr((verdict.status, s.nodes, s.checks, s.backjumps, s.max_depth,
                                 s.symmetry_cuts, witness)).encode())
         assert (nodes, digest.hexdigest()) == self.ARBITRARY_SEARCHES
+
+
+class TestOversizedTargets:
+    """A target with more vertices than the host has no copy, so no
+    finder or lister may walk a path DFS for it."""
+
+    @pytest.fixture(autouse=True)
+    def no_path_walks(self, monkeypatch):
+        def walked(*args):
+            raise AssertionError("a path DFS walked for an oversized target")
+
+        monkeypatch.setattr(graphs_module, "_iter_simple_paths", walked)
+        monkeypatch.setattr(coloring, "_cycle_finder", walked)
+
+    @pytest.mark.parametrize("pat", [cycle(11), path(11)], ids=lambda pat: pat.describe())
+    def test_search_colours_every_edge_once(self, pat):
+        host = clique_graph(10)
+        verdict = decide(host, [pat, clique(3)])
+        assert (verdict.status, verdict.stats.nodes) == (NOT_RAMSEY, 45)
+        assert_witness_valid(verdict, host, [pat, clique(3)])
+
+    def test_forbidden_sets_take_the_same_answer(self):
+        host = clique_graph(10)
+        targets = [cycle(11), clique(3)]
+        forbidden = [[list(range(11))], []]
+        verdict = decide(host, targets, forbidden=forbidden)
+        assert verdict.status == NOT_RAMSEY
+        assert_witness_valid(verdict, host, targets, forbidden)
+
+    def test_through_edge_listing_is_empty(self):
+        assert list(iter_pattern_witnesses_through_edge(clique_graph(6), cycle(7), (0, 1))) == []
 
 
 class TestEdgelessTargets:
