@@ -32,12 +32,18 @@ is Ramsey.  A target without edges makes every host Ramsey, so R = 0,
 which every host holds.  Otherwise, with the clique shortcut, R = the
 least n' <= n (capped at 12) with K_n' Ramsey for the targets depends
 only on the targets, the node budget and the cap min(n, 12), so it is
-searched once per distinct cap, not once per base.  Every K_R test
+searched once per distinct cap, not once per base.  Every K_R search
 runs the flat clique kernel graphs._first_clique, which the engine's
-clique finder also runs.  A base holding a K_R makes every host
-Ramsey, so nothing is drawn or decided.  A host holding a K_R is
-Ramsey, and so is every later host of its trial, which then count as
-successes without being built.  Otherwise a trial's hosts lack a K_R
+clique finder also runs; the base's own test puts a greedy colouring
+in front of it.  A base holding a K_R makes every host Ramsey, so
+nothing is drawn or decided.  A host holding a K_R is Ramsey, and so
+is every later host of its trial, which then count as successes
+without being built.  Some missing pairs close a K_R with the base's
+edges alone, and they are listed once per base: a trial's least
+variate over them gives the grid point from which its hosts are
+Ramsey, with no test at all.  On a Turan base with R - 1 parts every
+pair closes, so a trial is one min over its variates.  The other pairs
+arriving before that point are walked: a trial's hosts lack a K_R
 until one arrives with a new pair, so only the pairs that arrived
 since the previous grid point are tested, each for a K_R through it.
 The node budget is the only limit on a search, so no verdict depends on
@@ -214,6 +220,9 @@ def wilson_interval(successes: int, total: int) -> tuple[float, float]:
     """95% score interval for a binomial proportion; (0,1) when empty.
     The interval ends exactly at 0 when no trial succeeds and at 1 when
     all do, where the rounded formula can miss by an ulp."""
+    if not 0 <= successes <= total:
+        raise ValueError(f"need 0 <= successes <= total, got successes={successes}, "
+                         f"total={total}")
     if total == 0:
         return (0.0, 1.0)
     z = _WILSON_Z
@@ -261,6 +270,23 @@ def monte_carlo_ramsey(base: Graph, targets: Sequence, p: float, trials: int,
                           clique_shortcut).rows[0]
 
 
+def _holds_clique(n: int, adj, k: int) -> bool:
+    """Whether the graph on vertices 0..n-1 with these adjacency rows
+    holds a K_k.  A greedy proper colouring comes first: vertices in
+    label order, each taking the least colour its earlier neighbours
+    leave free.  Fewer than k colours proves there is no K_k; otherwise
+    _first_clique decides."""
+    classes: list[int] = []  # the vertex bitset of each colour
+    for v in range(n):
+        for i, c in enumerate(classes):
+            if not adj[v] & c:
+                classes[i] = c | 1 << v
+                break
+        else:
+            classes.append(1 << v)
+    return len(classes) >= k and _first_clique(adj, (1 << n) - 1, k) is not None
+
+
 def _scan_base(base: Graph, template: RamseyQuery, grid: list[float], trials: int,
                seed: int, number: Optional[int],
                decide: Callable[[RamseyQuery], str]) -> list[MonteCarloRow]:
@@ -269,24 +295,28 @@ def _scan_base(base: Graph, template: RamseyQuery, grid: list[float], trials: in
     K_R is Ramsey (module docstring), and the function that decides a
     host.
 
-    Whether the base itself holds a K_R is worked out once, before the
-    first trial, and so is the per-base part of the variate kernel, the
-    missing pairs' packed indices (_pack).  Then each trial draws
+    The base's K_R work is done once, before the first trial: whether
+    the base itself holds a K_R (_holds_clique), and which missing pairs
+    close one, each completing a K_R with the base's edges alone.  So is
+    the per-base part of the variate kernel, the missing pairs' packed
+    indices (_pack), the closing pairs first.  Then each trial draws
     variates for the base's missing pairs in one _draw call, and its
     hosts grow along the grid as those pairs arrive, so the host at p is
-    exactly perturb(base, p, seed, trial).  Pairs arriving at or above
-    the last grid point are dropped before the arrivals are sorted.  A
-    trial's earlier hosts all lack a K_R, so a host holds one only
-    through a pair that has just arrived, and only those pairs are
-    tested.  Each other host stands for a run of grid points.  The first
-    time a host stands it gets one status from decide, inconclusive ones
-    included, and a Graph is built only then; its status is kept by
-    adjacency.  Each run adds its host's status at its first point and
-    removes it at its end.
+    exactly perturb(base, p, seed, trial).  The least variate of the
+    closing pairs gives the grid point close at which the first of them
+    arrives; the trial's hosts from there on are Ramsey.  Only the other
+    pairs arriving at an earlier grid point are sorted and walked, so
+    when every pair closes, none is.  A trial's earlier hosts all
+    lack a K_R, so a walked host holds one only through a pair that has
+    just arrived, and only those pairs are tested.  Each other host
+    stands for a run of grid points.  The first time a host stands it
+    gets one status from decide, inconclusive ones included, and a Graph
+    is built only then; its status is kept by adjacency.  Each run adds
+    its host's status at its first point and removes it at its end.
     """
     n = base.n
     # makes every host of every trial Ramsey at every p
-    settled = number is not None and _first_clique(base.adj, (1 << n) - 1, number) is not None
+    settled = number is not None and _holds_clique(n, base.adj, number)
     # per tallied status and grid point, the change in the status's
     # count of trials from the previous point
     deltas = {status: [0] * (len(grid) + 1) for status in (RAMSEY, INCONCLUSIVE)}
@@ -309,12 +339,28 @@ def _scan_base(base: Graph, template: RamseyQuery, grid: list[float], trials: in
                 counts[end] -= 1
 
     indices, pairs = _missing_pairs(base)
+    closing = 0  # how many leading pairs complete a K_R with the base's edges
+    if number is not None and not settled:
+        closes = [_first_clique(base.adj, base.adj[u] & base.adj[v], number - 2) is not None
+                  for u, v in pairs]
+        ranked = sorted(range(len(pairs)), key=lambda i: not closes[i])
+        indices, pairs = [indices[i] for i in ranked], [pairs[i] for i in ranked]
+        closing = sum(closes)
+    walked = pairs[closing:]
     packed = _pack(indices)
     cuts = [p * _UNIT for p in grid]
-    top = cuts[-1]
     for t in range(0 if settled else trials):
-        arrivals = sorted([(x, e) for x, e in zip(_draw(packed, seed, t), pairs)
-                           if x < top])
+        xs = _draw(packed, seed, t)
+        # the grid point from which a closing pair stands, and the
+        # variates below which the other pairs arrive before it
+        close, top = len(grid), cuts[-1]
+        if closing:
+            least = min(xs[:closing])
+            if least < top:
+                close = bisect.bisect_right(cuts, least)
+                top = cuts[close - 1] if close else 0.0
+        arrivals = sorted([(x, e) for x, e in zip(xs[closing:], walked) if x < top]
+                          ) if walked else []
         adj = list(base.adj)
         start = k = 0
         while k < len(arrivals):
@@ -334,7 +380,9 @@ def _scan_base(base: Graph, template: RamseyQuery, grid: list[float], trials: in
                 break
             start = end
         else:
-            stand(adj, start, len(grid))
+            stand(adj, start, close)
+            if close < len(grid):
+                successes[close] += 1  # carried to the last point
     rows = []
     s = inc = 0
     for p, ds, dinc in zip(grid, successes, deltas[INCONCLUSIVE]):
@@ -568,6 +616,8 @@ def drc_select(g: Graph, parts: Sequence[Sequence[int]], ell: int, t: int,
         raise ValueError("need at least two parts")
     if ell < 1:
         raise ValueError("need ell >= 1")
+    if t < 0:
+        raise ValueError(f"need t >= 0 samples per part, got {t}")
     part_bits = []
     seen = set()
     for part in parts:

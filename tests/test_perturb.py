@@ -11,10 +11,11 @@ from ramseylab.coloring import (DEFAULT_NODE_BUDGET, INCONCLUSIVE, RAMSEY,
 from ramseylab.graphs import (Graph, arbitrary, clique, clique_graph,
                               complete_multipartite, contains_pattern, cycle,
                               cycle_graph, empty_graph, path, turan_graph)
+from ramseylab.graphs import _first_clique
 from ramseylab.perturb import (MonteCarloRow, drc_select, edge_variate,
                                log_spaced_grid, monte_carlo_ramsey, perturb,
                                sample_gnp, threshold_scan, wilson_interval)
-from ramseylab.perturb import _crossing
+from ramseylab.perturb import _crossing, _holds_clique
 
 # the package re-exports the function perturb under the module's name
 perturb_module = importlib.import_module("ramseylab.perturb")
@@ -167,6 +168,12 @@ class TestWilson:
 
     def test_empty_batch(self):
         assert wilson_interval(0, 0) == (0.0, 1.0)
+
+    @pytest.mark.parametrize("successes, total", [(2, -2), (0, -1), (5, 3), (-1, 3), (1, 0)])
+    def test_counts_out_of_range_rejected(self, successes, total):
+        # (2, -2) gave (4.4997, -0.2414); (5, 3) and (-1, 3) a math domain error
+        with pytest.raises(ValueError, match=f"successes={successes}, total={total}"):
+            wilson_interval(successes, total)
 
     def test_contains_point_estimate(self):
         for s, n in ((1, 7), (3, 11), (13, 40), (399, 400)):
@@ -390,9 +397,14 @@ def reference_row(base, targets, p, trials, seed, node_budget, clique_shortcut):
     return MonteCarloRow(base.n, p, trials, successes, inconclusive, lo, hi)
 
 
-# in Turan(7,5) one arrival makes a K6, so scans carry shortcut verdicts mid-grid
+# in Turan(7,5) one arrival makes a K6, so scans carry shortcut verdicts
+# mid-grid; without its edge (0,2), two of its missing pairs close a K6
+# and (0,2) does not, so the carry follows a walk of the other pair
+TURAN_7_5_CUT = turan_graph(7, 5).subgraph_with_edges(
+    e for e in turan_graph(7, 5).edges() if e != (0, 2))
 BASES = [turan_graph(6, 3), complete_multipartite([2, 3]), empty_graph(5),
-         cycle_graph(6), complete_multipartite([1, 2, 3]), turan_graph(7, 5)]
+         cycle_graph(6), complete_multipartite([1, 2, 3]), turan_graph(7, 5),
+         TURAN_7_5_CUT]
 TARGETS = [[cycle(3), cycle(3)], [clique(3), cycle(4)], [path(3), clique(3)]]
 
 
@@ -434,10 +446,12 @@ class TestTrialMajorScan:
 
     @pytest.mark.parametrize("node_budget", [1, 8, 60, 500, DEFAULT_NODE_BUDGET])
     @pytest.mark.parametrize("bases", [[turan_graph(9, 3)],
-                                       [turan_graph(6, 3), complete_multipartite([2, 3])]])
+                                       [turan_graph(6, 3), complete_multipartite([2, 3])],
+                                       [turan_graph(7, 5)], [TURAN_7_5_CUT]])
     def test_rows_match_reference_at_budgets(self, bases, node_budget):
         # a cache-less scan against per-trial decisions, budgets from one
-        # node up: the hosts' statuses are inconclusive, decided or both
+        # node up: the hosts' statuses are inconclusive, decided or both;
+        # on the Turan(7,5) bases, every or some missing pair closes a K6
         targets = [cycle(3), cycle(5)] if bases[0].n == 9 else [cycle(3), cycle(3)]
         grid, trials, seed = [0.05, 0.1, 0.2, 0.3, 0.5], 12, 8020
         result = threshold_scan(bases, targets, grid, trials, seed,
@@ -454,6 +468,16 @@ class TestTrialMajorScan:
                                 [cycle(3), cycle(3)], [1.0, 0.3, 0.0, 0.3], 4, 7,
                                 node_budget=20, clique_shortcut=False)
         assert any(0 < row.inconclusive < row.trials for row in result.rows)
+
+    def test_partial_closing_base(self):
+        # guards BASES' cut Turan(7,5): R(C3,C3) = 6, and (0,1) and (2,3)
+        # each complete a K6 with the base's edges alone, (0,2) does not
+        base = TURAN_7_5_CUT
+        assert targets_ramsey_number([cycle(3), cycle(3)], cap=7) == 6
+        assert not contains_pattern(base, clique(6))
+        closing = {(u, v): _first_clique(base.adj, base.adj[u] & base.adj[v], 4) is not None
+                   for u, v in itertools.combinations(range(7), 2) if not base.has_edge(u, v)}
+        assert closing == {(0, 1): True, (0, 2): False, (2, 3): True}
 
     def test_acceptance_scan_bytes(self):
         # Turan(15,5) and Turan(20,5) against (C3,C3), 27-point grid,
@@ -594,6 +618,34 @@ class TestScanWork:
         threshold_scan(bases, [arbitrary(empty_graph(2)), cycle(3)], self.GRID, 10, 3)
         assert calls == []
 
+    def test_closing_pairs_tested_once_per_base(self, monkeypatch):
+        # every missing pair of Turan(15,5) completes a K6, R(C3,C3) = 6,
+        # so each is tested once, before the first trial, and no trial
+        # tests an arrival; the base's own K6 test is its 5-colouring
+        base, targets = turan_graph(15, 5), [cycle(3), cycle(3)]
+        grid = log_spaced_grid(0.002, 0.2, 13)
+        spy = perturb_module._first_clique
+        counts = []
+        for trials in (10, 400):
+            calls = []
+
+            def counted(adj, cand, need):
+                calls.append(need)
+                return spy(adj, cand, need)
+
+            monkeypatch.setattr(perturb_module, "_first_clique", counted)
+            threshold_scan([base], targets, grid, trials, 8020)
+            monkeypatch.undo()
+            counts.append(len(calls))
+            assert calls == [4] * 15  # one per missing pair, K4 in their common neighbourhood
+        assert counts[0] == counts[1]
+        # the trial's hosts below its first closing pair are the base:
+        # the base is the one host decided
+        result, _, decided = traced_scan(monkeypatch, base, targets, grid, 40, 8020)
+        assert [(t, host) for t, host, _ in decided] == [(0, base)]
+        assert result.rows == [reference_row(base, targets, p, 40, 8020, DEFAULT_NODE_BUDGET,
+                                             True) for p in grid]
+
     def test_search_verdict_not_carried(self, monkeypatch):
         # a later, larger host could exhaust a budget, so it is decided again
         _, _, decided = traced_scan(monkeypatch, turan_graph(10, 5),
@@ -607,6 +659,33 @@ class TestScanWork:
                 assert verdict.stats.route == "search"
                 ramsey_trials.add(t)
         assert again
+
+
+class TestHoldsClique:
+    """The base's K_R test: a greedy colouring, then _first_clique."""
+
+    def test_matches_first_clique(self):
+        graphs = [empty_graph(0), empty_graph(1), empty_graph(14), clique_graph(7),
+                  turan_graph(14, 5)]
+        graphs += [sample_gnp(n, p, seed) for n in range(15) for p in (0.2, 0.5, 0.8, 0.95)
+                   for seed in range(3)]
+        for g in graphs:
+            for k in range(8):
+                expected = _first_clique(g.adj, (1 << g.n) - 1, k) is not None
+                assert _holds_clique(g.n, g.adj, k) == expected, (g, k)
+                if k:
+                    assert expected == contains_pattern(g, clique(k))
+
+    def test_colouring_proves_absence(self, monkeypatch):
+        # a complete 5-partite base colours greedily in 5, so no K6
+        # search runs; a K6 needs one
+        def no_search(*args):
+            raise AssertionError("searched")
+
+        monkeypatch.setattr(perturb_module, "_first_clique", no_search)
+        assert not _holds_clique(20, turan_graph(20, 5).adj, 6)
+        with pytest.raises(AssertionError, match="searched"):
+            _holds_clique(6, clique_graph(6).adj, 6)
 
 
 class TestDrcSelect:
@@ -720,3 +799,9 @@ class TestDrcSelect:
             drc_select(g, [[0, 1], []], ell=2, t=1, gamma_target=0.5, seed=0)
         with pytest.raises(ValueError):
             drc_select(g, [[0, 1], [2, 3]], ell=0, t=1, gamma_target=0.5, seed=0)
+
+    def test_negative_sample_count_rejected(self):
+        # t = -3 sampled nothing and reported verified
+        g = complete_multipartite([3, 3])
+        with pytest.raises(ValueError, match="-3"):
+            drc_select(g, [[0, 1, 2], [3, 4, 5]], ell=2, t=-3, gamma_target=0.5, seed=0)
