@@ -723,18 +723,24 @@ def decide_globally_ramsey(query: RamseyQuery, mu, mode: str = "exhaustive",
     Ramseyness is monotone under adding vertices, so only subsets of
     the minimum qualifying size need checking; exhaustive mode checks
     all of them (n <= 20), sampled mode draws seeded random subsets and
-    can only ever report that no counterexample was found.
+    can only ever report that no counterexample was found.  mu must be
+    positive and finite, samples nonnegative.
     """
     import itertools
     import random
     from fractions import Fraction
 
+    if not 0 < mu < math.inf:  # also refuses NaN
+        raise ValueError(f"need a finite mu > 0, got {mu}")
+    if samples < 0:
+        raise ValueError(f"need samples >= 0, got {samples}")
     host = query.host
     n = host.n
+    # a qualifying subset has mu*n > 0 vertices, so at least one
     if isinstance(mu, Fraction):
-        s_min = max(0, math.ceil(mu * n))
+        s_min = max(1, math.ceil(mu * n))
     else:
-        s_min = max(0, math.ceil(mu * n - 1e-12))
+        s_min = max(1, math.ceil(mu * n - 1e-12))
     if s_min > n:
         return GlobalVerdict("globally_ramsey", subsets_checked=0,
                              note="no subset is large enough to qualify")

@@ -12,8 +12,9 @@ prod(|class| + 1) steps, 2^n for a twin-free graph and 7^3 = 343 for
 Turan(18,3).  The profile is walked once per Graph, on first use, and
 kept as a tuple in the graph's _profile slot; every maximum and minimum
 below reads it through _profile, so asking one graph for m2, m2_asym,
-rho, strict balance, mu0 and mu1 costs one walk.  rho_k walks subsets
-of its own, up to 14.  Rational results are exact Fractions; the
+rho, strict balance, mu0 and mu1 costs one walk.  rho_k searches the
+partitions of up to 14 vertices and reads each part's density the same
+way, through rho of the part.  Rational results are exact Fractions; the
 moment quantities work in log-domain floats unless given a rational
 edge probability, in which case they are exact too.
 """
@@ -185,21 +186,6 @@ def rho(f: GraphLike) -> Fraction:
     return max(Fraction(e, v) for v, e in enumerate(_profile(g)) if v)
 
 
-def _rho_of_subset(adj: tuple[int, ...], subset: int, cache: dict[int, Fraction]) -> Fraction:
-    got = cache.get(subset)
-    if got is not None:
-        return got
-    edges = sum((adj[v] & subset).bit_count() for v in _bits(subset)) // 2
-    best = Fraction(edges, subset.bit_count())
-    if subset.bit_count() > 1:
-        for v in _bits(subset):
-            sub = _rho_of_subset(adj, subset & ~(1 << v), cache)
-            if sub > best:
-                best = sub
-    cache[subset] = best
-    return best
-
-
 def rho_k(f: GraphLike, k: int) -> Fraction:
     """Minimum over vertex partitions into at most k parts of the largest
     part density."""
@@ -208,7 +194,8 @@ def rho_k(f: GraphLike, k: int) -> Fraction:
 
 
 def rho_k_with_partition(f: GraphLike, k: int) -> tuple[Fraction, list[list[int]]]:
-    """rho_k together with an optimal partition (parts as vertex lists)."""
+    """rho_k together with an optimal partition (parts as vertex lists);
+    each part's density is rho of its induced subgraph, taken once."""
     g = _as_graph(f)
     if k < 1:
         raise ValueError("need at least one part")
@@ -216,8 +203,14 @@ def rho_k_with_partition(f: GraphLike, k: int) -> tuple[Fraction, list[list[int]
         raise ValueError("density needs a nonempty graph")
     if g.n > _PARTITION_LIMIT:
         raise ValueError(f"partition enumeration limited to {_PARTITION_LIMIT} vertices")
-    adj = g.adj
-    cache: dict[int, Fraction] = {}
+    densest: dict[int, Fraction] = {}  # rho of each part, by vertex bitset
+
+    def part_rho(part: int) -> Fraction:
+        got = densest.get(part)
+        if got is None:
+            got = densest[part] = rho(g.induced(_bits(part)))
+        return got
+
     best: Optional[Fraction] = None
     best_parts: list[int] = []
     parts: list[int] = []
@@ -225,7 +218,7 @@ def rho_k_with_partition(f: GraphLike, k: int) -> tuple[Fraction, list[list[int]
     def assign(v: int):
         nonlocal best, best_parts
         if v == g.n:
-            worst = max(_rho_of_subset(adj, part, cache) for part in parts)
+            worst = max(part_rho(part) for part in parts)
             if best is None or worst < best:
                 best = worst
                 best_parts = list(parts)
@@ -233,7 +226,7 @@ def rho_k_with_partition(f: GraphLike, k: int) -> tuple[Fraction, list[list[int]
         # restricted growth: vertex v joins an existing part or opens the next
         for i in range(len(parts)):
             parts[i] |= 1 << v
-            if best is None or _rho_of_subset(adj, parts[i], cache) < best:
+            if best is None or part_rho(parts[i]) < best:
                 assign(v + 1)
             parts[i] &= ~(1 << v)
         if len(parts) < k:

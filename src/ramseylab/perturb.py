@@ -97,6 +97,7 @@ import bisect
 import itertools
 import math
 import struct
+from fractions import Fraction
 from typing import Callable, Optional, Sequence
 
 from .coloring import (DEFAULT_NODE_BUDGET, DEFAULT_RAMSEY_CAP, INCONCLUSIVE,
@@ -111,6 +112,7 @@ _MASK64 = (1 << 64) - 1
 _UNIT = float(1 << 53)  # a variate is a 53-bit integer divided by this
 _WILSON_Z = 1.959963984540054  # two-sided 95%
 DEFAULT_PER_DECADE = 13  # log_spaced_grid points per decade of p
+_GRID_LIMIT = 10_000  # the most points log_spaced_grid builds
 _CACHES = ("monotone", "none")  # how a scan decides its distinct hosts
 _ORDERS = ("degree", "canonical")  # the vertex order a scan's searches branch in
 # embedding-DFS placements one containment test of the monotone library
@@ -468,12 +470,19 @@ def _monotone_decider(search: Callable[[RamseyQuery], RamseyVerdict]
 
 def log_spaced_grid(p_lo: float, p_hi: float,
                     per_decade: int = DEFAULT_PER_DECADE) -> list[float]:
-    """Log-spaced probabilities from p_lo to p_hi inclusive."""
+    """Log-spaced probabilities from p_lo to p_hi inclusive, at most
+    _GRID_LIMIT of them."""
     if not 0 < p_lo < p_hi <= 1:
         raise ValueError("need 0 < p_lo < p_hi <= 1")
     if per_decade < 1:
         raise ValueError(f"need per_decade >= 1, got {per_decade}")
     decades = math.log10(p_hi / p_lo)
+    # counted exactly, before anything is built: per_decade may be an int
+    # too large to multiply by a float.  The grid itself keeps the float
+    # count, so every grid within the limit is the one it always was
+    exact = round(Fraction(decades) * per_decade) + 1
+    if exact > _GRID_LIMIT:
+        raise ValueError(f"a grid of {exact} points is more than the limit of {_GRID_LIMIT}")
     count = max(2, round(decades * per_decade) + 1)
     return [min(1.0, p_lo * 10 ** (decades * i / (count - 1))) for i in range(count)]
 

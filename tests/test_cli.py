@@ -379,6 +379,16 @@ class TestScanAndReplay:
         assert "error: need per_decade >= 1, got 0" in err
         assert not (tmp_path / "scan.csv").exists()
 
+    def test_oversized_grid_is_error(self, capsys, tmp_path):
+        code, out, err = run(
+            capsys, ["scan", "--base", "turan:6,3", "--targets", "C3,C3",
+                     "--p-grid", "0.1:0.2:1000000000000", "--trials", "2",
+                     "--out", str(tmp_path / "scan.csv")])
+        assert code == ERROR
+        assert err == ("error: a grid of 301029995665 points is more than "
+                       "the limit of 10000\n")
+        assert not list(tmp_path.iterdir())
+
     @pytest.mark.parametrize("grid, err_line", [
         ("0.1:x", "error: --p-grid HI needs a number, got 'x'"),
         ("0.1:0.5:y", "error: --p-grid PER_DECADE needs an integer, got 'y'"),

@@ -1,7 +1,9 @@
 import hashlib
 import itertools
+import math
 import random
 import tracemalloc
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -779,6 +781,78 @@ class TestGloballyRamsey:
         q = ramsey_query(empty_graph(21), [clique(2), clique(2)])
         with pytest.raises(ValueError):
             decide_globally_ramsey(q, mu=0.5)
+
+    @staticmethod
+    def brute_global(host, targets, forbidden, size):
+        """The first size-subset whose restricted host ramsey_brute finds
+        not Ramsey, keeping the forbidden sets inside it, relabelled."""
+        for subset in itertools.combinations(range(host.n), size):
+            pos = {v: i for i, v in enumerate(subset)}
+            inside = [{frozenset(pos[v] for v in vs) for vs in per_color
+                       if set(vs) <= set(subset)} for per_color in forbidden]
+            if not ramsey_brute(host.induced(subset), targets, inside)[0]:
+                return subset
+        return None
+
+    # K5 against (P3, P3): every 3- and 4-vertex subset is Ramsey, as two
+    # matchings cover at most 2 of K4's 6 edges, so each verdict below
+    # that is not global comes from the forbidden sets
+    FORBIDDEN = {
+        "inside": [[(0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3)],
+                   [(0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3)]],
+        "straddling": [[(0, 1, 4), (2, 3, 4), (0, 2, 4)], [(1, 3, 4), (0, 1, 2)]],
+        "outside": [[(2, 3, 4)], [(2, 3, 4), (1, 3, 4)]],
+        "out-of-host": [[(0, 1, 9), (0, 1, 2)], [(3, 4, 9)]],
+    }
+
+    @pytest.mark.parametrize("name", list(FORBIDDEN))
+    @pytest.mark.parametrize("mu, size", [(Fraction(3, 5), 3), (Fraction(4, 5), 4),
+                                          (0.8, 4), (1, 5)])
+    def test_forbidden_sets_match_brute(self, name, mu, size):
+        host, targets = clique_graph(5), [[path(3)], [path(3)]]
+        forbidden = self.FORBIDDEN[name]
+        verdict = decide_globally_ramsey(ramsey_query(host, targets, forbidden), mu)
+        subset = self.brute_global(host, targets, forbidden, size)
+        if subset is None:
+            assert verdict.status == "globally_ramsey"
+            assert verdict.subsets_checked == math.comb(5, size)
+            return
+        assert (verdict.status, verdict.subset) == ("not_globally_ramsey", subset)
+        inside = [[vs for vs in per_color if set(vs) <= set(subset)]
+                  for per_color in forbidden]
+        restricted = ramsey_query(host.induced(subset), targets,
+                                  [[[subset.index(v) for v in vs] for vs in per_color]
+                                   for per_color in inside])
+        assert verify_coloring(verdict.witness, restricted) == []
+
+    def test_forbidden_sets_decide_both_ways(self):
+        host, targets = clique_graph(5), [[path(3)], [path(3)]]
+        statuses = {name: decide_globally_ramsey(
+            ramsey_query(host, targets, forbidden), Fraction(4, 5)).status
+            for name, forbidden in self.FORBIDDEN.items()}
+        assert statuses["inside"] == "not_globally_ramsey"
+        assert statuses["outside"] == "globally_ramsey"
+        assert decide_globally_ramsey(ramsey_query(host, targets), Fraction(4, 5)).status \
+            == "globally_ramsey"
+
+    @pytest.mark.parametrize("mu", [0, -1, 0.0, -0.5, Fraction(0), float("nan"),
+                                    float("inf")])
+    def test_degenerate_mu_refused(self, mu):
+        q = ramsey_query(clique_graph(6), [cycle(3), cycle(3)])
+        with pytest.raises(ValueError, match=f"need a finite mu > 0, got {mu}$"):
+            decide_globally_ramsey(q, mu)
+
+    def test_negative_samples_refused(self):
+        q = ramsey_query(clique_graph(6), [cycle(3), cycle(3)])
+        with pytest.raises(ValueError, match="need samples >= 0, got -3$"):
+            decide_globally_ramsey(q, Fraction(5, 6), mode="sampled", samples=-3)
+
+    def test_tiny_mu_checks_single_vertices(self):
+        # mu*n rounds to 0 vertices in floating point, but a qualifying
+        # subset still has at least one
+        q = ramsey_query(clique_graph(6), [cycle(3), cycle(3)])
+        verdict = decide_globally_ramsey(q, 1e-15)
+        assert (verdict.status, verdict.subset) == ("not_globally_ramsey", (0,))
 
 
 class TestSmallRamseyNumbers:

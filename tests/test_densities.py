@@ -14,8 +14,9 @@ from ramseylab.densities import (covariance_bound, d2, is_strictly_2_balanced,
                                  is_strictly_balanced_wrt, janson_bound, m2,
                                  m2_asym, mu0, mu1, rho, rho_bound_hm, rho_k,
                                  rho_k_with_partition)
-from ramseylab.graphs import (MAX_VERTICES, Graph, clique, clique_graph, cycle,
-                              empty_graph, hm_graph, hmr_graph, part_vertices, path)
+from ramseylab.graphs import (MAX_VERTICES, Graph, blowup, clique, clique_graph,
+                              cycle, cycle_graph, empty_graph, hm_graph, hmr_graph,
+                              part_vertices, path, turan_graph, twin_classes)
 
 small_graphs = st.builds(
     random_graph,
@@ -158,6 +159,28 @@ class TestRho:
     def test_matches_brute(self, g, k):
         assert rho(g) == rho_brute(g)
         assert rho_k(g, k) == rho_k_brute(g, k)
+
+    # past the 7 vertices of small_graphs, where each part's density is
+    # read from a profile walk of its own: twin-rich families, and seeded
+    # random graphs with no twins
+    LARGER = {"turan:9,3": lambda: turan_graph(9, 3),
+              "blowup:C5,2": lambda: blowup(cycle_graph(5), 2),
+              "hm:2": lambda: hm_graph(2),
+              **{f"random:{seed}": (lambda seed=seed: random_graph(
+                  random.Random(seed), 9 + seed % 2, 0.5)) for seed in range(4)}}
+
+    @pytest.mark.parametrize("k", [2, 3])
+    @pytest.mark.parametrize("name", list(LARGER))
+    def test_larger_graphs_match_brute(self, name, k):
+        g = self.LARGER[name]()
+        assert g.n in (9, 10)
+        twin_free = len(twin_classes(g)) == g.n
+        assert twin_free == name.startswith("random")
+        value, parts = rho_k_with_partition(g, k)
+        assert value == rho_k_brute(g, k)
+        assert len(parts) <= k
+        assert sorted(v for part in parts for v in part) == list(range(g.n))
+        assert max(rho(g.induced(part)) for part in parts) == value
 
     @settings(max_examples=40, deadline=None)
     @given(small_graphs)

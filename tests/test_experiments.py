@@ -176,6 +176,15 @@ class TestRunExperiment:
                            base_dir=str(tmp_path))
         assert not list(tmp_path.iterdir())
 
+    def test_oversized_grid_rejected(self, tmp_path):
+        args = {"bases": ["turan:6,3"], "targets": "C3,C3", "trials": 2,
+                "p_grid": {"lo": 0.1, "hi": 0.2, "per_decade": 10 ** 12}}
+        with pytest.raises(ValueError, match="301029995665 points is more than "
+                                             "the limit of 10000"):
+            run_experiment({"op": "scan", "seed": 1, "args": args},
+                           base_dir=str(tmp_path))
+        assert not list(tmp_path.iterdir())
+
     @pytest.mark.parametrize("where, key, value", [
         ("manifest", "seed", 1.7), ("manifest", "seed", True), ("manifest", "seed", "5"),
         ("args", "trials", 2.0), ("args", "trials", True),

@@ -217,6 +217,23 @@ class TestGrid:
     def test_one_per_decade_still_spans(self):
         assert log_spaced_grid(0.01, 1.0, 1) == [0.01, 0.1, 1.0]
 
+    @pytest.mark.parametrize("per_decade, count", [
+        (10 ** 6, 301031), (10 ** 12, 301029995665), (10 ** 400, None),
+    ])
+    def test_oversized_grid_refused_before_it_is_built(self, per_decade, count):
+        # 3e11 floats, or more than a float can count, would run out of
+        # memory: the count is refused before the list exists
+        with pytest.raises(ValueError, match=r"a grid of \d+ points is more than "
+                                             r"the limit of 10000") as info:
+            log_spaced_grid(0.1, 0.2, per_decade)
+        if count is not None:
+            assert f"a grid of {count} points" in str(info.value)
+
+    def test_grid_at_the_limit_built(self):
+        assert len(log_spaced_grid(0.1, 1.0, 9999)) == 10000
+        with pytest.raises(ValueError, match="a grid of 10001 points"):
+            log_spaced_grid(0.1, 1.0, 10000)
+
 
 class TestCrossing:
     def test_interpolates_in_log_p(self):
