@@ -58,10 +58,19 @@ by the least member of each vertex's twin class, then by label, and
 relabels the forbidden sets to match, then runs decide_ramsey on the
 relabelled query, whose symmetries the argument above covers as it
 stands.  Twins share a degree, so each twin class stays a run of
-labels and keeps its twin-row constraints.  The witness is mapped back
-to the host's canonical edge order and re-verified.  A scan uses it
-under the manifest's "order": "degree"; the vertices that perturbation
-made densest then branch first (fail first, Haralick & Elliott 1980).
+labels and keeps its twin-row constraints.  The witness is pulled back
+to the host (_pull_back) and re-verified.  A scan uses it under the
+manifest's "order": "degree"; the vertices that perturbation made
+densest then branch first (fail first, Haralick & Elliott 1980).
+
+Being Ramsey for non-induced targets is monotone in the host, so hosts
+that share a vertex count, targets and forbidden sets are decided
+through one verdict library, _monotone_decider(search): a host that
+contains one searched RAMSEY is RAMSEY, and one that embeds in one
+searched NOT_RAMSEY is NOT_RAMSEY, through its pulled-back witness.
+Containment tests stop after _EMBED_PLACEMENTS placements; a host with
+no hit is searched, so a status is what a search gives whenever one
+decides it.  Scans (cache "monotone") and decide_globally_ramsey use it.
 
 A target without edges (K1, P1, an edgeless graph) has a copy in every
 color class as soon as one placement of its vertices is allowed; such
@@ -91,17 +100,21 @@ mask: only decide_ramsey keeps a per-edge bit table (_edge_bits).
 
 from __future__ import annotations
 
+import itertools
 import math
 import time
-from itertools import islice
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 from .graphs import (Graph, Pattern, _FrozenRecord, _Record, _allowed_copies, _bits,
-                     _copy_pairs, _embedding_plan, _first_clique, _iter_pinned,
-                     _iter_through, clique_graph, twin_classes)
+                     _copy_pairs, _embedding_plan, _first_clique, _iter_embeddings,
+                     _iter_pinned, _iter_through, clique_graph, twin_classes)
 
 DEFAULT_NODE_BUDGET = 10 ** 8
 DEFAULT_RAMSEY_CAP = 12  # largest complete host a Ramsey-number search tries
+# embedding-DFS placements one containment test of the verdict library
+# may make before it counts as no hit: a Turan(12,2) scan against (C3,C5)
+# needs up to 19,941 for a hit, and a placement costs about a search node
+_EMBED_PLACEMENTS = 20_000
 
 RAMSEY = "ramsey"
 NOT_RAMSEY = "not_ramsey"
@@ -666,8 +679,8 @@ def _decide_degree_first(query: RamseyQuery) -> RamseyVerdict:
     (-degree, least member of their twin class, label) and every color's
     forbidden sets to match (module docstring).  A decided status is the
     canonical order's; the node count can differ, and with it which
-    budget-limited searches decide.  A NOT_RAMSEY witness is mapped back
-    to the host's canonical edge order and re-verified.  A host already
+    budget-limited searches decide.  A NOT_RAMSEY witness is pulled back
+    to the host by _pull_back, which re-verifies it.  A host already
     in this order is decided as it stands.  decide_ramsey is looked up
     at the call, so a rebinding of the module's name sees every search.
     """
@@ -690,15 +703,87 @@ def _decide_degree_first(query: RamseyQuery) -> RamseyVerdict:
                                 for vs in forb) for forb in query.forbidden)
     verdict = decide_ramsey(RamseyQuery(relabelled, query.targets, forbidden,
                                         query.node_budget))
-    if verdict.witness is None:
-        return verdict
-    color = dict(zip(relabelled.edges(), verdict.witness.colors))
-    witness = EdgeColoring(host, query.r, tuple(color[min(pos[u], pos[v]), max(pos[u], pos[v])]
-                                                for u, v in host.edges()))
-    bad = verify_coloring(witness, query)
+    if verdict.witness is not None:
+        verdict.witness = _pull_back(query, pos, _edge_colors(verdict.witness), "mapped-back")
+    return verdict
+
+
+def _edge_colors(witness: EdgeColoring) -> dict:
+    """The witness's color of each edge (a, b), keyed by (b, a) too."""
+    colors = {}
+    for (a, b), c in zip(witness.host.edges(), witness.colors):
+        colors[a, b] = colors[b, a] = c
+    return colors
+
+
+def _pull_back(query: RamseyQuery, into, colors: dict, kind: str) -> EdgeColoring:
+    """The coloring of the query's host giving each edge (u, v) the color
+    of (into[u], into[v]) in colors, a witness's _edge_colors, checked by
+    verify_coloring: an invalid one raises AssertionError, naming its kind."""
+    pulled = EdgeColoring(query.host, query.r,
+                          tuple(colors[into[u], into[v]] for u, v in query.host.edges()))
+    bad = verify_coloring(pulled, query)
     if bad:
-        raise AssertionError(f"a mapped-back witness is invalid: {bad}")
-    return RamseyVerdict(verdict.status, witness, verdict.stats)
+        raise AssertionError(f"a {kind} witness is invalid: {bad}")
+    return pulled
+
+
+# ---------------------------------------------------------------------
+# The monotone verdict library
+
+
+def _profile(g: Graph) -> tuple[int, list[int]]:
+    """The edge count and the degrees, largest first."""
+    degrees = sorted((row.bit_count() for row in g.adj), reverse=True)
+    return sum(degrees) // 2, degrees
+
+
+def _may_embed(small: tuple, big: tuple) -> bool:
+    """Whether a graph of profile small may embed in one of profile big
+    on as many vertices: an embedding needs no fewer edges, and no
+    smaller k-th largest degree for any k, in big."""
+    return small[0] <= big[0] and all(a <= b for a, b in zip(small[1], big[1]))
+
+
+def _embedding(plan: list, n: int, adj) -> Optional[tuple[int, ...]]:
+    """plan's first embedding into adj within _EMBED_PLACEMENTS placements, or None."""
+    return next(_iter_embeddings(n, adj, plan, cap=[_EMBED_PLACEMENTS]), None)
+
+
+def _monotone_decider(search: Callable[[RamseyQuery], RamseyVerdict]
+                      ) -> Callable[[RamseyQuery], RamseyVerdict]:
+    """decide(query) -> a verdict on the query's host, from the library of
+    hosts searched so far with search, decide_ramsey or
+    _decide_degree_first (module docstring).  Its queries share a vertex
+    count, so an embedding is one to one; a profile filter precedes each
+    test.  A host settled by containment gets a verdict with zero counts;
+    one with no hit gets search's verdict, and is an entry once decided.
+    """
+    ramsey = []  # (profile, embedding plan) of each host searched RAMSEY
+    refuted = []  # (profile, adjacency, _edge_colors) of each host searched NOT_RAMSEY
+
+    def decide(query: RamseyQuery) -> RamseyVerdict:
+        host = query.host
+        n, profile = host.n, _profile(host)
+        if any(_may_embed(entry, profile) and _embedding(within, n, host.adj) is not None
+               for entry, within in ramsey):
+            return RamseyVerdict(RAMSEY)
+        plan = None  # the host's plan is built when first needed
+        for entry, adj, colors in refuted:
+            if not _may_embed(profile, entry):
+                continue
+            plan = plan or _embedding_plan(host)
+            into = _embedding(plan, n, adj)
+            if into is not None:
+                return RamseyVerdict(NOT_RAMSEY, _pull_back(query, into, colors, "pulled-back"))
+        verdict = search(query)
+        if verdict.status == RAMSEY:
+            ramsey.append((profile, plan or _embedding_plan(host)))
+        elif verdict.status == NOT_RAMSEY:
+            refuted.append((profile, host.adj, _edge_colors(verdict.witness)))
+        return verdict
+
+    return decide
 
 
 # ---------------------------------------------------------------------
@@ -722,50 +807,50 @@ def decide_globally_ramsey(query: RamseyQuery, mu, mode: str = "exhaustive",
 
     Ramseyness is monotone under adding vertices, so only subsets of
     the minimum qualifying size need checking; exhaustive mode checks
-    all of them (n <= 20), sampled mode draws seeded random subsets and
-    can only ever report that no counterexample was found.  mu must be
-    positive and finite, samples nonnegative.
+    all of them (n <= 20), sampled mode draws seeded random subsets with
+    replacement and can only ever report that no counterexample was
+    found.  mode, mu (finite, > 0), samples (>= 0) and the cap are
+    checked before any answer.  Without forbidden sets the subsets go
+    through one verdict library (module docstring), which settles a
+    repeated draw with no search; with them each subset has its own
+    remapped sets and is searched afresh.
     """
-    import itertools
     import random
     from fractions import Fraction
 
+    if mode not in ("exhaustive", "sampled"):
+        raise ValueError(f"unknown mode {mode!r}")
     if not 0 < mu < math.inf:  # also refuses NaN
         raise ValueError(f"need a finite mu > 0, got {mu}")
     if samples < 0:
         raise ValueError(f"need samples >= 0, got {samples}")
     host = query.host
     n = host.n
+    if mode == "exhaustive" and n > 20:
+        raise ValueError("exhaustive mode limited to 20 vertices")
     # a qualifying subset has mu*n > 0 vertices, so at least one
-    if isinstance(mu, Fraction):
-        s_min = max(1, math.ceil(mu * n))
-    else:
-        s_min = max(1, math.ceil(mu * n - 1e-12))
+    s_min = max(1, math.ceil(mu * n if isinstance(mu, Fraction) else mu * n - 1e-12))
     if s_min > n:
         return GlobalVerdict("globally_ramsey", subsets_checked=0,
                              note="no subset is large enough to qualify")
     if mode == "exhaustive":
-        if n > 20:
-            raise ValueError("exhaustive mode limited to 20 vertices")
         subsets = itertools.combinations(range(n), s_min)
-    elif mode == "sampled":
+    else:
         rng = random.Random(seed)
         subsets = (tuple(sorted(rng.sample(range(n), s_min)))
                    for _ in range(samples))
-    else:
-        raise ValueError(f"unknown mode {mode!r}")
 
+    decide = decide_ramsey if any(query.forbidden) else _monotone_decider(decide_ramsey)
     checked = 0
     for subset in subsets:
-        sub = host.induced(subset)
         pos = {vertex: i for i, vertex in enumerate(subset)}
         inside = set(subset)
         forbidden = tuple(
             frozenset(frozenset(pos[x] for x in entry)
                       for entry in per_color if set(entry) <= inside)
             for per_color in query.forbidden)
-        q = RamseyQuery(sub, query.targets, forbidden, query.node_budget)
-        verdict = decide_ramsey(q)
+        verdict = decide(RamseyQuery(host.induced(subset), query.targets, forbidden,
+                                     query.node_budget))
         checked += 1
         if verdict.status == INCONCLUSIVE:
             return GlobalVerdict(INCONCLUSIVE, subset=subset,
@@ -844,7 +929,7 @@ def export_cnf(query: RamseyQuery, clause_cap: int = 10 ** 6) -> CnfDocument:
                 for _, ids in _allowed_copies(host, pat, query.forbidden[c]):
                     yield tuple([lits[i] for i in ids])
 
-    clauses = list(islice(all_clauses(), clause_cap + 1))
+    clauses = list(itertools.islice(all_clauses(), clause_cap + 1))
     if len(clauses) > clause_cap:
         raise ValueError(f"more than {clause_cap} clauses, the clause cap")
     return CnfDocument(nvars, clauses, comments)

@@ -52,27 +52,21 @@ decided once per host for the rest of the scan of its base.
 
 A scan of one base walks every trial once.  A host that stands at
 some grid points is decided where the walk first meets it, by the one
-function decide(query) -> status that threshold_scan builds for the
+function decide(query) -> verdict that threshold_scan builds for the
 base from the scan's cache and order, so hosts are decided in
 first-seen order; its status is kept by adjacency, so memory grows
 with distinct hosts, not with runs, and each run of grid points the
 host stands at is tallied under that status at once.  The K_R test
 looks only at arrivals, so no verdict steers the walk.
 
-With cache "none" decide searches every distinct host, and a Ramsey
-verdict reached by search is not carried to other hosts, because a
-fresh search of a larger host could run out of node budget.  A status
-is then a pure function of (host, targets, node budget, order).
+With cache "none" decide is the search itself, so no Ramsey verdict is
+carried to other hosts: a fresh search of a larger host could run out
+of node budget.  A status is then a pure function of (host, targets,
+node budget, order).
 
-With cache "monotone" decide is a _monotone_decider, whose library
-holds the verdicts it has searched so far: a host that contains a host
-searched RAMSEY is RAMSEY, and one that embeds in a host searched
-NOT_RAMSEY is NOT_RAMSEY, through the pulled-back witness, which
-verify_coloring re-checks.  Each containment test stops after
-_EMBED_PLACEMENTS embedding placements, and a host with no hit is
-searched.  A host's status is then what a search gives whenever a
-search decides it, and a host that a search would leave inconclusive
-may be settled, so the cache is part of a scan's manifest.
+With cache "monotone" decide is one coloring._monotone_decider per base
+(coloring's docstring), which may settle a host a search leaves
+inconclusive, so the cache is part of a scan's manifest.
 
 A scan's order names the search that decide runs, looked up when
 threshold_scan starts.  Under "canonical" it is decide_ramsey, which
@@ -100,13 +94,12 @@ import struct
 from fractions import Fraction
 from typing import Callable, Optional, Sequence
 
-from .coloring import (DEFAULT_NODE_BUDGET, DEFAULT_RAMSEY_CAP, INCONCLUSIVE,
-                       NOT_RAMSEY, RAMSEY, EdgeColoring, RamseyQuery, RamseyVerdict,
-                       _decide_degree_first, _edgeless_target, decide_ramsey, ramsey_query,
-                       targets_ramsey_number, verify_coloring)
+from .coloring import (DEFAULT_NODE_BUDGET, DEFAULT_RAMSEY_CAP, INCONCLUSIVE, RAMSEY,
+                       RamseyQuery, RamseyVerdict, _decide_degree_first, _edgeless_target,
+                       _monotone_decider, decide_ramsey, ramsey_query,
+                       targets_ramsey_number)
 from .densities import _check_prob
-from .graphs import (Graph, _check_vertex, _embedding_plan, _first_clique,
-                     _iter_embeddings, _Record, empty_graph)
+from .graphs import Graph, _check_vertex, _first_clique, _Record, empty_graph
 
 _MASK64 = (1 << 64) - 1
 _UNIT = float(1 << 53)  # a variate is a 53-bit integer divided by this
@@ -115,10 +108,6 @@ DEFAULT_PER_DECADE = 13  # log_spaced_grid points per decade of p
 _GRID_LIMIT = 10_000  # the most points log_spaced_grid builds
 _CACHES = ("monotone", "none")  # how a scan decides its distinct hosts
 _ORDERS = ("degree", "canonical")  # the vertex order a scan's searches branch in
-# embedding-DFS placements one containment test of the monotone library
-# may make before it counts as no hit: a Turan(12,2) scan against (C3,C5)
-# needs up to 19,941 for a hit, and a placement costs about a search node
-_EMBED_PLACEMENTS = 20_000
 
 # splitmix64: the counter's weights for seed, trial and edge index, its
 # offset, and the two multipliers of the finalizer
@@ -291,7 +280,7 @@ def _holds_clique(n: int, adj, k: int) -> bool:
 
 def _scan_base(base: Graph, template: RamseyQuery, grid: list[float], trials: int,
                seed: int, number: Optional[int],
-               decide: Callable[[RamseyQuery], str]) -> list[MonteCarloRow]:
+               decide: Callable[[RamseyQuery], RamseyVerdict]) -> list[MonteCarloRow]:
     """One row per point of the ascending, nonempty grid, for one base,
     given its query template, the R or None such that a host holding a
     K_R is Ramsey (module docstring), and the function that decides a
@@ -334,7 +323,7 @@ def _scan_base(base: Graph, template: RamseyQuery, grid: list[float], trials: in
             if key not in statuses:
                 statuses[key] = decide(RamseyQuery(Graph(n, key, base.labels),
                                                    template.targets, template.forbidden,
-                                                   template.node_budget))
+                                                   template.node_budget)).status
             counts = deltas.get(statuses[key])
             if counts is not None:
                 counts[start] += 1
@@ -393,79 +382,6 @@ def _scan_base(base: Graph, template: RamseyQuery, grid: list[float], trials: in
         lo, hi = wilson_interval(s, trials - inc)
         rows.append(MonteCarloRow(n, p, trials, s, inc, lo, hi))
     return rows
-
-
-def _profile(g: Graph) -> tuple[int, list[int]]:
-    """The edge count and the degrees, largest first."""
-    degrees = sorted((row.bit_count() for row in g.adj), reverse=True)
-    return sum(degrees) // 2, degrees
-
-
-def _may_embed(small: tuple, big: tuple) -> bool:
-    """Whether a graph of profile small may embed in one of profile big
-    on as many vertices: an embedding needs no fewer edges, and no
-    smaller k-th largest degree for any k, in big."""
-    return small[0] <= big[0] and all(a <= b for a, b in zip(small[1], big[1]))
-
-
-def _embedding(plan: list, n: int, adj) -> Optional[tuple[int, ...]]:
-    """An embedding of plan's pattern into adj found within
-    _EMBED_PLACEMENTS placements, or None: a test that stops is no hit."""
-    return next(_iter_embeddings(n, adj, plan, cap=[_EMBED_PLACEMENTS]), None)
-
-
-def _monotone_decider(search: Callable[[RamseyQuery], RamseyVerdict]
-                      ) -> Callable[[RamseyQuery], str]:
-    """A function decide(query) -> the status of the query's host, in
-    this process, settling a host by containment where it can, through
-    a library of the hosts it has searched so far with search, such as
-    decide_ramsey or coloring._decide_degree_first.
-
-    Being Ramsey for non-induced targets is monotone in the host.  A
-    host that contains a host searched RAMSEY is RAMSEY; a host that
-    embeds in a host searched NOT_RAMSEY is NOT_RAMSEY, through the
-    latter's witness pulled back along the embedding and re-checked by
-    verify_coloring.  The queries given to one decider share one vertex
-    count, targets and forbidden sets, so an embedding maps vertices one
-    to one; an edge-count and degree-sequence filter comes before each
-    test, and a test stops after _EMBED_PLACEMENTS placements.  A host
-    with no hit is searched; a RAMSEY or NOT_RAMSEY verdict makes it an
-    entry.  Every step is counted in nodes or placements, so no status
-    depends on machine speed or CPU count.
-    """
-    ramsey = []  # (profile, embedding plan) of each host searched RAMSEY
-    refuted = []  # (profile, adjacency, color of each ordered edge) of each NOT_RAMSEY one
-
-    def decide(query: RamseyQuery) -> str:
-        host = query.host
-        n, profile = host.n, _profile(host)
-        if any(_may_embed(entry, profile) and _embedding(within, n, host.adj) is not None
-               for entry, within in ramsey):
-            return RAMSEY
-        plan = None  # the host's plan is built when first needed
-        for entry, adj, colors in refuted:
-            if not _may_embed(profile, entry):
-                continue
-            plan = plan or _embedding_plan(host)
-            into = _embedding(plan, n, adj)
-            if into is not None:
-                pulled = EdgeColoring(host, query.r, tuple(colors[into[u], into[v]]
-                                                           for u, v in host.edges()))
-                bad = verify_coloring(pulled, query)
-                if bad:
-                    raise AssertionError(f"a pulled-back witness is invalid: {bad}")
-                return NOT_RAMSEY
-        verdict = search(query)
-        if verdict.status == RAMSEY:
-            ramsey.append((profile, plan or _embedding_plan(host)))
-        elif verdict.status == NOT_RAMSEY:
-            colors = {}
-            for (u, v), c in zip(host.edges(), verdict.witness.colors):
-                colors[u, v] = colors[v, u] = c
-            refuted.append((profile, host.adj, colors))
-        return verdict.status
-
-    return decide
 
 
 def log_spaced_grid(p_lo: float, p_hi: float,
@@ -570,8 +486,7 @@ def threshold_scan(bases: Sequence[Graph], targets: Sequence, p_grid: Sequence[f
                 numbers[cap] = targets_ramsey_number(template.targets, cap=cap,
                                                      node_budget=template.node_budget)
             number = numbers[cap]
-        decide = (_monotone_decider(search) if cache == "monotone"
-                  else lambda query: search(query).status)
+        decide = _monotone_decider(search) if cache == "monotone" else search
         size_rows = _scan_base(base, template, grid, trials, seed, number,
                                decide) if grid else []
         for row in size_rows:

@@ -855,6 +855,99 @@ class TestGloballyRamsey:
         assert (verdict.status, verdict.subset) == ("not_globally_ramsey", (0,))
 
 
+    def test_unknown_mode_refused_before_any_answer(self):
+        # at mu = 2 no subset is large enough, which answered before the
+        # mode was checked
+        q = ramsey_query(clique_graph(6), [cycle(3), cycle(3)])
+        with pytest.raises(ValueError, match="unknown mode 'bogus'"):
+            decide_globally_ramsey(q, 2, mode="bogus")
+
+    def test_exhaustive_cap_refused_before_any_answer(self):
+        q = ramsey_query(empty_graph(21), [clique(2), clique(2)])
+        with pytest.raises(ValueError, match="exhaustive mode limited to 20 vertices"):
+            decide_globally_ramsey(q, 2)
+
+    @staticmethod
+    def spied_searches(monkeypatch):
+        """Record each query coloring.decide_ramsey searches."""
+        searched = []
+        search = coloring.decide_ramsey
+
+        def spy(query):
+            searched.append(query)
+            return search(query)
+
+        monkeypatch.setattr(coloring, "decide_ramsey", spy)
+        return searched
+
+    def test_sampled_repeats_are_not_searched_again(self, monkeypatch):
+        # at mu = 1 every draw is the whole host
+        searched = self.spied_searches(monkeypatch)
+        q = ramsey_query(clique_graph(6), [cycle(3), cycle(3)])
+        verdict = decide_globally_ramsey(q, 1, mode="sampled", samples=200)
+        assert (verdict.status, verdict.subsets_checked) == ("no_counterexample_found", 200)
+        assert len(searched) == 1
+
+    def test_perturbed_turan_settled_by_one_search(self, monkeypatch):
+        searched = self.spied_searches(monkeypatch)
+        host = perturb(turan_graph(12, 4), 0.7, 8020, 0)
+        verdict = decide_globally_ramsey(ramsey_query(host, [cycle(3), cycle(5)]),
+                                         Fraction(3, 4))
+        assert (verdict.status, verdict.subsets_checked) == ("globally_ramsey", 220)
+        assert len(searched) == 1
+
+    @staticmethod
+    def fresh_global(query, mu, mode, samples, seed):
+        """(status, subset, witness colors, subsets checked) with every
+        subset searched by decide_ramsey, in decide_globally_ramsey's
+        subset order and draws, or None when a subset is inconclusive."""
+        n = query.host.n
+        size = max(1, math.ceil(mu * n))
+        if mode == "exhaustive":
+            subsets = itertools.combinations(range(n), size)
+        else:
+            rng = random.Random(seed)
+            subsets = (tuple(sorted(rng.sample(range(n), size))) for _ in range(samples))
+        checked = 0
+        for subset in subsets:
+            checked += 1
+            verdict = decide_ramsey(ramsey_query(query.host.induced(subset), query.targets,
+                                                 node_budget=query.node_budget))
+            if verdict.status == INCONCLUSIVE:
+                return None
+            if verdict.status == NOT_RAMSEY:
+                return "not_globally_ramsey", subset, verdict.witness.colors, checked
+        status = "globally_ramsey" if mode == "exhaustive" else "no_counterexample_found"
+        return status, None, None, checked
+
+    def test_library_matches_fresh_search(self):
+        # subsets searched one by one give the same answer wherever no
+        # subset is inconclusive; the cases decide every way, in both modes
+        rng = random.Random(36)
+        compared = set()
+        for _ in range(150):
+            n = rng.randint(5, 10)
+            host = perturb(turan_graph(n, rng.randint(2, 4)), rng.uniform(0.2, 1), 8020,
+                           rng.randrange(1000))
+            targets = rng.choice([[cycle(3), cycle(3)], [cycle(3), cycle(5)],
+                                  [clique(3), cycle(4)]])
+            query = ramsey_query(host, targets, node_budget=rng.choice([50, 500, 10 ** 8]))
+            mu = Fraction(rng.randint(max(1, n - 4), n), n)
+            mode = rng.choice(["exhaustive", "sampled"])
+            samples, seed = rng.randint(0, 40), rng.randrange(1000)
+            verdict = decide_globally_ramsey(query, mu, mode, samples, seed)
+            expected = self.fresh_global(query, mu, mode, samples, seed)
+            if expected is None:
+                continue
+            colors = verdict.witness.colors if verdict.witness is not None else None
+            assert (verdict.status, verdict.subset, colors,
+                    verdict.subsets_checked) == expected
+            compared.add((mode, verdict.status))
+        assert {status for _, status in compared} == {
+            "globally_ramsey", "not_globally_ramsey", "no_counterexample_found"}
+        assert {mode for mode, _ in compared} == {"exhaustive", "sampled"}
+
+
 class TestSmallRamseyNumbers:
     def test_triangle_number(self):
         assert targets_ramsey_number(((cycle(3),), (cycle(3),))) == 6

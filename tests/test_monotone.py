@@ -11,6 +11,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from ramseylab import coloring
 from ramseylab.coloring import (DEFAULT_NODE_BUDGET, INCONCLUSIVE, NOT_RAMSEY, RAMSEY,
                                 EdgeColoring, RamseyVerdict, _decide_degree_first,
                                 decide_ramsey, ramsey_query)
@@ -94,9 +95,8 @@ class TestBoundedEmbedding:
         # does not; either way the library's test stops at its cap
         small = perturb(turan_graph(18, 3), 2 / 18, 8020, 105)
         large = perturb(turan_graph(18, 3), 3 / 18, 8020, trial)
-        assert perturb_module._may_embed(perturb_module._profile(small),
-                                         perturb_module._profile(large))
-        left = [perturb_module._EMBED_PLACEMENTS]
+        assert coloring._may_embed(coloring._profile(small), coloring._profile(large))
+        left = [coloring._EMBED_PLACEMENTS]
         assert next(_iter_embeddings(18, large.adj, _embedding_plan(small), cap=left),
                     None) is None
         assert left == [0]
@@ -110,7 +110,7 @@ class TestBoundedEmbedding:
         monkeypatch.setattr(perturb_module, "decide_ramsey", ramsey_stub)
         queries = [ramsey_query(g, [cycle(3), cycle(5)]) for g in (small, large)]
         decide = perturb_module._monotone_decider(perturb_module.decide_ramsey)
-        assert [decide(q) for q in queries] == [RAMSEY, RAMSEY]
+        assert [decide(q).status for q in queries] == [RAMSEY, RAMSEY]
         assert searched == [small, large]
 
 
@@ -181,7 +181,7 @@ class TestLibrary:
                        else hexagon.subgraph_with_edges([(0, 1), (1, 2), (3, 4)]))
             queries = [ramsey_query(g, [cycle(3), cycle(3)]) for g in (first, second, settled)]
             decide = perturb_module._monotone_decider(perturb_module.decide_ramsey)
-            assert [decide(q) for q in queries] == [status] * 3
+            assert [decide(q).status for q in queries] == [status] * 3
             assert searched == [first, second]
 
     def test_invalid_pulled_back_witness_raises(self, monkeypatch):
@@ -210,7 +210,7 @@ class TestLibrary:
         # inconclusive, but no status contradicts the canonical search
         decide = perturb_module._monotone_decider(search)
         for query in queries:
-            settled, fresh = decide(query), search(query).status
+            settled, fresh = decide(query).status, search(query).status
             assert fresh == INCONCLUSIVE or settled == fresh
             canonical = decide_ramsey(query).status
             assert INCONCLUSIVE in (settled, canonical) or settled == canonical
@@ -238,7 +238,7 @@ class TestLibrary:
         rng.shuffle(queries)
         decide = perturb_module._monotone_decider(search)
         for query in queries:
-            settled = decide(query)
+            settled = decide(query).status
             fresh = search(query).status
             if fresh != INCONCLUSIVE:
                 assert settled == fresh
