@@ -11,9 +11,12 @@ counterexample and exhausting the tree is a proof of Ramseyness.
 
 The search backjumps on conflicts.  Each branching level owns one bit,
 and a blocking copy is reduced to the OR of its edges' level bits, read
-from a table built once per query; a level's conflict set is the OR of
-its blocked colors' masks, a dead end jumps to its highest bit and the
-merge is one OR.  Each (color, pattern) gets one copy finder, built
+from a table built once per query (_edge_bits); a level's conflict set
+is the OR of its blocked colors' masks, a dead end jumps to its highest
+bit and the merge is one OR.  That table is the search's one map from
+an edge to its depth: the twin-row constraints below read each entry's
+depth and mask from it, and a witness is read back through it in
+canonical edge order.  Each (color, pattern) gets one copy finder, built
 before the search.  Without forbidden sets, cliques and cycles get
 flat bitset kernels: the first clique in the common neighbourhood
 (K3 and C3 take the least common neighbour, larger cliques run
@@ -424,7 +427,8 @@ def _cycle_finder(adjc: list, depth_bit: list, inner: int):
 
 
 def _edge_bits(n: int, edges: Sequence[tuple[int, int]]) -> list[list[int]]:
-    """bit[a][b] = bit[b][a] = 1 << i for the i-th edge (a, b), else 0."""
+    """bit[a][b] = bit[b][a] = 1 << i for the i-th edge (a, b), else 0:
+    decide_ramsey's one map from an edge to its branching depth i."""
     bit = [[0] * n for _ in range(n)]
     for i, (a, b) in enumerate(edges):
         bit[a][b] = bit[b][a] = 1 << i
@@ -449,9 +453,11 @@ def _edgeless_target(query: RamseyQuery) -> Optional[str]:
     return None
 
 
-def _symmetry_constraints(query: RamseyQuery, pairs: list) -> tuple[list, int]:
-    """Per branching depth, None or (rows, below), and the number of
-    row-comparison slots; see the module docstring.
+def _symmetry_constraints(query: RamseyQuery, depth_bit: list, size: int) -> tuple[list, int]:
+    """Per branching depth below size, None or (rows, below), and the
+    number of row-comparison slots; see the module docstring.  depth_bit
+    is decide_ramsey's _edge_bits table, which gives each edge's depth
+    and its one-bit mask.
 
     rows holds (first, mask, prev, me) for each twin-row entry the
     depth's edge decides: first is the depth of the entry's earlier
@@ -462,27 +468,31 @@ def _symmetry_constraints(query: RamseyQuery, pairs: list) -> tuple[list, int]:
     earlier depth when colors are interchangeable, else None.
     """
     host = query.host
-    adj = host.adj
-    depth_of = {e: d for d, e in enumerate(pairs)}
-    rows = [[] for _ in pairs]
+    n, adj = host.n, host.adj
+    rows = [[] for _ in range(size)]
     slots = 1
-    twins_of = {v: members for members, _ in twin_classes(host) for v in _bits(members)}
-    for i in range(host.n - 1):
+    twins_of = [0] * n
+    for members, _ in twin_classes(host):
+        for v in _bits(members):
+            twins_of[v] = members
+    forbidden = any(query.forbidden)
+    for i in range(n - 1):
         j = i + 1
         if not twins_of[i] >> j & 1:
             continue
-        swap = {i: j, j: i}
-        if any(frozenset(frozenset(swap.get(x, x) for x in vs) for vs in forb) != forb
-               for forb in query.forbidden):
-            continue
-        prev = prefix = 0
-        for k in range(host.n):
-            if k == i or k == j or not adj[i] >> k & 1:
+        if forbidden:
+            swap = {i: j, j: i}
+            if any(frozenset(frozenset(swap.get(x, x) for x in vs) for vs in forb) != forb
+                   for forb in query.forbidden):
                 continue
-            first = depth_of[(min(i, k), max(i, k))]
-            second = depth_of[(min(j, k), max(j, k))]
-            rows[second].append((first, prefix | 1 << first, prev, slots))
-            prev, prefix = slots, prefix | 1 << first | 1 << second
+        row_i, row_j = depth_bit[i], depth_bit[j]
+        prev = prefix = 0
+        # twins share their neighbours outside {i, j}, in ascending k
+        for k in _bits(adj[i] & ~(1 << j)):
+            first_bit, second_bit = row_i[k], row_j[k]
+            first = first_bit.bit_length() - 1
+            rows[second_bit.bit_length() - 1].append((first, prefix | first_bit, prev, slots))
+            prev, prefix = slots, prefix | first_bit | second_bit
             slots += 1
     precedence = (all(t == query.targets[0] for t in query.targets)
                   and all(f == query.forbidden[0] for f in query.forbidden))
@@ -538,17 +548,15 @@ def decide_ramsey(query: RamseyQuery) -> RamseyVerdict:
         stats.note, stats.route = edgeless, "edgeless"
         return RamseyVerdict(RAMSEY, None, stats)
 
-    n = host.n
-    edges = host.edges()
-    n_edges = len(edges)
+    n, adj = host.n, host.adj
     # Branch vertex-incrementally: all edges inside {0..j} before any edge
     # touching j+1, so conflicts stay local to the newest vertices.
     # Reported colorings still use the public canonical (lexicographic)
-    # edge order.
-    order = sorted(range(n_edges), key=lambda i: (edges[i][1], edges[i][0]))
-    pairs = [edges[i] for i in order]
+    # edge order, read back through depth_bit.
+    pairs = [(a, b) for b in range(n) for a in _bits(adj[b] & ((1 << b) - 1))]
+    n_edges = len(pairs)
     depth_bit = _edge_bits(n, pairs)
-    symmetry, slots = _symmetry_constraints(query, pairs)
+    symmetry, slots = _symmetry_constraints(query, depth_bit, n_edges)
     steps = [(a, b, 1 << a, 1 << b, ~(1 << d), symmetry[d])
              for d, (a, b) in enumerate(pairs)]
     # equal[s]: the twin rows of slot s agree through its entry (module
@@ -581,10 +589,8 @@ def decide_ramsey(query: RamseyQuery) -> RamseyVerdict:
             break
 
         if depth == n_edges:
-            colors = [0] * n_edges
-            for d in range(n_edges):
-                colors[order[d]] = choice[d]
-            witness = EdgeColoring(host, r, tuple(colors))
+            witness = EdgeColoring(host, r, tuple(choice[depth_bit[a][b].bit_length() - 1]
+                                                  for a, b in host.edges()))
             bad = verify_coloring(witness, query)
             if bad:
                 raise AssertionError(f"search produced an invalid witness: {bad}")

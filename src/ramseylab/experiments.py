@@ -167,12 +167,7 @@ def _build_base(descriptor):
     """A scan base from a family string such as "turan:12,4", or from an
     object with a string 'family' and, when given, a list 'args'; a
     base that build_family rejects is a ManifestError with its text."""
-    if isinstance(descriptor, dict):
-        _typed(_require(descriptor, "family", "a scan base"), "family", str)
-        if not isinstance(descriptor.get("args", []), list):
-            raise ManifestError(f"'args' of a scan base must be a list, "
-                                f"got {descriptor['args']!r}")
-    elif not isinstance(descriptor, str):
+    if not isinstance(descriptor, (str, dict)):
         raise ManifestError(f"'bases' entries must be family strings or objects, "
                             f"got {descriptor!r}")
     try:

@@ -942,21 +942,31 @@ def _family_arg(name: str, param: str, value):
 def build_family(descriptor) -> Graph:
     """Build a named family from a dict or a compact string.
 
-    Accepts {"family": "turan", "args": [12, 4]} or "turan:12,4".
-    Families: empty, clique, cycle, path, complete_multipartite, turan,
-    blowup (graph6 base), hm, hmr.  A graph6 code must be a string and
-    every other argument an int or an integer string; anything else (a
-    float, a bool, "x") is a ValueError naming the family and the
-    parameter.
+    Accepts {"family": "turan", "args": [12, 4]}, the object form of a
+    scan base, or "turan:12,4".  The object needs a string 'family', and
+    its 'args', when given, must be a list; an object that breaks this
+    is a ValueError naming the key, and so is a descriptor that is
+    neither a string nor a dict.  Families: empty, clique, cycle, path,
+    complete_multipartite, turan, blowup (graph6 base), hm, hmr.  A
+    graph6 code must be a string and every other argument an int or an
+    integer string; anything else (a float, a bool, "x") is a ValueError
+    naming the family and the parameter.
     """
     from . import graph6
 
     if isinstance(descriptor, str):
         name, _, rest = descriptor.partition(":")
         args = [a for a in rest.split(",") if a] if rest else []
+    elif isinstance(descriptor, dict):
+        if "family" not in descriptor:
+            raise ValueError("a scan base needs 'family'")
+        name, args = descriptor["family"], descriptor.get("args", [])
+        if not isinstance(name, str):
+            raise ValueError(f"'family' must be a string, got {name!r}")
+        if not isinstance(args, (list, tuple)):
+            raise ValueError(f"'args' of a scan base must be a list, got {args!r}")
     else:
-        name = descriptor["family"]
-        args = list(descriptor.get("args", []))
+        raise ValueError(f"a family descriptor must be a string or a dict, got {descriptor!r}")
     name = name.strip().lower()
     if name == "complete_multipartite":
         return complete_multipartite([_family_arg(name, str(i), a)

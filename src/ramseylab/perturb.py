@@ -56,7 +56,10 @@ function decide(query) -> verdict that threshold_scan builds for the
 base from the scan's cache and order, so hosts are decided in
 first-seen order; its status is kept by adjacency, so memory grows
 with distinct hosts, not with runs, and each run of grid points the
-host stands at is tallied under that status at once.  The K_R test
+host stands at is tallied under that status at once.  Every trial's
+first run stands the base itself: the base too is decided where the
+walk first meets it, but its runs are counted per end point and
+tallied under its status once, after the last trial.  The K_R test
 looks only at arrivals, so no verdict steers the walk.
 
 With cache "none" decide is the search itself, so no Ramsey verdict is
@@ -304,6 +307,11 @@ def _scan_base(base: Graph, template: RamseyQuery, grid: list[float], trials: in
     gets one status from decide, inconclusive ones included, and a Graph
     is built only then; its status is kept by adjacency.  Each run adds
     its host's status at its first point and removes it at its end.
+    A trial's first run is the base's, from grid point 0 to its first
+    arrival or to close; the base is decided where the walk first meets
+    it, but its runs are only counted per end point and tallied under
+    its status once, after the trials, so a trial with no arrival (every
+    trial when every pair closes) builds and hashes no host at all.
     """
     n = base.n
     # makes every host of every trial Ramsey at every p
@@ -315,19 +323,16 @@ def _scan_base(base: Graph, template: RamseyQuery, grid: list[float], trials: in
     if settled:
         successes[0] = trials
     statuses: dict = {}  # adjacency -> status, decided when the host first stands
+    base_status = None  # the base's status, decided when it first stands
+    base_ends = [0] * (len(grid) + 1)  # per end point, the trials whose base stands until it
 
-    def stand(adj: list[int], start: int, end: int) -> None:
-        """Tally a host that stands at grid points start..end-1."""
-        if start < end:
-            key = tuple(adj)
-            if key not in statuses:
-                statuses[key] = decide(RamseyQuery(Graph(n, key, base.labels),
-                                                   template.targets, template.forbidden,
-                                                   template.node_budget)).status
-            counts = deltas.get(statuses[key])
-            if counts is not None:
-                counts[start] += 1
-                counts[end] -= 1
+    def status(key: tuple) -> str:
+        """The status of the host with these adjacency rows."""
+        if key not in statuses:
+            statuses[key] = decide(RamseyQuery(Graph(n, key, base.labels),
+                                               template.targets, template.forbidden,
+                                               template.node_budget)).status
+        return statuses[key]
 
     indices, pairs = _missing_pairs(base)
     closing = 0  # how many leading pairs complete a K_R with the base's edges
@@ -346,18 +351,24 @@ def _scan_base(base: Graph, template: RamseyQuery, grid: list[float], trials: in
         # variates below which the other pairs arrive before it
         close, top = len(grid), cuts[-1]
         if closing:
-            least = min(xs[:closing])
+            least = min(xs[:closing]) if walked else min(xs)
             if least < top:
                 close = bisect.bisect_right(cuts, least)
                 top = cuts[close - 1] if close else 0.0
         arrivals = sorted([(x, e) for x, e in zip(xs[closing:], walked) if x < top]
                           ) if walked else []
-        adj = list(base.adj)
-        start = k = 0
+        # the base stands until the grid point end of the first arrival,
+        # or until close when none arrives
+        end = bisect.bisect_right(cuts, arrivals[0][0]) if arrivals else close
+        if end:
+            if base_status is None:
+                base_status = status(base.adj)
+            base_ends[end] += 1
+        if arrivals:
+            adj = list(base.adj)
+        k = 0
         while k < len(arrivals):
-            # the next pairs arrive at grid point end; the host stands until then
-            end = bisect.bisect_right(cuts, arrivals[k][0])
-            stand(adj, start, end)
+            # the pairs arriving at grid point end join the host
             first = k
             while k < len(arrivals) and arrivals[k][0] < cuts[end]:
                 _, (u, v) = arrivals[k]
@@ -369,11 +380,22 @@ def _scan_base(base: Graph, template: RamseyQuery, grid: list[float], trials: in
                     for _, (u, v) in arrivals[first:k]):
                 successes[end] += 1  # carried to the last point
                 break
+            # the host stands until the next arrival, or until close
             start = end
+            end = bisect.bisect_right(cuts, arrivals[k][0]) if k < len(arrivals) else close
+            counts = deltas.get(status(tuple(adj)))
+            if counts is not None:
+                counts[start] += 1
+                counts[end] -= 1
         else:
-            stand(adj, start, close)
             if close < len(grid):
                 successes[close] += 1  # carried to the last point
+    # the base's runs, tallied at once under its status
+    counts = deltas.get(base_status)
+    if counts is not None:
+        for end, runs in enumerate(base_ends):
+            counts[0] += runs
+            counts[end] -= runs
     rows = []
     s = inc = 0
     for p, ds, dinc in zip(grid, successes, deltas[INCONCLUSIVE]):

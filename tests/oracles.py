@@ -11,8 +11,8 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 
-from ramseylab.graphs import (Graph, Pattern, _embedding_plan, _iter_embeddings,
-                              iter_pattern_witnesses_through_edge)
+from ramseylab.graphs import (Graph, Pattern, _bits, _embedding_plan, _iter_embeddings,
+                              iter_pattern_witnesses_through_edge, twin_classes)
 
 
 def contains_brute(g: Graph, pat: Pattern) -> bool:
@@ -320,6 +320,42 @@ def first_avoiding_coloring_brute(query):
     if extend(0):
         return False, tuple(colors)
     return True, None
+
+
+def symmetry_constraints_reference(query, pairs: list) -> tuple[list, int]:
+    """coloring._symmetry_constraints built from the edge list: pairs is
+    the branching order, each edge (min, max), and an edge's depth is
+    looked up in a dict keyed by the pair.  Per depth, None or (rows,
+    below), and the number of row-comparison slots; see that function
+    and the coloring module docstring."""
+    host = query.host
+    adj = host.adj
+    depth_of = {e: d for d, e in enumerate(pairs)}
+    rows = [[] for _ in pairs]
+    slots = 1
+    twins_of = {v: members for members, _ in twin_classes(host) for v in _bits(members)}
+    for i in range(host.n - 1):
+        j = i + 1
+        if not twins_of[i] >> j & 1:
+            continue
+        swap = {i: j, j: i}
+        if any(frozenset(frozenset(swap.get(x, x) for x in vs) for vs in forb) != forb
+               for forb in query.forbidden):
+            continue
+        prev = prefix = 0
+        for k in range(host.n):
+            if k == i or k == j or not adj[i] >> k & 1:
+                continue
+            first = depth_of[(min(i, k), max(i, k))]
+            second = depth_of[(min(j, k), max(j, k))]
+            rows[second].append((first, prefix | 1 << first, prev, slots))
+            prev, prefix = slots, prefix | 1 << first | 1 << second
+            slots += 1
+    precedence = (all(t == query.targets[0] for t in query.targets)
+                  and all(f == query.forbidden[0] for f in query.forbidden))
+    steps = [(tuple(rs), (1 << d) - 1 if precedence else None)
+             if rs or precedence else None for d, rs in enumerate(rows)]
+    return steps, slots
 
 
 def _coloring_avoids(host, edges, colors, targets, forbidden) -> bool:

@@ -10,14 +10,15 @@ from hypothesis import given, settings, strategies as st
 
 import dpll
 from oracles import (_coloring_avoids, first_avoiding_coloring_brute, ramsey_brute,
-                     random_graph)
+                     random_graph, symmetry_constraints_reference)
 from ramseylab import coloring, graphs as graphs_module
 from ramseylab.coloring import (EdgeColoring, INCONCLUSIVE, NOT_RAMSEY, RAMSEY,
                                 decide_globally_ramsey, decide_ramsey,
                                 export_cnf, ramsey_query,
                                 targets_ramsey_number, verify_coloring)
-from ramseylab.graphs import (Graph, _copy_pairs, _iter_through, arbitrary, clique,
-                              clique_graph, cycle, cycle_graph, empty_graph,
+from ramseylab.graphs import (Graph, _copy_pairs, _iter_through, arbitrary, blowup,
+                              clique, clique_graph, complete_multipartite, cycle,
+                              cycle_graph, empty_graph, hm_graph,
                               iter_pattern_witnesses_through_edge, path,
                               turan_graph, twin_classes)
 from ramseylab.perturb import perturb
@@ -357,6 +358,69 @@ class TestFirstColoring:
             if equal_targets:
                 forbidden = [forbidden[0]] * r
         _assert_first_coloring(ramsey_query(host, targets, forbidden))
+
+
+class TestSymmetryRows:
+    """coloring._symmetry_constraints reads each twin-row entry's depths
+    and masks from decide_ramsey's _edge_bits table; the reference looks
+    them up in a dict keyed by the edge.  Both give the same rows."""
+
+    HOSTS = ([turan_graph(n, k) for n, k in ((6, 2), (7, 3), (9, 3), (10, 5), (12, 4))]
+             + [blowup(cycle_graph(5), 2), blowup(clique_graph(3), 3), hm_graph(2),
+                clique_graph(6), complete_multipartite([1, 2, 3]), empty_graph(4)]
+             + [perturb(turan_graph(n, k), p, 8020, t)
+                for n, k, p in ((9, 3, 0.1), (10, 5, 0.2), (12, 4, 0.05)) for t in range(4)])
+
+    @staticmethod
+    def _both(query):
+        host = query.host
+        pairs = sorted(host.edges(), key=lambda e: (e[1], e[0]))
+        table = coloring._symmetry_constraints(
+            query, coloring._edge_bits(host.n, pairs), len(pairs))
+        assert table == symmetry_constraints_reference(query, pairs)
+        return table
+
+    def test_rows_match_reference(self):
+        rng = random.Random(37)
+        pool = [clique(3), cycle(4), path(3), cycle(5)]
+        seen = set()
+        for host in self.HOSTS:
+            swaps = _twins(host)
+            for r, equal_targets, forbid in itertools.product(
+                    (2, 3), (True, False), ("none", "invariant", "any")):
+                targets = ([[pool[0]]] * r if equal_targets
+                           else [[rng.choice(pool)] for _ in range(r)])
+                forbidden = None
+                if forbid != "none":
+                    forbidden = [[rng.sample(range(host.n), min(3, host.n))
+                                  for _ in range(rng.randint(1, 3))] for _ in range(r)]
+                    if forbid == "invariant":
+                        forbidden = [_closed_under_swaps(f, swaps) for f in forbidden]
+                    if equal_targets:
+                        forbidden = [forbidden[0]] * r
+                query = ramsey_query(host, targets, forbidden)
+                steps, slots = self._both(query)
+                free = self._both(ramsey_query(host, targets))[1]
+                precedence = any(step is not None and step[1] is not None for step in steps)
+                seen.add((r, precedence, forbid, slots > 1, slots < free))
+        # guards: twin rows with precedence on and off at r = 2 and 3,
+        # and forbidden sets that keep every swap and that break one
+        for r in (2, 3):
+            assert {(p, rows) for rr, p, _, rows, _ in seen if rr == r} >= {
+                (True, True), (False, True)}
+        assert any(f == "invariant" and rows and not broke for _, _, f, rows, broke in seen)
+        assert any(f == "any" and broke for _, _, f, _, broke in seen)
+        assert not any(f == "invariant" and broke for _, _, f, _, broke in seen)
+
+    def test_forbidden_set_on_a_twin_pair(self):
+        # on Turan(6,2), 0, 1 and 2 are twins: {0, 3} is moved by the
+        # swap of 0 and 1 and breaks it, {0, 1, 2} is kept by every swap
+        host = turan_graph(6, 2)
+        full = self._both(ramsey_query(host, [clique(3), clique(3)]))
+        broken = self._both(ramsey_query(host, [clique(3), clique(3)], [[(0, 3)], [(0, 3)]]))
+        kept = self._both(ramsey_query(host, [clique(3), clique(3)], [[(0, 1, 2)], [(0, 1, 2)]]))
+        assert kept == full
+        assert broken[1] < full[1]
 
 
 def _assert_degree_first_agrees(query, monkeypatch):

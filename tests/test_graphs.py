@@ -195,6 +195,23 @@ class TestFamilies:
         with pytest.raises(ValueError, match=f"^{message}$"):
             build_family(descriptor)
 
+    @pytest.mark.parametrize("descriptor, message", [
+        ({}, "a scan base needs 'family'"),
+        ({"args": [12, 4]}, "a scan base needs 'family'"),
+        ({"family": 3}, "'family' must be a string, got 3"),
+        ({"family": None, "args": [5]}, "'family' must be a string, got None"),
+        ({"family": "turan", "args": 12}, "'args' of a scan base must be a list, got 12"),
+        ({"family": "turan", "args": "12,4"},
+         "'args' of a scan base must be a list, got '12,4'"),
+        (5, "a family descriptor must be a string or a dict, got 5"),
+        (["turan", 12, 4], r"a family descriptor must be a string or a dict, "
+                           r"got \['turan', 12, 4\]")])
+    def test_build_family_malformed_object_named(self, descriptor, message):
+        # each was a KeyError, AttributeError, TypeError or a character
+        # split of the args string before build_family checked the object
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            build_family(descriptor)
+
     def test_build_family_integer_strings_accepted(self):
         assert build_family({"family": "turan", "args": ["12", " 4"]}) == turan_graph(12, 4)
         assert build_family("complete_multipartite:+2,3") == complete_multipartite([2, 3])

@@ -518,23 +518,29 @@ class TestTrialMajorScan:
 def traced_scan(monkeypatch, base, targets, grid, trials, seed, **kw):
     """threshold_scan on one base, recording (trial, variate count) for
     each call of the per-trial kernel _draw and (trial, host, verdict)
-    for each host decided, the trial of a host being the first whose
-    hosts include it."""
+    for each host the walk decides, through whatever decide function
+    threshold_scan builds from the scan's cache and order, the trial of
+    a host being the first whose hosts include it."""
     draws, decided = [], []
-    draw, decide = perturb_module._draw, perturb_module.decide_ramsey
+    draw, scan_base = perturb_module._draw, perturb_module._scan_base
 
     def counted_draw(packed, seed_, trial):
         xs = draw(packed, seed_, trial)
         draws.append((trial, len(xs)))
         return xs
 
-    def recorded_decide(query):
-        verdict = decide(query)
-        decided.append((query.host, verdict))
-        return verdict
+    def recorded_scan_base(*args):
+        *rest, decide = args
+
+        def recorded_decide(query):
+            verdict = decide(query)
+            decided.append((query.host, verdict))
+            return verdict
+
+        return scan_base(*rest, recorded_decide)
 
     monkeypatch.setattr(perturb_module, "_draw", counted_draw)
-    monkeypatch.setattr(perturb_module, "decide_ramsey", recorded_decide)
+    monkeypatch.setattr(perturb_module, "_scan_base", recorded_scan_base)
     result = threshold_scan([base], targets, grid, trials, seed, **kw)
     monkeypatch.undo()
     first_trial = {}
@@ -543,6 +549,24 @@ def traced_scan(monkeypatch, base, targets, grid, trials, seed, **kw):
             first_trial[perturb(base, p, seed, t).adj] = t
     return result, draws, [(first_trial[host.adj], host, verdict)
                            for host, verdict in decided]
+
+
+def first_seen_hosts(base, targets, grid, trials, seed):
+    """The hosts a scan with the clique shortcut decides, in the order
+    it meets them, by brute force: each trial's hosts perturb(base, p,
+    seed, t) over ascending p, up to the first that holds a K_R, R the
+    targets' Ramsey number, each host listed where it first stands."""
+    number = targets_ramsey_number(targets, cap=min(base.n, 12))
+    seen, order = set(), []
+    for t in range(trials):
+        for p in sorted(grid):
+            host = perturb(base, p, seed, t)
+            if contains_pattern(host, clique(number)):
+                break
+            if host.adj not in seen:
+                seen.add(host.adj)
+                order.append(host.adj)
+    return order
 
 
 class TestScanWork:
@@ -676,6 +700,48 @@ class TestScanWork:
                 assert verdict.stats.route == "search"
                 ramsey_trials.add(t)
         assert again
+
+
+class TestScanWalk:
+    """The walk counts the base's runs per end point and tallies them
+    after the trials, yet decides the base where it first meets it: the
+    rows and the order of decided hosts are those of a brute-force walk
+    under either cache and either order, with one _draw call a trial."""
+
+    SCANS = {
+        # every missing pair closes a K6, R(C3,C3) = 6: no pair is walked
+        "all-close": (turan_graph(10, 5), [0.0, 0.05, 0.1, 0.2, 0.4, 0.8], 30, 3),
+        # no pair closes a K6; trial 0's first pair arrives below the
+        # first grid point, so the base first stands in trial 1
+        "base-later": (turan_graph(8, 3), [0.2, 0.4, 0.6, 0.8], 12, 6),
+        # two pairs close a K6 and (0, 2) is walked
+        "mixed": (TURAN_7_5_CUT, [0.0, 0.05, 0.1, 0.2, 0.4, 0.8], 40, 8020),
+    }
+
+    @pytest.mark.parametrize("order", ["canonical", "degree"])
+    @pytest.mark.parametrize("cache", ["none", "monotone"])
+    @pytest.mark.parametrize("scan", list(SCANS))
+    def test_walk_matches_brute_force(self, monkeypatch, scan, cache, order):
+        base, grid, trials, seed = self.SCANS[scan]
+        targets = [cycle(3), cycle(3)]
+        result, draws, decided = traced_scan(monkeypatch, base, targets, grid, trials,
+                                             seed, cache=cache, order=order)
+        missing = math.comb(base.n, 2) - base.edge_count
+        assert draws == [(t, missing) for t in range(trials)]
+        assert result.rows == [reference_row(base, targets, p, trials, seed,
+                                             DEFAULT_NODE_BUDGET, True) for p in grid]
+        assert [host.adj for _, host, _ in decided] == first_seen_hosts(
+            base, targets, grid, trials, seed)
+        first = {host.adj: t for t, host, _ in decided}
+        if scan == "all-close":
+            assert [host.adj for _, host, _ in decided] == [base.adj]
+        if scan == "base-later":
+            assert decided[0][1].adj != base.adj
+            assert first[base.adj] == 1
+        if scan == "mixed":
+            walked = [t for t, host, _ in decided if host.adj != base.adj]
+            assert first[base.adj] == 0 and walked
+            assert any(0 < row.successes < trials for row in result.rows)
 
 
 class TestHoldsClique:
