@@ -71,9 +71,18 @@ that share a vertex count, targets and forbidden sets are decided
 through one verdict library, _monotone_decider(search): a host that
 contains one searched RAMSEY is RAMSEY, and one that embeds in one
 searched NOT_RAMSEY is NOT_RAMSEY, through its pulled-back witness.
-Containment tests stop after _EMBED_PLACEMENTS placements; a host with
-no hit is searched, so a status is what a search gives whenever one
-decides it.  Scans (cache "monotone") and decide_globally_ramsey use it.
+The hosts share a vertex count, so a containment is a bijection, and
+one sends S into B exactly when its inverse sends B's complement into
+S's.  Perturbed hosts hold most of their pairs, so when S and B hold
+more than C(n, 2) edges between them the test places B's complement,
+sparser than S, into S's complement (graphs._spanning_embedding); the
+rule reads the edge counts only.  Containment tests stop after
+_EMBED_PLACEMENTS placements; a host with no hit is searched, so a
+status is what a search gives whenever one decides it.  Placing the
+sparser side makes more capped tests succeed, so a host that a
+budget-limited search would leave inconclusive can now be settled by
+one searched before it.  Scans (cache "monotone") and
+decide_globally_ramsey use it.
 
 A target without edges (K1, P1, an edgeless graph) has a copy in every
 color class as soon as one placement of its vertices is allowed; such
@@ -108,9 +117,9 @@ import math
 import time
 from typing import Callable, Optional, Sequence
 
-from .graphs import (Graph, Pattern, _FrozenRecord, _Record, _allowed_copies, _bits,
-                     _copy_pairs, _embedding_plan, _first_clique, _iter_embeddings,
-                     _iter_pinned, _iter_through, clique_graph, twin_classes)
+from .graphs import (Graph, Pattern, _FrozenRecord, _Record, _Spanning, _allowed_copies,
+                     _bits, _copy_pairs, _embedding_plan, _first_clique, _iter_pinned,
+                     _iter_through, _spanning_embedding, clique_graph, twin_classes)
 
 DEFAULT_NODE_BUDGET = 10 ** 8
 DEFAULT_RAMSEY_CAP = 12  # largest complete host a Ramsey-number search tries
@@ -751,9 +760,10 @@ def _may_embed(small: tuple, big: tuple) -> bool:
     return small[0] <= big[0] and all(a <= b for a, b in zip(small[1], big[1]))
 
 
-def _embedding(plan: list, n: int, adj) -> Optional[tuple[int, ...]]:
-    """plan's first embedding into adj within _EMBED_PLACEMENTS placements, or None."""
-    return next(_iter_embeddings(n, adj, plan, cap=[_EMBED_PLACEMENTS]), None)
+def _contained(small: _Spanning, big: _Spanning) -> Optional[tuple[int, ...]]:
+    """graphs._spanning_embedding of small into big within
+    _EMBED_PLACEMENTS placements, or None."""
+    return _spanning_embedding(small, big, cap=[_EMBED_PLACEMENTS])
 
 
 def _monotone_decider(search: Callable[[RamseyQuery], RamseyVerdict]
@@ -761,32 +771,36 @@ def _monotone_decider(search: Callable[[RamseyQuery], RamseyVerdict]
     """decide(query) -> a verdict on the query's host, from the library of
     hosts searched so far with search, decide_ramsey or
     _decide_degree_first (module docstring).  Its queries share a vertex
-    count, so an embedding is one to one; a profile filter precedes each
-    test.  A host settled by containment gets a verdict with zero counts;
-    one with no hit gets search's verdict, and is an entry once decided.
+    count, so an embedding is a bijection, and each test places the
+    sparser side (_spanning_embedding); a profile filter precedes it.
+    Placing the sparser side, capped tests succeed on more pairs than
+    when the smaller host was always placed, so a host that a
+    budget-limited search would leave inconclusive can be settled.
+    Each entry keeps its _Spanning, the rows and plans its tests built,
+    and a query builds its own once.  A host settled by containment gets
+    a verdict with zero counts; one with no hit gets search's verdict,
+    and is an entry once decided.
     """
-    ramsey = []  # (profile, embedding plan) of each host searched RAMSEY
-    refuted = []  # (profile, adjacency, _edge_colors) of each host searched NOT_RAMSEY
+    ramsey = []  # (profile, _Spanning) of each host searched RAMSEY
+    refuted = []  # (profile, _Spanning, _edge_colors) of each host searched NOT_RAMSEY
 
     def decide(query: RamseyQuery) -> RamseyVerdict:
         host = query.host
-        n, profile = host.n, _profile(host)
-        if any(_may_embed(entry, profile) and _embedding(within, n, host.adj) is not None
+        profile, rows = _profile(host), _Spanning(host.adj)
+        if any(_may_embed(entry, profile) and _contained(within, rows) is not None
                for entry, within in ramsey):
             return RamseyVerdict(RAMSEY)
-        plan = None  # the host's plan is built when first needed
-        for entry, adj, colors in refuted:
-            if not _may_embed(profile, entry):
-                continue
-            plan = plan or _embedding_plan(host)
-            into = _embedding(plan, n, adj)
-            if into is not None:
-                return RamseyVerdict(NOT_RAMSEY, _pull_back(query, into, colors, "pulled-back"))
+        for entry, big, colors in refuted:
+            if _may_embed(profile, entry):
+                into = _contained(rows, big)
+                if into is not None:
+                    return RamseyVerdict(NOT_RAMSEY,
+                                         _pull_back(query, into, colors, "pulled-back"))
         verdict = search(query)
         if verdict.status == RAMSEY:
-            ramsey.append((profile, plan or _embedding_plan(host)))
+            ramsey.append((profile, rows))
         elif verdict.status == NOT_RAMSEY:
-            refuted.append((profile, host.adj, _edge_colors(verdict.witness)))
+            refuted.append((profile, rows, _edge_colors(verdict.witness)))
         return verdict
 
     return decide

@@ -30,7 +30,11 @@ generator frames, for callers that want only the first clique: the
 engine's clique finder and the scan's K_R tests.
 Arbitrary patterns are embedded by one iterative DFS, _iter_embeddings,
 which places the pattern's vertices in the order _embedding_plan fixes:
-pinned vertices first, then by decreasing degree.
+pinned vertices first, then by decreasing degree.  _spanning_embedding
+is the one test of whether a graph embeds in another on as many
+vertices: it places the sparser of the graph and the other's
+complement, and is read by contains_pattern for an arbitrary pattern
+as large as its host and by coloring's verdict library.
 """
 
 from __future__ import annotations
@@ -75,12 +79,55 @@ def _check_vertex(n: int, v: int) -> None:
         raise ValueError(f"vertex {v} out of range for n={n}")
 
 
+def _rows_valid(n: int, adj) -> bool:
+    """Whether adj is a loopless symmetric adjacency on n vertices: each
+    row has no bit outside 0..n-1 but its own, each neighbour u above v
+    has v back, and the rows hold twice as many entries as lie above
+    the diagonal.  Those mirrors are then distinct entries below it,
+    and as many as there are, so every entry below is a mirror too."""
+    full = (1 << n) - 1
+    upper = total = 0
+    for v, row in enumerate(adj):
+        bit = 1 << v
+        if row & ~(full ^ bit):
+            return False
+        total += row.bit_count()
+        high = row & ~((bit << 1) - 1)
+        upper += high.bit_count()
+        while high:
+            b = high & -high
+            if not adj[b.bit_length() - 1] & bit:
+                return False
+            high ^= b
+    return 2 * upper == total
+
+
+def _check_rows(n: int, adj) -> None:
+    """Raise the first error of adj as rows of an n-vertex graph, in
+    vertex order: a loop, a neighbour out of range, then each neighbour
+    without v in its own row."""
+    full = (1 << n) - 1
+    for v, row in enumerate(adj):
+        if row & (1 << v):
+            raise ValueError(f"loop at vertex {v}")
+        if row & ~full:
+            raise ValueError(f"neighbor out of range at vertex {v}")
+        for u in _bits(row):
+            if not adj[u] & (1 << v):
+                raise ValueError(f"asymmetric adjacency between {u} and {v}")
+
+
 class Graph:
     """Immutable undirected simple graph.
 
     adj[v] is the neighborhood bitset of v.  labels, when present, give
     each vertex a part index (used by multipartite families).  _edges
     and _profile (densities._profile) are filled on first use.
+
+    The rows are validated by _rows_valid, which reads each row's
+    neighbours above v only; rows it does not pass are walked again
+    edge by edge by _check_rows, which raises the first error in vertex
+    order, so a refused input gets the same message either way.
     """
 
     __slots__ = ("n", "adj", "labels", "_edges", "_profile")
@@ -89,15 +136,8 @@ class Graph:
         _check_order(n)
         if len(adj) != n:
             raise ValueError("adjacency length does not match vertex count")
-        full = (1 << n) - 1
-        for v, row in enumerate(adj):
-            if row & (1 << v):
-                raise ValueError(f"loop at vertex {v}")
-            if row & ~full:
-                raise ValueError(f"neighbor out of range at vertex {v}")
-            for u in _bits(row):
-                if not adj[u] & (1 << v):
-                    raise ValueError(f"asymmetric adjacency between {u} and {v}")
+        if not _rows_valid(n, adj):
+            _check_rows(n, adj)
         if labels is not None and len(labels) != n:
             raise ValueError("label length does not match vertex count")
         self.n = n
@@ -476,15 +516,22 @@ def _iter_paths(g: Graph, k: int) -> Iterator[tuple[int, ...]]:
 
 
 def _embedding_plan(pg: Graph, pinned: tuple[int, ...] = ()) -> list[tuple[int, int, list[int]]]:
-    """The order in which _iter_embeddings places pg's vertices: the
-    pinned ones first, as given, then the rest by decreasing degree,
-    ties to the lower vertex.  Each step is (pattern vertex, its degree,
-    its neighbors placed at earlier steps)."""
-    rest = sorted((v for v in range(pg.n) if v not in pinned), key=lambda v: (-pg.degree(v), v))
+    """The order in which _iter_embeddings places pg's vertices, from
+    its rows by _rows_plan."""
+    return _rows_plan(pg.adj, pinned)
+
+
+def _rows_plan(adj, pinned: tuple[int, ...] = ()) -> list[tuple[int, int, list[int]]]:
+    """The order in which _iter_embeddings places the vertices of the
+    pattern with rows adj: the pinned ones first, as given, then the
+    rest by decreasing degree, ties to the lower vertex.  Each step is
+    (pattern vertex, its degree, its neighbors placed at earlier steps)."""
+    degree = [row.bit_count() for row in adj]
+    rest = sorted((v for v in range(len(adj)) if v not in pinned), key=lambda v: (-degree[v], v))
     plan = []
     placed = 0
     for pv in (*pinned, *rest):
-        plan.append((pv, pg.degree(pv), list(_bits(pg.adj[pv] & placed))))
+        plan.append((pv, degree[pv], list(_bits(adj[pv] & placed))))
         placed |= 1 << pv
     return plan
 
@@ -547,6 +594,63 @@ def _iter_embeddings(n: int, adj, plan: list, head: tuple[int, ...] = (),
         cap[0] = left
 
 
+class _Spanning:
+    """A graph's side of a spanning containment test
+    (_spanning_embedding): its rows and edge count, with its
+    complement's rows and the embedding plan of each, each built at its
+    first use.  The complement is a tuple of rows, never a Graph."""
+
+    __slots__ = ("adj", "edges", "_co_rows", "_plan", "_co_plan")
+
+    def __init__(self, adj: tuple[int, ...]):
+        self.adj = adj
+        self.edges = sum(row.bit_count() for row in adj) // 2
+        self._co_rows = self._plan = self._co_plan = None
+
+    def co_rows(self) -> tuple[int, ...]:
+        if self._co_rows is None:
+            full = (1 << len(self.adj)) - 1
+            self._co_rows = tuple(full ^ (1 << v) ^ row for v, row in enumerate(self.adj))
+        return self._co_rows
+
+    def plan(self) -> list:
+        if self._plan is None:
+            self._plan = _rows_plan(self.adj)
+        return self._plan
+
+    def co_plan(self) -> list:
+        if self._co_plan is None:
+            self._co_plan = _rows_plan(self.co_rows())
+        return self._co_plan
+
+
+def _spanning_embedding(small: _Spanning, big: _Spanning, cap: Optional[list] = None
+                        ) -> Optional[tuple[int, ...]]:
+    """A bijection from small's vertices onto big's, the n they share,
+    sending every edge of small to an edge of big, as a tuple indexed
+    by small's vertex; None when there is none, or when the DFS of
+    _iter_embeddings spends cap (read as there) before it finds one.
+
+    The DFS places the side with fewer edges.  A bijection sends small
+    into big exactly when its inverse sends big's complement into
+    small's, so when small and big hold more than C(n, 2) edges between
+    them, big's complement, sparser than small, is placed into small's
+    complement and the map found is inverted.  The rule reads the two
+    edge counts only."""
+    n = len(small.adj)
+    if small.edges > big.edges:
+        return None
+    if small.edges + big.edges <= n * (n - 1) // 2:
+        return next(_iter_embeddings(n, big.adj, small.plan(), cap=cap), None)
+    back = next(_iter_embeddings(n, small.co_rows(), big.co_plan(), cap=cap), None)
+    if back is None:
+        return None
+    into = [0] * n
+    for b, s in enumerate(back):
+        into[s] = b
+    return tuple(into)
+
+
 def find_pattern(g: Graph, pat: Pattern) -> Optional[tuple[int, ...]]:
     """The witness of the first copy of pat in g that _allowed_copies
     lists, or None."""
@@ -554,6 +658,11 @@ def find_pattern(g: Graph, pat: Pattern) -> Optional[tuple[int, ...]]:
 
 
 def contains_pattern(g: Graph, pat: Pattern) -> bool:
+    """Whether g holds a copy of pat.  An arbitrary pattern on as many
+    vertices as g is tested by _spanning_embedding, uncapped, from the
+    sparser side; every other pattern asks find_pattern."""
+    if pat.kind == "arbitrary" and pat.graph.n == g.n:
+        return _spanning_embedding(_Spanning(pat.graph.adj), _Spanning(g.adj)) is not None
     return find_pattern(g, pat) is not None
 
 

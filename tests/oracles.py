@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
+from typing import Optional
 
 from ramseylab.graphs import (Graph, Pattern, _bits, _embedding_plan, _iter_embeddings,
                               iter_pattern_witnesses_through_edge, twin_classes)
@@ -25,6 +26,32 @@ def contains_brute(g: Graph, pat: Pattern) -> bool:
         if all(g.has_edge(image[u], image[v]) for u, v in pg.edges()):
             return True
     return False
+
+
+def spanning_embeds_brute(small: Graph, big: Graph) -> bool:
+    """Whether some bijection of small's vertices onto big's, of the
+    same order, sends every edge of small to an edge of big: all n!
+    bijections are tried."""
+    edges = small.edges()
+    return any(all(big.adj[image[u]] >> image[v] & 1 for u, v in edges)
+               for image in itertools.permutations(range(big.n)))
+
+
+def graph_rows_error(n: int, adj) -> Optional[str]:
+    """The message of the first error of adj as the rows of an n-vertex
+    Graph, or None when there is none: every row in vertex order, each
+    checked for a loop, then for a neighbour out of range, then edge by
+    edge for a neighbour whose row lacks it back."""
+    full = (1 << n) - 1
+    for v, row in enumerate(adj):
+        if row & (1 << v):
+            return f"loop at vertex {v}"
+        if row & ~full:
+            return f"neighbor out of range at vertex {v}"
+        for u in _set_bits(row):
+            if not adj[u] & (1 << v):
+                return f"asymmetric adjacency between {u} and {v}"
+    return None
 
 
 def copies_brute(g: Graph, pat: Pattern) -> set[frozenset[tuple[int, int]]]:

@@ -7,12 +7,14 @@ import tracemalloc
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from oracles import allowed_copies_reference, contains_brute, copies_brute, random_graph
+from oracles import (allowed_copies_reference, contains_brute, copies_brute, graph_rows_error,
+                     random_graph, spanning_embeds_brute)
 from ramseylab.coloring import export_cnf, ramsey_query
 from ramseylab.constructions import bipartite_decomposition, odd_cycle_free_multicoloring
 from ramseylab.facts import verify_bipartite_split, verify_odd_cycle_unavoidable
-from ramseylab.perturb import sample_gnp
-from ramseylab.graphs import (Graph, _allowed_copies, _first_clique, _iter_cliques,
+from ramseylab.perturb import perturb, sample_gnp
+from ramseylab.graphs import (Graph, _Spanning, _allowed_copies, _first_clique, _iter_cliques,
+                              _spanning_embedding,
                               arbitrary, blowup,
                               build_family, clique, clique_graph, clique_order,
                               complete_multipartite,
@@ -642,3 +644,81 @@ class TestOddCycles:
     def test_matches_two_coloring(self, g):
         # a graph has an odd cycle exactly when it is not 2-colorable
         assert g.has_odd_cycle() == (g.two_coloring() is None)
+
+
+class TestSpanningEmbedding:
+    def test_matches_bijection_oracle(self):
+        # random pairs of one order n <= 8, sparse and dense: half with
+        # the big graph a relabelled supergraph of the small one, half
+        # drawn apart.  Existence agrees with all n! bijections, every
+        # map found sends each edge of small to an edge of big, and both
+        # sides of the rule are taken, each with hits and misses
+        rng = random.Random(38)
+        taken = {}
+        for _ in range(400):
+            n = rng.randint(1, 8)
+            p = rng.choice((rng.uniform(0.0, 0.4), rng.uniform(0.6, 1.0)))
+            small = random_graph(rng, n, p)
+            if rng.random() < 0.5:
+                image = list(range(n))
+                rng.shuffle(image)
+                more = random_graph(rng, n, rng.uniform(0.0, 0.3))
+                big = Graph.from_edges(n, [(image[a], image[b]) for a, b in small.edges()]
+                                       + list(more.edges()))
+            else:
+                big = random_graph(rng, n, min(1.0, p + rng.uniform(-0.2, 0.3)))
+            into = _spanning_embedding(_Spanning(small.adj), _Spanning(big.adj))
+            found = into is not None
+            assert found == spanning_embeds_brute(small, big)
+            assert contains_pattern(big, arbitrary(small)) == found
+            if found:
+                assert sorted(into) == list(range(n))
+                assert all(big.has_edge(into[a], into[b]) for a, b in small.edges())
+            side = small.edge_count + big.edge_count > n * (n - 1) // 2
+            taken[side, found] = taken.get((side, found), 0) + 1
+        assert all(taken.get(key, 0) >= 20
+                   for key in itertools.product((False, True), repeat=2)), taken
+
+    def test_contains_spanning_pattern_on_perturbed_hosts(self):
+        # two perturbed Turan(18,3) hosts, whose complements are sparse:
+        # the small host is in the trial-2 host, found in 267 placements
+        # where placing the small host itself ran for seconds, and not in
+        # the trial-3 host, proved in 249,215
+        small = perturb(turan_graph(18, 3), 2 / 18, 8020, 105)
+        for trial, held in ((2, True), (3, False)):
+            large = perturb(turan_graph(18, 3), 3 / 18, 8020, trial)
+            assert contains_pattern(large, arbitrary(small)) == held
+
+
+class TestGraphRows:
+    def test_same_refusals_as_edge_loop(self):
+        # random rows with loops, bits past n, negative rows and
+        # asymmetric pairs: a row set is refused exactly when the
+        # edge-by-edge loop finds an error, with that error's message
+        rng = random.Random(3838)
+        refused = 0
+        for _ in range(3000):
+            n = rng.randint(0, 9)
+            adj = list(random_graph(rng, n, rng.random()).adj)
+            for _ in range(rng.choice((0, 1, 1, 2, 3))):
+                if not n:
+                    break
+                v = rng.randrange(n)
+                kind = rng.randrange(4)
+                if kind == 0:
+                    adj[v] |= 1 << v
+                elif kind == 1:
+                    adj[v] |= 1 << rng.randrange(n, n + 4)
+                elif kind == 2:
+                    adj[v] = ~adj[v] if rng.random() < 0.5 else -(adj[v] or 1)
+                else:
+                    adj[v] ^= 1 << rng.randrange(n)
+            message = graph_rows_error(n, adj)
+            if message is None:
+                assert Graph(n, tuple(adj)).adj == tuple(adj)
+            else:
+                refused += 1
+                with pytest.raises(ValueError) as err:
+                    Graph(n, tuple(adj))
+                assert str(err.value) == message
+        assert refused > 1000

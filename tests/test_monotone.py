@@ -16,8 +16,9 @@ from ramseylab.coloring import (DEFAULT_NODE_BUDGET, INCONCLUSIVE, NOT_RAMSEY, R
                                 EdgeColoring, RamseyVerdict, _decide_degree_first,
                                 decide_ramsey, ramsey_query)
 from ramseylab.experiments import ManifestError, replay, run_experiment
-from ramseylab.graphs import (Graph, _embedding_plan, _iter_embeddings, clique, cycle,
-                              cycle_graph, path, turan_graph)
+from ramseylab.graphs import (Graph, _Spanning, _embedding_plan, _iter_embeddings,
+                              _spanning_embedding, clique, cycle, cycle_graph, path,
+                              turan_graph)
 from ramseylab.perturb import log_spaced_grid, perturb, threshold_scan
 
 from oracles import random_graph
@@ -90,9 +91,12 @@ class TestBoundedEmbedding:
 
     @pytest.mark.parametrize("trial", [2, 3])
     def test_hard_pair_stops_at_cap_and_host_is_searched(self, monkeypatch, trial):
-        # an unbounded test takes seconds on these n = 18 pairs: with
-        # trial 2 the small host embeds in the large one, with trial 3 it
-        # does not; either way the library's test stops at its cap
+        # an unbounded DFS of the small host into the large one takes
+        # seconds on these n = 18 pairs, and stops at the library's cap.
+        # The pair holds more than C(18, 2) edges, so the library places
+        # the large host's complement into the small one's instead: with
+        # trial 2 that finds the embedding in 267 placements, with trial 3
+        # proving there is none takes 249,215, past the cap
         small = perturb(turan_graph(18, 3), 2 / 18, 8020, 105)
         large = perturb(turan_graph(18, 3), 3 / 18, 8020, trial)
         assert coloring._may_embed(coloring._profile(small), coloring._profile(large))
@@ -100,7 +104,16 @@ class TestBoundedEmbedding:
         assert next(_iter_embeddings(18, large.adj, _embedding_plan(small), cap=left),
                     None) is None
         assert left == [0]
-        # a scan that has searched the small host RAMSEY then searches the large one
+        assert small.edge_count + large.edge_count > 18 * 17 // 2
+        left = [coloring._EMBED_PLACEMENTS]
+        into = _spanning_embedding(_Spanning(small.adj), _Spanning(large.adj), cap=left)
+        if trial == 2:
+            assert left == [coloring._EMBED_PLACEMENTS - 267]
+            assert all(large.has_edge(into[a], into[b]) for a, b in small.edges())
+        else:
+            assert into is None and left == [0]
+        # a scan that has searched the small host RAMSEY settles the large
+        # one by containment with trial 2, and searches it with trial 3
         searched = []
 
         def ramsey_stub(query):
@@ -111,7 +124,7 @@ class TestBoundedEmbedding:
         queries = [ramsey_query(g, [cycle(3), cycle(5)]) for g in (small, large)]
         decide = perturb_module._monotone_decider(perturb_module.decide_ramsey)
         assert [decide(q).status for q in queries] == [RAMSEY, RAMSEY]
-        assert searched == [small, large]
+        assert searched == ([small] if trial == 2 else [small, large])
 
 
 class TestLibrary:
